@@ -15,8 +15,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .cohom import LieDataError
 from .dsl import DslError, Parser, tokenize
+from .models import ModelError
+from .ncalg import LimitError, PresentationError
 from .suites import ConfigError, SUITE_NAMES, SuiteConfig, run_suite
+
+# errors a configuration or a user model causes: exit 2, not "a check failed"
+MODEL_ERRORS = (ConfigError, DslError, LieDataError, LimitError, ModelError,
+                PresentationError)
 
 
 def build_parser():
@@ -75,8 +82,8 @@ def main(argv=None):
         return 2
     try:
         report = run_suite(cfg)
-    except (DslError, ConfigError) as e:
-        print(f"kappa-hopf: {e}", file=sys.stderr)
+    except MODEL_ERRORS as e:
+        print(f"kappa-hopf: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     print(report.to_text())
     if args.json:

@@ -223,14 +223,18 @@ class ModeResiduals:
     formal: NCElement | None = None
     series: NCElement | None = None
     modes_agree: bool | None = None
+    _zero: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def mode_zero(self, mode):
+        """Exact verdict on the `mode` residual modulo any quotient, decided
+        at most once."""
+        if mode not in self._zero:
+            self._zero[mode] = zero_mod_quotient(getattr(self, mode))
+        return self._zero[mode]
 
     def residual_zero(self):
-        out = True
-        if self.formal is not None:
-            out = out and zero_mod_quotient(self.formal)
-        if self.series is not None:
-            out = out and zero_mod_quotient(self.series)
-        return out
+        return all(self.mode_zero(m) for m in ("formal", "series")
+                   if getattr(self, m) is not None)
 
     def render(self):
         parts = []
@@ -241,33 +245,11 @@ class ModeResiduals:
         return " ; ".join(parts) if parts else "0"
 
 
-_PREFILTER = None
+def evaluate_raw(raw, mode, order, oracle=None):
+    """Normalize a raw element along the requested evaluation path(s).
 
-
-def set_prefilter(rng, stats):
-    """Install (or clear, with rng=None) the random-substitution pre-filter
-    observed by every residual evaluation; stats counts agreements with the
-    exact verdicts."""
-    global _PREFILTER
-    _PREFILTER = None if rng is None else (rng, stats)
-
-
-def _observe_prefilter(el):
-    if _PREFILTER is None or el is None:
-        return
-    from .quotient import prefilter_zero
-    rng, stats = _PREFILTER
-    quick = prefilter_zero(el, rng)
-    exact = zero_mod_quotient(el)
-    stats["checked"] = stats.get("checked", 0) + 1
-    if quick == exact:
-        stats["agreements"] = stats.get("agreements", 0) + 1
-    else:
-        stats["disagreements"] = stats.get("disagreements", 0) + 1
-
-
-def evaluate_raw(raw, mode, order):
-    """Normalize a raw element along the requested evaluation path(s)."""
+    With an oracle (quotient.PrefilterOracle), every residual's exact
+    verdict is decided here and cross-checked by random substitution."""
     res = ModeResiduals()
     if mode in ("formal", "both"):
         res.formal = normal_order(raw)
@@ -276,17 +258,20 @@ def evaluate_raw(raw, mode, order):
     if mode == "both":
         expanded_formal = normal_order(h_expand_raw(res.formal, order))
         res.modes_agree = expanded_formal == res.series
-    _observe_prefilter(res.formal)
-    _observe_prefilter(res.series)
+    if oracle is not None:
+        for m in ("formal", "series"):
+            el = getattr(res, m)
+            if el is not None:
+                oracle.observe(el, res.mode_zero(m))
     return res
 
 
 def _timed(check_id, anchor, raw_builder, mode="formal", order=4, expect="zero",
-           detail=""):
+           detail="", oracle=None):
     """Run one identity check; returns (Check, ModeResiduals)."""
     t0 = time.perf_counter()
     raw = raw_builder()
-    res = evaluate_raw(raw, mode, order)
+    res = evaluate_raw(raw, mode, order, oracle)
     ok = res.residual_zero()
     agree = res.modes_agree
     ms = (time.perf_counter() - t0) * 1000
@@ -337,7 +322,7 @@ def _rule_variants(p, hi, lo):
     return [(a, b) for a in hs for b in ls]
 
 
-def verify_bialgebra(p, order=4, mode="formal", expect="zero"):
+def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
     """The five Hopf-axiom check families; returns a list of Checks.
 
     (a) Delta respects every rewrite rule, (b) coassociativity,
@@ -356,11 +341,11 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero"):
                 return apply_coproduct(lhs - rhs, 0)
 
             chk, _ = _timed(f"delta_respects[{lab}]", f"{p.name} relations",
-                            raw_a, mode, order, expect)
+                            raw_a, mode, order, expect, oracle=oracle)
             checks.append(chk)
 
     if p.quotient is not None:
-        checks.append(_quotient_coproduct_check(p, order, mode))
+        checks.append(_quotient_coproduct_check(p, order, mode, oracle))
 
     for gi, g in enumerate(p.gens):
         def raw_coassoc(gi=gi):
@@ -368,7 +353,7 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero"):
             return apply_coproduct(d, 0) - apply_coproduct(d, 1)
 
         chk, _ = _timed(f"coassoc[{g.label()}]", f"{p.name} coproducts",
-                        raw_coassoc, mode, order, expect)
+                        raw_coassoc, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     for gi, g in enumerate(p.gens):
@@ -378,7 +363,7 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero"):
             return (apply_counit(d, 0) - el) + (apply_counit(d, 1) - el)
 
         chk, _ = _timed(f"counit[{g.label()}]", f"{p.name} counit",
-                        raw_counit, mode, order, expect)
+                        raw_counit, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     for gi, g in enumerate(p.gens):
@@ -392,7 +377,7 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero"):
             return (left - unit) + (right - unit)
 
         chk, _ = _timed(f"antipode[{g.label()}]", f"{p.name} antipode",
-                        raw_antipode, mode, order, expect)
+                        raw_antipode, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     for (hi, lo), _ in sorted(p.rules.items()):
@@ -404,7 +389,7 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero"):
                 return apply_antipode(lhs - rhs, 0)
 
             chk, _ = _timed(f"antipode_respects[{lab}]", f"{p.name} relations",
-                            raw_e, mode, order, expect)
+                            raw_e, mode, order, expect, oracle=oracle)
             checks.append(chk)
 
     return checks
@@ -419,7 +404,7 @@ def _gen(p, gi):
     return NCElement(TensorContext((p,)), {(((gi, 1),),): H_ONE})
 
 
-def _quotient_coproduct_check(p, order, mode):
+def _quotient_coproduct_check(p, order, mode, oracle=None):
     """Delta must respect the orthogonality quotient relations."""
     q = p.quotient
     t0 = time.perf_counter()
@@ -436,7 +421,7 @@ def _quotient_coproduct_check(p, order, mode):
                 if i == j:
                     el = el - NCElement.one(ctx)
                 raw = apply_coproduct(el, 0)
-                res = evaluate_raw(raw, mode, order)
+                res = evaluate_raw(raw, mode, order, oracle)
                 if not res.residual_zero():
                     bad.append((i, j, transposed))
     ms = (time.perf_counter() - t0) * 1000
@@ -452,7 +437,8 @@ def _quotient_coproduct_check(p, order, mode):
 # ---------------------------------------------------------------------------
 
 
-def verify_casimir(c, p, order=4, mode="formal", expect="zero", name="C"):
+def verify_casimir(c, p, order=4, mode="formal", expect="zero", name="C",
+                   oracle=None):
     checks = []
     for gi, g in enumerate(p.gens):
         def raw(gi=gi):
@@ -460,7 +446,7 @@ def verify_casimir(c, p, order=4, mode="formal", expect="zero", name="C"):
             return c * el - el * c
 
         chk, _ = _timed(f"casimir[{name},{g.label()}]", "Eq. 2",
-                        raw, mode, order, expect)
+                        raw, mode, order, expect, oracle=oracle)
         checks.append(chk)
     return checks
 
@@ -685,7 +671,7 @@ def _pow(x, n):
     return out
 
 
-def verify_bicross(b, order=4, mode="formal", expect="zero"):
+def verify_bicross(b, order=4, mode="formal", expect="zero", oracle=None):
     """Checks (a) factor relations transform correctly, (b) cross-commutators
     equal the action, (c) coproducts match the bicrossproduct assembly."""
     checks = []
@@ -701,7 +687,7 @@ def verify_bicross(b, order=4, mode="formal", expect="zero"):
                     return apply_algebra_map(lhs - rhs, embed, TensorContext((total,)))
 
                 chk, _ = _timed(f"{b.name}:factor_relation[{side}:{lab}]",
-                                "Eqs. 5-6 / 15", raw, mode, order, expect)
+                                "Eqs. 5-6 / 15", raw, mode, order, expect, oracle=oracle)
                 checks.append(chk)
 
     act_factor = b.t_factor if b.action_codomain == "t" else b.u_factor
@@ -717,7 +703,7 @@ def verify_bicross(b, order=4, mode="formal", expect="zero"):
             return (x * y - y * x) - expected
 
         chk, _ = _timed(f"{b.name}:action[{xlab},{ylab}]", "Eq. 7 / Eq. 16",
-                        raw, mode, order, expect)
+                        raw, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     # (c) coproduct assembly
@@ -741,7 +727,7 @@ def verify_bicross(b, order=4, mode="formal", expect="zero"):
                 return lhs - assembled
 
             chk, _ = _timed(f"{b.name}:coproduct[{side}:{g.label()}]",
-                            "Eqs. 4-7 / 14-16", raw, mode, order, expect)
+                            "Eqs. 4-7 / 14-16", raw, mode, order, expect, oracle=oracle)
             checks.append(chk)
 
     return checks
@@ -752,7 +738,8 @@ def verify_bicross(b, order=4, mode="formal", expect="zero"):
 # ---------------------------------------------------------------------------
 
 
-def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="zero"):
+def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="zero",
+                    oracle=None):
     """Covariance of the group coaction on kappa-Galilean spacetime.
 
     action: gen_idx (spacetime) -> NCElement in (group (x) spacetime)."""
@@ -767,7 +754,7 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="ze
             return apply_algebra_map(lhs - rhs, action, ctx2)
 
         chk, _ = _timed(f"comodule:covariance[{lab}]", "Eqs. 17-18",
-                        raw, mode, order, expect)
+                        raw, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     for gi, g in enumerate(spacetime.gens):
@@ -788,7 +775,7 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="ze
             return lhs - rhs
 
         chk, _ = _timed(f"comodule:coassoc[{g.label()}]", "Eq. 18",
-                        raw_coassoc, mode, order, expect)
+                        raw_coassoc, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     for gi, g in enumerate(spacetime.gens):
@@ -797,7 +784,7 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="ze
             return apply_counit(beta, 0) - _gen(spacetime, gi)
 
         chk, _ = _timed(f"comodule:counit[{g.label()}]", "Eq. 18",
-                        raw_counit, mode, order, expect)
+                        raw_counit, mode, order, expect, oracle=oracle)
         checks.append(chk)
 
     return checks

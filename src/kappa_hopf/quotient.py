@@ -17,8 +17,16 @@ D = 1 + x^2 + y^2 + z^2, tracked as explicit powers.
 
 from __future__ import annotations
 
-from .scalars import Poly, POLY_ONE, POLY_ZERO
+import random
+from fractions import Fraction
+from functools import lru_cache
+
 from .ncalg import normal_order
+from .scalars import Poly, POLY_ONE, POLY_ZERO
+
+# bound of the Cayley power cache; the shipped suites use fewer than 50
+# (slot, i, j, exponent) keys
+POWER_CACHE_SIZE = 1024
 
 
 def _adjugate3(M):
@@ -36,18 +44,30 @@ def _adjugate3(M):
     return [[cof[j][i] for j in range(3)] for i in range(3)]  # transpose
 
 
+@lru_cache(maxsize=64)
 def cayley_data(xname, yname, zname):
-    """Numerator matrix N and denominator D with R = N / D on SO(3)."""
+    """Numerator matrix N and denominator D with R = N / D on SO(3).
+
+    Cached by symbol names; N is a tuple of row tuples, so callers share
+    one immutable result."""
     x, y, z = Poly.var(xname), Poly.var(yname), Poly.var(zname)
     zero, one = POLY_ZERO, POLY_ONE
     A = [[zero, -z, y], [z, zero, -x], [-y, x, zero]]
     IpA = [[one + A[i][j] if i == j else A[i][j] for j in range(3)] for i in range(3)]
     ImA = [[one - A[i][j] if i == j else -A[i][j] for j in range(3)] for i in range(3)]
     adj = _adjugate3(IpA)
-    N = [[sum((ImA[i][k] * adj[k][j] for k in range(3)), POLY_ZERO) for j in range(3)]
-         for i in range(3)]
+    N = tuple(tuple(sum((ImA[i][k] * adj[k][j] for k in range(3)), POLY_ZERO)
+                    for j in range(3)) for i in range(3))
     D = one + x * x + y * y + z * z
     return N, D
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _cayley_power(slot, i, j, e):
+    """N[i][j] ** e at the unreflected Cayley point of `slot` (i, j from 1),
+    or D ** e for i = j = 0."""
+    N, D = cayley_data(f"_cx@{slot}", f"_cy@{slot}", f"_cz@{slot}")
+    return (D if i == 0 else N[i - 1][j - 1]) ** e
 
 
 def _rsym(slot, i, j):
@@ -70,66 +90,15 @@ def strip_r_prefix(presentation, slot, word):
     return sym, tuple(rest)
 
 
-def _cayley_reduce_zero(poly, slots_with_r):
-    """True iff `poly` (in _Rij@s symbols plus arbitrary others) lies in the
-    per-slot O(3) ideals."""
-    datas = {}
-    for s in slots_with_r:
-        datas[s] = cayley_data(f"_cx@{s}", f"_cy@{s}", f"_cz@{s}")
-    # iterate over component choices (det = +1 / -1 per slot)
-    slots = sorted(slots_with_r)
-    for mask in range(1 << len(slots)):
-        signs = {s: (-1 if (mask >> k) & 1 else 1) for k, s in enumerate(slots)}
-        if not _substituted_is_zero(poly, datas, signs):
-            return False
-    return True
+def _quotient_slots(ctx):
+    return [s for s, p in enumerate(ctx.slots) if p.quotient is not None]
 
 
-def _substituted_is_zero(poly, datas, signs):
-    # maximum R-degree per slot fixes the cleared denominator power
-    maxdeg = {s: 0 for s in datas}
-    split_terms = []
-    for mono, coeff in poly.terms.items():
-        per_slot = {s: [] for s in datas}
-        rest = []
-        for symname, e in mono:
-            if symname.startswith("_R") and "@" in symname:
-                i = int(symname[2])
-                j = int(symname[3])
-                s = int(symname.split("@")[1])
-                per_slot[s].append((i, j, e))
-            else:
-                rest.append((symname, e))
-        degs = {s: sum(e for _, _, e in lst) for s, lst in per_slot.items()}
-        for s in datas:
-            maxdeg[s] = max(maxdeg[s], degs.get(s, 0))
-        split_terms.append((coeff, per_slot, degs, tuple(rest)))
-    total = POLY_ZERO
-    for coeff, per_slot, degs, rest in split_terms:
-        term = Poly({rest: coeff})
-        for s, (N, D) in datas.items():
-            for i, j, e in per_slot[s]:
-                entry = N[i - 1][j - 1]
-                if signs[s] < 0 and i == 1:
-                    entry = -entry  # reflected component: first row negated
-                term = term * (entry ** e)
-            pad = maxdeg[s] - degs.get(s, 0)
-            if pad:
-                term = term * (D ** pad)
-        total = total + term
-    return not total
-
-
-def zero_mod_quotient(element, budget=None):
-    """Exact zero test of a normal-orderable element modulo any per-slot
-    orthogonality quotients.  Without quotients this is plain exactness."""
-    el = normal_order(element, budget=budget)
-    if el.is_zero():
-        return True
+def _bucket_by_rest(el):
+    """Sum the terms of a normal-ordered element by their words with the R
+    prefix of every quotient slot stripped; the stripped R letters move into
+    the coefficients as _Rij@slot symbols."""
     ctx = el.context
-    slots_with_r = [s for s, p in enumerate(ctx.slots) if p.quotient is not None]
-    if not slots_with_r:
-        return False
     buckets = {}
     for w, c in el.terms.items():
         sym = POLY_ONE
@@ -143,10 +112,67 @@ def zero_mod_quotient(element, budget=None):
             else:
                 rest_word.append(sw)
         key = tuple(rest_word)
-        cur = buckets.get(key)
         contrib = c.scale(sym) if sym != POLY_ONE else c
+        cur = buckets.get(key)
         buckets[key] = contrib if cur is None else cur + contrib
-    for series in buckets.values():
+    return buckets
+
+
+def _cayley_reduce_zero(poly, slots_with_r):
+    """True iff `poly` (in _Rij@s symbols plus arbitrary others) lies in the
+    per-slot O(3) ideals.
+
+    Every term is substituted once, at the unreflected Cayley points with
+    the denominators D cleared.  The reflected point of a slot negates its
+    first row, which flips the sign of exactly the terms of odd first-row
+    degree in that slot.  So with S_p the sum of the terms of parity vector
+    p, the value on the component choice m is sum_p (-1)^|p & m| S_p; that
+    sign matrix is invertible, hence all 2^k values vanish iff every S_p
+    does."""
+    slots = sorted(slots_with_r)
+    bit = {s: 1 << k for k, s in enumerate(slots)}
+    maxdeg = dict.fromkeys(slots, 0)
+    split_terms = []
+    for mono, coeff in poly.terms.items():
+        r_part = []
+        rest = []
+        degs = dict.fromkeys(slots, 0)
+        parity = 0
+        for symname, e in mono:
+            if symname.startswith("_R") and "@" in symname:
+                i, j = int(symname[2]), int(symname[3])
+                s = int(symname.split("@")[1])
+                r_part.append((s, i, j, e))
+                degs[s] += e
+                if i == 1 and e % 2:
+                    parity ^= bit[s]
+            else:
+                rest.append((symname, e))
+        for s in slots:
+            maxdeg[s] = max(maxdeg[s], degs[s])
+        split_terms.append((Poly({tuple(rest): coeff}), r_part, degs, parity))
+    sums = {}
+    for term, r_part, degs, parity in split_terms:
+        for s, i, j, e in r_part:
+            term = term * _cayley_power(s, i, j, e)
+        for s in slots:
+            pad = maxdeg[s] - degs[s]
+            if pad:
+                term = term * _cayley_power(s, 0, 0, pad)
+        sums[parity] = sums.get(parity, POLY_ZERO) + term
+    return not any(sums.values())
+
+
+def zero_mod_quotient(element, budget=None):
+    """Exact zero test of a normal-orderable element modulo any per-slot
+    orthogonality quotients.  Without quotients this is plain exactness."""
+    el = normal_order(element, budget=budget)
+    if el.is_zero():
+        return True
+    slots_with_r = _quotient_slots(el.context)
+    if not slots_with_r:
+        return False
+    for series in _bucket_by_rest(el).values():
         for hc in series.coeffs.values():
             if not _cayley_reduce_zero(hc.num, slots_with_r):
                 return False
@@ -163,15 +189,9 @@ def equal_mod_quotient(a, b, budget=None):
 
 
 def _random_fraction(rng):
-    from fractions import Fraction
     num = rng.randint(-99, 99)
     den = rng.randint(1, 17)
     return Fraction(num, den)
-
-
-def _random_gaussian(rng):
-    from .scalars import GaussianRational
-    return GaussianRational(_random_fraction(rng), _random_fraction(rng))
 
 
 def prefilter_zero(element, rng, retries=4):
@@ -180,49 +200,28 @@ def prefilter_zero(element, rng, retries=4):
     Substitutes random rationals for every coefficient symbol (h included)
     and, for slots carrying the orthogonality quotient, random rational
     Cayley points for the rotation coordinates (both group components).
-    False verdicts are always sound (a nonzero value was computed); a True
-    verdict could in principle hit an unlucky root, which the suites count
-    against the exact verdict (criterion: prefilters never disagree)."""
+    Symbols draw their values in sorted name order, so the sample depends
+    only on the rng state, never on the hash seed.  False verdicts are
+    always sound (a nonzero value was computed); a True verdict could in
+    principle hit an unlucky root, which PrefilterOracle counts against the
+    exact verdict."""
     el = normal_order(element)
     if el.is_zero():
         return True
-    ctx = el.context
-    slots_with_r = [s for s, p in enumerate(ctx.slots) if p.quotient is not None]
-    syms = set()
-    for c in el.terms.values():
-        syms |= c.symbols()
+    slots_with_r = _quotient_slots(el.context)
+    syms = sorted(set().union(*(c.symbols() for c in el.terms.values())))
+    buckets = _bucket_by_rest(el)
+    N, D = cayley_data("_x", "_y", "_z")
     for attempt in range(retries):
         try:
             sample = {s: _random_fraction(rng) for s in syms}
             h_value = _random_fraction(rng)
             if h_value == 0:
                 h_value += 1
-            if not slots_with_r:
-                for c in el.terms.values():
-                    if c.eval_gaussian(sample, h_value):
-                        return False
-                return True
-            # bucketed evaluation with random Cayley points per slot/component
-            buckets = {}
-            for w, c in el.terms.items():
-                sym = POLY_ONE
-                rest_word = []
-                for s, sw in enumerate(w):
-                    p = ctx.slots[s]
-                    if p.quotient is not None:
-                        sfac, rest = strip_r_prefix(p, s, sw)
-                        sym = sym * sfac
-                        rest_word.append(rest)
-                    else:
-                        rest_word.append(sw)
-                key = tuple(rest_word)
-                contrib = c.scale(sym) if sym != POLY_ONE else c
-                cur = buckets.get(key)
-                buckets[key] = contrib if cur is None else cur + contrib
+            # one random Cayley point per quotient slot and component choice
             for signs_mask in range(1 << len(slots_with_r)):
                 rsample = dict(sample)
                 for k, s in enumerate(slots_with_r):
-                    N, D = cayley_data("_x", "_y", "_z")
                     pt = {"_x": _random_fraction(rng), "_y": _random_fraction(rng),
                           "_z": _random_fraction(rng)}
                     dval = D.eval_gaussian(pt)
@@ -239,4 +238,28 @@ def prefilter_zero(element, rng, retries=4):
             return True
         except ZeroDivisionError:
             continue
-    return el.is_zero()
+    return False
+
+
+class PrefilterOracle:
+    """Cross-checks exact zero verdicts against prefilter_zero.
+
+    One oracle serves one verification run.  It owns the seeded rng, so the
+    sample points depend only on the seed and on the order in which the
+    residuals are observed, and it counts agreements with the exact
+    verdicts."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.checked = 0
+        self.agreements = 0
+
+    def observe(self, element, exact):
+        """Cross-check one residual whose exact verdict is `exact`."""
+        self.checked += 1
+        if prefilter_zero(element, self.rng) == exact:
+            self.agreements += 1
+
+    @property
+    def disagreements(self):
+        return self.checked - self.agreements

@@ -69,6 +69,7 @@ from .projrep import (
     tau_exponent_series,
     triviality_probe,
 )
+from .quotient import PrefilterOracle
 from .report import Check, FAIL, INFO, PASS, VerificationReport
 from .scalars import (
     GR_I,
@@ -184,11 +185,11 @@ def _eq9_expected(classical):
     return table
 
 
-def suite_algebra(cfg):
+def suite_algebra(cfg, oracle):
     rep = VerificationReport("algebra", cfg.echo())
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
     rep.extend(_confluence_checks(kappa, "galilei_algebra_kappa", "Eq. 1"))
-    rep.extend(verify_bialgebra(kappa, order=cfg.order, mode=cfg.mode))
+    rep.extend(verify_bialgebra(kappa, order=cfg.order, mode=cfg.mode, oracle=oracle))
 
     # the verbatim-printed [L,L] variant: confluence passes, but the coproduct
     # is then not an algebra map; surfaced as findings, never auto-corrected
@@ -199,7 +200,7 @@ def suite_algebra(cfg):
         if printed.gens[hi].name == "L" and printed.gens[lo].name == "L":
             lhs, rhs = hopf._rule_sides(printed, hi, lo, 1, 1)
             raw = hopf.apply_coproduct(lhs - rhs, 0)
-            res = hopf.evaluate_raw(raw, "formal", cfg.order)
+            res = hopf.evaluate_raw(raw, "formal", cfg.order, oracle)
             lab = f"{printed.gens[hi].label()}*{printed.gens[lo].label()}"
             status = PASS if res.residual_zero() else INFO
             rep.add(Check(f"printed_variant:delta_respects[{lab}]",
@@ -210,35 +211,37 @@ def suite_algebra(cfg):
     return rep
 
 
-def suite_group(cfg):
+def suite_group(cfg, oracle):
     rep = VerificationReport("group", cfg.echo())
     group = load_model("galilei_group_kappa", cfg.overrides)
     rep.extend(_confluence_checks(group, "galilei_group_kappa", "Eq. 11"))
-    rep.extend(verify_bialgebra(group, order=min(cfg.order, 2), mode="formal"))
+    rep.extend(verify_bialgebra(group, order=min(cfg.order, 2), mode="formal",
+                                oracle=oracle))
     stripped = strip_quotient(group)
     rep.extend(_confluence_checks(stripped, "no_orthogonality", "Eq. 11 bare",
                                   expect="report"))
     for c in verify_bialgebra(stripped, order=min(cfg.order, 2), mode="formal",
-                              expect="report"):
+                              expect="report", oracle=oracle):
         c.check_id = "no_orthogonality:" + c.check_id
         rep.add(c)
     return rep
 
 
-def suite_casimirs(cfg):
+def suite_casimirs(cfg, oracle):
     rep = VerificationReport("casimirs", cfg.echo())
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
     cas = load_model("casimirs", cfg.overrides)
     rep.extend(verify_casimir(cas["C1"], kappa, order=cfg.order, mode=cfg.mode,
-                              name="C1"))
+                              name="C1", oracle=oracle))
     rep.extend(verify_casimir(cas["C2"], kappa, order=cfg.order, mode=cfg.mode,
-                              name="C2"))
+                              name="C2", oracle=oracle))
     # printed-variant finding: with the bracket exactly as printed, C2 is not
     # central; the residual against L_i is reported verbatim
     printed = load_printed_variant()
     cas_printed = _casimirs_in(printed)
     for c in verify_casimir(cas_printed["C2"], printed, order=cfg.order,
-                            mode="formal", expect="report", name="C2_printed"):
+                            mode="formal", expect="report", name="C2_printed",
+                            oracle=oracle):
         c.check_id = "printed_variant:" + c.check_id
         rep.add(c)
     return rep
@@ -276,7 +279,7 @@ def _casimirs_in(p):
     return {"C1": normal_order(P2), "C2": normal_order(C2)}
 
 
-def suite_cocommutator(cfg):
+def suite_cocommutator(cfg, oracle):
     rep = VerificationReport("cocommutator", cfg.echo())
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
     classical = load_model("galilei_algebra_classical", cfg.overrides)
@@ -310,7 +313,7 @@ def _fmt_wedge(p, comps):
                       for (a, b), c in sorted(comps.items()))
 
 
-def suite_rmatrix(cfg):
+def suite_rmatrix(cfg, oracle):
     rep = VerificationReport("rmatrix", cfg.echo())
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
     classical = load_model("galilei_algebra_classical", cfg.overrides)
@@ -354,7 +357,7 @@ def suite_rmatrix(cfg):
     return rep
 
 
-def suite_duality(cfg):
+def suite_duality(cfg, oracle):
     rep = VerificationReport("duality", cfg.echo())
     model = model_4d()
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
@@ -487,12 +490,13 @@ def _a2_checks(model):
     return checks
 
 
-def suite_bicross(cfg):
+def suite_bicross(cfg, oracle):
     rep = VerificationReport("bicross", cfg.echo())
     tilde = load_model("tilde_bicross", cfg.overrides)
-    rep.extend(verify_bicross(tilde, order=cfg.order, mode=cfg.mode))
+    rep.extend(verify_bicross(tilde, order=cfg.order, mode=cfg.mode, oracle=oracle))
     gb = load_model("group_bicross", cfg.overrides)
-    rep.extend(verify_bicross(gb, order=min(cfg.order, 2), mode="formal"))
+    rep.extend(verify_bicross(gb, order=min(cfg.order, 2), mode="formal",
+                              oracle=oracle))
     # documented Eq.-7 typo: the printed coaction coefficient i/kappa on
     # delta(Lt) does not reproduce Delta(Lt) computed from Eqs. 1+3
     t0 = time.perf_counter()
@@ -532,15 +536,15 @@ def suite_bicross(cfg):
     return rep
 
 
-def suite_spacetime(cfg):
+def suite_spacetime(cfg, oracle):
     rep = VerificationReport("spacetime", cfg.echo())
     sc = load_model("spacetime", cfg.overrides)
     rep.extend(verify_comodule(sc["space"], sc["group"], sc["action"],
-                               order=min(cfg.order, 2), mode="formal"))
+                               order=min(cfg.order, 2), mode="formal", oracle=oracle))
     return rep
 
 
-def suite_projrep(cfg):
+def suite_projrep(cfg, oracle):
     rep = VerificationReport("projrep", cfg.echo())
     g2 = load_model("galilei_group_2d", cfg.overrides)
     lie2d = LieData.from_presentation(load_model("galilei_algebra_2d_classical",
@@ -655,6 +659,8 @@ def _eq30_equals_eq31(g2, order):
     return el30 == log31
 
 
+# every runner takes (cfg, oracle); oracle is the run's PrefilterOracle and
+# reaches every residual evaluation
 SUITE_RUNNERS = {
     "algebra": suite_algebra,
     "group": suite_group,
@@ -670,26 +676,20 @@ SUITE_RUNNERS = {
 
 def run_suite(cfg):
     """Execute one suite (or all of them) and return the merged report."""
-    stats = {}
-    hopf.set_prefilter(random.Random(cfg.seed), stats)
-    try:
-        if cfg.suite == "all":
-            rep = VerificationReport("all", cfg.echo())
-            for name in SUITE_NAMES:
-                sub = SUITE_RUNNERS[name](cfg)
-                for c in sub.checks:
-                    c.check_id = f"{name}:{c.check_id}"
-                rep.merge(sub)
-        else:
-            rep = SUITE_RUNNERS[cfg.suite](cfg)
-    finally:
-        hopf.set_prefilter(None, None)
-    checked = stats.get("checked", 0)
-    agreements = stats.get("agreements", 0)
-    ok = stats.get("disagreements", 0) == 0
+    oracle = PrefilterOracle(cfg.seed)
+    if cfg.suite == "all":
+        rep = VerificationReport("all", cfg.echo())
+        for name in SUITE_NAMES:
+            sub = SUITE_RUNNERS[name](cfg, oracle)
+            for c in sub.checks:
+                c.check_id = f"{name}:{c.check_id}"
+            rep.merge(sub)
+    else:
+        rep = SUITE_RUNNERS[cfg.suite](cfg, oracle)
+    ok = oracle.disagreements == 0
     rep.add(Check("prefilter_agreement", "random-substitution oracle",
                   PASS if ok else FAIL,
-                  residual="0" if ok else f"{stats.get('disagreements')} disagreements",
-                  detail=f"{agreements} of {checked} residual evaluations "
+                  residual="0" if ok else f"{oracle.disagreements} disagreements",
+                  detail=f"{oracle.agreements} of {oracle.checked} residual evaluations "
                          "cross-checked by exact random substitution"))
     return rep

@@ -1,13 +1,21 @@
 """The R-orthogonality quotient: Cayley decision procedure and the exact
 residuals the group model produces without the augmentation."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from itertools import permutations
+from pathlib import Path
 
-from kappa_hopf.hopf import apply_coproduct, coproduct
+import kappa_hopf
+from kappa_hopf import quotient
+from kappa_hopf.hopf import apply_antipode, apply_coproduct, evaluate_raw, multiply_slots
 from kappa_hopf.models import load_model, strip_quotient
-from kappa_hopf.ncalg import NCElement, TensorContext, commutator, normal_order
+from kappa_hopf.ncalg import NCElement, TensorContext, normal_order
 from kappa_hopf.quotient import (
+    PrefilterOracle,
     cayley_data,
     equal_mod_quotient,
     prefilter_zero,
@@ -60,7 +68,6 @@ def test_zero_mod_quotient_on_group_elements():
 def test_antipode_axiom_on_R_needs_orthogonality():
     # m(S (x) id) Delta(R^i_j) = (R^T R)_ij, which IS the orthogonality
     # relation: passes with the quotient, is a residual without it
-    from kappa_hopf.hopf import apply_antipode, multiply_slots
     g = load_model("galilei_group_kappa")
     el = g.gen_element("R", (1, 2))
     d = apply_coproduct(el, 0)
@@ -136,3 +143,88 @@ def test_equal_mod_quotient():
         gi = g.gen_index("R", (2, k))
         a = a + NCElement(ctx, {(((gi, 1), (gi, 1)),): GR_ONE})
     assert equal_mod_quotient(a, NCElement.one(ctx))
+
+
+def _det_r(g):
+    det = NCElement.zero(TensorContext((g,)))
+    for perm in permutations((1, 2, 3)):
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+        term = g.gen_element("R", (1, perm[0]))
+        for i in (2, 3):
+            term = term * g.gen_element("R", (i, perm[i - 1]))
+        det = det - term if inversions % 2 else det + term
+    return det
+
+
+def test_det_r_separates_the_two_components():
+    # det R = 1 holds on SO(3) only; det R ** 2 = 1 on all of O(3), so the
+    # reflected component must enter with the sign of odd first-row powers
+    g = load_model("galilei_group_kappa")
+    det = _det_r(g)
+    one = NCElement.one(TensorContext((g,)))
+    assert not zero_mod_quotient(det - one)
+    assert zero_mod_quotient(det * det - one)
+
+
+def test_evaluate_raw_decides_each_mode_residual_once(monkeypatch):
+    g = load_model("galilei_group_kappa")
+    d = apply_coproduct(g.gen_element("R", (1, 2)), 0)
+    raw = multiply_slots(apply_antipode(d, 0), 0, 1)  # (R^T R)_12
+    reduced = []
+    real = quotient._cayley_reduce_zero
+
+    def counting(poly, slots):
+        reduced.append(poly)
+        return real(poly, slots)
+
+    monkeypatch.setattr(quotient, "_cayley_reduce_zero", counting)
+    oracle = PrefilterOracle(5)
+    res = evaluate_raw(raw, "both", 2, oracle)
+    assert res.residual_zero()
+    assert oracle.checked == oracle.agreements == 2
+    used = len(reduced)
+    # the same two exact tests, run on their own
+    reduced.clear()
+    for el in (res.formal, res.series):
+        assert not el.is_zero()
+        assert zero_mod_quotient(el)
+    assert used == len(reduced) > 0
+
+
+def test_cayley_data_is_cached():
+    assert cayley_data("p", "q", "r") is cayley_data("p", "q", "r")
+
+
+SAMPLE_SCRIPT = """
+import random
+from kappa_hopf.models import load_model
+from kappa_hopf.quotient import prefilter_zero
+from kappa_hopf.scalars import HSeries, Poly, RationalFn
+
+seen = []
+evaluate = HSeries.eval_gaussian
+
+def spy(self, mapping, h_value):
+    seen.append((sorted(mapping.items()), h_value))
+    return evaluate(self, mapping, h_value)
+
+HSeries.eval_gaussian = spy
+g = load_model("galilei_group_kappa")
+coeff = sum((Poly.var(s) for s in ("alpha", "beta", "gamma", "delta", "eps")), Poly())
+el = g.gen_element("R", (1, 1)) * g.gen_element("tau")
+el = el.scale(HSeries.const(RationalFn(coeff)))
+prefilter_zero(el, random.Random(11))
+print(seen[0])
+"""
+
+
+def test_prefilter_sample_ignores_the_hash_seed():
+    src = str(Path(kappa_hopf.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", SAMPLE_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert "alpha" in outs[0]
+    assert outs[0] == outs[1]

@@ -84,6 +84,17 @@ comodule spacetime {
     assert code == 1
 
 
+def test_cli_model_error_exit_code(tmp_path, capsys):
+    # an override naming no shipped presentation is a model error, not a
+    # failed check
+    bad = tmp_path / "unknown.hopf"
+    bad.write_text("presentation no_such_presentation { generators: x; }\n")
+    assert main(["verify", "spacetime", "--model", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kappa-hopf: ModelError: ")
+    assert "no_such_presentation" in err and err.count("\n") == 1
+
+
 def test_reports_are_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
