@@ -31,7 +31,6 @@ from .ncalg import (
     TensorContext,
     clone_presentation,
     commutator,
-    confluence_check,
     confluence_residual,
     confluence_triples,
     h_expand,

@@ -9,13 +9,10 @@ substitution, and infeasibility is reported as auditable rank data
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .ncalg import PresentationError
-from .report import Check, FAIL, PASS
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_gaussian
+from .report import Check, FAIL, PASS, run_check
+from .scalars import GR_ONE, GR_ZERO, as_gaussian
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +118,6 @@ def mat_rank(rows):
         for c in r:
             ncols = max(ncols, c + 1)
     return PreparedSystem(work, ncols).rank
-
-
-def solve_exact(rows, rhs):
-    """Solve A x = b exactly.  Returns (solution list) or None (infeasible)."""
-    ncols = max((len(r) for r in rows), default=0)
-    sys_ = PreparedSystem(rows, ncols)
-    return sys_.solve(rhs)
 
 
 def nullspace(rows, ncols):
@@ -419,7 +409,6 @@ def coboundary_of(lie, r_components):
 
 def co_jacobi_check(lie, sigma):
     """sigma([X,Y]) = X.sigma(Y) - Y.sigma(X) for all basis pairs."""
-    checks = []
     pairs = lie.pair_index()
     pos = {p: k for k, p in enumerate(pairs)}
 
@@ -432,27 +421,25 @@ def co_jacobi_check(lie, sigma):
                 acc[rpos] = acc.get(rpos, GR_ZERO) + v * c
         return {pairs[r]: v for r, v in acc.items() if v}
 
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            t0 = time.perf_counter()
-            lhs = {}
-            for k, c in lie.bracket(i, j).items():
-                for pr, v in sigma.get(k, {}).items():
-                    lhs[pr] = lhs.get(pr, GR_ZERO) + c * v
-            rhs = act(i, sigma.get(j, {}))
-            for pr, v in act(j, sigma.get(i, {})).items():
-                rhs[pr] = rhs.get(pr, GR_ZERO) - v
-            diff = dict(lhs)
-            for pr, v in rhs.items():
-                diff[pr] = diff.get(pr, GR_ZERO) - v
-            diff = {pr: v for pr, v in diff.items() if v}
-            ms = (time.perf_counter() - t0) * 1000
-            status = PASS if not diff else FAIL
-            res = "0" if not diff else _render_wedge(lie, diff)
-            checks.append(Check(
-                f"co_jacobi[{lie.labels[i]},{lie.labels[j]}]", "Eq. 8 consistency",
-                status, residual=res, duration_ms=ms))
-    return checks
+    def pair_check(i, j):
+        lhs = {}
+        for k, c in lie.bracket(i, j).items():
+            for pr, v in sigma.get(k, {}).items():
+                lhs[pr] = lhs.get(pr, GR_ZERO) + c * v
+        rhs = act(i, sigma.get(j, {}))
+        for pr, v in act(j, sigma.get(i, {})).items():
+            rhs[pr] = rhs.get(pr, GR_ZERO) - v
+        diff = dict(lhs)
+        for pr, v in rhs.items():
+            diff[pr] = diff.get(pr, GR_ZERO) - v
+        diff = {pr: v for pr, v in diff.items() if v}
+        status = PASS if not diff else FAIL
+        res = "0" if not diff else _render_wedge(lie, diff)
+        return Check(f"co_jacobi[{lie.labels[i]},{lie.labels[j]}]", "Eq. 8 consistency",
+                     status, residual=res)
+
+    return [run_check(lambda: pair_check(i, j))
+            for i in range(lie.dim) for j in range(i + 1, lie.dim)]
 
 
 def _render_wedge(lie, w):

@@ -52,13 +52,12 @@ from .ncalg import (
 from .scalars import (
     GR_I,
     GR_ONE,
-    GaussianRational,
     H_ONE,
     H_ZERO,
     HSeries,
     Poly,
     RationalFn,
-    as_hseries,
+    levi_civita,
 )
 
 
@@ -672,12 +671,6 @@ class _EvalError(Exception):
     pass
 
 
-def _eps(i, j, k):
-    if {i, j, k} != {1, 2, 3}:
-        return 0
-    return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-
-
 class Evaluator:
     """Evaluates ASTs against one or more resolution presentations."""
 
@@ -749,7 +742,7 @@ class Evaluator:
             if node.fn == "eps":
                 if len(vals) != 3:
                     raise _EvalError("eps takes three indices")
-                return ExprVal.from_scalar(HSeries.const(Fraction(_eps(*vals))))
+                return ExprVal.from_scalar(HSeries.const(Fraction(levi_civita(*vals))))
             if node.fn == "delta":
                 if len(vals) != 2:
                     raise _EvalError("delta takes two indices")

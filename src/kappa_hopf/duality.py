@@ -23,30 +23,22 @@ taken.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .report import Check, FAIL, PASS
+from .report import Check, FAIL, PASS, run_check
 from .scalars import (
     GR_I,
     GR_ONE,
     GR_ZERO,
-    GaussianRational,
     H_ZERO,
     HSeries,
     Poly,
     RationalFn,
     as_gaussian,
     as_hseries,
+    levi_civita,
 )
-
-
-def _eps(i, j, k):
-    if {i, j, k} != {1, 2, 3}:
-        return 0
-    return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +138,9 @@ def galilei_matrix_model():
     """The 5x5 model; generator labels match the algebra presentations."""
     gens = {}
     for k in (1, 2, 3):
-        gens[f"M[{k}]"] = _smat({(i - 1, j - 1): -GR_I * _eps(i, j, k)
-                                 for i in (1, 2, 3) for j in (1, 2, 3) if _eps(i, j, k)})
+        gens[f"M[{k}]"] = _smat({(i - 1, j - 1): -GR_I * levi_civita(i, j, k)
+                                 for i in (1, 2, 3) for j in (1, 2, 3)
+                                 if levi_civita(i, j, k)})
         gens[f"L[{k}]"] = _smat({(k - 1, 3): -GR_I})
         gens[f"P[{k}]"] = _smat({(k - 1, 4): -GR_I})
     gens["P0"] = _smat({(3, 4): GR_I})
@@ -179,7 +172,7 @@ EQ13_TABLE = [
       for i in (1, 2, 3) for k in (1, 2, 3)],
     *[(f"a[{i}]", f"P[{k}]", -GR_I if i == k else GR_ZERO)
       for i in (1, 2, 3) for k in (1, 2, 3)],
-    *[(f"R[{i},{j}]", f"M[{k}]", as_gaussian(-_eps(i, j, k)) * GR_I)
+    *[(f"R[{i},{j}]", f"M[{k}]", as_gaussian(-levi_civita(i, j, k)) * GR_I)
       for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)],
     # the remaining single-generator pairings vanish
     *[(c, g, GR_ZERO) for c in ("tau",) for g in
@@ -216,12 +209,15 @@ def _selftest_model(m):
         for j in (1, 2, 3):
             if i < j:
                 brackets[(f"M[{i}]", f"M[{j}]")] = {
-                    f"M[{k}]": GR_I * _eps(i, j, k) for k in (1, 2, 3) if _eps(i, j, k)}
+                    f"M[{k}]": GR_I * levi_civita(i, j, k)
+                    for k in (1, 2, 3) if levi_civita(i, j, k)}
                 brackets[(f"L[{i}]", f"L[{j}]")] = {}
             brackets[(f"M[{i}]", f"L[{j}]")] = {
-                f"L[{k}]": GR_I * _eps(i, j, k) for k in (1, 2, 3) if _eps(i, j, k)}
+                f"L[{k}]": GR_I * levi_civita(i, j, k)
+                for k in (1, 2, 3) if levi_civita(i, j, k)}
             brackets[(f"M[{i}]", f"P[{j}]")] = {
-                f"P[{k}]": GR_I * _eps(i, j, k) for k in (1, 2, 3) if _eps(i, j, k)}
+                f"P[{k}]": GR_I * levi_civita(i, j, k)
+                for k in (1, 2, 3) if levi_civita(i, j, k)}
         brackets[(f"L[{i}]", "P0")] = {f"P[{i}]": GR_I}
         brackets[(f"M[{i}]", "P0")] = {}
         for j in (1, 2, 3):
@@ -495,19 +491,9 @@ def _candidate_terms(candidate):
     return out
 
 
-def candidate_from_element(el):
-    """Group NCElement -> candidate term list (words become coordinate labels)."""
-    p = el.context.slots[0]
-    out = []
-    for w, c in el.terms.items():
-        labels = tuple(p.gens[gi].label() for gi, _ in w[0])
-        out.append((c, labels))
-    return out
-
-
 @dataclass
 class PoissonQuery:
-    """One bracket候 candidate: {f,g} should pair like -i<f(x)g, sigma(.)>."""
+    """One bracket candidate: {f,g} should pair like -i<f(x)g, sigma(.)>."""
 
     f_label: str
     g_label: str
@@ -552,8 +538,11 @@ def _compile_query(model, q):
 
 def poisson_family_verify(engine, queries):
     """Run many PoissonQuery checks with one sweep per PBW monomial (the
-    sweeps dominate; all queries share them)."""
-    t0 = time.perf_counter()
+    sweeps dominate; all queries share them, and share the elapsed time)."""
+    return run_check(lambda: _poisson_family_checks(engine, queries))
+
+
+def _poisson_family_checks(engine, queries):
     model = engine.model
     compiled = [_compile_query(model, q) for q in queries]
     max_bound = max(c["query"].degree_bound for c in compiled)
@@ -582,8 +571,6 @@ def poisson_family_verify(engine, queries):
             counts[q.check_id] += 1
             if lhs != rhs:
                 failures[q.check_id].append((word, lhs, rhs))
-    total_ms = (time.perf_counter() - t0) * 1000
-    per_check_ms = total_ms / max(1, len(compiled))
     checks = []
     for c in compiled:
         q = c["query"]
@@ -594,11 +581,10 @@ def poisson_family_verify(engine, queries):
                    f"-i<f(x)g,sigma(X)>={rhs} ({len(fails)} of "
                    f"{counts[q.check_id]} monomials disagree)")
             checks.append(Check(q.check_id, q.anchor, FAIL, residual=res,
-                                degree=q.degree_bound, duration_ms=per_check_ms))
+                                degree=q.degree_bound))
         else:
             checks.append(Check(q.check_id, q.anchor, PASS, degree=q.degree_bound,
-                                detail=f"{counts[q.check_id]} monomials checked",
-                                duration_ms=per_check_ms))
+                                detail=f"{counts[q.check_id]} monomials checked"))
     return checks
 
 

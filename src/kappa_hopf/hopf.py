@@ -14,7 +14,6 @@ Mode agreement is itself asserted as a check (the primary anti-bug oracle).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,12 +23,11 @@ from .ncalg import (
     PresentationError,
     LimitError,
     TensorContext,
-    commutator,
     h_expand_raw,
     normal_order,
 )
 from .quotient import zero_mod_quotient
-from .report import Check, FAIL, INFO, PASS
+from .report import Check, FAIL, INFO, PASS, run_check
 from .scalars import H_ONE, H_ZERO, HSeries, as_hseries
 
 
@@ -266,31 +264,31 @@ def evaluate_raw(raw, mode, order, oracle=None):
     return res
 
 
-def _timed(check_id, anchor, raw_builder, mode="formal", order=4, expect="zero",
-           detail="", oracle=None):
-    """Run one identity check; returns (Check, ModeResiduals)."""
-    t0 = time.perf_counter()
-    raw = raw_builder()
-    res = evaluate_raw(raw, mode, order, oracle)
-    ok = res.residual_zero()
-    agree = res.modes_agree
-    ms = (time.perf_counter() - t0) * 1000
-    if agree is False:
-        status = FAIL  # mode disagreement is always an engine-level failure
-    elif expect == "zero":
-        status = PASS if ok else FAIL
-    else:  # report-only: nonzero residuals are findings, not failures
-        status = PASS if ok else INFO
-    d = detail
-    if agree is False:
-        d = (d + "; " if d else "") + "formal/series modes DISAGREE"
-    elif agree is True:
-        d = (d + "; " if d else "") + "modes agree"
-    chk = Check(check_id, anchor, status,
-                residual=res.render(),
-                order=(order if mode in ("series", "both") else None),
-                detail=d, duration_ms=ms)
-    return chk, res
+def _identity_check(check_id, anchor, raw_builder, mode="formal", order=4,
+                    expect="zero", detail="", oracle=None):
+    """One identity check: the residual raw_builder() must vanish; with
+    expect="report" a nonzero residual is a finding, not a failure."""
+    def build():
+        res = evaluate_raw(raw_builder(), mode, order, oracle)
+        ok = res.residual_zero()
+        agree = res.modes_agree
+        if agree is False:
+            status = FAIL  # mode disagreement is always an engine-level failure
+        elif expect == "zero":
+            status = PASS if ok else FAIL
+        else:
+            status = PASS if ok else INFO
+        d = detail
+        if agree is False:
+            d = (d + "; " if d else "") + "formal/series modes DISAGREE"
+        elif agree is True:
+            d = (d + "; " if d else "") + "modes agree"
+        return Check(check_id, anchor, status,
+                     residual=res.render(),
+                     order=(order if mode in ("series", "both") else None),
+                     detail=d)
+
+    return run_check(build)
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +338,19 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
                 lhs, rhs = _rule_sides(p, hi, lo, hp, lp)
                 return apply_coproduct(lhs - rhs, 0)
 
-            chk, _ = _timed(f"delta_respects[{lab}]", f"{p.name} relations",
-                            raw_a, mode, order, expect, oracle=oracle)
-            checks.append(chk)
+            checks.append(_identity_check(f"delta_respects[{lab}]", f"{p.name} relations",
+                                          raw_a, mode, order, expect, oracle=oracle))
 
     if p.quotient is not None:
-        checks.append(_quotient_coproduct_check(p, order, mode, oracle))
+        checks.append(run_check(lambda: _quotient_coproduct_check(p, order, mode, oracle)))
 
     for gi, g in enumerate(p.gens):
         def raw_coassoc(gi=gi):
             d = apply_coproduct(_gen(p, gi), 0)
             return apply_coproduct(d, 0) - apply_coproduct(d, 1)
 
-        chk, _ = _timed(f"coassoc[{g.label()}]", f"{p.name} coproducts",
-                        raw_coassoc, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"coassoc[{g.label()}]", f"{p.name} coproducts",
+                                      raw_coassoc, mode, order, expect, oracle=oracle))
 
     for gi, g in enumerate(p.gens):
         def raw_counit(gi=gi):
@@ -362,9 +358,8 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
             d = apply_coproduct(el, 0)
             return (apply_counit(d, 0) - el) + (apply_counit(d, 1) - el)
 
-        chk, _ = _timed(f"counit[{g.label()}]", f"{p.name} counit",
-                        raw_counit, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"counit[{g.label()}]", f"{p.name} counit",
+                                      raw_counit, mode, order, expect, oracle=oracle))
 
     for gi, g in enumerate(p.gens):
         def raw_antipode(gi=gi):
@@ -376,9 +371,8 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
             unit = NCElement.scalar(TensorContext((p,)), eps)
             return (left - unit) + (right - unit)
 
-        chk, _ = _timed(f"antipode[{g.label()}]", f"{p.name} antipode",
-                        raw_antipode, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"antipode[{g.label()}]", f"{p.name} antipode",
+                                      raw_antipode, mode, order, expect, oracle=oracle))
 
     for (hi, lo), _ in sorted(p.rules.items()):
         for hpow, lpow in _rule_variants(p, hi, lo):
@@ -388,9 +382,8 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
                 lhs, rhs = _rule_sides(p, hi, lo, hp, lp)
                 return apply_antipode(lhs - rhs, 0)
 
-            chk, _ = _timed(f"antipode_respects[{lab}]", f"{p.name} relations",
-                            raw_e, mode, order, expect, oracle=oracle)
-            checks.append(chk)
+            checks.append(_identity_check(f"antipode_respects[{lab}]", f"{p.name} relations",
+                                          raw_e, mode, order, expect, oracle=oracle))
 
     return checks
 
@@ -407,7 +400,6 @@ def _gen(p, gi):
 def _quotient_coproduct_check(p, order, mode, oracle=None):
     """Delta must respect the orthogonality quotient relations."""
     q = p.quotient
-    t0 = time.perf_counter()
     ctx = TensorContext((p,))
     bad = []
     for i in range(1, 4):
@@ -424,12 +416,10 @@ def _quotient_coproduct_check(p, order, mode, oracle=None):
                 res = evaluate_raw(raw, mode, order, oracle)
                 if not res.residual_zero():
                     bad.append((i, j, transposed))
-    ms = (time.perf_counter() - t0) * 1000
     status = PASS if not bad else FAIL
     return Check("delta_respects[orthogonality]", f"{p.name} implied R relations",
                  status, residual="0" if not bad else f"failing entries {bad}",
-                 detail="R Rt = Rt R = I, flagged implied (not printed)",
-                 duration_ms=ms)
+                 detail="R Rt = Rt R = I, flagged implied (not printed)")
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +435,8 @@ def verify_casimir(c, p, order=4, mode="formal", expect="zero", name="C",
             el = _gen(p, gi)
             return c * el - el * c
 
-        chk, _ = _timed(f"casimir[{name},{g.label()}]", "Eq. 2",
-                        raw, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"casimir[{name},{g.label()}]", "Eq. 2",
+                                      raw, mode, order, expect, oracle=oracle))
     return checks
 
 
@@ -686,9 +675,9 @@ def verify_bicross(b, order=4, mode="formal", expect="zero", oracle=None):
                     lhs, rhs = _rule_sides(factor, hi, lo, hp, lp)
                     return apply_algebra_map(lhs - rhs, embed, TensorContext((total,)))
 
-                chk, _ = _timed(f"{b.name}:factor_relation[{side}:{lab}]",
-                                "Eqs. 5-6 / 15", raw, mode, order, expect, oracle=oracle)
-                checks.append(chk)
+                checks.append(_identity_check(
+                    f"{b.name}:factor_relation[{side}:{lab}]", "Eqs. 5-6 / 15",
+                    raw, mode, order, expect, oracle=oracle))
 
     act_factor = b.t_factor if b.action_codomain == "t" else b.u_factor
     act_embed = b.t_embed if b.action_codomain == "t" else b.u_embed
@@ -702,9 +691,8 @@ def verify_bicross(b, order=4, mode="formal", expect="zero", oracle=None):
             expected = apply_algebra_map(val, act_embed, TensorContext((total,)))
             return (x * y - y * x) - expected
 
-        chk, _ = _timed(f"{b.name}:action[{xlab},{ylab}]", "Eq. 7 / Eq. 16",
-                        raw, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"{b.name}:action[{xlab},{ylab}]", "Eq. 7 / Eq. 16",
+                                      raw, mode, order, expect, oracle=oracle))
 
     # (c) coproduct assembly
     for side, factor, embed in (("u", b.u_factor, b.u_embed), ("t", b.t_factor, b.t_embed)):
@@ -726,9 +714,9 @@ def verify_bicross(b, order=4, mode="formal", expect="zero", oracle=None):
                     assembled = _embed_elem2(dfac, embed, embed, total, (side, side))
                 return lhs - assembled
 
-            chk, _ = _timed(f"{b.name}:coproduct[{side}:{g.label()}]",
-                            "Eqs. 4-7 / 14-16", raw, mode, order, expect, oracle=oracle)
-            checks.append(chk)
+            checks.append(_identity_check(
+                f"{b.name}:coproduct[{side}:{g.label()}]", "Eqs. 4-7 / 14-16",
+                raw, mode, order, expect, oracle=oracle))
 
     return checks
 
@@ -753,9 +741,8 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="ze
             lhs, rhs = _rule_sides(spacetime, hi, lo, 1, 1)
             return apply_algebra_map(lhs - rhs, action, ctx2)
 
-        chk, _ = _timed(f"comodule:covariance[{lab}]", "Eqs. 17-18",
-                        raw, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"comodule:covariance[{lab}]", "Eqs. 17-18",
+                                      raw, mode, order, expect, oracle=oracle))
 
     for gi, g in enumerate(spacetime.gens):
         def raw_coassoc(gi=gi):
@@ -774,17 +761,15 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="ze
             # rhs slots: (group, group, spacetime) with the new group copy second
             return lhs - rhs
 
-        chk, _ = _timed(f"comodule:coassoc[{g.label()}]", "Eq. 18",
-                        raw_coassoc, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"comodule:coassoc[{g.label()}]", "Eq. 18",
+                                      raw_coassoc, mode, order, expect, oracle=oracle))
 
     for gi, g in enumerate(spacetime.gens):
         def raw_counit(gi=gi):
             beta = action[gi]
             return apply_counit(beta, 0) - _gen(spacetime, gi)
 
-        chk, _ = _timed(f"comodule:counit[{g.label()}]", "Eq. 18",
-                        raw_counit, mode, order, expect, oracle=oracle)
-        checks.append(chk)
+        checks.append(_identity_check(f"comodule:counit[{g.label()}]", "Eq. 18",
+                                      raw_counit, mode, order, expect, oracle=oracle))
 
     return checks

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-from . import dsl
 from .dsl import DslError, ModelModule, parse_source
 from .ncalg import (
-    NCElement,
-    PresentationError,
-    TensorContext,
     clone_presentation,
     commutator,
     h_expand,
@@ -74,27 +70,30 @@ def read_variant_text(filename):
     return resources.files("kappa_hopf").joinpath("models/variants").joinpath(filename).read_text()
 
 
+# keyed by the overrides' (name, file content) pairs, so an edited override
+# file is parsed again
 _CACHE = {}
 
 
 def _load_all(overrides=None):
     """Parse every shipped file (plus overrides) into one environment."""
-    key = tuple(sorted((overrides or {}).items()))
-    if key in _CACHE:
-        return _CACHE[key]
-    env = ModelModule()
-    overrides = dict(overrides or {})
+    texts = {}
     file_override = {}
-    for name, path in overrides.items():
+    for name, path in (overrides or {}).items():
         hits = [f for f, decls in FILE_DECLARATIONS.items()
                 if name in decls or name == f.rsplit(".", 1)[0]]
         if not hits:
             raise ModelError(f"unknown model override name: {name!r}")
-        file_override[hits[0]] = path
+        with open(path) as fh:
+            texts[name] = fh.read()
+        file_override[hits[0]] = texts[name]
+    key = tuple(sorted(texts.items()))
+    if key in _CACHE:
+        return _CACHE[key]
+    env = ModelModule()
     for filename in MODEL_FILE_ORDER:
         if filename in file_override:
-            with open(file_override[filename]) as fh:
-                text = fh.read()
+            text = file_override[filename]
             path = f"override:{filename}"
         else:
             text = _read_model_text(filename)
@@ -138,6 +137,17 @@ def load_printed_variant():
     if module is None:
         raise DslError(diags)
     return module.presentations["galilei_algebra_kappa_printed"]
+
+
+def load_casimirs_in(p):
+    """C1 and C2 of the shipped casimirs.hopf with galilei_algebra_kappa
+    bound to the Eq.-1-shaped presentation p (e.g. the printed variant),
+    normal-ordered in p."""
+    env = ModelModule(presentations={"galilei_algebra_kappa": p})
+    module, diags = parse_source(_read_model_text("casimirs.hopf"), "casimirs.hopf", env=env)
+    if module is None:
+        raise DslError(diags)
+    return {name: normal_order(el) for name, (_, el) in module.elements.items()}
 
 
 def strip_quotient(p):

@@ -595,11 +595,6 @@ def commutator(x, y, budget=None):
     return normal_order(x * y - y * x, budget=budget)
 
 
-def elements_equal(a, b):
-    """Exact equality after normal ordering (no quotient)."""
-    return normal_order(a - b).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # substitution and series expansion of grouplike generators
 # ---------------------------------------------------------------------------
@@ -768,25 +763,6 @@ def confluence_triples(p):
                 if a[0] > b[0] > c[0]:
                     out.append((a, b, c))
     return out
-
-
-def confluence_check(p, budget=None):
-    """Reduce every overlap triple along both paths; one Check per triple
-    with the residual rendered (diamond-lemma surrogate for Jacobi)."""
-    import time as _time
-    from .report import Check, FAIL, PASS
-    checks = []
-    for t in confluence_triples(p):
-        t0 = _time.perf_counter()
-        r = confluence_residual(p, t, budget=budget)
-        ms = (_time.perf_counter() - t0) * 1000
-        lab = "*".join(p.gens[g].label() + ("" if pw == 1 else f"^{pw}")
-                       for g, pw in t)
-        checks.append(Check(f"overlap[{lab}]", f"{p.name} relations",
-                            PASS if r.is_zero() else FAIL,
-                            residual="0" if r.is_zero() else r.render(),
-                            duration_ms=ms))
-    return checks
 
 
 def confluence_residual(p, triple, budget=None):

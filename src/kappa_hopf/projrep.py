@@ -20,7 +20,6 @@ brackets), which is what gets evaluated on actual exponents.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,10 +33,9 @@ from .ncalg import (
     commutator,
     normal_order,
 )
-from .report import Check, PASS
+from .report import Check, PASS, run_check
 from .scalars import (
     GR_I,
-    GR_ONE,
     GR_ZERO,
     H_ONE,
     H_ZERO,
@@ -516,8 +514,27 @@ def phi1_particular(group2d):
 def triviality_probe(group2d, lie2d, omega2=None, order=1):
     """Project the h^0 multiplier cocycle onto H^2 of the classical 2D
     algebra; reports "nontrivial at classical order" (mass class) or
-    "trivial".  Never claims full quantum nontriviality."""
-    t0 = time.perf_counter()
+    "trivial".  Never claims full quantum nontriviality.  Returns
+    (Check, class) with the class as {(i, j): coefficient}."""
+    cls = {}
+
+    def build():
+        cls.update(_classical_class(group2d, lie2d, omega2, order))
+        if not cls:
+            return Check("triviality_probe", "Eq. 23", PASS,
+                         detail="trivial at classical order (zero H2 class)")
+        lab = lie2d.labels
+        rendered = " + ".join(f"({v})*{lab[i]}^{lab[j]}" for (i, j), v in sorted(cls.items()))
+        return Check("triviality_probe", "Eq. 23", PASS,
+                     detail=f"nontrivial at classical order: class {rendered} "
+                            f"(mass class; dim H2 = {lie_h2(lie2d).dimension}); quantum "
+                            "nontriviality is not claimed by this probe")
+
+    return run_check(build), cls
+
+
+def _classical_class(group2d, lie2d, omega2, order):
+    """The h^0 multiplier cocycle modulo classical coboundaries."""
     om = omega2 or build_omega(group2d, order)
     phi0 = om.log(order).scale(HSeries.const(-GR_I)).h_coefficient(0)
     model = galilei_2d_matrix_model()
@@ -550,7 +567,6 @@ def triviality_probe(group2d, lie2d, omega2=None, order=1):
         wij = pair2(lab[i], lab[j]) - pair2(lab[j], lab[i])
         if wij:
             wvec[(i, j)] = wij
-    h2 = lie_h2(lie)
     # reduce modulo coboundaries: the coboundary space is spanned by rational
     # vectors; eliminate their pivot components from the symbolic cocycle
     cob_rows = []
@@ -587,18 +603,7 @@ def triviality_probe(group2d, lie2d, omega2=None, order=1):
                         sym[k] = nv
                     else:
                         sym.pop(k, None)
-    cls = {pairs[k]: v for k, v in sym.items() if v}
-    ms = (time.perf_counter() - t0) * 1000
-    if not cls:
-        return Check("triviality_probe", "Eq. 23", PASS,
-                     detail="trivial at classical order (zero H2 class)",
-                     duration_ms=ms), cls
-    rendered = " + ".join(f"({v})*{lab[i]}^{lab[j]}" for (i, j), v in sorted(cls.items()))
-    return Check("triviality_probe", "Eq. 23", PASS,
-                 detail=f"nontrivial at classical order: class {rendered} "
-                        f"(mass class; dim H2 = {h2.dimension}); quantum "
-                        "nontriviality is not claimed by this probe",
-                 duration_ms=ms), cls
+    return {pairs[k]: v for k, v in sym.items() if v}
 
 
 # ---------------------------------------------------------------------------

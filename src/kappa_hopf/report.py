@@ -1,7 +1,9 @@
 """Structured verification results.
 
 A Check is one verified identity: id, paper anchor, status, rendered
-residual, the order/degree it ran at, and its duration.  Reports render to
+residual, the order/degree it ran at, and its duration.  Checks that do
+work are built inside run_check, the one place the engine reads the clock;
+it stamps duration_ms on what the build returns.  Reports render to
 human-readable text (with timings) and to canonical JSON (without timings,
 so equal configurations produce byte-identical reports; see the shipped
 report_schema.json).
@@ -10,6 +12,7 @@ report_schema.json).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 ENGINE_VERSION = "0.1.0"
@@ -45,6 +48,18 @@ class Check:
         if self.detail:
             d["detail"] = self.detail
         return d
+
+
+def run_check(build):
+    """Call build(), which returns a Check or a list of Checks, and stamp
+    duration_ms on it; the checks of a list share the elapsed time evenly."""
+    t0 = time.perf_counter()
+    out = build()
+    ms = (time.perf_counter() - t0) * 1000
+    checks = out if isinstance(out, list) else [out]
+    for c in checks:
+        c.duration_ms = ms / max(1, len(checks))
+    return out
 
 
 @dataclass

@@ -154,6 +154,14 @@ def as_gaussian(x):
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
 
+def levi_civita(i, j, k):
+    """The Levi-Civita symbol on indices 1..3: the sign of the permutation
+    (i, j, k) of (1, 2, 3), and 0 when an index repeats."""
+    if {i, j, k} != {1, 2, 3}:
+        return 0
+    return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+
+
 # ---------------------------------------------------------------------------
 # Poly: sparse multivariate polynomial over GaussianRational
 # ---------------------------------------------------------------------------

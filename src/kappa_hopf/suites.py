@@ -9,75 +9,58 @@ the CLI; everything here is pure given a SuiteConfig.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import hopf
-from .cohom import (
-    CoboundarySolver,
-    LieData,
-    co_jacobi_check,
-    coboundary_of,
-    lie_h2,
-    solve_coboundary,
-    wedge_components,
-)
+from .cohom import CoboundarySolver, LieData, co_jacobi_check, coboundary_of
 from .duality import (
     EQ13_TABLE,
     PairingEngine,
     PoissonQuery,
-    classical_coproduct_terms,
     model_4d,
     pair,
-    pair_tensor,
-    pair_word,
     poisson_family_verify,
     quantization_crosscheck,
     sigma_matrix_terms,
 )
 from .hopf import (
-    classical_limit,
     cocommutator,
     verify_bialgebra,
     verify_bicross,
     verify_casimir,
     verify_comodule,
-    wedge_from_pairs,
 )
-from .models import load_model, load_printed_variant, strip_quotient
+from .models import load_casimirs_in, load_model, load_printed_variant, strip_quotient
 from .ncalg import (
     NCElement,
     TensorContext,
-    commutator,
     confluence_residual,
     confluence_triples,
     normal_order,
 )
 from .projrep import (
     ExpFactor,
-    ExpProduct,
     build_omega,
     classical_phi0,
     cocycle_residual_for_omega,
-    cocycle_residual_of_product,
     omega_log_phi,
     phi1_particular,
     phi1_residual,
     rep_compose_check,
     series_to_element,
-    tau_exponent_series,
     triviality_probe,
 )
 from .quotient import PrefilterOracle
-from .report import Check, FAIL, INFO, PASS, VerificationReport
+from .report import Check, FAIL, INFO, PASS, VerificationReport, run_check
 from .scalars import (
     GR_I,
     GaussianRational,
-    H_ONE,
     HSeries,
     Poly,
     RationalFn,
+    levi_civita,
     series_log1p,
 )
 
@@ -123,32 +106,28 @@ class SuiteConfig:
         }
 
 
-def _confluence_checks(p, label, anchor, expect="zero"):
-    checks = []
-    nonzero = 0
-    t0 = time.perf_counter()
-    worst = None
-    triples = confluence_triples(p)
-    for t in triples:
-        r = confluence_residual(p, t)
-        if not r.is_zero():
-            nonzero += 1
-            if worst is None:
-                worst = (t, r)
-    ms = (time.perf_counter() - t0) * 1000
-    if nonzero == 0:
-        checks.append(Check(f"confluence[{label}]", anchor, PASS,
-                            detail=f"{len(triples)} overlap triples resolved",
-                            duration_ms=ms))
-    else:
+def _confluence_check(p, label, anchor, expect="zero"):
+    def build():
+        nonzero = 0
+        worst = None
+        triples = confluence_triples(p)
+        for t in triples:
+            r = confluence_residual(p, t)
+            if not r.is_zero():
+                nonzero += 1
+                if worst is None:
+                    worst = (t, r)
+        if nonzero == 0:
+            return Check(f"confluence[{label}]", anchor, PASS,
+                         detail=f"{len(triples)} overlap triples resolved")
         t, r = worst
         lab = "*".join(p.gens[g].label() + ("" if pw == 1 else f"^{pw}") for g, pw in t)
         status = FAIL if expect == "zero" else INFO
-        checks.append(Check(f"confluence[{label}]", anchor, status,
-                            residual=f"{nonzero} of {len(triples)} triples break; "
-                                     f"first at {lab}: {r.render()}",
-                            duration_ms=ms))
-    return checks
+        return Check(f"confluence[{label}]", anchor, status,
+                     residual=f"{nonzero} of {len(triples)} triples break; "
+                              f"first at {lab}: {r.render()}")
+
+    return run_check(build)
 
 
 def _sigma_table(kappa, classical):
@@ -164,11 +143,6 @@ def _eq9_expected(classical):
     def gi(name, idx=()):
         return classical.gen_index(name, idx)
 
-    def eps(i, j, k):
-        if {i, j, k} != {1, 2, 3}:
-            return 0
-        return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-
     table = {}
     for i in (1, 2, 3):
         table[gi("M", (i,))] = {}
@@ -176,7 +150,7 @@ def _eq9_expected(classical):
         w = {(gi("L", (i,)), gi("P0")): GaussianRational(-1)}
         for k in (1, 2, 3):
             for l in (1, 2, 3):
-                e = eps(i, k, l)
+                e = levi_civita(i, k, l)
                 if e:
                     a, b = gi("M", (k,)), gi("P", (l,))
                     w[(a, b)] = w.get((a, b), GaussianRational(0)) + GaussianRational(-e)
@@ -188,38 +162,39 @@ def _eq9_expected(classical):
 def suite_algebra(cfg, oracle):
     rep = VerificationReport("algebra", cfg.echo())
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
-    rep.extend(_confluence_checks(kappa, "galilei_algebra_kappa", "Eq. 1"))
+    rep.add(_confluence_check(kappa, "galilei_algebra_kappa", "Eq. 1"))
     rep.extend(verify_bialgebra(kappa, order=cfg.order, mode=cfg.mode, oracle=oracle))
 
     # the verbatim-printed [L,L] variant: confluence passes, but the coproduct
     # is then not an algebra map; surfaced as findings, never auto-corrected
     printed = load_printed_variant()
-    rep.extend(_confluence_checks(printed, "printed_variant", "Eq. 1 as printed",
-                                  expect="report"))
+    rep.add(_confluence_check(printed, "printed_variant", "Eq. 1 as printed",
+                              expect="report"))
     for (hi, lo) in sorted(printed.rules):
         if printed.gens[hi].name == "L" and printed.gens[lo].name == "L":
-            lhs, rhs = hopf._rule_sides(printed, hi, lo, 1, 1)
-            raw = hopf.apply_coproduct(lhs - rhs, 0)
-            res = hopf.evaluate_raw(raw, "formal", cfg.order, oracle)
+            def raw():
+                lhs, rhs = hopf._rule_sides(printed, hi, lo, 1, 1)
+                return hopf.apply_coproduct(lhs - rhs, 0)
+
             lab = f"{printed.gens[hi].label()}*{printed.gens[lo].label()}"
-            status = PASS if res.residual_zero() else INFO
-            rep.add(Check(f"printed_variant:delta_respects[{lab}]",
-                          "Eq. 1 as printed vs Eqs. 2, 5", status,
-                          residual=res.render(),
-                          detail="nonzero residual: the printed [L,L] bracket "
-                                 "(no factor i) breaks the coproduct homomorphism"))
+            rep.add(hopf._identity_check(
+                f"printed_variant:delta_respects[{lab}]", "Eq. 1 as printed vs Eqs. 2, 5",
+                raw, "formal", cfg.order, "report",
+                detail="nonzero residual: the printed [L,L] bracket "
+                       "(no factor i) breaks the coproduct homomorphism",
+                oracle=oracle))
     return rep
 
 
 def suite_group(cfg, oracle):
     rep = VerificationReport("group", cfg.echo())
     group = load_model("galilei_group_kappa", cfg.overrides)
-    rep.extend(_confluence_checks(group, "galilei_group_kappa", "Eq. 11"))
+    rep.add(_confluence_check(group, "galilei_group_kappa", "Eq. 11"))
     rep.extend(verify_bialgebra(group, order=min(cfg.order, 2), mode="formal",
                                 oracle=oracle))
     stripped = strip_quotient(group)
-    rep.extend(_confluence_checks(stripped, "no_orthogonality", "Eq. 11 bare",
-                                  expect="report"))
+    rep.add(_confluence_check(stripped, "no_orthogonality", "Eq. 11 bare",
+                              expect="report"))
     for c in verify_bialgebra(stripped, order=min(cfg.order, 2), mode="formal",
                               expect="report", oracle=oracle):
         c.check_id = "no_orthogonality:" + c.check_id
@@ -238,7 +213,7 @@ def suite_casimirs(cfg, oracle):
     # printed-variant finding: with the bracket exactly as printed, C2 is not
     # central; the residual against L_i is reported verbatim
     printed = load_printed_variant()
-    cas_printed = _casimirs_in(printed)
+    cas_printed = load_casimirs_in(printed)
     for c in verify_casimir(cas_printed["C2"], printed, order=cfg.order,
                             mode="formal", expect="report", name="C2_printed",
                             oracle=oracle):
@@ -247,59 +222,28 @@ def suite_casimirs(cfg, oracle):
     return rep
 
 
-def _casimirs_in(p):
-    """Eq. 2 Casimir elements rebuilt inside an arbitrary Eq.-1-shaped
-    presentation (used for the printed variant)."""
-    from itertools import product as iproduct
-
-    def eps(i, j, k):
-        if {i, j, k} != {1, 2, 3}:
-            return 0
-        return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-
-    ctx = TensorContext((p,))
-    gel = lambda name, idx=(): p.gen_element(name, idx)
-    P = [gel("P", (i,)) for i in (1, 2, 3)]
-    M = [gel("M", (i,)) for i in (1, 2, 3)]
-    L = [gel("L", (i,)) for i in (1, 2, 3)]
-    zero = NCElement.zero(ctx)
-    P2 = sum((P[i] * P[i] for i in range(3)), zero)
-    PM = sum((P[i] * M[i] for i in range(3)), zero)
-    PxL = []
-    for i in (1, 2, 3):
-        el = zero
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                e = eps(i, j, k)
-                if e:
-                    el = el + (P[j - 1] * L[k - 1]).scale(Fraction(e))
-        PxL.append(el)
-    C2 = (P2 * PM * PM).scale(HSeries({2: RationalFn(Poly.const(Fraction(1, 4)))}))
-    C2 = C2 + sum((PxL[i] * PxL[i] for i in range(3)), zero)
-    return {"C1": normal_order(P2), "C2": normal_order(C2)}
-
-
 def suite_cocommutator(cfg, oracle):
     rep = VerificationReport("cocommutator", cfg.echo())
     kappa = load_model("galilei_algebra_kappa", cfg.overrides)
     classical = load_model("galilei_algebra_classical", cfg.overrides)
     expected = _eq9_expected(classical)
-    idx_of = {g.key(): gi for gi, g in enumerate(classical.gens)}
-    for gi, g in enumerate(classical.gens):
-        t0 = time.perf_counter()
+
+    def sigma_check(gi, g):
         w, info = cocommutator(kappa, (g.name, g.index), higher_order=2)
         got = {k: v.coeff(0).const_value() for k, v in w.pairs.items()}
         want = expected[gi]
-        ms = (time.perf_counter() - t0) * 1000
         ok = got == want
         detail = ""
         if info:
             detail = "higher-order antisymmetric parts: " + "; ".join(
                 f"h^{k}: {v.render()}" for k, v in sorted(info.items()))
-        rep.add(Check(f"sigma[{g.label()}]", "Eq. 9", PASS if ok else FAIL,
-                      residual="0" if ok else f"got {_fmt_wedge(classical, got)}, "
-                                              f"expected {_fmt_wedge(classical, want)}",
-                      detail=detail or "matches Eq. 9 exactly", duration_ms=ms))
+        return Check(f"sigma[{g.label()}]", "Eq. 9", PASS if ok else FAIL,
+                     residual="0" if ok else f"got {_fmt_wedge(classical, got)}, "
+                                             f"expected {_fmt_wedge(classical, want)}",
+                     detail=detail or "matches Eq. 9 exactly")
+
+    for gi, g in enumerate(classical.gens):
+        rep.add(run_check(lambda: sigma_check(gi, g)))
     lie = LieData.from_presentation(classical)
     sigma = _sigma_table(kappa, classical)
     rep.extend(co_jacobi_check(lie, sigma))
@@ -320,40 +264,40 @@ def suite_rmatrix(cfg, oracle):
     lie = LieData.from_presentation(classical)
     sigma = _sigma_table(kappa, classical)
 
-    t0 = time.perf_counter()
     solver = CoboundarySolver(lie)
-    cert = solver.solve(sigma)
-    ok = cert.status == "infeasible" and cert.revalidate(lie, sigma)
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("rmatrix_nonexistence", "no classical r-matrix (direct calculation)",
-                  PASS if ok else FAIL,
-                  residual="0" if ok else f"unexpected status {cert.status}",
-                  detail=f"coboundary system infeasible, rank data attached: "
-                         f"rank(A) = {cert.rank_a} < rank(A|b) = {cert.rank_aug}; "
-                         f"{cert.n_equations} equations, {cert.n_unknowns} unknowns; "
-                         f"certificate re-validates",
-                  duration_ms=ms))
 
-    rng = random.Random(cfg.seed)
-    t0 = time.perf_counter()
-    trials = 20
-    good = 0
-    for _ in range(trials):
-        r0 = [GaussianRational(Fraction(rng.randint(-6, 6)),
-                               Fraction(rng.randint(-6, 6)))
-              for _ in lie.pair_index()]
-        sig = coboundary_of(lie, r0)
-        c2 = solver.solve(sig)
-        if c2.status == "solution" and c2.revalidate(lie, sig):
-            back = coboundary_of(lie, c2.witness)
-            if back == sig:
-                good += 1
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("rmatrix_roundtrip", "coboundary construct-then-solve",
-                  PASS if good == trials else FAIL,
-                  residual="0" if good == trials else f"{good} of {trials}",
-                  detail=f"{trials} random coboundaries solved and re-validated",
-                  duration_ms=ms))
+    def nonexistence():
+        cert = solver.solve(sigma)
+        ok = cert.status == "infeasible" and cert.revalidate(lie, sigma)
+        return Check("rmatrix_nonexistence", "no classical r-matrix (direct calculation)",
+                     PASS if ok else FAIL,
+                     residual="0" if ok else f"unexpected status {cert.status}",
+                     detail=f"coboundary system infeasible, rank data attached: "
+                            f"rank(A) = {cert.rank_a} < rank(A|b) = {cert.rank_aug}; "
+                            f"{cert.n_equations} equations, {cert.n_unknowns} unknowns; "
+                            f"certificate re-validates")
+
+    def roundtrip():
+        rng = random.Random(cfg.seed)
+        trials = 20
+        good = 0
+        for _ in range(trials):
+            r0 = [GaussianRational(Fraction(rng.randint(-6, 6)),
+                                   Fraction(rng.randint(-6, 6)))
+                  for _ in lie.pair_index()]
+            sig = coboundary_of(lie, r0)
+            c2 = solver.solve(sig)
+            if c2.status == "solution" and c2.revalidate(lie, sig):
+                back = coboundary_of(lie, c2.witness)
+                if back == sig:
+                    good += 1
+        return Check("rmatrix_roundtrip", "coboundary construct-then-solve",
+                     PASS if good == trials else FAIL,
+                     residual="0" if good == trials else f"{good} of {trials}",
+                     detail=f"{trials} random coboundaries solved and re-validated")
+
+    rep.add(run_check(nonexistence))
+    rep.add(run_check(roundtrip))
     return rep
 
 
@@ -364,18 +308,17 @@ def suite_duality(cfg, oracle):
     classical = load_model("galilei_algebra_classical", cfg.overrides)
     group = load_model("galilei_group_kappa", cfg.overrides)
 
-    t0 = time.perf_counter()
-    bad = []
-    for coord, gen, want in EQ13_TABLE:
-        got = pair(Poly.var(coord), (gen,), model=model)
-        if got != HSeries.const(want):
-            bad.append((coord, gen, str(got), str(want)))
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("eq13_table", "Eq. 13", PASS if not bad else FAIL,
-                  residual="0" if not bad else str(bad[:3]),
-                  detail=f"{len(EQ13_TABLE)} single-generator pairings",
-                  duration_ms=ms))
+    def eq13():
+        bad = []
+        for coord, gen, want in EQ13_TABLE:
+            got = pair(Poly.var(coord), (gen,), model=model)
+            if got != HSeries.const(want):
+                bad.append((coord, gen, str(got), str(want)))
+        return Check("eq13_table", "Eq. 13", PASS if not bad else FAIL,
+                     residual="0" if not bad else str(bad[:3]),
+                     detail=f"{len(EQ13_TABLE)} single-generator pairings")
 
+    rep.add(run_check(eq13))
     rep.extend(_a2_checks(model))
 
     sigma = _sigma_table(kappa, classical)
@@ -403,91 +346,81 @@ def suite_duality(cfg, oracle):
 def _a2_checks(model):
     """The displayed identities of Eq. A2 tested verbatim (J = M, H = P0);
     any convention mismatch would be reported as a finding."""
-    checks = []
+    def rotations():
+        bad = []
+        others = [(), ("L[1]",), ("P[2]",), ("P0",), ("L[1]", "P0"), ("P[1]", "P[3]")]
+        for k in (0, 1, 2):
+            for ns in product((1, 2, 3), repeat=k):
+                js = tuple(f"M[{n}]" for n in ns)
+                for x in others:
+                    word = js + x
+                    for i in (1, 2, 3):
+                        for j in (1, 2, 3):
+                            got = pair(Poly.var(f"R[{i},{j}]"), word, model=model)
+                            want = HSeries() if x else _a2_rotation_value(ns, i, j)
+                            if got != want:
+                                bad.append(("R", word, i, j, str(got), str(want)))
+        return Check("a2_rotations", "Eq. A2 line 1", PASS if not bad else INFO,
+                     residual="0" if not bad else str(bad[:2]),
+                     detail="(-i)^k epsilon chain, delta_{X,I}; J = M, H = P0 "
+                            "as assumed")
 
-    def eps(i, j, k):
-        if {i, j, k} != {1, 2, 3}:
-            return 0
-        return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
+    def tau():
+        bad = []
+        for k in (0, 1, 2, 3):
+            for x in [(), ("M[1]",), ("L[2]",), ("P[3]",)]:
+                word = x + ("P0",) * k
+                got = pair(Poly.var("tau"), word, model=model)
+                want = HSeries.const(GR_I) if (not x and k == 1) else HSeries()
+                if got != want:
+                    bad.append((word, str(got), str(want)))
+        return Check("a2_tau", "Eq. A2 line 2", PASS if not bad else INFO,
+                     residual="0" if not bad else str(bad[:3]))
 
-    t0 = time.perf_counter()
-    bad = []
-    others = [(), ("L[1]",), ("P[2]",), ("P0",), ("L[1]", "P0"), ("P[1]", "P[3]")]
-    for k in (0, 1, 2):
-        from itertools import product as iproduct
-        for ns in iproduct((1, 2, 3), repeat=k):
-            js = tuple(f"M[{n}]" for n in ns)
-            for x in others:
-                word = js + x
+    def velocity_translation():
+        bad = []
+        for k in (0, 1, 2):
+            for ns in product((1, 2, 3), repeat=k):
+                js = tuple(f"M[{n}]" for n in ns)
                 for i in (1, 2, 3):
-                    for j in (1, 2, 3):
-                        got = pair(Poly.var(f"R[{i},{j}]"), word, model=model)
-                        if x:
-                            want = HSeries()
-                        else:
-                            acc = {(i,): GaussianRational(1)}
-                            for n in ns:
-                                nxt = {}
-                                for (pre, c) in [(kk, vv) for kk, vv in acc.items()]:
-                                    l_prev = pre[-1]
-                                    for l in (1, 2, 3):
-                                        e = eps(l_prev, l, n)
-                                        if e:
-                                            key = pre + (l,)
-                                            nxt[key] = nxt.get(key, GaussianRational(0)) \
-                                                + c * GaussianRational(0, -1) * e
-                                acc = nxt
-                            tot = GaussianRational(0)
-                            for pre, c in acc.items():
-                                if pre[-1] == j:
-                                    tot = tot + c
-                            want = HSeries.const(tot) if tot else HSeries()
-                        if got != want:
-                            bad.append(("R", word, i, j, str(got), str(want)))
-    ms = (time.perf_counter() - t0) * 1000
-    checks.append(Check("a2_rotations", "Eq. A2 line 1", PASS if not bad else INFO,
-                        residual="0" if not bad else str(bad[:2]),
-                        detail="(-i)^k epsilon chain, delta_{X,I}; J = M, H = P0 "
-                               "as assumed", duration_ms=ms))
+                    for m in (1, 2, 3):
+                        ref = pair(Poly.var(f"R[{i},{m}]"), js, model=model)
+                        got_v = pair(Poly.var(f"v[{i}]"), js + (f"L[{m}]",), model=model)
+                        got_a = pair(Poly.var(f"a[{i}]"), js + (f"P[{m}]",), model=model)
+                        got_ap = pair(Poly.var(f"a[{i}]"), js + (f"L[{m}]", "P0"),
+                                      model=model)
+                        mi = HSeries.const(-GR_I)
+                        if got_v != mi * ref:
+                            bad.append(("v", ns, i, m))
+                        if got_a != mi * ref:
+                            bad.append(("a", ns, i, m))
+                        if got_ap != ref:
+                            bad.append(("aLP0", ns, i, m))
+        return Check("a2_velocity_translation", "Eq. A2 lines 3-5",
+                     PASS if not bad else INFO,
+                     residual="0" if not bad else str(bad[:3]))
 
-    t0 = time.perf_counter()
-    bad = []
-    for k in (0, 1, 2, 3):
-        for x in [(), ("M[1]",), ("L[2]",), ("P[3]",)]:
-            word = x + ("P0",) * k
-            got = pair(Poly.var("tau"), word, model=model)
-            want = HSeries.const(GR_I) if (not x and k == 1) else HSeries()
-            if got != want:
-                bad.append((word, str(got), str(want)))
-    ms = (time.perf_counter() - t0) * 1000
-    checks.append(Check("a2_tau", "Eq. A2 line 2", PASS if not bad else INFO,
-                        residual="0" if not bad else str(bad[:3]), duration_ms=ms))
+    return [run_check(rotations), run_check(tau), run_check(velocity_translation)]
 
-    t0 = time.perf_counter()
-    bad = []
-    from itertools import product as iproduct
-    for k in (0, 1, 2):
-        for ns in iproduct((1, 2, 3), repeat=k):
-            js = tuple(f"M[{n}]" for n in ns)
-            for i in (1, 2, 3):
-                for m in (1, 2, 3):
-                    ref = pair(Poly.var(f"R[{i},{m}]"), js, model=model)
-                    got_v = pair(Poly.var(f"v[{i}]"), js + (f"L[{m}]",), model=model)
-                    got_a = pair(Poly.var(f"a[{i}]"), js + (f"P[{m}]",), model=model)
-                    got_ap = pair(Poly.var(f"a[{i}]"), js + (f"L[{m}]", "P0"), model=model)
-                    mi = HSeries.const(-GR_I)
-                    if got_v != mi * ref:
-                        bad.append(("v", ns, i, m))
-                    if got_a != mi * ref:
-                        bad.append(("a", ns, i, m))
-                    if got_ap != ref:
-                        bad.append(("aLP0", ns, i, m))
-    ms = (time.perf_counter() - t0) * 1000
-    checks.append(Check("a2_velocity_translation", "Eq. A2 lines 3-5",
-                        PASS if not bad else INFO,
-                        residual="0" if not bad else str(bad[:3]),
-                        duration_ms=ms))
-    return checks
+
+def _a2_rotation_value(ns, i, j):
+    """<R[i,j], M[n1]...M[nk]>: the (-i)^k epsilon chain from i to j."""
+    acc = {(i,): GaussianRational(1)}
+    for n in ns:
+        nxt = {}
+        for pre, c in acc.items():
+            for l in (1, 2, 3):
+                e = levi_civita(pre[-1], l, n)
+                if e:
+                    key = pre + (l,)
+                    nxt[key] = nxt.get(key, GaussianRational(0)) \
+                        + c * GaussianRational(0, -1) * e
+        acc = nxt
+    tot = GaussianRational(0)
+    for pre, c in acc.items():
+        if pre[-1] == j:
+            tot = tot + c
+    return HSeries.const(tot) if tot else HSeries()
 
 
 def suite_bicross(cfg, oracle):
@@ -499,8 +432,12 @@ def suite_bicross(cfg, oracle):
                               oracle=oracle))
     # documented Eq.-7 typo: the printed coaction coefficient i/kappa on
     # delta(Lt) does not reproduce Delta(Lt) computed from Eqs. 1+3
-    t0 = time.perf_counter()
-    total, uf, tf = tilde.total, tilde.u_factor, tilde.t_factor
+    rep.add(run_check(lambda: _printed_coaction_check(tilde)))
+    return rep
+
+
+def _printed_coaction_check(tilde):
+    total, uf = tilde.total, tilde.u_factor
     ctx2 = TensorContext((total, total))
     diffs = []
     for gi, g in enumerate(uf.gens):
@@ -512,28 +449,24 @@ def suite_bicross(cfg, oracle):
             {w: (c * HSeries.const(GR_I) if len(w[0]) == 1 and len(w[1]) == 1
                  and uf.gens[w[0][0][0]].name == "Mt" else c)
              for w, c in beta.terms.items()})
-        from .hopf import _embed_elem, _embed_elem2, _gen
-        emb1 = _embed_elem(_gen(uf, gi), tilde.u_embed, total)
+        emb1 = hopf._embed_elem(hopf._gen(uf, gi), tilde.u_embed, total)
         lhs = normal_order(hopf.apply_coproduct(emb1, 0))
-        assembled = _embed_elem2(printed_beta, tilde.u_embed, tilde.t_embed,
-                                 total, ("u", "t"))
+        assembled = hopf._embed_elem2(printed_beta, tilde.u_embed, tilde.t_embed,
+                                      total, ("u", "t"))
         assembled = assembled + emb1.place_in_slots(ctx2, {0: 1})
         d = normal_order(NCElement(ctx2, lhs.terms) - assembled)
         if not d.is_zero():
             diffs.append((g.label(), d))
-    ms = (time.perf_counter() - t0) * 1000
     if diffs:
         lab, d = diffs[0]
-        rep.add(Check("printed_coaction[Lt]", "Eq. 7 as printed", INFO,
-                      residual=d.render(),
-                      detail="the printed delta(Lt) coefficient i/kappa does not "
-                             "match Delta(Lt) from Eqs. 1+3; the shipped model "
-                             "uses 1/kappa", duration_ms=ms))
-    else:
-        rep.add(Check("printed_coaction[Lt]", "Eq. 7 as printed", FAIL,
-                      residual="expected a mismatch for the printed i/kappa "
-                               "coefficient, found none", duration_ms=ms))
-    return rep
+        return Check("printed_coaction[Lt]", "Eq. 7 as printed", INFO,
+                     residual=d.render(),
+                     detail="the printed delta(Lt) coefficient i/kappa does not "
+                            "match Delta(Lt) from Eqs. 1+3; the shipped model "
+                            "uses 1/kappa")
+    return Check("printed_coaction[Lt]", "Eq. 7 as printed", FAIL,
+                 residual="expected a mismatch for the printed i/kappa "
+                          "coefficient, found none")
 
 
 def suite_spacetime(cfg, oracle):
@@ -551,89 +484,80 @@ def suite_projrep(cfg, oracle):
                                                  cfg.overrides))
     order = min(cfg.rep_order, cfg.order, 3)
 
-    t0 = time.perf_counter()
-    phi = omega_log_phi(g2, max(1, order))
-    ok0 = phi.h_coefficient(0) == classical_phi0(g2)
-    ok1 = phi.h_coefficient(1) == phi1_particular(g2)
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("omega_log[h0,h1]", "Eqs. 25, 28, 31", PASS if ok0 and ok1 else FAIL,
-                  residual="0" if ok0 and ok1 else f"h0 ok={ok0}, h1 ok={ok1}",
-                  order=order, duration_ms=ms))
+    def omega_log():
+        phi = omega_log_phi(g2, max(1, order))
+        ok0 = phi.h_coefficient(0) == classical_phi0(g2)
+        ok1 = phi.h_coefficient(1) == phi1_particular(g2)
+        return Check("omega_log[h0,h1]", "Eqs. 25, 28, 31", PASS if ok0 and ok1 else FAIL,
+                     residual="0" if ok0 and ok1 else f"h0 ok={ok0}, h1 ok={ok1}",
+                     order=order)
 
-    t0 = time.perf_counter()
-    res = phi1_residual(g2, phi1_particular(g2))
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("phi1_equation", "Eqs. 27-28", PASS if res.is_zero() else FAIL,
-                  residual=res.render() if not res.is_zero() else "0",
-                  duration_ms=ms))
+    def phi1_equation():
+        res = phi1_residual(g2, phi1_particular(g2))
+        return Check("phi1_equation", "Eqs. 27-28", PASS if res.is_zero() else FAIL,
+                     residual=res.render() if not res.is_zero() else "0")
 
-    t0 = time.perf_counter()
-    z = cocycle_residual_for_omega(g2, order)
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("cocycle_residual", "Eq. 20 for Eq. 31",
-                  PASS if z.is_zero() else FAIL,
-                  residual="0" if z.is_zero() else z.render(), order=order,
-                  duration_ms=ms))
+    def cocycle(check_id, anchor, n):
+        z = cocycle_residual_for_omega(g2, n)
+        return Check(check_id, anchor, PASS if z.is_zero() else FAIL,
+                     residual="0" if z.is_zero() else z.render(), order=n)
 
+    rep.add(run_check(omega_log))
+    rep.add(run_check(phi1_equation))
+    rep.add(run_check(lambda: cocycle("cocycle_residual", "Eq. 20 for Eq. 31", order)))
     # stability: passing at order N implies the order N-1 truncation passes
     if order >= 1:
-        t0 = time.perf_counter()
-        z1 = cocycle_residual_for_omega(g2, order - 1)
-        ms = (time.perf_counter() - t0) * 1000
-        rep.add(Check("cocycle_residual_stability", "Eq. 20 truncation stability",
-                      PASS if z1.is_zero() else FAIL,
-                      residual="0" if z1.is_zero() else z1.render(),
-                      order=order - 1, duration_ms=ms))
+        rep.add(run_check(lambda: cocycle("cocycle_residual_stability",
+                                          "Eq. 20 truncation stability", order - 1)))
 
     # mutations: deleted phi1 fails at h^1; omega = identity fails at h^0
-    t0 = time.perf_counter()
+    def phi1_deleted():
+        def strip_h1(lhs, rhs):
+            return ([ExpFactor(f.exponent.h_coefficient(0)) for f in lhs],
+                    [ExpFactor(f.exponent.h_coefficient(0)) for f in rhs])
 
-    def strip_h1(lhs, rhs):
-        return ([ExpFactor(f.exponent.h_coefficient(0)) for f in lhs],
-                [ExpFactor(f.exponent.h_coefficient(0)) for f in rhs])
+        zm = cocycle_residual_for_omega(g2, 1, mutate=strip_h1)
+        ok = (not zm.is_zero()) and zm.h_coefficient(0).is_zero() \
+            and not zm.h_coefficient(1).is_zero()
+        return Check("mutation[phi1_deleted]", "Eq. 27 source term",
+                     PASS if ok else FAIL,
+                     residual="nonzero exactly at h^1 as predicted" if ok else
+                              ("unexpectedly zero" if zm.is_zero() else zm.render()),
+                     order=1,
+                     detail="residual equals the Hausdorff source of Eq. 27")
 
-    zm = cocycle_residual_for_omega(g2, 1, mutate=strip_h1)
-    ok = (not zm.is_zero()) and zm.h_coefficient(0).is_zero() \
-        and not zm.h_coefficient(1).is_zero()
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("mutation[phi1_deleted]", "Eq. 27 source term",
-                  PASS if ok else FAIL,
-                  residual="nonzero exactly at h^1 as predicted" if ok else
-                           ("unexpectedly zero" if zm.is_zero() else zm.render()),
-                  order=1, duration_ms=ms,
-                  detail="residual equals the Hausdorff source of Eq. 27"))
-
-    t0 = time.perf_counter()
-    logres, taildiff = rep_compose_check(g2, 0, 0, omega="identity")
-    ok = not logres.h_coefficient(0).is_zero()
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("mutation[omega_identity]", "Eq. 19 without omega",
-                  PASS if ok else FAIL,
-                  residual="nonzero at h^0 (projective, not vector)" if ok
-                           else "unexpectedly zero", duration_ms=ms))
+    def omega_identity():
+        logres, taildiff = rep_compose_check(g2, 0, 0, omega="identity")
+        ok = not logres.h_coefficient(0).is_zero()
+        return Check("mutation[omega_identity]", "Eq. 19 without omega",
+                     PASS if ok else FAIL,
+                     residual="nonzero at h^0 (projective, not vector)" if ok
+                              else "unexpectedly zero")
 
     # Eq. 30 vs Eq. 31 equivalence (reordering argument the paper omits)
-    t0 = time.perf_counter()
-    ok30 = _eq30_equals_eq31(g2, order)
-    ms = (time.perf_counter() - t0) * 1000
-    rep.add(Check("eq30_vs_eq31", "Eq. 30 'or, equivalently' Eq. 31",
-                  PASS if ok30 else INFO,
-                  residual="0" if ok30 else "forms disagree (reported, not assumed)",
-                  order=order, duration_ms=ms))
+    def eq30_vs_eq31():
+        ok30 = _eq30_equals_eq31(g2, order)
+        return Check("eq30_vs_eq31", "Eq. 30 'or, equivalently' Eq. 31",
+                     PASS if ok30 else INFO,
+                     residual="0" if ok30 else "forms disagree (reported, not assumed)",
+                     order=order)
 
-    chk, _ = triviality_probe(g2, lie2d, order=max(1, order))
-    rep.add(chk)
-
-    for n in range(0, cfg.rep_degree + 1):
-        t0 = time.perf_counter()
+    def rep_compose(n):
         logres, taildiff = rep_compose_check(g2, n, order)
         ok = logres.is_zero() and taildiff.is_zero()
-        ms = (time.perf_counter() - t0) * 1000
-        rep.add(Check(f"rep_compose[n={n}]", "Eqs. 19, 32",
-                      PASS if ok else FAIL,
-                      residual="0" if ok else
-                               f"log: {logres.render()[:160]}; tail: {taildiff.render()[:80]}",
-                      order=order, degree=n, duration_ms=ms))
+        return Check(f"rep_compose[n={n}]", "Eqs. 19, 32",
+                     PASS if ok else FAIL,
+                     residual="0" if ok else
+                              f"log: {logres.render()[:160]}; tail: {taildiff.render()[:80]}",
+                     order=order, degree=n)
+
+    rep.add(run_check(phi1_deleted))
+    rep.add(run_check(omega_identity))
+    rep.add(run_check(eq30_vs_eq31))
+    chk, _ = triviality_probe(g2, lie2d, order=max(1, order))
+    rep.add(chk)
+    for n in range(0, cfg.rep_degree + 1):
+        rep.add(run_check(lambda: rep_compose(n)))
 
     rep.add(Check("kappa_positive_note", "representation domain", INFO,
                   detail="the paper's representation is well defined only for "

@@ -127,3 +127,15 @@ presentation galilei_group_2d {
     assert commutator(tau, a) == a.scale(two_ih)
     with pytest.raises(ModelError):
         load_model("galilei_group_2d", {"no_such_model": str(good)})
+
+
+def test_edited_override_is_reloaded(tmp_path):
+    # the catalog cache follows the override's content, not its path
+    path = tmp_path / "casimirs.hopf"
+    text = ("element C1 in galilei_algebra_kappa = {};\n"
+            "element C2 in galilei_algebra_kappa = P[k]*P[k];\n")
+    path.write_text(text.format("P[k]*P[k]"))
+    first = load_model("casimirs", {"casimirs": str(path)})["C1"]
+    path.write_text(text.format("2*P[k]*P[k]"))
+    second = load_model("casimirs", {"casimirs": str(path)})["C1"]
+    assert second == first + first

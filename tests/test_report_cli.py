@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
+from kappa_hopf import report
 from kappa_hopf.cli import main
 from kappa_hopf.report import (
     Check,
@@ -11,6 +13,7 @@ from kappa_hopf.report import (
     INFO,
     PASS,
     VerificationReport,
+    run_check,
     validate_report_json,
 )
 from kappa_hopf.suites import ConfigError, SuiteConfig, run_suite
@@ -35,6 +38,23 @@ def test_report_rendering_and_json():
     assert validate_report_json(doc, _schema()) == []
     # durations never appear in the canonical JSON
     assert "duration" not in rep.to_json()
+
+
+def test_run_check_stamps_duration(monkeypatch):
+    clock = iter([10.0, 10.25, 20.0, 20.75])
+    monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    one = run_check(lambda: Check("one", "anchor", PASS))
+    assert one.duration_ms == 250.0
+    three = run_check(lambda: [Check(f"c{i}", "anchor", PASS) for i in range(3)])
+    assert [c.duration_ms for c in three] == [250.0, 250.0, 250.0]
+
+
+def test_every_suite_check_is_timed():
+    # the printed-variant delta_respects checks used to be built untimed
+    rep = run_suite(SuiteConfig(suite="algebra", order=1, mode="formal"))
+    untimed = {"prefilter_agreement"}
+    assert any(c.check_id.startswith("printed_variant:delta_respects") for c in rep.checks)
+    assert all(c.duration_ms > 0 for c in rep.checks if c.check_id not in untimed)
 
 
 def test_suite_config_validation():

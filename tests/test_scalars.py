@@ -14,6 +14,7 @@ from kappa_hopf.scalars import (
     POLY_ONE,
     RationalFn,
     SeriesDomainError,
+    levi_civita,
     poly_gcd,
     series_exp,
     series_inverse_one_plus,
@@ -180,3 +181,13 @@ def test_random_evaluation_oracle_is_exact():
             continue
         assert lhs.eval_gaussian(pt) == rhs.eval_gaussian(pt)
     assert lhs == rhs
+
+
+def test_levi_civita_all_index_triples():
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            for k in (1, 2, 3):
+                # sign of the permutation, 0 on a repeated index
+                assert levi_civita(i, j, k) == (i - j) * (j - k) * (k - i) // 2
+    assert levi_civita(1, 2, 3) == levi_civita(3, 1, 2) == 1
+    assert levi_civita(2, 1, 3) == -1
