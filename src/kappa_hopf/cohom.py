@@ -306,7 +306,6 @@ def _coboundary_system(lie, sigma):
     generators X.  All-zero equations 0 = 0 are dropped (they carry no rank);
     an all-zero row with nonzero rhs is kept (it certifies infeasibility)."""
     pairs = lie.pair_index()
-    npairs = len(pairs)
     pos = {p: k for k, p in enumerate(pairs)}
     rows, rhs = [], []
     for x in range(lie.dim):
@@ -335,7 +334,6 @@ class CoboundarySolver:
     def __init__(self, lie):
         self.lie = lie
         self.pairs = lie.pair_index()
-        pos = {p: k for k, p in enumerate(self.pairs)}
         self.row_index = []  # (generator, pair position)
         rows = []
         for x in range(lie.dim):
@@ -350,7 +348,6 @@ class CoboundarySolver:
         self.system = PreparedSystem(rows, len(self.pairs))
 
     def _rhs(self, sigma):
-        pos = {p: k for k, p in enumerate(self.pairs)}
         b = [GR_ZERO] * len(self.row_index)
         for r, (x, rpos) in enumerate(self.row_index):
             w = sigma.get(x, {})

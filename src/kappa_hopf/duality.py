@@ -394,7 +394,6 @@ class PairingEngine:
     def sweep(self, word, cols):
         """word: tuple of labels; cols: list of 25-indices.  Returns
         (plain_block, sigma_block): {col -> {row25 -> value}}."""
-        nb = len(cols)
         u = [{c: GR_ONE} for c in cols]          # suffix D-product columns
         t = [{} for _ in cols]                   # sigma accumulation
         for label in reversed(word):

@@ -23,8 +23,11 @@ from .ncalg import (
     PresentationError,
     LimitError,
     TensorContext,
+    extend_letterwise,
     h_expand_raw,
     normal_order,
+    rewrite_once,
+    table_images,
 )
 from .quotient import zero_mod_quotient
 from .report import Check, FAIL, INFO, PASS, run_check
@@ -32,136 +35,53 @@ from .scalars import H_ONE, H_ZERO, HSeries, as_hseries
 
 
 # ---------------------------------------------------------------------------
-# extension machinery
+# structure maps, extended letterwise (ncalg.extend_letterwise)
 # ---------------------------------------------------------------------------
 
 
-def _grouplike_power(val, k, what):
-    """Raise a grouplike-shaped Hopf value (single unit-coefficient word of
-    grouplike letters) to the k-th power, k any integer."""
-    if k == 1:
-        return val
-    if len(val.terms) != 1:
-        raise PresentationError(f"{what}: value is not grouplike, cannot take power {k}")
-    (w, c), = val.terms.items()
-    if c != H_ONE:
-        raise PresentationError(f"{what}: non-unit grouplike coefficient")
-    nw = []
-    for sw in w:
-        nsw = []
-        for gi, p in sw:
-            nsw.append((gi, p * k))
-        nw.append(tuple(nsw))
-    return NCElement(val.context, {tuple(nw): H_ONE})
+def _hopf_data(p):
+    if p.hopf is None:
+        raise PresentationError(f"{p.name} has no Hopf data")
+    return p.hopf
 
 
-def _expand_slot(e, slot, image_fn, inserted):
-    """Replace slot `slot` by `inserted` consecutive slots, mapping each of
-    its letters through image_fn(gen_idx, power) -> NCElement over the
-    inserted slots.  Other slots keep their words (shifted).  Raw output."""
-    ctx = e.context
-    pres = ctx.slots[slot]
-    new_slots = ctx.slots[:slot] + inserted + ctx.slots[slot + 1:]
-    nctx = TensorContext(new_slots)
-    k = len(inserted)
-    out = NCElement.zero(nctx)
-    for w, c in e.terms.items():
-        base = [()] * len(new_slots)
-        for s, sw in enumerate(w):
-            if s < slot:
-                base[s] = sw
-            elif s > slot:
-                base[s + k - 1] = sw
-        term = NCElement(nctx, {tuple(base): c})
-        for gi, p in w[slot]:
-            img = image_fn(gi, p)
-            img = img.place_in_slots(nctx, {j: slot + j for j in range(k)})
-            term = term * img
-        out = out + term
-    return out
+def _copy_slots(n, skip, shift):
+    """Slot maps copying every slot but `skip`; later slots move by shift."""
+    return [s if s < skip else s + shift for s in range(n)]
 
 
 def apply_coproduct(e, slot=0):
     """Multiplicative extension of the coproduct applied to one slot (raw)."""
-    p = e.context.slots[slot]
-    if p.hopf is None:
-        raise PresentationError(f"{p.name} has no Hopf data")
-
-    def image(gi, power):
-        val = p.hopf.delta.get(gi)
-        if val is None:
-            raise PresentationError(f"{p.name}: no coproduct for {p.gens[gi].label()}")
-        if power == 1:
-            return val
-        if p.gens[gi].grouplike:
-            return _grouplike_power(val, power, f"Delta({p.gens[gi].label()})")
-        out = val
-        for _ in range(power - 1):
-            out = out * val
-        return out
-
-    return _expand_slot(e, slot, image, (p, p))
+    ctx = e.context
+    p = ctx.slots[slot]
+    nctx = TensorContext(ctx.slots[:slot] + (p, p) + ctx.slots[slot + 1:])
+    maps = _copy_slots(ctx.slot_count, slot, 1)
+    maps[slot] = table_images(_hopf_data(p).delta, p, nctx, "coproduct",
+                              {0: slot, 1: slot + 1})
+    return extend_letterwise(e, nctx, maps)
 
 
 def apply_counit(e, slot=0):
     """Counit applied to one slot; the slot is removed (raw)."""
     ctx = e.context
     p = ctx.slots[slot]
-    if p.hopf is None:
-        raise PresentationError(f"{p.name} has no Hopf data")
-    new_slots = ctx.slots[:slot] + ctx.slots[slot + 1:]
-    nctx = TensorContext(new_slots) if new_slots else None
-    if nctx is None:
+    hopf = _hopf_data(p)
+    if ctx.slot_count == 1:
         raise PresentationError("cannot drop the only slot; use scalar_part")
-    out = NCElement.zero(nctx)
-    for w, c in e.terms.items():
-        coeff = c
-        for gi, p_pow in w[slot]:
-            eps = p.hopf.counit.get(gi)
-            if eps is None:
-                raise PresentationError(f"{p.name}: no counit for {p.gens[gi].label()}")
-            if p_pow == 1:
-                coeff = coeff * eps
-            elif p.gens[gi].grouplike:
-                if eps != H_ONE:
-                    raise PresentationError("grouplike counit must be 1")
-            else:
-                coeff = coeff * (eps ** p_pow)
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        nw = w[:slot] + w[slot + 1:]
-        out = out + NCElement(nctx, {nw: coeff})
-    return out
+    nctx = TensorContext(ctx.slots[:slot] + ctx.slots[slot + 1:])
+    values = {gi: NCElement.scalar(nctx, eps) for gi, eps in hopf.counit.items()}
+    maps = _copy_slots(ctx.slot_count, slot, -1)
+    maps[slot] = table_images(values, p, nctx, "counit")
+    return extend_letterwise(e, nctx, maps)
 
 
 def apply_antipode(e, slot=0):
     """Anti-multiplicative extension of the antipode on one slot (raw)."""
     ctx = e.context
     p = ctx.slots[slot]
-    if p.hopf is None:
-        raise PresentationError(f"{p.name} has no Hopf data")
-    out = NCElement.zero(ctx)
-    for w, c in e.terms.items():
-        base = list(w)
-        base[slot] = ()
-        term = NCElement(ctx, {tuple(base): c})
-        for gi, power in reversed(w[slot]):
-            val = p.hopf.antipode.get(gi)
-            if val is None:
-                raise PresentationError(f"{p.name}: no antipode for {p.gens[gi].label()}")
-            if power != 1:
-                if p.gens[gi].grouplike:
-                    val = _grouplike_power(val, power, f"S({p.gens[gi].label()})")
-                else:
-                    v = val
-                    for _ in range(power - 1):
-                        v = v * val
-                    val = v
-            term = term * val.place_in_slots(ctx, {0: slot})
-        out = out + term
-    return out
+    maps = _copy_slots(ctx.slot_count, slot, 0)
+    maps[slot] = table_images(_hopf_data(p).antipode, p, ctx, "antipode", {0: slot})
+    return extend_letterwise(e, ctx, maps, reverse=True)
 
 
 def multiply_slots(e, s1, s2):
@@ -184,24 +104,10 @@ def multiply_slots(e, s1, s2):
 
 def apply_algebra_map(e, images, target_ctx):
     """Algebra-map image of a 1-slot element: every letter is replaced by
-    images[gen_idx] (an element of target_ctx); grouplike powers allowed when
-    the image is grouplike-shaped.  Raw output."""
-    out = NCElement.zero(target_ctx)
-    for w, c in e.terms.items():
-        term = NCElement.scalar(target_ctx, c)
-        for gi, p in w[0]:
-            img = images[gi]
-            if p == 1:
-                term = term * img
-            elif p > 1:
-                v = img
-                for _ in range(p - 1):
-                    v = v * img
-                term = term * v
-            else:
-                term = term * _grouplike_power(img, p, "algebra map image")
-        out = out + term
-    return out
+    images[gen_idx] (an element of target_ctx) at the letter's power
+    (ncalg.letter_power).  Raw output."""
+    image = table_images(images, e.context.slots[0], target_ctx, "image")
+    return extend_letterwise(e, target_ctx, [image])
 
 
 def coproduct(e, p=None):
@@ -298,20 +204,8 @@ def _identity_check(check_id, anchor, raw_builder, mode="formal", order=4,
 
 def _rule_sides(p, hi, lo, hpow, lpow):
     """(lhs, rhs) elements of the oriented relation hi*lo = lo*hi + corr."""
-    ctx = TensorContext((p,))
-    lhs = NCElement(ctx, {(((hi, hpow), (lo, lpow)),): H_ONE})
-    corr = p.rules[(hi, lo)]
-    scale = (hpow if p.gens[hi].grouplike else 1) * (lpow if p.gens[lo].grouplike else 1)
-    terms = {(((lo, lpow), (hi, hpow)),): H_ONE}
-    for c, wt in corr:
-        word = tuple(
-            (gi, hpow if (gi == hi and p.gens[hi].grouplike) else
-                 lpow if (gi == lo and p.gens[lo].grouplike) else pw)
-            for gi, pw in wt)
-        c = c.scale(scale) if scale != 1 else c
-        terms[(word,)] = terms.get((word,), H_ZERO) + c
-    rhs = NCElement(ctx, terms)
-    return lhs, rhs
+    word = ((hi, hpow), (lo, lpow))
+    return NCElement(TensorContext((p,)), {(word,): H_ONE}), rewrite_once(p, word, 0)
 
 
 def _rule_variants(p, hi, lo):
@@ -638,26 +532,10 @@ def _embed_elem(e, embed, total):
 def _embed_elem2(e, u_embed, t_embed, total, factors):
     """Map a 2-slot (factor x factor) element into total (x) total."""
     ctx2 = TensorContext((total, total))
-    out = NCElement.zero(ctx2)
     emb = {"u": u_embed, "t": t_embed}
-    for w, c in e.terms.items():
-        term = NCElement.scalar(ctx2, c)
-        for s, sw in enumerate(w):
-            images = emb[factors[s]]
-            for gi, p in sw:
-                img = images[gi]
-                if p != 1:
-                    img = _grouplike_power(img, p, "embedding") if p < 0 else _pow(img, p)
-                term = term * img.place_in_slots(ctx2, {0: s})
-        out = out + term
-    return out
-
-
-def _pow(x, n):
-    out = NCElement.one(x.context)
-    for _ in range(n):
-        out = out * x
-    return out
+    maps = [table_images(emb[f], e.context.slots[s], ctx2, "embedding", {0: s})
+            for s, f in enumerate(factors)]
+    return extend_letterwise(e, ctx2, maps)
 
 
 def verify_bicross(b, order=4, mode="formal", expect="zero", oracle=None):
@@ -679,7 +557,6 @@ def verify_bicross(b, order=4, mode="formal", expect="zero", oracle=None):
                     f"{b.name}:factor_relation[{side}:{lab}]", "Eqs. 5-6 / 15",
                     raw, mode, order, expect, oracle=oracle))
 
-    act_factor = b.t_factor if b.action_codomain == "t" else b.u_factor
     act_embed = b.t_embed if b.action_codomain == "t" else b.u_embed
     for (xi, yi), val in sorted(b.action.items()):
         xlab = b.u_factor.gens[xi].label()
@@ -748,18 +625,10 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", expect="ze
         def raw_coassoc(gi=gi):
             beta = action[gi]
             lhs = apply_coproduct(beta, 0)  # (group, group, spacetime)
-
-            def image(gj, power):
-                img = action[gj]
-                if power == 1:
-                    return img
-                if power > 1:
-                    return _pow(img, power)
-                return _grouplike_power(img, power, "coaction image")
-
-            rhs = _expand_slot(beta, 1, image, (group, spacetime))
-            # rhs slots: (group, group, spacetime) with the new group copy second
-            return lhs - rhs
+            # (id (x) beta) beta: the new group copy is the second slot
+            ctx3 = TensorContext((group, group, spacetime))
+            coaction = table_images(action, spacetime, ctx3, "coaction", {0: 1, 1: 2})
+            return lhs - extend_letterwise(beta, ctx3, [0, coaction])
 
         checks.append(_identity_check(f"comodule:coassoc[{g.label()}]", "Eq. 18",
                                       raw_coassoc, mode, order, expect, oracle=oracle))

@@ -510,17 +510,49 @@ def _letter_str(p, letter):
 
 
 def _find_redex(word, pres_list):
-    """First reducible position: returns (slot, pos, kind) or None.
-    kind: 'merge' (same grouplike gen twice), 'swap' (out of PBW order)."""
+    """First reducible position (slot, pos): the same grouplike generator
+    twice, or a digram out of PBW order.  None if word is normal-ordered."""
     for s, sw in enumerate(word):
         p = pres_list[s]
         for i in range(len(sw) - 1):
             (g1, p1), (g2, p2) = sw[i], sw[i + 1]
-            if g1 == g2 and p.gens[g1].grouplike:
-                return (s, i, "merge")
-            if g1 > g2:
-                return (s, i, "swap")
+            if g1 > g2 or (g1 == g2 and p.gens[g1].grouplike):
+                return (s, i)
     return None
+
+
+def rewrite_digram(p, sw, i):
+    """Rewrite the digram at letters i, i+1 of the slot word sw once: merge
+    E^a E^b -> E^(a+b), or swap Y X -> X Y and add the rule's corrections.
+
+    Returns (leading slot word, [(slot word, coefficient), ...]); the leading
+    word has coefficient 1.  Grouplike powers scale the declared unit rule."""
+    (g1, p1), (g2, p2) = sw[i], sw[i + 1]
+    head, tail = sw[:i], sw[i + 2:]
+    gl1, gl2 = p.gens[g1].grouplike, p.gens[g2].grouplike
+    if g1 == g2 and gl1:
+        tot = p1 + p2
+        return head + (((g1, tot),) if tot else ()) + tail, ()
+    rule = p.rules.get((g1, g2))
+    if rule is None:
+        raise PresentationError(
+            f"{p.name}: no rule for digram {p.gens[g1].label()}*{p.gens[g2].label()}")
+    scale = (p1 if gl1 else 1) * (p2 if gl2 else 1)
+    corrections = []
+    for c, wtempl in rule:
+        wcorr = tuple((gi, p1 if gl1 and gi == g1 else p2 if gl2 and gi == g2 else pw)
+                      for gi, pw in wtempl)
+        corrections.append((head + wcorr + tail, c if scale == 1 else c.scale(scale)))
+    return head + ((g2, p2), (g1, p1)) + tail, corrections
+
+
+def rewrite_once(p, sw, i):
+    """The 1-slot element of rewrite_digram(p, sw, i)."""
+    lead, corrections = rewrite_digram(p, sw, i)
+    terms = {(lead,): H_ONE}
+    for w, c in corrections:
+        terms[(w,)] = terms.get((w,), H_ZERO) + c
+    return NCElement(TensorContext((p,)), terms)
 
 
 def normal_order(e, budget=None):
@@ -543,7 +575,7 @@ def normal_order(e, budget=None):
             else:
                 result.pop(word, None)
             continue
-        s, i, kind = loc
+        s, i = loc
         sw = word[s]
         p = pres_list[s]
         steps += 1
@@ -552,41 +584,10 @@ def normal_order(e, budget=None):
             g2 = p.gens[sw[i + 1][0]].label()
             raise DivergenceError(
                 f"rewrite budget exceeded at digram {g1}*{g2} in {p.name}")
-        if kind == "merge":
-            g, p1 = sw[i]
-            _, p2 = sw[i + 1]
-            tot = p1 + p2
-            mid = ((g, tot),) if tot else ()
-            nsw = sw[:i] + mid + sw[i + 2:]
-            nw = word[:s] + (nsw,) + word[s + 1:]
-            stack.append((nw, coeff))
-            continue
-        (g1, p1), (g2, p2) = sw[i], sw[i + 1]
-        rule = p.rules.get((g1, g2))
-        if rule is None:
-            raise PresentationError(
-                f"{p.name}: no rule for digram {p.gens[g1].label()}*{p.gens[g2].label()}")
-        # swapped leading term
-        nsw = sw[:i] + ((g2, p2), (g1, p1)) + sw[i + 2:]
-        stack.append((word[:s] + (nsw,) + word[s + 1:], coeff))
-        # corrections (grouplike powers scale the declared unit rule)
-        scale = 1
-        if p.gens[g1].grouplike:
-            scale *= p1
-        if p.gens[g2].grouplike:
-            scale *= p2
-        for c, wtempl in rule:
-            wcorr = []
-            for gi, pw in wtempl:
-                if gi == g1 and p.gens[g1].grouplike:
-                    wcorr.append((gi, p1))
-                elif gi == g2 and p.gens[g2].grouplike:
-                    wcorr.append((gi, p2))
-                else:
-                    wcorr.append((gi, pw))
-            nsw = sw[:i] + tuple(wcorr) + sw[i + 2:]
-            nc = coeff * c if scale == 1 else coeff * c.scale(scale)
-            stack.append((word[:s] + (nsw,) + word[s + 1:], nc))
+        lead, corrections = rewrite_digram(p, sw, i)
+        stack.append((word[:s] + (lead,) + word[s + 1:], coeff))
+        for nsw, c in corrections:
+            stack.append((word[:s] + (nsw,) + word[s + 1:], coeff * c))
     return NCElement(e.context, result)
 
 
@@ -600,63 +601,95 @@ def commutator(x, y, budget=None):
 # ---------------------------------------------------------------------------
 
 
+def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
+    """Extend maps given on generators letter by letter to the element e.
+
+    slot_maps[s] says what becomes of source slot s: an int copies its words
+    unchanged into that slot of the `target` context; a function
+    (gen, power) -> NCElement in `target` gives each letter's image, and the
+    images multiply in letter order, reversed for an anti-multiplicative
+    map (reverse=True).  Each distinct (slot, gen, power) image is built
+    once per call.  With `order`, every term's product is truncated at
+    h^order before it is summed.  Raw output (not normal-ordered)."""
+    n = target.slot_count
+    images = {}
+    out = {}
+    for w, c in e.terms.items():
+        base = [()] * n
+        factors = []
+        for s, sw in enumerate(w):
+            m = slot_maps[s]
+            if isinstance(m, int):
+                base[m] = sw
+                continue
+            for gi, pw in (reversed(sw) if reverse else sw):
+                img = images.get((s, gi, pw))
+                if img is None:
+                    img = images[(s, gi, pw)] = m(gi, pw)
+                factors.append(img)
+        term = NCElement(target, {tuple(base): c})
+        for img in factors:
+            if not term.terms:
+                break
+            term = term * img
+        for tw, tc in term.terms.items():
+            if order is not None:
+                tc = tc.truncate(order)
+            old = out.get(tw)
+            nc = tc if old is None else old + tc
+            if nc:
+                out[tw] = nc
+            else:
+                out.pop(tw, None)
+    return NCElement(target, out)
+
+
+def letter_power(img, k):
+    """Image of a letter at power k from the image of its generator: the
+    exponents of a single unit-coefficient word of grouplike letters are
+    scaled (any integer k); any other image is multiplied by itself, which
+    needs k >= 1."""
+    if k == 1:
+        return img
+    if len(img.terms) == 1:
+        (w, c), = img.terms.items()
+        slots = img.context.slots
+        if c == H_ONE and all(slots[s].gens[gi].grouplike
+                              for s, sw in enumerate(w) for gi, _ in sw):
+            scaled = tuple(tuple((gi, p * k) for gi, p in sw) for sw in w)
+            return NCElement(img.context, {scaled: H_ONE})
+    if k < 1:
+        raise PresentationError(f"power {k} of the non-grouplike image {img.render()}")
+    out = img
+    for _ in range(k - 1):
+        out = out * img
+    return out
+
+
+def table_images(table, source, target, what, slot_map=None):
+    """Image function for extend_letterwise: the letter_power of table[gen],
+    moved into `target` by slot_map (None: table values live in target)."""
+    def image(gi, k):
+        val = table.get(gi)
+        if val is None:
+            raise PresentationError(f"{source.name}: no {what} for {source.gens[gi].label()}")
+        if slot_map is not None:
+            val = val.place_in_slots(target, slot_map)
+        return letter_power(val, k)
+
+    return image
+
+
 def substitute(e, mapping, target):
     """Homomorphic image of e under gen -> NCElement (1-slot, in target).
 
     mapping keys are generator indices of the source presentation; every
-    generator occurring in e must be mapped.  Grouplike generators may map to
-    themselves (name-matched in target) or to a single unit-coefficient
-    grouplike letter; other images of negative powers are rejected.
-    """
-    n = e.context.slot_count
-    ctx = TensorContext((target,) * n)
-    out = NCElement.zero(ctx)
-    for w, c in e.terms.items():
-        term = NCElement.scalar(ctx, c)
-        for s, sw in enumerate(w):
-            for gi, pw in sw:
-                img = mapping.get(gi)
-                if img is None:
-                    src = e.context.slots[s]
-                    raise PresentationError(f"unmapped generator {src.gens[gi].label()}")
-                img_s = img.place_in_slots(ctx, {0: s})
-                if pw == 1:
-                    term = term * img_s
-                elif pw > 1:
-                    term = term * _element_power(img_s, pw)
-                else:
-                    lett = _single_grouplike_letter(img, target)
-                    if lett is None:
-                        raise PresentationError(
-                            "negative grouplike power needs a single grouplike image")
-                    g2, q = lett
-                    word = [()] * n
-                    word[s] = ((g2, q * pw),)
-                    term = term * NCElement(ctx, {tuple(word): H_ONE})
-        out = out + term
-    return normal_order(out)
-
-
-def _element_power(x, n):
-    out = NCElement.one(x.context)
-    for _ in range(n):
-        out = out * x
-    return out
-
-
-def _single_grouplike_letter(img, target):
-    if len(img.terms) != 1:
-        return None
-    (w, c), = img.terms.items()
-    if c != H_ONE:
-        return None
-    letters = [l for sw in w for l in sw]
-    if len(letters) != 1:
-        return None
-    gi, q = letters[0]
-    if not target.gens[gi].grouplike:
-        return None
-    return (gi, q)
+    generator occurring in e must be mapped.  Negative powers of a grouplike
+    generator need a single unit-coefficient grouplike word as its image."""
+    ctx = TensorContext((target,) * e.context.slot_count)
+    maps = [table_images(mapping, src, ctx, "image", {0: s})
+            for s, src in enumerate(e.context.slots)]
+    return normal_order(extend_letterwise(e, ctx, maps))
 
 
 def h_expand(e, order, budget=None):
@@ -672,27 +705,26 @@ def h_expand_raw(e, order):
     interpretation."""
     if order < 0:
         raise ValueError("h_expand order must be >= 0")
-    n = e.context.slot_count
     ctx = e.context
-    out = NCElement.zero(ctx)
-    for w, c in e.terms.items():
-        term = NCElement(ctx, {((),) * n: c.truncate(order)})
-        for s, sw in enumerate(w):
-            p = ctx.slots[s]
-            for gi, pw in sw:
-                if p.gens[gi].grouplike:
-                    log = p.grouplike_logs.get(gi)
-                    if log is None:
-                        raise PresentationError(
-                            f"{p.name}: grouplike {p.gens[gi].label()} has no declared log")
-                    piece = _exp_series(log.place_in_slots(ctx, {0: s}), pw, order)
-                else:
-                    word = [()] * n
-                    word[s] = ((gi, pw),)
-                    piece = NCElement(ctx, {tuple(word): H_ONE})
-                term = term * piece
-        out = out + term.truncate(order)
-    return out.truncate(order)
+
+    def series_in(s):
+        p = ctx.slots[s]
+
+        def image(gi, pw):
+            if not p.gens[gi].grouplike:
+                word = [()] * ctx.slot_count
+                word[s] = ((gi, pw),)
+                return NCElement(ctx, {tuple(word): H_ONE})
+            log = p.grouplike_logs.get(gi)
+            if log is None:
+                raise PresentationError(
+                    f"{p.name}: grouplike {p.gens[gi].label()} has no declared log")
+            return _exp_series(log.place_in_slots(ctx, {0: s}), pw, order)
+
+        return image
+
+    maps = [series_in(s) for s in range(ctx.slot_count)]
+    return extend_letterwise(e.truncate(order), ctx, maps, order=order)
 
 
 def _exp_series(log_el, k, order):
@@ -767,34 +799,7 @@ def confluence_triples(p):
 
 def confluence_residual(p, triple, budget=None):
     """Reduce z*y*x along both reduction paths; return the residual element."""
-    z, y, x = triple
-    ctx = TensorContext((p,))
-    word = ((z, y, x),)
-    base = NCElement(ctx, {word: H_ONE})
-
-    def rewrite_at(el_word, i):
-        sw = el_word[0]
-        (g1, p1), (g2, p2) = sw[i], sw[i + 1]
-        if g1 == g2 and p.gens[g1].grouplike:
-            tot = p1 + p2
-            mid = ((g1, tot),) if tot else ()
-            return NCElement(ctx, {(sw[:i] + mid + sw[i + 2:],): H_ONE})
-        rule = p.rules.get((g1, g2))
-        if rule is None:
-            raise PresentationError(
-                f"{p.name}: no rule for digram {p.gens[g1].label()}*{p.gens[g2].label()}")
-        terms = {(sw[:i] + ((g2, p2), (g1, p1)) + sw[i + 2:],): H_ONE}
-        scale = (p1 if p.gens[g1].grouplike else 1) * (p2 if p.gens[g2].grouplike else 1)
-        for c, wtempl in rule:
-            wcorr = tuple(
-                (gi, p1 if (gi == g1 and p.gens[g1].grouplike) else
-                      p2 if (gi == g2 and p.gens[g2].grouplike) else pw)
-                for gi, pw in wtempl)
-            nw = (sw[:i] + wcorr + sw[i + 2:],)
-            c = c.scale(scale) if scale != 1 else c
-            terms[nw] = terms.get(nw, H_ZERO) + c
-        return NCElement(ctx, terms)
-
-    path_a = normal_order(rewrite_at(word, 0), budget=budget)  # reduce (z,y) first
-    path_b = normal_order(rewrite_at(word, 1), budget=budget)  # reduce (y,x) first
+    word = tuple(triple)
+    path_a = normal_order(rewrite_once(p, word, 0), budget=budget)  # reduce (z,y) first
+    path_b = normal_order(rewrite_once(p, word, 1), budget=budget)  # reduce (y,x) first
     return normal_order(path_a - path_b, budget=budget)

@@ -308,7 +308,6 @@ def build_omega(group2d, order, slots=(0, 1), total_slots=2, vsyms=("v1",)):
     For m = 0 both exponents vanish and omega is the identity."""
     ctx = TensorContext((group2d,) * total_slots)
     m = _sym("m")
-    v = _sym(vsyms[0]) if vsyms[0] != "v" else _sym("v")
     vsym = vsyms[0]
     v2 = m * (_sym(vsym) ** 2)
     texp = tau_exponent_series(v2, order)          # coefficient of (x) tau
@@ -434,22 +433,20 @@ def cocycle_residual_for_omega(group2d, order, mutate=None, budget=None):
     return cocycle_residual((lhs, rhs), order, budget=budget)
 
 
+def _three_slot_images(el):
+    """The four 3-slot images of a 2-slot element that enter Eq. 20:
+    el (x) I, I (x) el, (Delta (x) I) el and (I (x) Delta) el (raw)."""
+    ctx3 = TensorContext(el.context.slots + el.context.slots[:1])
+    return (el.place_in_slots(ctx3, {0: 0, 1: 1}), el.place_in_slots(ctx3, {0: 1, 1: 2}),
+            apply_coproduct(el, 0), apply_coproduct(el, 1))
+
+
 def cocycle_residual_of_product(group2d, omega2, order, budget=None):
     """Eq. 20 residual for an arbitrary 2-slot ExpProduct omega2 (used for
     equivalence-transformed multipliers)."""
-    ctx3 = TensorContext((group2d,) * 3)
-
-    def move(el, mapping):
-        return el.place_in_slots(ctx3, mapping)
-
-    def dcop(el, slot):
-        out = apply_coproduct(el, slot)
-        return NCElement(ctx3, normal_order(out).terms)
-
-    lhs = [ExpFactor(move(f.exponent, {0: 0, 1: 1})) for f in omega2.factors]
-    lhs += [ExpFactor(dcop(f.exponent, 0)) for f in omega2.factors]
-    rhs = [ExpFactor(move(f.exponent, {0: 1, 1: 2})) for f in omega2.factors]
-    rhs += [ExpFactor(dcop(f.exponent, 1)) for f in omega2.factors]
+    images = [_three_slot_images(f.exponent) for f in omega2.factors]
+    lhs = [ExpFactor(i[0]) for i in images] + [ExpFactor(i[2]) for i in images]
+    rhs = [ExpFactor(i[1]) for i in images] + [ExpFactor(i[3]) for i in images]
     return cocycle_residual((lhs, rhs), order, budget=budget)
 
 
@@ -470,24 +467,9 @@ def phi1_residual(group2d, phi1_candidate, budget=None):
     for c in phi1_candidate.terms.values():
         if c.min_power() not in (None, 0) or c.max_power() not in (None, 0):
             raise ValueError("phi1 candidate must have h-free coefficients")
-    ctx3 = TensorContext((group2d,) * 3)
-    phi0 = classical_phi0(group2d)
-
-    def emb(el, mapping):
-        return el.place_in_slots(ctx3, mapping)
-
-    def dcop(el, slot):
-        return NCElement(ctx3, apply_coproduct(el, slot).terms)
-
-    def four_term(el):
-        return (emb(el, {0: 0, 1: 1}) - emb(el, {0: 1, 1: 2})
-                + dcop(el, 0) - dcop(el, 1))
-
-    lhs = four_term(phi1_candidate)
-    p0_1 = emb(phi0, {0: 1, 1: 2})        # I (x) phi0
-    p0_0 = emb(phi0, {0: 0, 1: 1})        # phi0 (x) I
-    d1 = dcop(phi0, 1)                    # (I (x) Delta) phi0
-    d0 = dcop(phi0, 0)                    # (Delta (x) I) phi0
+    left, right, d_left, d_right = _three_slot_images(phi1_candidate)
+    lhs = left - right + d_left - d_right
+    p0_0, p0_1, d0, d1 = _three_slot_images(classical_phi0(group2d))
     comm = commutator(p0_1, d1, budget=budget) - commutator(p0_0, d0, budget=budget)
     rhs = normal_order(comm, budget=budget).scale(
         HSeries({-1: RationalFn(Poly.const(GR_I)).scale(Fraction(1, 2))}))
@@ -539,7 +521,6 @@ def _classical_class(group2d, lie2d, omega2, order):
     phi0 = om.log(order).scale(HSeries.const(-GR_I)).h_coefficient(0)
     model = galilei_2d_matrix_model()
     # infinitesimal antisymmetric part: w(X,Y) = <phi0, X (x) Y - Y (x) X>
-    labels = ["L", "P", "P0"]
 
     def coord_poly(word):
         out = Poly.const(1)
@@ -712,8 +693,6 @@ def rep_compose_check(group2d, n, order, omega="paper", budget=None,
         expr = p
         for vs in vsyms:
             expr = expr - m * _sym(vs)
-        total = HSeries.const(RationalFn(Poly.const(1)))
-        out = None
         acc = HSeries.const(RationalFn(Poly.const(1)))
         for _ in range(n):
             acc = acc * HSeries.const(expr)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kappa_hopf.dsl import parse_presentation
 from kappa_hopf.hopf import (
     apply_antipode,
     apply_coproduct,
@@ -23,6 +24,7 @@ from kappa_hopf.hopf import (
 from kappa_hopf.models import load_model, load_printed_variant
 from kappa_hopf.ncalg import (
     NCElement,
+    PresentationError,
     TensorContext,
     clone_presentation,
     commutator,
@@ -281,3 +283,65 @@ def test_comodule_direct_covariance_identity():
         for j in (1, 2, 3):
             y_img = action[space.gen_index("x", (j,))]
             assert commutator(x_img, y_img).is_zero()
+
+
+def _random_pbw_element(p, rng):
+    """Normal-ordered sum of at most two words of degree <= 2, grouplike
+    letters at powers +-1, +-2, scalar and pure-grouplike words included."""
+    ctx = TensorContext((p,))
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        word = []
+        for _ in range(rng.randint(0, 2)):
+            gi = rng.randrange(len(p.gens))
+            word.append((gi, rng.choice([-2, -1, 1, 2]) if p.gens[gi].grouplike else 1))
+        terms[(tuple(word),)] = hs(GaussianRational(rng.randint(-3, 3), rng.randint(1, 3)),
+                                   rng.randint(0, 1))
+    return normal_order(NCElement(ctx, terms))
+
+
+def _counit_value(x):
+    """epsilon(x) for a 1-slot element, as a scalar HSeries."""
+    ctx2 = TensorContext(x.context.slots * 2)
+    return apply_counit(x.in_context(ctx2), 0).scalar_part()
+
+
+def test_letterwise_extension_properties():
+    kappa = load_model("galilei_algebra_kappa")
+    rng = random.Random(11)
+    for _ in range(12):
+        x, y = _random_pbw_element(kappa, rng), _random_pbw_element(kappa, rng)
+        xy = normal_order(x * y)
+        assert normal_order(apply_coproduct(xy)) \
+            == normal_order(apply_coproduct(x) * apply_coproduct(y))
+        assert normal_order(apply_antipode(xy)) \
+            == normal_order(apply_antipode(y) * apply_antipode(x))
+        assert _counit_value(xy) == _counit_value(x) * _counit_value(y)
+
+
+GROUPLIKE_TIMES_ORDINARY = """
+presentation twisted {
+  generators: x EE grouplike;
+  relation x*EE - EE*x = 0;
+  log EE = h*x;
+  coproduct x = x (x) 1 + 1 (x) x;
+  coproduct EE = EE*x (x) EE;
+  counit x = 0;
+  counit EE = 1;
+  antipode x = -x;
+  antipode EE = EE^-1;
+}
+"""
+
+
+def test_power_of_a_non_grouplike_image_multiplies():
+    # Delta(EE) = EE*x (x) EE has an ordinary letter, so Delta(EE^2) is
+    # Delta(EE)^2, not the exponents of Delta(EE) doubled
+    p = parse_presentation(GROUPLIKE_TIMES_ORDINARY)
+    d = apply_coproduct(p.gen_element("EE"))
+    assert normal_order(apply_coproduct(p.gen_element("EE", power=2))) \
+        == normal_order(d * d)
+    with pytest.raises(PresentationError):
+        apply_coproduct(p.gen_element("EE", power=-1))
+    # a grouplike image keeps the exponent rule at every power
+    assert apply_antipode(p.gen_element("EE", power=-2)) == p.gen_element("EE", power=2)

@@ -1,6 +1,9 @@
-"""Unused-import lint of the engine modules, with the standard library only:
-every name a module imports must be used in that module.  The package
-__init__ only re-exports, so it is exempt."""
+"""Lints of the engine modules, with the standard library only.
+
+Unused imports: every name a module imports must be used in that module;
+the package __init__ only re-exports, so it is exempt.  Dead locals: a plain
+`name = ...` in a function must be read in that function or in a function
+nested in it; tuple, loop and `_`-prefixed targets are exempt."""
 
 import ast
 from pathlib import Path
@@ -32,3 +35,58 @@ def test_lint_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_statements(func):
+    """Nodes of func's body, not descending into nested scopes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source):
+    dead = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = list(ast.walk(func))
+        read = {n.id for n in inner if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {name for n in inner if isinstance(n, (ast.Global, ast.Nonlocal))
+                 for name in n.names}
+        for node in _own_statements(func):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                name = node.targets[0].id
+                if not name.startswith("_") and name not in read:
+                    dead.append((node.lineno, name))
+    return sorted(dead)
+
+
+def test_lint_flags_a_dead_local():
+    assert dead_locals("def f(x):\n    y = x\n    z = 2\n    return z\n") == [(2, "y")]
+
+
+def test_lint_spares_exempt_and_closure_reads():
+    source = (
+        "def f(x):\n"
+        "    a, b = x\n"
+        "    for c in x:\n"
+        "        pass\n"
+        "    _d = 1\n"
+        "    e = 2\n"
+        "    def g():\n"
+        "        return e\n"
+        "    return g\n"
+    )
+    assert dead_locals(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_dead_locals(module):
+    assert dead_locals(module.read_text()) == []

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kappa_hopf import ncalg
 from kappa_hopf.models import load_model
 from kappa_hopf.ncalg import (
     DivergenceError,
@@ -293,6 +294,28 @@ def test_h_expand_examples():
         assert formal == want
         series = normal_order(h_expand_raw(li * ee - ee * li, 3))
         assert h_expand(formal, 3) == series
+
+
+def test_h_expand_builds_each_letter_series_once(monkeypatch):
+    kappa = load_model("galilei_algebra_kappa")
+    ee, p0 = kappa.gen_element("EE"), kappa.gen_element("P0")
+    m1, l2 = kappa.gen_element("M", (1,)), kappa.gen_element("L", (2,))
+    e_inv, e_sq = kappa.gen_element("EE", power=-1), kappa.gen_element("EE", power=2)
+    terms = [ee * m1, p0 * ee, e_sq * l2, ee * l2 * e_inv, m1 * e_inv, e_sq]
+    calls = []
+    real = ncalg._exp_series
+
+    def counted(log_el, k, order):
+        calls.append(k)
+        return real(log_el, k, order)
+
+    monkeypatch.setattr(ncalg, "_exp_series", counted)
+    total = h_expand_raw(sum(terms[1:], terms[0]), 3)
+    assert sorted(calls) == [-1, 1, 2]  # one series per distinct letter
+    separately = NCElement.zero(ee.context)
+    for t in terms:
+        separately = separately + h_expand_raw(t, 3)
+    assert normal_order(total) == normal_order(separately)
 
 
 def test_formal_series_modes_commute():
