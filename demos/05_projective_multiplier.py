@@ -31,7 +31,7 @@ lie2d = LieData.from_presentation(load_model("galilei_algebra_2d_classical"))
 chk, cls = triviality_probe(g2, lie2d)
 print("\ntriviality probe:", chk.detail)
 
-for n in (0, 1, 2):
-    logres, taildiff = rep_compose_check(g2, n, 2)
+logres, taildiffs = rep_compose_check(g2, (0, 1, 2), 2)
+for n, taildiff in zip((0, 1, 2), taildiffs):
     print(f"representation composition law on p^{n} through h^2:",
           logres.is_zero() and taildiff.is_zero())

@@ -5,9 +5,9 @@
                       [--json PATH] [--seed S]
 
 Exit codes: 0 = all checks passed, 1 = at least one check failed,
-2 = configuration or model-file error.  Reports are printed as text (with
-timings) and optionally written as canonical JSON (timings omitted so equal
-configurations produce byte-identical files).
+2 = configuration, model-file or engine-limit error.  Reports are printed
+as text (with timings) and optionally written as canonical JSON (timings
+omitted so equal configurations produce byte-identical files).
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ import sys
 from .cohom import LieDataError
 from .dsl import DslError, Parser, tokenize
 from .models import ModelError
-from .ncalg import LimitError, PresentationError
+from .ncalg import DivergenceError, LimitError, PresentationError
+from .projrep import OrderCapError
+from .scalars import SeriesDomainError
 from .suites import ConfigError, SUITE_NAMES, SuiteConfig, run_suite
 
-# errors a configuration or a user model causes: exit 2, not "a check failed"
-MODEL_ERRORS = (ConfigError, DslError, LieDataError, LimitError, ModelError,
-                PresentationError)
+# errors a configuration, a user model or an engine limit causes: exit 2,
+# not "a check failed"
+MODEL_ERRORS = (ConfigError, DivergenceError, DslError, LieDataError, LimitError,
+                ModelError, OrderCapError, PresentationError, SeriesDomainError)
 
 
 def build_parser():

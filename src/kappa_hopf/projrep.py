@@ -119,18 +119,26 @@ def bch_combine_exponents(a, b, order, budget=None):
         raise OrderCapError(f"BCH order {order} exceeds the configured maximum "
                             f"{MAX_BCH_ORDER}")
     letters = (a.truncate(order), b.truncate(order))
+    brackets = {}  # word prefix -> its truncated left-normed bracket
+
+    def bracket(word):
+        val = brackets.get(word)
+        if val is None:
+            if len(word) == 1:
+                val = letters[word[0]]
+            else:
+                val = bracket(word[:-1])
+                if not val.is_zero():
+                    val = commutator(val, letters[word[-1]],
+                                     budget=budget).truncate(order)
+            brackets[word] = val
+        return val
+
     out = NCElement.zero(a.context)
     for n, coeff, word in bch_plan(order + 1):
-        val = letters[word[0]]
-        dead = False
-        for letter in word[1:]:
-            val = commutator(val, letters[letter], budget=budget).truncate(order)
-            if val.is_zero():
-                dead = True
-                break
-        if dead:
-            continue
-        out = out + val.scale(Fraction(coeff))
+        val = bracket(word)
+        if not val.is_zero():
+            out = out + val.scale(Fraction(coeff))
     return normal_order(out).truncate(order)
 
 
@@ -636,11 +644,14 @@ def rep_apply(group2d, n, order):
     return pre, normal_order(tail).truncate(order)
 
 
-def rep_compose_check(group2d, n, order, omega="paper", budget=None,
+def rep_compose_check(group2d, degrees, order, omega="paper", budget=None,
                       n_cap=4, order_cap=4):
-    """Both sides of Eq. 19 on psi = p^n in two group slots; returns
-    (log_residual, tail_difference)."""
-    if n > n_cap or order > order_cap:
+    """Both sides of Eq. 19 on psi = p^n in two group slots, for each n in
+    degrees; returns (log_residual, tail_differences), one tail difference
+    per degree.  The prefactor exponents never read n, so the log residual
+    is built once for all degrees."""
+    degrees = list(degrees)
+    if max(degrees, default=0) > n_cap or order > order_cap:
         raise OrderCapError(f"rep_compose_check caps exceeded (n<={n_cap}, "
                             f"order<={order_cap})")
     ctx2 = TensorContext((group2d,) * 2)
@@ -689,16 +700,16 @@ def rep_compose_check(group2d, n, order, omega="paper", budget=None,
 
     # tails: (p - m v_0 - m v_1)^n on both sides, identical by construction;
     # recomputed independently on each side and compared
-    def tail(vsyms):
+    def tail(vsyms, n):
         expr = p
         for vs in vsyms:
             expr = expr - m * _sym(vs)
         acc = HSeries.const(RationalFn(Poly.const(1)))
         for _ in range(n):
             acc = acc * HSeries.const(expr)
-        return series_to_element(acc, ctx2, {"v1": (0, v_gi), "v2": (1, v_gi)})
+        elem = series_to_element(acc, ctx2, {"v1": (0, v_gi), "v2": (1, v_gi)})
+        return normal_order(elem).truncate(order)
 
-    lhs_tail = normal_order(tail(("v1", "v2"))).truncate(order)
-    rhs_tail = normal_order(tail(("v2", "v1"))).truncate(order)
-    tail_diff = normal_order(lhs_tail - rhs_tail)
-    return log_residual, tail_diff
+    tail_diffs = [normal_order(tail(("v1", "v2"), n) - tail(("v2", "v1"), n))
+                  for n in degrees]
+    return log_residual, tail_diffs

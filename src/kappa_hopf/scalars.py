@@ -477,8 +477,10 @@ def _content(p, symbols):
 def poly_gcd(a, b):
     """gcd of two Polys, monic-normalized in the fixed monomial order.
 
-    Denominators occurring in this engine are small (powers of the mass
-    symbol, 1 + h-corrections), so a primitive PRS is plenty.
+    If either argument is a single term the gcd is their common monomial,
+    with no PRS (every non-unit denominator of the projective calculus is a
+    monomial).  Other denominators occurring in this engine are small
+    (1 + h-corrections), so a primitive PRS is plenty.
     """
     a, b = as_poly(a), as_poly(b)
     if not a:
@@ -487,8 +489,21 @@ def poly_gcd(a, b):
         return _monic(a)
     if a.is_const() or b.is_const():
         return POLY_ONE
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return _common_monomial(a, b)
     syms = sorted(a.symbols() | b.symbols())
     return _monic(_gcd_rec(a, b, syms))
+
+
+def _common_monomial(a, b):
+    """The monic gcd when a or b is a single term: each symbol to its least
+    exponent over all terms of both (a symbol missing from a term has 0)."""
+    monos = list(a.terms) + list(b.terms)
+    low = dict(monos[0])
+    for m in monos[1:]:
+        d = dict(m)
+        low = {s: min(e, d[s]) for s, e in low.items() if s in d}
+    return Poly({tuple(sorted(low.items())): GR_ONE})
 
 
 def _gcd_rec(a, b, syms):
@@ -540,32 +555,54 @@ def poly_exact_div(a, b):
     if b.is_const():
         inv = b.const_value().inverse()
         return a.scale(inv)
+    if len(b.terms) == 1:
+        return _monomial_div(a, b)
+    return _long_div(a, b)
+
+
+def _long_div(a, b):
+    """a / b by repeated division of leading terms."""
     rem = a
     quot = POLY_ZERO
     bl_m, bl_c = b._lead()
     bl_c_inv = bl_c.inverse()
     while rem:
         rl_m, rl_c = rem._lead()
-        # divide monomials
-        d = dict(rl_m)
-        ok = True
-        for s, e in bl_m:
-            ne = d.get(s, 0) - e
-            if ne < 0:
-                ok = False
-                break
-            if ne == 0:
-                d.pop(s, None)
-            else:
-                d[s] = ne
-        if not ok:
+        qm = _mono_div(rl_m, bl_m)
+        if qm is None:
             raise ArithmeticError(f"inexact Poly division: {a} / {b}")
-        qm = tuple(sorted(d.items()))
         qc = rl_c * bl_c_inv
         qterm = Poly({qm: qc})
         quot = quot + qterm
         rem = rem - qterm * b
     return quot
+
+
+def _monomial_div(a, b):
+    """a / b for a single-term b: divide every term of a by it."""
+    ((bm, bc),) = b.terms.items()
+    inv = bc.inverse()
+    out = {}
+    for m, c in a.terms.items():
+        qm = _mono_div(m, bm)
+        if qm is None:
+            raise ArithmeticError(f"inexact Poly division: {a} / {b}")
+        out[qm] = c * inv
+    return Poly(out)
+
+
+def _mono_div(m, d):
+    """The monomial m / d, or None if d does not divide m."""
+    q = dict(m)
+    for s, e in d:
+        r = q.get(s, 0) - e
+        if r < 0:
+            return None
+        if r:
+            q[s] = r
+        else:
+            del q[s]
+    return tuple(sorted(q.items()))
 
 
 def _monic(p):

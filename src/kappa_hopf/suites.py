@@ -527,7 +527,7 @@ def suite_projrep(cfg, oracle):
                      detail="residual equals the Hausdorff source of Eq. 27")
 
     def omega_identity():
-        logres, taildiff = rep_compose_check(g2, 0, 0, omega="identity")
+        logres, _ = rep_compose_check(g2, (), 0, omega="identity")
         ok = not logres.h_coefficient(0).is_zero()
         return Check("mutation[omega_identity]", "Eq. 19 without omega",
                      PASS if ok else FAIL,
@@ -542,22 +542,25 @@ def suite_projrep(cfg, oracle):
                      residual="0" if ok30 else "forms disagree (reported, not assumed)",
                      order=order)
 
-    def rep_compose(n):
-        logres, taildiff = rep_compose_check(g2, n, order)
-        ok = logres.is_zero() and taildiff.is_zero()
-        return Check(f"rep_compose[n={n}]", "Eqs. 19, 32",
-                     PASS if ok else FAIL,
-                     residual="0" if ok else
-                              f"log: {logres.render()[:160]}; tail: {taildiff.render()[:80]}",
-                     order=order, degree=n)
+    def rep_compose():
+        degrees = range(cfg.rep_degree + 1)
+        logres, taildiffs = rep_compose_check(g2, degrees, order)
+        checks = []
+        for n, taildiff in zip(degrees, taildiffs):
+            ok = logres.is_zero() and taildiff.is_zero()
+            checks.append(Check(
+                f"rep_compose[n={n}]", "Eqs. 19, 32", PASS if ok else FAIL,
+                residual="0" if ok else
+                         f"log: {logres.render()[:160]}; tail: {taildiff.render()[:80]}",
+                order=order, degree=n))
+        return checks
 
     rep.add(run_check(phi1_deleted))
     rep.add(run_check(omega_identity))
     rep.add(run_check(eq30_vs_eq31))
     chk, _ = triviality_probe(g2, lie2d, order=max(1, order))
     rep.add(chk)
-    for n in range(0, cfg.rep_degree + 1):
-        rep.add(run_check(lambda: rep_compose(n)))
+    rep.extend(run_check(rep_compose))
 
     rep.add(Check("kappa_positive_note", "representation domain", INFO,
                   detail="the paper's representation is well defined only for "

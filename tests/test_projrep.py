@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kappa_hopf import projrep, suites
 from kappa_hopf.cohom import LieData
 from kappa_hopf.models import load_model
 from kappa_hopf.ncalg import NCElement, TensorContext, commutator, normal_order
@@ -15,6 +16,7 @@ from kappa_hopf.projrep import (
     OrderCapError,
     bch_combine,
     bch_combine_exponents,
+    bch_combine_list,
     bch_plan,
     build_omega,
     classical_phi0,
@@ -29,6 +31,7 @@ from kappa_hopf.projrep import (
     series_to_element,
     triviality_probe,
 )
+from kappa_hopf.report import PASS
 from kappa_hopf.scalars import (
     GR_I,
     GaussianRational,
@@ -37,6 +40,7 @@ from kappa_hopf.scalars import (
     RationalFn,
     series_exp,
 )
+from kappa_hopf.suites import SuiteConfig, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +377,79 @@ def test_rep_apply_shapes():
 
 def test_rep_compose_orders_and_mutation():
     g2 = load_model("galilei_group_2d")
-    for n in (0, 1, 2):
-        for order in (0, 1, 2):
-            logres, taildiff = rep_compose_check(g2, n, order)
+    for order in (0, 1, 2):
+        logres, taildiffs = rep_compose_check(g2, (0, 1, 2), order)
+        assert len(taildiffs) == 3
+        for n, taildiff in zip((0, 1, 2), taildiffs):
             assert logres.is_zero() and taildiff.is_zero(), (n, order)
-    logres, _ = rep_compose_check(g2, 1, 1, omega="identity")
+    logres, _ = rep_compose_check(g2, (1,), 1, omega="identity")
     assert not logres.h_coefficient(0).is_zero()
     with pytest.raises(OrderCapError):
-        rep_compose_check(g2, 9, 1)
+        rep_compose_check(g2, (0, 9), 1)
+
+
+def test_rep_compose_builds_the_log_once(monkeypatch):
+    # the Eq. 19 log residual never reads n: one BCH log for all degrees
+    calls = []
+    inside = []
+
+    def counted_rep_compose_check(*args, **kwargs):
+        inside.append(kwargs.get("omega", "paper"))
+        try:
+            return rep_compose_check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_bch_combine_list(*args, **kwargs):
+        if inside:
+            calls.append(inside[-1])
+        return bch_combine_list(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "rep_compose_check", counted_rep_compose_check)
+    monkeypatch.setattr(projrep, "bch_combine_list", counted_bch_combine_list)
+    report = run_suite(SuiteConfig(suite="projrep", rep_order=1, seed=42))
+    composed = [c for c in report.checks if c.check_id.startswith("rep_compose[")]
+    assert [c.degree for c in composed] == [0, 1, 2, 3]
+    assert all(c.status == PASS for c in composed)
+    assert calls.count("paper") == 1
+
+
+def _naive_bch(a, b, order):
+    """log(e^A e^B) with every bracket of every plan word evaluated afresh;
+    also returns the distinct prefixes whose bracket had to be taken."""
+    letters = (a.truncate(order), b.truncate(order))
+    out = NCElement.zero(a.context)
+    taken = set()
+    for _, coeff, word in bch_plan(order + 1):
+        val = letters[word[0]]
+        for k in range(1, len(word)):
+            taken.add(word[:k + 1])
+            val = commutator(val, letters[word[k]]).truncate(order)
+            if val.is_zero():
+                break
+        else:
+            out = out + val.scale(F(coeff))
+    return normal_order(out).truncate(order), taken
+
+
+def test_bch_bracket_prefixes_computed_once(monkeypatch):
+    g2 = load_model("galilei_group_2d")
+    for order in (1, 2, 3):
+        a, b = (f.exponent for f in build_omega(g2, order).factors)
+        want, taken = _naive_bch(a, b, order)
+        calls = []
+
+        def counted(x, y, **kwargs):
+            calls.append(1)
+            return commutator(x, y, **kwargs)
+
+        monkeypatch.setattr(projrep, "commutator", counted)
+        assert bch_combine_exponents(a, b, order) == want
+        monkeypatch.undo()
+        assert len(calls) == len(taken), order
+    # at order 3 the plan's words share prefixes
+    naive_calls = sum(len(w) - 1 for _, _, w in bch_plan(4))
+    assert len(taken) < naive_calls
 
 
 def test_h_grading_soundness():

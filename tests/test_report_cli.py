@@ -5,8 +5,12 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
-from kappa_hopf import report
+import pytest
+
+from kappa_hopf import cli, report
 from kappa_hopf.cli import main
+from kappa_hopf.ncalg import DivergenceError
+from kappa_hopf.projrep import OrderCapError
 from kappa_hopf.report import (
     Check,
     FAIL,
@@ -16,6 +20,7 @@ from kappa_hopf.report import (
     run_check,
     validate_report_json,
 )
+from kappa_hopf.scalars import SeriesDomainError
 from kappa_hopf.suites import ConfigError, SuiteConfig, run_suite
 
 
@@ -113,6 +118,19 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("kappa-hopf: ModelError: ")
     assert "no_such_presentation" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [DivergenceError, OrderCapError, SeriesDomainError])
+def test_cli_engine_error_exit_code(monkeypatch, capsys, error):
+    # an engine limit hit by a model or a configuration is exit 2 with a
+    # one-line diagnostic, not a traceback read as "a check failed"
+    def run_suite(cfg):
+        raise error("limit hit")
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    assert main(["verify", "spacetime"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"kappa-hopf: {error.__name__}: limit hit\n"
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kappa_hopf import scalars
 from kappa_hopf.scalars import (
     GaussianRational,
     GR_I,
@@ -15,6 +16,7 @@ from kappa_hopf.scalars import (
     RationalFn,
     SeriesDomainError,
     levi_civita,
+    poly_exact_div,
     poly_gcd,
     series_exp,
     series_inverse_one_plus,
@@ -70,6 +72,43 @@ def test_poly_gcd_and_rationalfn_canonicalization():
     assert RationalFn(v * m, m * m) == RationalFn(v, m)
     with pytest.raises(ZeroDivisionError):
         RationalFn(v, Poly())
+
+
+def _rand_poly(rng, terms):
+    out = Poly()
+    for _ in range(terms):
+        mono = Poly.const(rand_gaussian(rng))
+        for sym in ("p", "m", "v1"):
+            mono = mono * Poly.var(sym, rng.randint(0, 3))
+        out = out + mono
+    return out
+
+
+def _prs_gcd(a, b):
+    return scalars._monic(scalars._gcd_rec(a, b, sorted(a.symbols() | b.symbols())))
+
+
+def test_monomial_fast_paths_agree_with_prs(monkeypatch):
+    rng = random.Random(23)
+    cases = []
+    while len(cases) < 150:
+        a = _rand_poly(rng, rng.randint(1, 4))
+        mono = _rand_poly(rng, 1)
+        if a and not a.is_const() and not mono.is_const():
+            cases.append((a, mono))
+    for a, mono in cases:
+        assert poly_gcd(a, mono) == poly_gcd(mono, a) == _prs_gcd(a, mono)
+        assert poly_exact_div(a * mono, mono) == a
+        assert scalars._long_div(a * mono, mono) == a
+        # one more power of a symbol than its least exponent in a: inexact
+        sym = sorted(a.symbols())[0]
+        low = min(dict(m).get(sym, 0) for m in a.terms)
+        with pytest.raises(ArithmeticError):
+            poly_exact_div(a, Poly.var(sym, low + 1))
+    fast = [str(RationalFn(a, mono)) for a, mono in cases]
+    monkeypatch.setattr(scalars, "_common_monomial", _prs_gcd)
+    monkeypatch.setattr(scalars, "_monomial_div", scalars._long_div)
+    assert fast == [str(RationalFn(a, mono)) for a, mono in cases]
 
 
 def test_hseries_truncation_is_multiplicative():
