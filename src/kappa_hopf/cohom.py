@@ -255,17 +255,6 @@ class LieData:
         return cols  # list of sparse columns
 
 
-def wedge_components(lie, wedge_pairs):
-    """{(i,j): coeff} with i<j from a hopf.Wedge's pair table (exact h^0)."""
-    out = {}
-    for (a, b), series in wedge_pairs.items():
-        v = series.coeff(0)
-        if not v.is_const():
-            raise LieDataError("wedge coefficient is not a constant scalar")
-        out[(a, b)] = v.const_value()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coboundary solving (classical r-matrix)
 # ---------------------------------------------------------------------------

@@ -686,9 +686,6 @@ class Evaluator:
                 return p, p.by_key[key]
         return None
 
-    def gen_exists(self, name):
-        return any(g.name == name for p in self.resolution for g in p.gens)
-
     def index_range(self, name, pos):
         vals = sorted({g.index[pos] for p in self.resolution for g in p.gens
                        if g.name == name and len(g.index) > pos})

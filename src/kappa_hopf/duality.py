@@ -24,7 +24,6 @@ taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .report import Check, FAIL, PASS, run_check
 from .scalars import (
@@ -85,22 +84,22 @@ def _skron(a, b, n):
 
 
 class MatrixModel:
-    """Faithful matrix model of a classical Galilei algebra/group pair."""
+    """Faithful matrix model of a classical Galilei algebra/group pair.  The
+    model is affine: every generator matrix has a zero last row, so the group
+    element's entry (dim-1, dim-1) is the constant coordinate 1 (`unit`)."""
 
     def __init__(self, dim, generators, coordinates):
+        for label, m in generators.items():
+            if any(m.get(dim - 1, {}).values()):
+                raise ValueError(f"generator {label} has a nonzero last row; "
+                                 "the matrix model is not affine")
         self.dim = dim
         self.generators = generators      # label -> sparse matrix
         self.coordinates = coordinates    # label -> (row, col)
+        self.unit = (dim - 1, dim - 1)
 
     def gen_matrix(self, label):
         return self.generators[label]
-
-    def coordinate_entry(self, label):
-        return self.coordinates[label]
-
-    def identity_value(self, label):
-        r, c = self.coordinates[label]
-        return GR_ONE if r == c else GR_ZERO
 
     def check_commutation(self, brackets):
         """[X,Y] = sum c Z as matrices; returns offending triples."""
@@ -360,13 +359,23 @@ def classical_coproduct_terms(word):
 
 
 class PairingEngine:
-    """Blocked right-to-left sweeps computing, for every PBW monomial X of
-    bounded degree and all single-coordinate pairs (f, g):
+    """Pairings of every PBW monomial X of bounded degree with all
+    single-coordinate pairs (f, g), f at entry (r1, c1) and g at (r2, c2):
 
-        plain[(f,g)]  = <f g, X>            (via Delta_cl splits)
-        sigma[(f,g)]  = <f (x) g, sigma(X)> (1-cocycle extension)
+        plain = <f g, X>            (via Delta_cl splits)
+        sigma = <f (x) g, sigma(X)> (1-cocycle extension)
 
-    in one pass per X over 25-dimensional vector blocks."""
+    both read at row r1*n + r2, column c1*n + c2 of n*n-dimensional blocks.
+    With D(a) = a (x) 1 + 1 (x) a and K(a) the sigma image of a, the blocks of
+    a word a*w are one letter step from those of w:
+
+        u(a*w) = D(a) u(w),   t(a*w) = D(a) t(w) + K(a) u(w).
+
+    A PBW word without its first letter is a PBW word, so `sweep` walks the
+    suffix tree depth first and reaches each word from its suffix.  Because
+    the model is affine, <f, X> = <f 1, X> with 1 the unit coordinate, so a
+    candidate term of one coordinate (or none) is padded with the unit and
+    read from the same plain block."""
 
     def __init__(self, model, gen_order, sigma_table):
         self.model = model
@@ -391,31 +400,22 @@ class PairingEngine:
                             k[r].pop(col, None)
             self.K[label] = {r: row for r, row in k.items() if row}
 
-    def sweep(self, word, cols):
-        """word: tuple of labels; cols: list of 25-indices.  Returns
-        (plain_block, sigma_block): {col -> {row25 -> value}}."""
-        u = [{c: GR_ONE} for c in cols]          # suffix D-product columns
-        t = [{} for _ in cols]                   # sigma accumulation
-        for label in reversed(word):
-            D = self.D[label]
-            K = self.K[label]
-            nt = []
-            nu = []
-            for ucol, tcol in zip(u, t):
-                v = _matvec(K, ucol) if K else {}
-                acc = _matvec(D, tcol)
-                for r, val in v.items():
-                    nv = acc.get(r, GR_ZERO) + val
-                    if nv:
-                        acc[r] = nv
-                    else:
-                        acc.pop(r, None)
-                nt.append(acc)
-                nu.append(_matvec(D, ucol))
-            u, t = nu, nt
-        plain = {c: ub for c, ub in zip(cols, u)}
-        sig = {c: tb for c, tb in zip(cols, t)}
-        return plain, sig
+    def sweep(self, max_degree, cols, visit):
+        """Call visit(word, plain, sigma) for every PBW word of degree <=
+        max_degree, depth first; the blocks are {col -> {row -> value}} for
+        the given columns.  One partial state is held per level."""
+        def walk(word, first, u, t):
+            visit(word, dict(zip(cols, u)), dict(zip(cols, t)))
+            if len(word) == max_degree:
+                return
+            for i, label in enumerate(self.gen_order[:first + 1]):
+                D, K = self.D[label], self.K[label]
+                walk((label,) + word, i, [_matvec(D, ucol) for ucol in u],
+                     [_vec_add(_matvec(D, tcol), _matvec(K, ucol))
+                      for ucol, tcol in zip(u, t)])
+
+        walk((), len(self.gen_order) - 1, [{c: GR_ONE} for c in cols],
+             [{} for _ in cols])
 
 
 def _merge(a, b):
@@ -445,6 +445,16 @@ def _matvec(m, vec):
     return out
 
 
+def _vec_add(a, b):
+    for r, v in b.items():
+        nv = a.get(r, GR_ZERO) + v
+        if nv:
+            a[r] = nv
+        else:
+            a.pop(r, None)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # sigma table plumbing
 # ---------------------------------------------------------------------------
@@ -460,15 +470,6 @@ def sigma_matrix_terms(classical, sigma_components):
             terms.append((c, classical.gens[a].label(), classical.gens[b].label()))
             terms.append((-c, classical.gens[b].label(), classical.gens[a].label()))
         out[classical.gens[gi].label()] = terms
-    return out
-
-
-def pbw_monomials(labels, max_degree, min_degree=0):
-    """All PBW-ordered words of total degree in [min_degree, max_degree]."""
-    out = []
-    for d in range(min_degree, max_degree + 1):
-        for combo in combinations_with_replacement(range(len(labels)), d):
-            out.append(tuple(labels[i] for i in combo))
     return out
 
 
@@ -515,17 +516,12 @@ def _compile_query(model, q):
     cand_cols = []
     cols = {fc * n + gc}
     for coeff, labels in cand:
-        if len(labels) == 2:
-            (r1, c1) = model.coordinates[labels[0]]
-            (r2, c2) = model.coordinates[labels[1]]
-            col = c1 * n + c2
-            cols.add(col)
-            cand_cols.append((coeff, ("D", r1 * n + r2, col)))
-        elif len(labels) == 1:
-            (r1, c1) = model.coordinates[labels[0]]
-            cand_cols.append((coeff, ("P", r1, c1)))
-        else:
-            cand_cols.append((coeff, ("C",)))
+        # pad to two coordinates with the unit: <f 1, X> = <f, X>
+        entries = [model.coordinates[label] for label in labels]
+        (r1, c1), (r2, c2) = entries + [model.unit] * (2 - len(entries))
+        col = c1 * n + c2
+        cols.add(col)
+        cand_cols.append((coeff, r1 * n + r2, col))
     return {
         "query": q,
         "sigma_row": fr * n + gr,
@@ -536,46 +532,44 @@ def _compile_query(model, q):
 
 
 def poisson_family_verify(engine, queries):
-    """Run many PoissonQuery checks with one sweep per PBW monomial (the
-    sweeps dominate; all queries share them, and share the elapsed time)."""
+    """Run many PoissonQuery checks on one sweep of the PBW monomials (the
+    sweep dominates; all queries share it, and share the elapsed time)."""
     return run_check(lambda: _poisson_family_checks(engine, queries))
 
 
 def _poisson_family_checks(engine, queries):
-    model = engine.model
-    compiled = [_compile_query(model, q) for q in queries]
+    compiled = [_compile_query(engine.model, q) for q in queries]
     max_bound = max(c["query"].degree_bound for c in compiled)
     cols = sorted(set().union(*(c["cols"] for c in compiled)))
     minus_i = HSeries.const(-GR_I)
+    h = HSeries.h(1)
     failures = {c["query"].check_id: [] for c in compiled}
     counts = {c["query"].check_id: 0 for c in compiled}
-    for word in pbw_monomials(engine.gen_order, max_bound):
-        plain, sig = engine.sweep(word, cols)
+
+    def visit(word, plain, sig):
         for c in compiled:
             q = c["query"]
             if len(word) > q.degree_bound:
                 continue
             lhs = H_ZERO
-            for coeff, spec in c["cand_cols"]:
-                if spec[0] == "D":
-                    v = plain[spec[2]].get(spec[1], GR_ZERO)
-                elif spec[0] == "P":
-                    v = _single_pair(engine, word, spec[1], spec[2])
-                else:
-                    v = GR_ONE if not word else GR_ZERO
+            for coeff, row, col in c["cand_cols"]:
+                v = plain[col].get(row, GR_ZERO)
                 if v:
                     lhs = lhs + coeff.scale(v)
-            rhs_val = sig[c["sigma_col"]].get(c["sigma_row"], GR_ZERO)
-            rhs = minus_i.scale(rhs_val) * HSeries.h(1)
+            rhs = minus_i.scale(sig[c["sigma_col"]].get(c["sigma_row"], GR_ZERO)) * h
             counts[q.check_id] += 1
             if lhs != rhs:
                 failures[q.check_id].append((word, lhs, rhs))
+
+    engine.sweep(max_bound, cols, visit)
+    rank = {label: i for i, label in enumerate(engine.gen_order)}
     checks = []
     for c in compiled:
         q = c["query"]
         fails = failures[q.check_id]
         if fails:
-            w, lhs, rhs = fails[0]
+            # name the least failing word in PBW order, not in walk order
+            w, lhs, rhs = min(fails, key=lambda f: (len(f[0]), [rank[x] for x in f[0]]))
             res = (f"at X={'*'.join(w) or '1'}: <cand,X>={lhs} vs "
                    f"-i<f(x)g,sigma(X)>={rhs} ({len(fails)} of "
                    f"{counts[q.check_id]} monomials disagree)")
@@ -615,17 +609,3 @@ def quantization_crosscheck(group, engine, degree_margin=2, degree_cap=8):
                                     check_id=f"quantize[{f},{g}]",
                                     anchor="Eq. 11 via Eqs. 9, 12"))
     return poisson_family_verify(engine, queries)
-
-
-def _single_pair(engine, word, row, col):
-    """<coordinate, X> = entry of prod pi(x_j); cached per word."""
-    cache = engine.__dict__.setdefault("_p1cache", {})
-    m = cache.get(word)
-    if m is None:
-        acc = {r: {r: GR_ONE} for r in range(engine.n)}
-        for label in word:
-            acc = _smul(acc, engine.model.gen_matrix(label))
-        cache[word] = m = acc
-        if len(cache) > 200000:
-            cache.clear()
-    return m.get(row, {}).get(col, GR_ZERO)

@@ -19,20 +19,8 @@ from .ncalg import (
     normal_order,
 )
 
-MODEL_FILE_ORDER = (
-    "galilei_algebra_kappa.hopf",
-    "galilei_algebra_classical.hopf",
-    "galilei_algebra_2d_classical.hopf",
-    "casimirs.hopf",
-    "tilde_bicross.hopf",
-    "galilei_group_kappa.hopf",
-    "group_bicross.hopf",
-    "spacetime.hopf",
-    "galilei_group_2d.hopf",
-)
-
-# every name declared by each shipped file; an override whose declarations
-# match any of these replaces that file
+# every shipped file in load order, with every name it declares; an override
+# whose declarations match any of these replaces that file
 FILE_DECLARATIONS = {
     "galilei_algebra_kappa.hopf": ("galilei_algebra_kappa",),
     "galilei_algebra_classical.hopf": ("galilei_algebra_classical",),
@@ -45,17 +33,7 @@ FILE_DECLARATIONS = {
     "galilei_group_2d.hopf": ("galilei_group_2d",),
 }
 
-CATALOG_NAMES = (
-    "galilei_algebra_kappa",
-    "galilei_algebra_classical",
-    "galilei_algebra_2d_classical",
-    "casimirs",
-    "tilde_bicross",
-    "galilei_group_kappa",
-    "group_bicross",
-    "spacetime",
-    "galilei_group_2d",
-)
+CATALOG_NAMES = tuple(f.rsplit(".", 1)[0] for f in FILE_DECLARATIONS)
 
 
 class ModelError(ValueError):
@@ -91,7 +69,7 @@ def _load_all(overrides=None):
     if key in _CACHE:
         return _CACHE[key]
     env = ModelModule()
-    for filename in MODEL_FILE_ORDER:
+    for filename in FILE_DECLARATIONS:
         if filename in file_override:
             text = file_override[filename]
             path = f"override:{filename}"

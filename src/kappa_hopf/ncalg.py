@@ -482,17 +482,6 @@ class NCElement:
     def __repr__(self):
         return f"NCElement<{self.render()}>"
 
-    def eval_signature(self, sample, h_value):
-        """Substitute exact rational sample values for all coefficient symbols
-        and h; returns a hashable fingerprint used by the random-evaluation
-        prefilter.  Raises ZeroDivisionError on unlucky sample points."""
-        sig = []
-        for w in sorted(self.terms, key=_word_sort_key):
-            v = self.terms[w].eval_gaussian(sample, h_value)
-            if v:
-                sig.append((w, v))
-        return tuple(sig)
-
 
 def _word_sort_key(w):
     return (sum(abs(p) for s in w for _, p in s), w)

@@ -182,9 +182,6 @@ class ExpFactor:
     def inverse(self):
         return ExpFactor(-self.exponent)
 
-    def map_exponent(self, f):
-        return ExpFactor(f(self.exponent))
-
 
 class ExpProduct:
     """Ordered product of exponential factors in a shared tensor context."""
@@ -207,9 +204,6 @@ class ExpProduct:
     def log(self, order, budget=None):
         return bch_combine_list([f.exponent for f in self.factors], order,
                                 budget=budget)
-
-    def map_exponents(self, f):
-        return ExpProduct([fac.map_exponent(f) for fac in self.factors])
 
 
 def bch_combine(a, b, order, budget=None):

@@ -84,9 +84,6 @@ class VerificationReport:
     def passed(self):
         return self.n_failed == 0
 
-    def findings(self):
-        return [c for c in self.checks if c.status != PASS]
-
     def merge(self, other):
         self.checks.extend(other.checks)
         return self

@@ -8,6 +8,7 @@ import pytest
 
 from kappa_hopf.duality import (
     EQ13_TABLE,
+    MatrixModel,
     PairingEngine,
     PoissonQuery,
     classical_coproduct_terms,
@@ -67,6 +68,15 @@ def test_pairing_spec_examples():
 def test_pair_rejects_non_model_generators():
     with pytest.raises(ValueError):
         pair(Poly.var("tau"), ("EE",))
+
+
+def test_matrix_model_must_be_affine():
+    # the unit coordinate (n-1, n-1) is the constant 1 only when every
+    # generator matrix has a zero last row
+    one = GaussianRational(1)
+    assert MatrixModel(3, {"X": {0: {2: one}}}, {"x": (0, 2)}).unit == (2, 2)
+    with pytest.raises(ValueError, match="not affine"):
+        MatrixModel(3, {"X": {0: {2: one}}, "Y": {2: {0: one}}}, {"x": (0, 2)})
 
 
 def _random_group_poly(rng, coords, deg):
@@ -201,6 +211,15 @@ def test_poisson_tau_a_hand_trace():
         assert chk.status == "pass"
 
 
+def test_poisson_constant_candidate():
+    # a coordinate-free candidate term pairs as <1, X> = eps(X)
+    _, _, engine = build_engine()
+    chk = poisson_verify(engine, "tau", "a[1]", [(HSeries.h(1), ())], 3)
+    assert chk.status == "fail"
+    assert chk.residual == ("at X=1: <cand,X>=h vs -i<f(x)g,sigma(X)>=0 "
+                            "(9 of 286 monomials disagree)")
+
+
 def test_poisson_rr_zero_bracket():
     _, _, engine = build_engine()
     chk = poisson_verify(engine, "R[1,2]", "R[2,3]", [], 2, check_id="rr")
@@ -246,14 +265,32 @@ def test_quantization_crosscheck_full_table():
     assert "quantize[tau,a[1]]" in ids
 
 
-def test_quantization_mutation_detected():
+def _doubled_rule_failures(f, g):
+    """Residuals of the crosscheck with the group rule [f, g] doubled."""
     from kappa_hopf.ncalg import clone_presentation
     group = load_model("galilei_group_kappa")
     rules = dict(group.rules)
-    t, a1 = group.gen_index("tau"), group.gen_index("a", (1,))
-    rules[(t, a1)] = tuple((c.scale(2), w) for c, w in rules[(t, a1)])
+    key = (group.gen_index(*f), group.gen_index(*g))
+    rules[key] = tuple((c.scale(2), w) for c, w in rules[key])
     mutant = clone_presentation(group, name="gm", rules=rules)
     _, _, engine = build_engine()
     checks = quantization_crosscheck(mutant, engine)
-    bad = [c for c in checks if c.status == "fail"]
-    assert any("tau,a[1]" in c.check_id for c in bad)
+    return {c.check_id: c.residual for c in checks if c.status == "fail"}
+
+
+def test_quantization_mutation_detected():
+    # the residual names the least failing monomial in PBW order
+    bad = _doubled_rule_failures(("tau",), ("a", (1,)))
+    assert bad == {"quantize[tau,a[1]]": (
+        "at X=P[1]: <cand,X>=-2*i*h vs -i<f(x)g,sigma(X)>=-i*h "
+        "(8 of 286 monomials disagree)")}
+
+
+def test_quantization_mutation_first_failure_of_degree_two():
+    # the depth-first walk reaches the failing M[1]*M[2]*L[1]*L[1] (under
+    # the suffix L[1]) before L[1]*L[2] (under L[2]); the residual still
+    # names the least failing word, L[1]*L[2]
+    bad = _doubled_rule_failures(("a", (1,)), ("v", (2,)))
+    assert bad == {"quantize[a[1],v[2]]": (
+        "at X=L[1]*L[2]: <cand,X>=-2*h vs -i<f(x)g,sigma(X)>=-h "
+        "(12 of 1001 monomials disagree)")}

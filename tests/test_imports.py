@@ -3,14 +3,18 @@
 Unused imports: every name a module imports must be used in that module;
 the package __init__ only re-exports, so it is exempt.  Dead locals: a plain
 `name = ...` in a function must be read in that function or in a function
-nested in it; tuple, loop and `_`-prefixed targets are exempt."""
+nested in it; tuple, loop and `_`-prefixed targets are exempt.  Dead
+definitions: every function, method or class defined in a module must be
+named (called, read as an attribute or imported) somewhere in src/, tests/
+or demos/; dunder names are exempt."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kappa_hopf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kappa_hopf"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -90,3 +94,64 @@ def test_lint_spares_exempt_and_closure_reads():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_dead_locals(module):
     assert dead_locals(module.read_text()) == []
+
+
+def _referenced_names(source):
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def dead_definitions(source, sources):
+    """Functions, methods and classes defined in source whose name appears in
+    none of sources; pass source among them so that its own uses count."""
+    named = set().union(*map(_referenced_names, sources))
+    dead = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and node.name not in named):
+            dead.append((node.lineno, node.name))
+    return sorted(dead)
+
+
+def test_lint_flags_a_dead_definition():
+    source = (
+        "def f():\n"
+        "    return 1\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return f()\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+    )
+    assert dead_definitions(source, [source]) == [(3, "C"), (4, "m")]
+
+
+def test_lint_spares_named_definitions():
+    source = (
+        "def f():\n"
+        "    return 1\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return 2\n"
+    )
+    users = ["from pkg.mod import f\n", "import pkg.C\n", "x.m()\n"]
+    assert dead_definitions(source, [source, *users]) == []
+
+
+@pytest.fixture(scope="module")
+def project_sources():
+    return [p.read_text() for d in ("src", "tests", "demos")
+            for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_dead_definitions(module, project_sources):
+    assert dead_definitions(module.read_text(), project_sources) == []
