@@ -2,9 +2,11 @@
 
 The whole engine runs on four nested coefficient domains:
 
-    Fraction  ->  GaussianRational  ->  Poly  ->  RationalFn  ->  HSeries
+    GaussianRational  ->  Poly  ->  RationalFn  ->  HSeries
 
-* ``GaussianRational``: a + b*i with exact rational a, b.
+* ``GaussianRational``: (a + b*i)/d with ints a, b and d, kept canonical
+  (d > 0 and gcd(a, b, d) = 1), so that equal values have equal fields.
+  ``int`` and ``Fraction`` values are accepted wherever one is expected.
 * ``Poly``: multivariate polynomial in commuting symbols (strings) with
   GaussianRational coefficients, stored sparsely as {monomial: coeff}.
   The deformation symbol ``h`` is *never* a Poly symbol; powers of h are
@@ -22,6 +24,7 @@ All values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -35,26 +38,53 @@ def _as_fraction(x):
 
 
 class GaussianRational:
-    """Exact complex rational a + b*i."""
+    """Exact complex rational (a + b*i)/d, stored as the three ints a, b, d.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0 and gcd(a, b, d) = 1, and zero is
+    (0, 0, 1).  Equal values therefore have equal fields.  The constructor
+    takes the real and imaginary parts as ints or Fractions; ``re`` and
+    ``im`` read them back as Fractions.  Arithmetic stays in ints.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _as_fraction(re), _as_fraction(im)
+            dr, di = re.denominator, im.denominator
+            d = dr * di // gcd(dr, di)
+            # reduced parts over their lcm already have gcd(a, b, d) = 1
+            a, b = re.numerator * (d // dr), im.numerator * (d // di)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     # -- arithmetic -------------------------------------------------
     def __add__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = as_gaussian(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _gaussian(self._a + other._a, self._b + other._b, d)
+        return _gaussian(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         return self + (-as_gaussian(other))
@@ -63,25 +93,21 @@ class GaussianRational:
         return as_gaussian(other) + (-self)
 
     def __mul__(self, other):
-        other = as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = as_gaussian(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _gaussian(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self):
-        return self.re * self.re + self.im * self.im
+        return _gaussian(self._a, -self._b, self._d)
 
     def inverse(self):
-        n = self.norm2()
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gaussian(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other):
         return self * as_gaussian(other).inverse()
@@ -103,28 +129,52 @@ class GaussianRational:
 
     # -- comparisons / hashing --------------------------------------
     def __eq__(self, other):
-        try:
-            other = as_gaussian(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussianRational:
+            try:
+                other = as_gaussian(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        # equal to hash((re, im)), as for the equal int and Fraction values
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if not self.im:
-            return _frac_str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"({_frac_str(self.re)}{sign}{_imag_str(abs(self.im))})"
+        re, im = self.re, self.im
+        if not im:
+            return _frac_str(re)
+        if not re:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"({_frac_str(re)}{sign}{_imag_str(abs(im))})"
+
+
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_new = object.__new__
+
+
+def _gaussian(a, b, d):
+    """The canonical GaussianRational (a + b*i)/d, for ints a, b and d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    out = _new(GaussianRational)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
+    return out
 
 
 def _frac_str(q):
@@ -149,8 +199,6 @@ def as_gaussian(x):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    if isinstance(x, complex) and x.imag == int(x.imag) and x.real == int(x.real):
-        return GaussianRational(int(x.real), int(x.imag))
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
 

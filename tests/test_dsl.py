@@ -64,6 +64,28 @@ presentation toy {
     assert p == q
 
 
+def test_round_trip_fractional_gaussian_coefficients():
+    # every branch of the coefficient printer: unit, -1, integer, fraction,
+    # +-I, fractional imaginary and mixed Gaussian coefficients
+    text = """
+presentation coeffs {
+  generators: a b c tau;
+  relation tau*a - a*tau = (1/2 - 3/4*I)*a - 5/3*I*b;
+  relation tau*b - b*tau = 2/3*c - I*h*a;
+  relation tau*c - c*tau = -c + 2*a + I*b;
+  relation b*a - a*b = 0;
+  relation c*a - a*c = b;
+  relation c*b - b*c = 0;
+}
+"""
+    p = parse_presentation(text)
+    printed = print_presentation(p)
+    for piece in ("(((1/2) + (-3/4)*I))*a + (-5/3)*I*b", "-I*h*a + (2/3)*c",
+                  "2*a + I*b + -1*c", "relation c*a - a*c = b;"):
+        assert piece in printed
+    assert parse_presentation(printed) == p
+
+
 def test_determinism_same_text_same_presentation():
     a = parse_presentation(MINI)
     b = parse_presentation(MINI)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -10,11 +11,13 @@ from kappa_hopf.scalars import (
     GaussianRational,
     GR_I,
     GR_ONE,
+    GR_ZERO,
     HSeries,
     Poly,
     POLY_ONE,
     RationalFn,
     SeriesDomainError,
+    as_gaussian,
     levi_civita,
     poly_exact_div,
     poly_gcd,
@@ -42,6 +45,136 @@ def test_gaussian_field_axioms_randomized():
             assert a * a.inverse() == GR_ONE
             assert (b / a) * a == b
     assert GR_I * GR_I == GaussianRational(-1)
+
+
+class RefGaussian:
+    """Reference a + b*i as a pair of Fractions, with the formulas of the
+    Fraction-pair GaussianRational that the integer form replaced."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = F(re), F(im)
+
+    def __add__(self, o):
+        return RefGaussian(self.re + o.re, self.im + o.im)
+
+    def __neg__(self):
+        return RefGaussian(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        return RefGaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def conjugate(self):
+        return RefGaussian(self.re, -self.im)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return RefGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        out = RefGaussian(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        def imag(q):
+            return {1: "i", -1: "-i"}.get(q, f"{q}*i")
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return imag(self.im)
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re}{sign}{imag(abs(self.im))})"
+
+
+def assert_matches(got, ref):
+    assert type(got) is GaussianRational
+    assert (got.re, got.im) == (ref.re, ref.im)
+    assert (str(got), repr(got), hash(got), bool(got)) == (str(ref), repr(ref), hash(ref), bool(ref))
+    a, b, d = got._a, got._b, got._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (a or b) or d == 1
+    # the same value built from its parts: same fields, equal, same hash
+    again = GaussianRational(ref.re, ref.im)
+    assert (again._a, again._b, again._d) == (a, b, d)
+    assert again == got and hash(again) == hash(got)
+
+
+def test_gaussian_matches_fraction_pair_reference():
+    rng = random.Random(2024)
+
+    def rand_pair():
+        re, im = F(rng.randint(-9, 9), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12))
+        if rng.random() < 0.2:
+            re = F(0) if rng.random() < 0.5 else re
+            im = F(0)
+        return GaussianRational(re, im), RefGaussian(re, im)
+
+    for _ in range(2000):
+        (x, rx), (y, ry) = rand_pair(), rand_pair()
+        assert_matches(x, rx)
+        assert_matches(x + y, rx + ry)
+        assert_matches(x - y, rx - ry)
+        assert_matches(x * y, rx * ry)
+        if ry:
+            assert_matches(x / y, rx / ry)
+        assert_matches(-x, -rx)
+        assert_matches(x.conjugate(), rx.conjugate())
+        if rx:
+            assert_matches(x.inverse(), rx.inverse())
+        n = rng.randint(0, 5)
+        assert_matches(x ** n, rx ** n)
+        assert (x == y) == ((rx.re, rx.im) == (ry.re, ry.im))
+        for s in (rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 12))):
+            rs = RefGaussian(s)
+            assert_matches(x + s, rx + rs)
+            assert_matches(s + x, rs + rx)
+            assert_matches(x - s, rx - rs)
+            assert_matches(s - x, rs - rx)
+            assert_matches(x * s, rx * rs)
+            assert_matches(s * x, rs * rx)
+            if s:
+                assert_matches(x / s, rx / rs)
+            if rx:
+                assert_matches(s / x, rs / rx)
+            assert (x == s) == (s == x) == (rx.re == s and not rx.im)
+
+
+def test_gaussian_zero_division_and_immutability():
+    for f in (GR_ZERO.inverse, lambda: GR_ONE / 0, lambda: 1 / GR_ZERO,
+              lambda: GR_I / F(0)):
+        with pytest.raises(ZeroDivisionError):
+            f()
+    g = GaussianRational(F(1, 2), 3)
+    for name in ("_a", "_d", "re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 1)
+    assert g == GaussianRational(F(1, 2), 3)
+
+
+def test_complex_values_are_not_coerced():
+    for z in (1j, complex(2, 0), complex("inf"), complex("nan")):
+        with pytest.raises(TypeError):
+            as_gaussian(z)
+        with pytest.raises(TypeError):
+            GR_ONE + z
+        assert (GR_ONE == z) is False
+        assert GR_ONE != z
 
 
 def test_poly_arithmetic_and_eval():
