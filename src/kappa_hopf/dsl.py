@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ncalg import (
+    DivergenceError,
     GenDecl,
     HopfData,
     NCElement,
@@ -889,7 +890,7 @@ def parse_source(text, path="<string>", env=None):
                 module.comodules[name] = _load_comodule(name, fields, env_pres, path)
     except _EvalError as e:
         return None, [Diagnostic("error", str(e), 0, 0, path)]
-    except PresentationError as e:
+    except (PresentationError, DivergenceError) as e:
         return None, [Diagnostic("error", str(e), 0, 0, path)]
     return module, []
 
@@ -1106,6 +1107,12 @@ def _invert_scalar(coeff, sign):
     return HSeries({-k: RationalFn(Poly.const(inv))})
 
 
+# rewrite steps allowed per rule correction while a model loads; the
+# shipped models need at most 9, and rules that never terminate (such as
+# B*A - A*B = B*A) must fail fast instead of growing without bound
+CORRECTION_BUDGET = 1_000
+
+
 def _normalize_rule_corrections(p):
     """Canonicalize every rule's correction to its PBW normal form."""
     ctx = TensorContext((p,))
@@ -1114,7 +1121,7 @@ def _normalize_rule_corrections(p):
         terms = {}
         for c, w in corr:
             terms[(w,)] = terms.get((w,), H_ZERO) + c
-        el = normal_order(NCElement(ctx, terms))
+        el = normal_order(NCElement(ctx, terms), budget=CORRECTION_BUDGET)
         new_rules[digram] = tuple((c, w[0]) for w, c in sorted(el.terms.items()))
     p.rules.clear()
     p.rules.update(new_rules)

@@ -381,12 +381,13 @@ class PairingEngine:
         self.model = model
         self.n = model.dim
         self.gen_order = list(gen_order)   # labels in PBW order
+        # D(a) and K(a) by column: the walk multiplies them by sparse vectors
         self.D = {}
         self.K = {}
         eye = {r: {r: GR_ONE} for r in range(self.n)}
         for label in self.gen_order:
             x = model.gen_matrix(label)
-            self.D[label] = _merge(_skron(x, eye, self.n), _skron(eye, x, self.n))
+            self.D[label] = _columns(_merge(_skron(x, eye, self.n), _skron(eye, x, self.n)))
             terms = sigma_table.get(label, [])
             k = {}
             for c, a_lab, b_lab in terms:
@@ -398,7 +399,7 @@ class PairingEngine:
                             k[r][col] = nv
                         else:
                             k[r].pop(col, None)
-            self.K[label] = {r: row for r, row in k.items() if row}
+            self.K[label] = _columns(k)
 
     def sweep(self, max_degree, cols, visit):
         """Call visit(word, plain, sigma) for every PBW word of degree <=
@@ -430,19 +431,27 @@ def _merge(a, b):
     return {r: row for r, row in out.items() if row}
 
 
-def _matvec(m, vec):
+def _columns(m):
+    """The column view {col: [(row, value), ...]} of a sparse matrix
+    {row: {col: value}}."""
     out = {}
     for r, row in m.items():
-        acc = GR_ZERO
-        hit = False
         for c, v in row.items():
-            w = vec.get(c)
-            if w is not None:
-                acc = acc + v * w
-                hit = True
-        if hit and acc:
-            out[r] = acc
+            out.setdefault(c, []).append((r, v))
     return out
+
+
+def _matvec(cols, vec):
+    """The sparse product m vec from the column view of m: only the columns
+    where vec has an entry are read."""
+    if not vec:
+        return {}
+    out = {}
+    for c, w in vec.items():
+        for r, v in cols.get(c, ()):
+            old = out.get(r)
+            out[r] = v * w if old is None else old + v * w
+    return {r: v for r, v in out.items() if v}
 
 
 def _vec_add(a, b):

@@ -20,16 +20,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import (
-    GaussianRational,
+    CONSTANT_TYPES,
     H_ONE,
     H_ZERO,
     HSeries,
     Poly,
     RationalFn,
+    as_gaussian,
     as_hseries,
 )
 
-_SCALAR_TYPES = (int, Fraction, GaussianRational, Poly, RationalFn, HSeries)
+_SCALAR_TYPES = CONSTANT_TYPES + (Poly, RationalFn, HSeries)
 
 
 class PresentationError(ValueError):
@@ -346,14 +347,21 @@ class NCElement:
         return self + (-other)
 
     def scale(self, c):
-        c = as_hseries(c)
-        if not c:
-            return NCElement.zero(self.context)
-        t = {}
-        for w, v in self.terms.items():
-            nv = v * c
-            if nv:
-                t[w] = nv
+        if isinstance(c, CONSTANT_TYPES):
+            c = as_gaussian(c)
+            if not c:
+                return NCElement.zero(self.context)
+            # nonzero coefficients times a nonzero constant stay nonzero
+            t = {w: v.scale(c) for w, v in self.terms.items()}
+        else:
+            c = as_hseries(c)
+            if not c:
+                return NCElement.zero(self.context)
+            t = {}
+            for w, v in self.terms.items():
+                nv = v * c
+                if nv:
+                    t[w] = nv
         out = NCElement.__new__(NCElement)
         out.context = self.context
         out.terms = t

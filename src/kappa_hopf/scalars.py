@@ -13,6 +13,7 @@ The whole engine runs on four nested coefficient domains:
   tracked by HSeries.
 * ``RationalFn``: quotient of two Polys, gcd-reduced, denominator
   normalized so its leading coefficient (in a fixed monomial order) is 1.
+  A denominator of one is always the shared ``POLY_ONE``.
 * ``HSeries``: Laurent-style series sum_k c_k h^k with RationalFn
   coefficients.  ``truncation`` is None for exact values (no truncation
   ever happened) or the integer N such that terms beyond h^N were
@@ -192,6 +193,9 @@ def _imag_str(q):
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+# the types of a constant coefficient; GaussianRational comes first because
+# an isinstance test against Fraction, an ABC, is slow
+CONSTANT_TYPES = (GaussianRational, int, Fraction)
 
 
 def as_gaussian(x):
@@ -254,7 +258,7 @@ class Poly:
     @staticmethod
     def const(c):
         c = as_gaussian(c)
-        return Poly({MONOMIAL_ONE: c}) if c else POLY_ZERO
+        return _poly({MONOMIAL_ONE: c}) if c else POLY_ZERO
 
     @staticmethod
     def var(name, power=1):
@@ -264,7 +268,7 @@ class Poly:
             raise ValueError("Poly variables need non-negative powers")
         if power == 0:
             return POLY_ONE
-        return Poly({((name, power),): GR_ONE})
+        return _poly({((name, power),): GR_ONE})
 
     # -- queries ----------------------------------------------------
     def is_const(self):
@@ -297,7 +301,8 @@ class Poly:
 
     # -- arithmetic -------------------------------------------------
     def __add__(self, other):
-        other = as_poly(other)
+        if other.__class__ is not Poly:
+            other = as_poly(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -309,16 +314,12 @@ class Poly:
                 t[m] = nc
             else:
                 t.pop(m, None)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", t)
-        return out
+        return _poly(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        return out
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-as_poly(other))
@@ -327,12 +328,20 @@ class Poly:
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = as_poly(other)
-        if not self.terms or not other.terms:
+        if other.__class__ is not Poly:
+            return self.scale(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
             return POLY_ZERO
+        # a constant factor scales the other's terms in their own order,
+        # which is the order the loop below would give
+        if len(b) == 1 and MONOMIAL_ONE in b:
+            return self.scale(b[MONOMIAL_ONE])
+        if len(a) == 1 and MONOMIAL_ONE in a:
+            return other.scale(a[MONOMIAL_ONE])
         t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 old = t.get(m)
@@ -341,9 +350,7 @@ class Poly:
                     t[m] = nc
                 else:
                     t.pop(m, None)
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", t)
-        return out
+        return _poly(t)
 
     __rmul__ = __mul__
 
@@ -360,12 +367,11 @@ class Poly:
         return out
 
     def scale(self, c):
-        c = as_gaussian(c)
+        if c.__class__ is not GaussianRational:
+            c = as_gaussian(c)
         if not c:
             return POLY_ZERO
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "terms", {m: v * c for m, v in self.terms.items()})
-        return out
+        return _poly({m: v * c for m, v in self.terms.items()})
 
     # -- calculus / substitution ------------------------------------
     def derivative(self, sym):
@@ -381,7 +387,7 @@ class Poly:
                 d[sym] = e - 1
             mm = tuple(sorted(d.items()))
             t[mm] = t.get(mm, GR_ZERO) + c * e
-        return Poly(t)
+        return _poly({m: c for m, c in t.items() if c})
 
     def subs(self, mapping):
         """Substitute symbols; values may be Poly, GaussianRational, Fraction, int."""
@@ -448,6 +454,17 @@ class Poly:
         return key, self.terms[key]
 
 
+_set_terms = Poly.terms.__set__
+
+
+def _poly(terms):
+    """The Poly with these terms, taken as they are: GaussianRational
+    coefficients, none of them zero (what Poly() would make of them)."""
+    out = _new(Poly)
+    _set_terms(out, terms)
+    return out
+
+
 POLY_ZERO = Poly()
 POLY_ONE = Poly({MONOMIAL_ONE: GR_ONE})
 
@@ -455,7 +472,7 @@ POLY_ONE = Poly({MONOMIAL_ONE: GR_ONE})
 def as_poly(x):
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if isinstance(x, CONSTANT_TYPES):
         return Poly.const(x)
     raise TypeError(f"cannot coerce {x!r} to Poly")
 
@@ -473,7 +490,7 @@ def _poly_to_univariate(p, sym):
         d = dict(m)
         e = d.pop(sym, 0)
         rest = tuple(sorted(d.items()))
-        coeffs[e] = coeffs[e] + Poly({rest: c})
+        coeffs[e] = coeffs[e] + _poly({rest: c})
     return coeffs
 
 
@@ -551,7 +568,7 @@ def _common_monomial(a, b):
     for m in monos[1:]:
         d = dict(m)
         low = {s: min(e, d[s]) for s, e in low.items() if s in d}
-    return Poly({tuple(sorted(low.items())): GR_ONE})
+    return _poly({tuple(sorted(low.items())): GR_ONE})
 
 
 def _gcd_rec(a, b, syms):
@@ -609,18 +626,28 @@ def poly_exact_div(a, b):
 
 
 def _long_div(a, b):
-    """a / b by repeated division of leading terms."""
+    """a / b by repeated division of leading terms in graded lex order.
+
+    The order must be a term order, for an exact division to end with no
+    remainder; the order of _lead is not one (it puts y before x but x^2
+    before x*y)."""
+    syms = sorted(a.symbols() | b.symbols())
+
+    def grlex(m):
+        d = dict(m)
+        e = tuple(d.get(s, 0) for s in syms)
+        return sum(e), e
+
     rem = a
     quot = POLY_ZERO
-    bl_m, bl_c = b._lead()
-    bl_c_inv = bl_c.inverse()
+    bl_m = max(b.terms, key=grlex)
+    bl_c_inv = b.terms[bl_m].inverse()
     while rem:
-        rl_m, rl_c = rem._lead()
+        rl_m = max(rem.terms, key=grlex)
         qm = _mono_div(rl_m, bl_m)
         if qm is None:
             raise ArithmeticError(f"inexact Poly division: {a} / {b}")
-        qc = rl_c * bl_c_inv
-        qterm = Poly({qm: qc})
+        qterm = _poly({qm: rem.terms[rl_m] * bl_c_inv})
         quot = quot + qterm
         rem = rem - qterm * b
     return quot
@@ -636,7 +663,7 @@ def _monomial_div(a, b):
         if qm is None:
             raise ArithmeticError(f"inexact Poly division: {a} / {b}")
         out[qm] = c * inv
-    return Poly(out)
+    return _poly(out)
 
 
 def _mono_div(m, d):
@@ -666,7 +693,11 @@ def _monic(p):
 
 
 class RationalFn:
-    """Quotient of Polys, canonicalized (gcd-reduced, monic denominator)."""
+    """Quotient of Polys, canonicalized (gcd-reduced, monic denominator).
+
+    A denominator that reduces to one is always the shared ``POLY_ONE``, so
+    ``den is POLY_ONE`` tells a polynomial value; every other denominator
+    is a non-constant Poly."""
 
     __slots__ = ("num", "den")
 
@@ -674,30 +705,35 @@ class RationalFn:
         num, den = as_poly(num), as_poly(den)
         if not den:
             raise ZeroDivisionError("RationalFn with zero denominator")
-        if not num:
-            den = POLY_ONE
-        elif den.is_const():
-            num = num.scale(den.const_value().inverse())
-            den = POLY_ONE
-        else:
+        if num and not den.is_const():
             g = poly_gcd(num, den)
             if not g.is_const():
                 num = poly_exact_div(num, g)
                 den = poly_exact_div(den, g)
+        if not num:
+            den = POLY_ONE
+        elif den.is_const():
+            if den is not POLY_ONE:
+                num = num.scale(den.const_value().inverse())
+                den = POLY_ONE
+        else:
             _, lc = den._lead()
             if lc != GR_ONE:
                 inv = lc.inverse()
                 num = num.scale(inv)
                 den = den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFn is immutable")
 
     # -- arithmetic -------------------------------------------------
     def __add__(self, other):
-        other = as_rationalfn(other)
+        if other.__class__ is not RationalFn:
+            other = as_rationalfn(other)
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return _rfn(self.num + other.num, POLY_ONE)
         if self.den == other.den:
             return RationalFn(self.num + other.num, self.den)
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -705,10 +741,7 @@ class RationalFn:
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFn.__new__(RationalFn)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _rfn(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-as_rationalfn(other))
@@ -717,7 +750,12 @@ class RationalFn:
         return as_rationalfn(other) + (-self)
 
     def __mul__(self, other):
-        other = as_rationalfn(other)
+        if other.__class__ is not RationalFn:
+            if isinstance(other, CONSTANT_TYPES):
+                return self.scale(other)
+            other = as_rationalfn(other)
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return _rfn(self.num * other.num, POLY_ONE)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -737,17 +775,17 @@ class RationalFn:
         return RationalFn(self.num ** n, self.den ** n)
 
     def scale(self, c):
-        out = RationalFn.__new__(RationalFn)
-        c = as_gaussian(c)
+        """self * c for an int, Fraction or GaussianRational c: the same
+        canonical value as the product, from one pass over the numerator."""
+        if c.__class__ is not GaussianRational:
+            c = as_gaussian(c)
         if not c:
             return RFN_ZERO
-        object.__setattr__(out, "num", self.num.scale(c))
-        object.__setattr__(out, "den", self.den)
-        return out
+        return _rfn(self.num.scale(c), self.den)
 
     # -- structure ----------------------------------------------------
     def is_poly(self):
-        return self.den == POLY_ONE
+        return self.den is POLY_ONE
 
     def as_poly(self):
         if not self.is_poly():
@@ -786,6 +824,8 @@ class RationalFn:
             other = as_rationalfn(other)
         except TypeError:
             return NotImplemented
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return self.num.terms == other.num.terms
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
@@ -798,9 +838,21 @@ class RationalFn:
         return f"RationalFn({self})"
 
     def __str__(self):
-        if self.den == POLY_ONE:
+        if self.den is POLY_ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
+
+
+_set_num = RationalFn.num.__set__
+_set_den = RationalFn.den.__set__
+
+
+def _rfn(num, den):
+    """The RationalFn num/den, for a pair that is already canonical."""
+    out = _new(RationalFn)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
 
 
 RFN_ZERO = RationalFn(POLY_ZERO)
@@ -810,8 +862,10 @@ RFN_ONE = RationalFn(POLY_ONE)
 def as_rationalfn(x):
     if isinstance(x, RationalFn):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational, Poly)):
-        return RationalFn(as_poly(x))
+    if isinstance(x, CONSTANT_TYPES):
+        return _rfn(Poly.const(x), POLY_ONE)
+    if isinstance(x, Poly):
+        return RationalFn(x)
     raise TypeError(f"cannot coerce {x!r} to RationalFn")
 
 
@@ -848,7 +902,7 @@ class HSeries:
     @staticmethod
     def const(c):
         c = as_rationalfn(c)
-        return HSeries({0: c}) if c else H_ZERO
+        return _hseries({0: c}, None) if c else H_ZERO
 
     @staticmethod
     def h(power=1):
@@ -893,7 +947,8 @@ class HSeries:
 
     # -- arithmetic -------------------------------------------------
     def __add__(self, other):
-        other = as_hseries(other)
+        if other.__class__ is not HSeries:
+            other = as_hseries(other)
         t = self._join(self.truncation, other.truncation)
         c = dict(self.coeffs)
         for k, v in other.coeffs.items():
@@ -904,18 +959,12 @@ class HSeries:
                 c.pop(k, None)
         if t is not None:
             c = {k: v for k, v in c.items() if k <= t}
-        out = HSeries.__new__(HSeries)
-        object.__setattr__(out, "coeffs", c)
-        object.__setattr__(out, "truncation", t)
-        return out
+        return _hseries(c, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = HSeries.__new__(HSeries)
-        object.__setattr__(out, "coeffs", {k: -v for k, v in self.coeffs.items()})
-        object.__setattr__(out, "truncation", self.truncation)
-        return out
+        return _hseries({k: -v for k, v in self.coeffs.items()}, self.truncation)
 
     def __sub__(self, other):
         return self + (-as_hseries(other))
@@ -924,7 +973,8 @@ class HSeries:
         return as_hseries(other) + (-self)
 
     def __mul__(self, other):
-        other = as_hseries(other)
+        if other.__class__ is not HSeries:
+            other = as_hseries(other)
         t = self._join(self.truncation, other.truncation)
         c = {}
         for k1, v1 in self.coeffs.items():
@@ -939,10 +989,7 @@ class HSeries:
                     c[k] = nv
                 else:
                     c.pop(k, None)
-        out = HSeries.__new__(HSeries)
-        object.__setattr__(out, "coeffs", c)
-        object.__setattr__(out, "truncation", t)
-        return out
+        return _hseries(c, t)
 
     __rmul__ = __mul__
 
@@ -968,13 +1015,15 @@ class HSeries:
         raise ArithmeticError("HSeries division only by h-monomials; expand instead")
 
     def scale(self, c):
-        c = as_rationalfn(c)
+        """self * c for a constant c (int, Fraction, GaussianRational) or a
+        Poly or RationalFn c; the truncation is kept."""
+        if isinstance(c, CONSTANT_TYPES):
+            c, mul = as_gaussian(c), RationalFn.scale
+        else:
+            c, mul = as_rationalfn(c), RationalFn.__mul__
         if not c:
-            return HSeries({}, self.truncation)
-        out = HSeries.__new__(HSeries)
-        object.__setattr__(out, "coeffs", {k: v * c for k, v in self.coeffs.items()})
-        object.__setattr__(out, "truncation", self.truncation)
-        return out
+            return _hseries({}, self.truncation)
+        return _hseries({k: mul(v, c) for k, v in self.coeffs.items()}, self.truncation)
 
     def subs(self, mapping):
         return HSeries({k: v.subs(mapping) for k, v in self.coeffs.items()}, self.truncation)
@@ -1026,6 +1075,19 @@ class HSeries:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+_set_coeffs = HSeries.coeffs.__set__
+_set_truncation = HSeries.truncation.__set__
+
+
+def _hseries(coeffs, truncation):
+    """The HSeries with these coefficients, taken as they are: nonzero
+    RationalFns, none beyond the truncation."""
+    out = _new(HSeries)
+    _set_coeffs(out, coeffs)
+    _set_truncation(out, truncation)
+    return out
+
+
 H_ZERO = HSeries()
 H_ONE = HSeries({0: RFN_ONE})
 H_I = HSeries({0: RationalFn(Poly.const(GR_I))})
@@ -1034,7 +1096,7 @@ H_I = HSeries({0: RationalFn(Poly.const(GR_I))})
 def as_hseries(x):
     if isinstance(x, HSeries):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational, Poly, RationalFn)):
+    if isinstance(x, (RationalFn, GaussianRational, Poly, int, Fraction)):
         return HSeries.const(as_rationalfn(x))
     raise TypeError(f"cannot coerce {x!r} to HSeries")
 

@@ -1,16 +1,20 @@
 """Parser, validation diagnostics, round-trips, determinism."""
 
+import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
 from kappa_hopf.dsl import (
+    ModelModule,
     DslError,
     parse_presentation,
     parse_source,
     print_presentation,
+    tokenize,
 )
-from kappa_hopf.models import CATALOG_NAMES, load_model
+from kappa_hopf.models import CATALOG_NAMES, FILE_DECLARATIONS, load_model
 from kappa_hopf.scalars import GaussianRational, HSeries, Poly, RationalFn
 
 
@@ -200,3 +204,50 @@ presentation poley {
 def test_dsl_error_wrapper():
     with pytest.raises(DslError):
         parse_presentation("presentation x { generators: a b; }")
+
+
+def test_non_terminating_rule_is_a_diagnostic():
+    # the correction B*A is itself out of order, so normalising it never ends
+    loop = """
+presentation loop {
+  generators: A B;
+  relation B*A - A*B = B*A;
+}
+"""
+    module, diags = parse_source(loop)
+    assert module is None
+    assert [d.message for d in diags] == ["rewrite budget exceeded at digram B*A in loop"]
+
+
+def test_token_mutants_of_shipped_models_give_a_module_or_diagnostics():
+    # seeded token-level mutants (delete, duplicate, swap) of every shipped
+    # file, through parse_source only; a mutant whose rules never terminate
+    # stops at the correction budget and comes back as a diagnostic
+    shipped = resources.files("kappa_hopf").joinpath("models")
+    env = ModelModule()
+    sources = []
+    for name in [*FILE_DECLARATIONS, "variants/galilei_algebra_kappa_printed.hopf"]:
+        text = shipped.joinpath(name).read_text()
+        module, _ = parse_source(text, name, env=env)
+        env.presentations.update(module.presentations)
+        sources.append((name, [t.text for t in tokenize(text)[0][:-1]]))
+    rng = random.Random(1995)
+    outcomes = set()
+    for i in range(600):
+        name, toks = rng.choice(sources)
+        toks = list(toks)
+        op, a = rng.choice(("delete", "duplicate", "swap")), rng.randrange(len(toks))
+        if op == "delete":
+            del toks[a]
+        elif op == "duplicate":
+            toks.insert(a, toks[a])
+        else:
+            b = rng.randrange(len(toks))
+            toks[a], toks[b] = toks[b], toks[a]
+        try:
+            module, diags = parse_source(" ".join(toks), f"mutant{i}", env=env)
+        except Exception as e:
+            pytest.fail(f"mutant {i} ({op} at token {a} of {name}) raised {e!r}")
+        assert (module is None) == bool(diags)
+        outcomes.add(module is None)
+    assert outcomes == {True, False}

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kappa_hopf import duality
 from kappa_hopf.duality import (
     EQ13_TABLE,
     MatrixModel,
@@ -68,6 +69,28 @@ def test_pairing_spec_examples():
 def test_pair_rejects_non_model_generators():
     with pytest.raises(ValueError):
         pair(Poly.var("tau"), ("EE",))
+
+
+def test_column_matvec_matches_row_products():
+    # the walk's product reads only the vector's columns; it must give the
+    # dict of the row-by-row product, zero sums dropped
+    rng = random.Random(8)
+
+    def value():
+        return GaussianRational(rng.randint(-2, 2), rng.choice([0, 0, 1]))
+
+    for _ in range(300):
+        m = {r: {c: value() for c in rng.sample(range(6), rng.randint(1, 3))}
+             for r in rng.sample(range(6), rng.randint(0, 4))}
+        m = {r: {c: v for c, v in row.items() if v} for r, row in m.items()}
+        vec = {c: value() for c in rng.sample(range(7), rng.randint(0, 3))}
+        vec = {c: v for c, v in vec.items() if v}
+        rows = {}
+        for r, row in m.items():
+            hits = [v * vec[c] for c, v in row.items() if c in vec]
+            if hits and sum(hits, GaussianRational(0)):
+                rows[r] = sum(hits, GaussianRational(0))
+        assert duality._matvec(duality._columns(m), vec) == rows
 
 
 def test_matrix_model_must_be_affine():

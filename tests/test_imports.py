@@ -6,7 +6,8 @@ the package __init__ only re-exports, so it is exempt.  Dead locals: a plain
 nested in it; tuple, loop and `_`-prefixed targets are exempt.  Dead
 definitions: every function, method or class defined in a module must be
 named (called, read as an attribute or imported) somewhere in src/, tests/
-or demos/; dunder names are exempt."""
+or demos/; dunder names are exempt.  One clock: report.py, which times every
+check, is the only module that imports time or calls a clock."""
 
 import ast
 from pathlib import Path
@@ -155,3 +156,48 @@ def project_sources():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(module, project_sources):
     assert dead_definitions(module.read_text(), project_sources) == []
+
+
+# calls that read a clock: the time module's clocks and datetime's now/today
+CLOCK_CALLS = {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+               "monotonic_ns", "process_time", "process_time_ns", "thread_time",
+               "thread_time_ns", "now", "utcnow", "today"}
+
+
+def clock_reads(source):
+    """(line, name) of every import of the time module and every clock call."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, a.name) for a in node.names if a.name == "time"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            hits.append((node.lineno, "time"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in CLOCK_CALLS:
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
+def test_lint_flags_clock_reads():
+    source = (
+        "import time\n"
+        "from time import monotonic as m\n"
+        "import datetime\n"
+        "t = datetime.datetime.now()\n"
+        "u = time.perf_counter() - m()\n"
+    )
+    # the aliased monotonic is caught at its import
+    assert clock_reads(source) == [(1, "time"), (2, "time"), (4, "now"), (5, "perf_counter")]
+
+
+def test_lint_spares_other_timing_words():
+    source = "import timeit\nelapsed = report.duration_ms\nx = times(3)\n"
+    assert clock_reads(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_one_clock(module):
+    reads = clock_reads(module.read_text())
+    assert bool(reads) == (module.name == "report.py"), reads

@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic: field axioms, canonical forms, series."""
 
+import operator
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -7,6 +8,8 @@ from math import gcd
 import pytest
 
 from kappa_hopf import scalars
+from kappa_hopf.dsl import parse_presentation
+from kappa_hopf.ncalg import NCElement, TensorContext
 from kappa_hopf.scalars import (
     GaussianRational,
     GR_I,
@@ -18,6 +21,7 @@ from kappa_hopf.scalars import (
     RationalFn,
     SeriesDomainError,
     as_gaussian,
+    as_hseries,
     levi_civita,
     poly_exact_div,
     poly_gcd,
@@ -207,6 +211,21 @@ def test_poly_gcd_and_rationalfn_canonicalization():
         RationalFn(v, Poly())
 
 
+def test_long_division_by_multi_term_divisors():
+    # (x^2 - y^2) / (x + y) stalled when the leading terms were taken in
+    # the print order of Poly._lead, which is not a term order
+    x, y = Poly.var("x"), Poly.var("y")
+    assert poly_exact_div(x * x - y * y, x + y) == x - y
+    assert RationalFn(x * x - y * y, x + y) == RationalFn(x - y)
+    rng = random.Random(19)
+    for _ in range(60):
+        a, b = _rand_poly(rng, rng.randint(1, 3)), _rand_poly(rng, rng.randint(2, 3))
+        if len(b.terms) > 1:
+            assert scalars._long_div(a * b, b) == a
+            with pytest.raises(ArithmeticError):
+                scalars._long_div(a * b + Poly.var("q"), b)
+
+
 def _rand_poly(rng, terms):
     out = Poly()
     for _ in range(terms):
@@ -242,6 +261,216 @@ def test_monomial_fast_paths_agree_with_prs(monkeypatch):
     monkeypatch.setattr(scalars, "_common_monomial", _prs_gcd)
     monkeypatch.setattr(scalars, "_monomial_div", scalars._long_div)
     assert fast == [str(RationalFn(a, mono)) for a, mono in cases]
+
+
+# The general paths, as they ran before the constant fast paths: every Poly
+# product pairs all terms through _mono_mul, every RationalFn is renormalised
+# by __init__, and HSeries.scale and NCElement.scale lift c to a series.
+
+
+def _general_poly_mul(self, other):
+    other = scalars.as_poly(other)
+    t = {}
+    for m1, c1 in self.terms.items():
+        for m2, c2 in other.terms.items():
+            m = scalars._mono_mul(m1, m2)
+            old = t.get(m)
+            nc = c1 * c2 if old is None else old + c1 * c2
+            if nc:
+                t[m] = nc
+            else:
+                t.pop(m, None)
+    return Poly(t)
+
+
+def _general_rfn_init(self, num, den=POLY_ONE):
+    num, den = scalars.as_poly(num), scalars.as_poly(den)
+    if not num:
+        den = POLY_ONE
+    elif den.is_const():
+        num, den = num.scale(den.const_value().inverse()), POLY_ONE
+    else:
+        g = poly_gcd(num, den)
+        if not g.is_const():
+            num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+        inv = den._lead()[1].inverse()
+        num, den = num.scale(inv), den.scale(inv)
+    object.__setattr__(self, "num", num)
+    object.__setattr__(self, "den", den)
+
+
+def _general_rfn_add(self, other):
+    other = scalars.as_rationalfn(other)
+    if self.den == other.den:
+        return RationalFn(self.num + other.num, self.den)
+    return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
+
+
+def _general_rfn_mul(self, other):
+    other = scalars.as_rationalfn(other)
+    return RationalFn(self.num * other.num, self.den * other.den)
+
+
+def _general_as_rationalfn(x):
+    return x if isinstance(x, RationalFn) else RationalFn(scalars.as_poly(x))
+
+
+def _general_hseries_scale(self, c):
+    c = scalars.as_rationalfn(c)
+    return HSeries({k: v * c for k, v in self.coeffs.items()} if c else {}, self.truncation)
+
+
+def _general_ncelement_scale(self, c):
+    c = as_hseries(c)
+    return NCElement(self.context, {w: v * c for w, v in self.terms.items()} if c else {})
+
+
+def _use_general_paths(monkeypatch):
+    monkeypatch.setattr(Poly, "__mul__", _general_poly_mul)
+    monkeypatch.setattr(Poly, "__rmul__", _general_poly_mul)
+    monkeypatch.setattr(RationalFn, "__init__", _general_rfn_init)
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(RationalFn, name, _general_rfn_add)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(RationalFn, name, _general_rfn_mul)
+    monkeypatch.setattr(RationalFn, "__eq__",
+                        lambda a, b: a.num * b.den == b.num * a.den)
+    monkeypatch.setattr(RationalFn, "is_poly", lambda r: r.den == POLY_ONE)
+    monkeypatch.setattr(RationalFn, "__str__", lambda r: str(r.num) if r.den == POLY_ONE
+                        else f"({r.num})/({r.den})")
+    monkeypatch.setattr(scalars, "as_rationalfn", _general_as_rationalfn)
+    monkeypatch.setattr(HSeries, "scale", _general_hseries_scale)
+    monkeypatch.setattr(NCElement, "scale", _general_ncelement_scale)
+
+
+def _shape(x, fast=False):
+    """What the two paths must share: the string, the hash and every key
+    order, down to the Poly terms.  With fast, also check that a
+    denominator equal to one is POLY_ONE."""
+    if isinstance(x, Poly):
+        return str(x), hash(x), list(x.terms)
+    if isinstance(x, RationalFn):
+        assert not fast or (x.den == POLY_ONE) == (x.den is POLY_ONE)
+        return str(x), hash(x), list(x.num.terms), list(x.den.terms)
+    if isinstance(x, HSeries):
+        return (str(x), hash(x), x.truncation,
+                [(k, _shape(v, fast)) for k, v in x.coeffs.items()])
+    return [(w, _shape(c, fast)) for w, c in x.terms.items()]
+
+
+def test_constant_fast_paths_agree_with_general_path(monkeypatch):
+    rng = random.Random(31)
+    x, y = Poly.var("x"), Poly.var("y")
+    pres = parse_presentation(
+        "presentation two { generators: A B; relation B*A - A*B = A; }")
+    ctx = TensorContext((pres,))
+
+    def constant(lifted=True):
+        # GaussianRational * Poly raises TypeError, so left factors are
+        # ints and Fractions only (lifted=False)
+        c = rand_gaussian(rng, 9)
+        plain = [c.re.numerator, c.re, 0]
+        return rng.choice(plain + [c, GR_ZERO, Poly.const(c)] if lifted else plain)
+
+    def poly():
+        return Poly.const(rand_gaussian(rng)) if rng.random() < 0.3 else _rand_poly(rng, 3)
+
+    def rfn():
+        roll = rng.random()
+        if roll < 0.4:
+            return RationalFn(rand_gaussian(rng))
+        if roll < 0.7:
+            return RationalFn(poly())
+        return RationalFn(poly(), _rand_poly(rng, 1))
+
+    def series():
+        return HSeries({k: rfn() for k in range(rng.randint(0, 3))},
+                       rng.choice([None, 1, 2]))
+
+    def element():
+        words = [((), ), (((0, 1), (1, 1)),), (((1, 1),),)]
+        return NCElement(ctx, {w: series() for w in words})
+
+    ops = [
+        lambda: poly() * constant(),
+        lambda: constant(False) * poly(),
+        lambda: poly() * poly(),
+        lambda: poly().scale(rand_gaussian(rng)),
+        lambda: RationalFn(poly(), _rand_poly(rng, 1)),
+        lambda: rfn() + rfn(),
+        lambda: rfn() - constant(),
+        lambda: rfn() * rfn(),
+        lambda: rfn() * constant(),
+        lambda: rfn() * RationalFn(constant()),
+        lambda: constant(False) * rfn(),
+        lambda: rfn().scale(rand_gaussian(rng)),
+        lambda: scalars.as_rationalfn(constant()),
+        lambda: series().scale(constant()),
+        lambda: series().scale(RationalFn(constant())),
+        lambda: series().scale(rfn()),
+        lambda: series() * series(),
+        lambda: series() + series(),
+        lambda: element().scale(constant()),
+        lambda: element().scale(series()),
+        lambda: constant(False) * element(),
+    ]
+    # denominators that reduce to one, through the constant and gcd routes
+    fixed = [(RationalFn, (x * y, x * y)), (RationalFn, (x.scale(2) * y, x * y)),
+             (RationalFn, (x + y, Poly.const(F(1, 3)))), (RationalFn, (x * x - y * y, x + y)),
+             (operator.add, (RationalFn(x, y), RationalFn(y - x, y))),
+             (operator.mul, (RationalFn(x, y), RationalFn(y.scale(3), x)))]
+    cases = fixed[:]
+    for _ in range(300):
+        i = rng.randrange(len(ops))
+        state = rng.getstate()
+        ops[i]()
+        cases.append((i, state))
+
+    def run_all():
+        out = [f(*args) for f, args in fixed]
+        for i, state in cases[len(fixed):]:
+            rng.setstate(state)
+            out.append(ops[i]())
+        return out
+
+    fast = run_all()
+    _use_general_paths(monkeypatch)
+    general = run_all()
+    general_shapes = [_shape(v) for v in general]
+    monkeypatch.undo()
+    assert [_shape(v, fast=True) for v in fast] == general_shapes
+    assert fast == general
+    assert all(v.den is POLY_ONE for v in fast[:6])
+
+
+def test_rationalfn_equal_values_hash_equal():
+    # __eq__ cross-multiplies while __hash__ hashes (num, den), so equal
+    # values built by different routes must reach one canonical form
+    x, y = Poly.var("x"), Poly.var("y")
+    r = RationalFn(x, y)
+    pairs = [
+        (RationalFn(x.scale(2), y.scale(4)), RationalFn(x, y.scale(2))),
+        (RationalFn(x * y, x * y), RationalFn(1)),
+        (RationalFn(x * x - y * y, x.scale(3) + y.scale(3)), RationalFn(x - y, Poly.const(3))),
+        (r + RationalFn(-x, y) + 3, RationalFn(3)),
+        (RationalFn(x + y, x) - RationalFn(y, x), RationalFn(GR_ONE)),
+        (r * RationalFn(y, x), RationalFn(POLY_ONE)),
+        (r.scale(F(1, 2)), r * F(1, 2)),
+        (r.scale(GR_I), RationalFn(Poly.const(GR_I)) * r),
+        (r.scale(-1), -r),
+        (RationalFn(x + 1, y) / RationalFn(x + 1, y * y), RationalFn(y)),
+    ]
+    rng = random.Random(41)
+    for _ in range(60):
+        a, b, g = _rand_poly(rng, 2), _rand_poly(rng, 1), _rand_poly(rng, 2)
+        if a and g:
+            pairs.append((RationalFn(a * g, b * g), RationalFn(a, b)))
+            pairs.append((RationalFn(a, b) + RationalFn(g) - RationalFn(g), RationalFn(a, b)))
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert str(a) == str(b)
+    assert not (RationalFn(x, y) == RationalFn(y, x))
 
 
 def test_hseries_truncation_is_multiplicative():
