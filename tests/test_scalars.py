@@ -388,7 +388,7 @@ def test_constant_fast_paths_agree_with_general_path(monkeypatch):
                        rng.choice([None, 1, 2]))
 
     def element():
-        words = [((), ), (((0, 1), (1, 1)),), (((1, 1),),)]
+        words = [((),), (((0, 1), (1, 1)),), (((1, 1),),)]
         return NCElement(ctx, {w: series() for w in words})
 
     ops = [
@@ -419,16 +419,15 @@ def test_constant_fast_paths_agree_with_general_path(monkeypatch):
              (RationalFn, (x + y, Poly.const(F(1, 3)))), (RationalFn, (x * x - y * y, x + y)),
              (operator.add, (RationalFn(x, y), RationalFn(y - x, y))),
              (operator.mul, (RationalFn(x, y), RationalFn(y.scale(3), x)))]
-    cases = fixed[:]
+    seeded = []
     for _ in range(300):
         i = rng.randrange(len(ops))
-        state = rng.getstate()
+        seeded.append((i, rng.getstate()))
         ops[i]()
-        cases.append((i, state))
 
     def run_all():
         out = [f(*args) for f, args in fixed]
-        for i, state in cases[len(fixed):]:
+        for i, state in seeded:
             rng.setstate(state)
             out.append(ops[i]())
         return out
