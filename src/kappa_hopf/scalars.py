@@ -74,9 +74,14 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------
+    # an operand as_gaussian cannot take (a Poly, RationalFn or HSeries)
+    # gives NotImplemented, so Python asks the operand's reflected operator
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
-            other = as_gaussian(other)
+            try:
+                other = as_gaussian(other)
+            except TypeError:
+                return NotImplemented
         d, e = self._d, other._d
         if d == e:
             return _gaussian(self._a + other._a, self._b + other._b, d)
@@ -88,14 +93,17 @@ class GaussianRational:
         return _gaussian(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-as_gaussian(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_gaussian(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
-            other = as_gaussian(other)
+            try:
+                other = as_gaussian(other)
+            except TypeError:
+                return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
         return _gaussian(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -111,10 +119,18 @@ class GaussianRational:
         return _gaussian(a * d, -b * d, a * a + b * b)
 
     def __truediv__(self, other):
-        return self * as_gaussian(other).inverse()
+        try:
+            other = as_gaussian(other)
+        except TypeError:
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return as_gaussian(other) * self.inverse()
+        try:
+            other = as_gaussian(other)
+        except TypeError:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -138,10 +154,11 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        # equal to hash((re, im)), as for the equal int and Fraction values
-        if self._d == 1:
-            return hash((self._a, self._b))
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
+        return hash((a, b)) if d == 1 else hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -300,9 +317,14 @@ class Poly:
         return d
 
     # -- arithmetic -------------------------------------------------
+    # a RationalFn or HSeries operand gives NotImplemented, so Python asks
+    # its reflected operator
     def __add__(self, other):
         if other.__class__ is not Poly:
-            other = as_poly(other)
+            try:
+                other = as_poly(other)
+            except TypeError:
+                return NotImplemented
         if not self.terms:
             return other
         if not other.terms:
@@ -322,13 +344,18 @@ class Poly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-as_poly(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_poly(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if other.__class__ is not Poly:
+            if other.__class__ is not GaussianRational:
+                try:
+                    other = as_gaussian(other)
+                except TypeError:
+                    return NotImplemented
             return self.scale(other)
         a, b = self.terms, other.terms
         if not a or not b:
@@ -353,6 +380,13 @@ class Poly:
         return _poly(t)
 
     __rmul__ = __mul__
+
+    # a quotient of Polys is a RationalFn
+    def __truediv__(self, other):
+        return RationalFn(self) / other
+
+    def __rtruediv__(self, other):
+        return as_rationalfn(other) / RationalFn(self)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -421,6 +455,9 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its GaussianRational value
+        if self.is_const():
+            return hash(self.const_value())
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -729,9 +766,14 @@ class RationalFn:
         raise AttributeError("RationalFn is immutable")
 
     # -- arithmetic -------------------------------------------------
+    # an HSeries operand gives NotImplemented, so Python asks its reflected
+    # operator
     def __add__(self, other):
         if other.__class__ is not RationalFn:
-            other = as_rationalfn(other)
+            try:
+                other = as_rationalfn(other)
+            except TypeError:
+                return NotImplemented
         if self.den is POLY_ONE and other.den is POLY_ONE:
             return _rfn(self.num + other.num, POLY_ONE)
         if self.den == other.den:
@@ -744,16 +786,19 @@ class RationalFn:
         return _rfn(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-as_rationalfn(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_rationalfn(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if other.__class__ is not RationalFn:
             if isinstance(other, CONSTANT_TYPES):
                 return self.scale(other)
-            other = as_rationalfn(other)
+            try:
+                other = as_rationalfn(other)
+            except TypeError:
+                return NotImplemented
         if self.den is POLY_ONE and other.den is POLY_ONE:
             return _rfn(self.num * other.num, POLY_ONE)
         return RationalFn(self.num * other.num, self.den * other.den)
@@ -829,6 +874,10 @@ class RationalFn:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        # a polynomial value hashes as its numerator, so a constant as its
+        # GaussianRational value
+        if self.is_poly():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -1046,6 +1095,9 @@ class HSeries:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a series with no power of h but h^0 hashes as that coefficient
+        if not self.coeffs.keys() - {0}:
+            return hash(self.constant_term())
         return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):

@@ -24,7 +24,7 @@ from kappa_hopf.duality import (
 )
 from kappa_hopf.hopf import cocommutator
 from kappa_hopf.models import load_model
-from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly
+from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly, RationalFn, as_hseries
 
 
 def build_engine():
@@ -317,3 +317,113 @@ def test_quantization_mutation_first_failure_of_degree_two():
     assert bad == {"quantize[a[1],v[2]]": (
         "at X=L[1]*L[2]: <cand,X>=-2*h vs -i<f(x)g,sigma(X)>=-h "
         "(12 of 1001 monomials disagree)")}
+
+
+def _per_word_oracle(engine, queries):
+    """The per-word comparison the residual scatter replaced: both sides of
+    every query built as HSeries on every word, as (status, residual,
+    detail) per query."""
+    model, n = engine.model, engine.model.dim
+    minus_i, h = HSeries.const(-GR_I), HSeries.h(1)
+    compiled = []
+    for q in queries:
+        fr, fc = model.coordinates[q.f_label]
+        gr, gc = model.coordinates[q.g_label]
+        cand = []
+        for coeff, labels in q.candidate:
+            entries = [model.coordinates[x] for x in labels]
+            (r1, c1), (r2, c2) = entries + [model.unit] * (2 - len(entries))
+            cand.append((as_hseries(coeff), r1 * n + r2, c1 * n + c2))
+        compiled.append((q, cand, fr * n + gr, fc * n + gc))
+    cols = sorted({c for _, cand, _, sc in compiled for c in [sc] + [c for _, _, c in cand]})
+    failures = {q.check_id: [] for q in queries}
+    counts = {q.check_id: 0 for q in queries}
+
+    def visit(word, u, t):
+        plain, sig = dict(zip(cols, u)), dict(zip(cols, t))
+        for q, cand, srow, scol in compiled:
+            if len(word) > q.degree_bound:
+                continue
+            lhs = HSeries()
+            for coeff, row, col in cand:
+                v = plain[col].get(row, GaussianRational(0))
+                if v:
+                    lhs = lhs + coeff.scale(v)
+            rhs = minus_i.scale(sig[scol].get(srow, GaussianRational(0))) * h
+            counts[q.check_id] += 1
+            if lhs != rhs:
+                failures[q.check_id].append((word, lhs, rhs))
+
+    engine.sweep(max(q.degree_bound for q in queries), cols, visit)
+    rank = {label: i for i, label in enumerate(engine.gen_order)}
+    out = []
+    for q in queries:
+        fails, count = failures[q.check_id], counts[q.check_id]
+        if not fails:
+            out.append(("pass", "0", f"{count} monomials checked"))
+            continue
+        w, lhs, rhs = min(fails, key=lambda f: (len(f[0]), [rank[x] for x in f[0]]))
+        out.append(("fail", f"at X={'*'.join(w) or '1'}: <cand,X>={lhs} vs "
+                    f"-i<f(x)g,sigma(X)>={rhs} ({len(fails)} of {count} "
+                    "monomials disagree)", ""))
+    return out
+
+
+def test_residual_scatter_agrees_with_per_word_oracle(monkeypatch):
+    _, _, engine = build_engine()
+    h = HSeries.h(1)
+    m = Poly.var("m")
+    ra = [(-h, ("v[1]", "R[2,1]"))]   # {R[1,1], a[2]}, a passing candidate
+    families = {
+        "sign_flip": [PoissonQuery("tau", "a[1]", [(-h, ("a[1]",))], 3, "q")],
+        "h0_and_h2": [PoissonQuery("tau", "a[1]", [(HSeries({0: 1, 2: 3}), ("a[1]",)),
+                                                   (h, ("a[1]",))], 3, "q")],
+        "symbolic": [PoissonQuery("tau", "a[2]",
+                                  [(HSeries({1: RationalFn(m, m + 1)}), ("a[2]",))], 3, "q")],
+        # the truncation drops h terms, so the sides are not linear in the
+        # pairings: the h^0 parts below cancel and the truncation still fails
+        "truncated_h0": [PoissonQuery("tau", "a[1]", [(HSeries({0: 2}, 0), ("a[1]",)),
+                                                      (h, ("a[1]",))], 3, "q"),
+                         PoissonQuery("tau", "a[1]", [(HSeries({0: 1}, 0), ("a[1]",)),
+                                                      (HSeries({0: -1, 1: 1}), ("a[1]",))],
+                                      3, "cancel")],
+        "truncated_h1": [PoissonQuery("tau", "a[1]", [(HSeries({1: 1, 2: 5}, 1), ("a[1]",))],
+                                      3, "q")],
+        "empty": [PoissonQuery("tau", "a[1]", [], 3, "nonzero"),
+                  PoissonQuery("R[1,2]", "R[2,3]", [], 3, "zero")],
+        "mixed": [PoissonQuery("tau", "a[1]", [(h, ("a[1]",))], 3, "pass"),
+                  PoissonQuery("tau", "a[3]", [(h, ("a[1]",))], 4, "wrong_coord"),
+                  PoissonQuery("R[1,1]", "a[2]", ra, 4, "pass_deg2"),
+                  PoissonQuery("R[1,1]", "a[2]", [(h, c) for _, c in ra], 3, "flip_deg2"),
+                  PoissonQuery("tau", "a[2]", [(HSeries({1: m}), ("a[2]",))], 2, "symbol")],
+    }
+    statuses = set()
+    sides = []
+    real_sides = duality._sides
+    monkeypatch.setattr(duality, "_sides",
+                        lambda *a: sides.append(a) or real_sides(*a))
+    for name, queries in families.items():
+        sides.clear()
+        checks = poisson_family_verify(engine, queries)
+        want = _per_word_oracle(engine, queries)
+        got = [(c.status, c.residual, c.detail) for c in checks]
+        assert got == want, name
+        statuses.update(c.status for c in checks)
+        # the series sides are built for the failing words only, apart
+        # from a symbolic or truncated coefficient
+        if name in ("sign_flip", "h0_and_h2", "empty"):
+            fails = sum(int(r.split("(")[-1].split()[0]) for s, r, _ in want if s == "fail")
+            assert len(sides) == fails, name
+    assert statuses == {"pass", "fail"}
+
+
+def test_monomial_counts_are_pbw_words_up_to_the_bound():
+    # PBW words of degree <= b in the 10 classical generators: C(10 + b, b)
+    from math import comb
+    _, _, engine = build_engine()
+    assert len(engine.gen_order) == 10
+    queries = [PoissonQuery("R[1,2]", "R[2,3]", [], b, f"rr@{b}") for b in range(2, 7)]
+    checks = poisson_family_verify(engine, queries)
+    assert [c.detail for c in checks] == [
+        f"{comb(10 + b, b)} monomials checked" for b in range(2, 7)]
+    assert comb(13, 3) == 286 and comb(14, 4) == 1001

@@ -90,7 +90,8 @@ class RefGaussian:
         return bool(self.re) or bool(self.im)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -366,11 +367,11 @@ def test_constant_fast_paths_agree_with_general_path(monkeypatch):
     ctx = TensorContext((pres,))
 
     def constant(lifted=True):
-        # GaussianRational * Poly raises TypeError, so left factors are
-        # ints and Fractions only (lifted=False)
+        # the general Poly product takes no RationalFn or NCElement operand,
+        # so a left factor is never a Poly (lifted=False)
         c = rand_gaussian(rng, 9)
-        plain = [c.re.numerator, c.re, 0]
-        return rng.choice(plain + [c, GR_ZERO, Poly.const(c)] if lifted else plain)
+        plain = [c.re.numerator, c.re, 0, c, GR_ZERO]
+        return rng.choice(plain + [Poly.const(c)] if lifted else plain)
 
     def poly():
         return Poly.const(rand_gaussian(rng)) if rng.random() < 0.3 else _rand_poly(rng, 3)
@@ -470,6 +471,59 @@ def test_rationalfn_equal_values_hash_equal():
         assert hash(a) == hash(b)
         assert str(a) == str(b)
     assert not (RationalFn(x, y) == RationalFn(y, x))
+
+
+def test_mixed_operands_reflect_to_the_wider_type():
+    # an operand the left type cannot coerce hands the operation to the
+    # right operand's reflected operator: each order gives the mirrored value
+    x = Poly.var("x")
+    r = RationalFn(x, x + 1)
+    h = HSeries.h(1)
+    lifted_i = RationalFn(Poly.const(GR_I))
+    pairs = [
+        (GR_I * x, x * GR_I),
+        (GR_I - x, -(x - GR_I)),
+        (GR_I / x, lifted_i / x),
+        (GR_I + r, r + GR_I),
+        (GR_I - r, -(r - GR_I)),
+        (GR_I / r, lifted_i / r),
+        (x * r, r * x),
+        (x + r, r + x),
+        (x - r, -(r - x)),
+        (x / r, RationalFn(x) / r),
+        (r / x, r / RationalFn(x)),
+        (GR_I * h, h * GR_I),
+        (GR_I + h, h + GR_I),
+        (GR_I - h, -(h - GR_I)),
+        (x * h, h * x),
+        (x + h, h + x),
+        (x - h, -(h - x)),
+        (r * h, h * r),
+        (r + h, h + r),
+        (r - h, -(h - r)),
+    ]
+    for got, want in pairs:
+        assert type(got) is type(want)
+        assert got == want, (got, want)
+    assert 1 / x == RationalFn(POLY_ONE, x)
+    assert x / GR_I == RationalFn(x.scale(-GR_I))
+
+
+def test_equal_scalars_hash_equal():
+    # equal values of the four domains, ints and Fractions make one set
+    one = [GR_ONE, 1, F(1), Poly.const(1), scalars.RFN_ONE, scalars.H_ONE,
+           RationalFn(1), HSeries.const(1)]
+    assert all(a == b for a in one for b in one)
+    assert len(set(one)) == 1
+    half = [GaussianRational(F(1, 2)), F(1, 2), Poly.const(F(1, 2)),
+            RationalFn(F(1, 2)), HSeries.const(F(1, 2))]
+    assert len({hash(v) for v in half}) == 1
+    assert len({GR_ZERO, 0, Poly(), scalars.RFN_ZERO, HSeries()}) == 1
+    x = Poly.var("x")
+    assert len({x, RationalFn(x), HSeries.const(x)}) == 1
+    assert len({GR_I, Poly.const(GR_I), RationalFn(GR_I), scalars.H_I}) == 1
+    assert hash(GaussianRational(-3)) == hash(-3)
+    assert hash(GaussianRational(F(-7, 3))) == hash(F(-7, 3))
 
 
 def test_hseries_truncation_is_multiplicative():
