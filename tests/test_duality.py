@@ -426,4 +426,3 @@ def test_monomial_counts_are_pbw_words_up_to_the_bound():
     checks = poisson_family_verify(engine, queries)
     assert [c.detail for c in checks] == [
         f"{comb(10 + b, b)} monomials checked" for b in range(2, 7)]
-    assert comb(13, 3) == 286 and comb(14, 4) == 1001
