@@ -129,11 +129,11 @@ class ModeResiduals:
     modes_agree: bool | None = None
     _zero: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def mode_zero(self, mode):
+    def mode_zero(self, mode, oracle=None):
         """Exact verdict on the `mode` residual modulo any quotient, decided
-        at most once."""
+        at most once; an oracle cross-checks it when it is decided."""
         if mode not in self._zero:
-            self._zero[mode] = zero_mod_quotient(getattr(self, mode))
+            self._zero[mode] = zero_mod_quotient(getattr(self, mode), oracle=oracle)
         return self._zero[mode]
 
     def residual_zero(self):
@@ -153,7 +153,7 @@ def evaluate_raw(raw, mode, order, oracle=None):
     """Normalize a raw element along the requested evaluation path(s).
 
     With an oracle (quotient.PrefilterOracle), every residual's exact
-    verdict is decided here and cross-checked by random substitution."""
+    verdict is decided here and cross-checked by random substitution in F_p."""
     res = ModeResiduals()
     if mode in ("formal", "both"):
         res.formal = normal_order(raw)
@@ -164,9 +164,8 @@ def evaluate_raw(raw, mode, order, oracle=None):
         res.modes_agree = expanded_formal == res.series
     if oracle is not None:
         for m in ("formal", "series"):
-            el = getattr(res, m)
-            if el is not None:
-                oracle.observe(el, res.mode_zero(m))
+            if getattr(res, m) is not None:
+                res.mode_zero(m, oracle)
     return res
 
 

@@ -13,16 +13,18 @@ diag(-1,1,1) * R(x,y,z) (dense in the det = -1 component).  A polynomial
 vanishes on both components iff it lies in the O(3) ideal (the ideal is
 radical).  All arithmetic is exact; denominators are the single polynomial
 D = 1 + x^2 + y^2 + z^2, tracked as explicit powers.
+
+prefilter_zero cross-checks these verdicts by random substitution in the
+prime field F_p, reusing the normal form and buckets of zero_mod_quotient.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .ncalg import normal_order
-from .scalars import Poly, POLY_ONE, POLY_ZERO
+from .scalars import MOD_P, Poly, POLY_ONE, POLY_ZERO, eval_mod, inverse_mod
 
 # bound of the Cayley power cache; the shipped suites use fewer than 50
 # (slot, i, j, exponent) keys
@@ -74,43 +76,31 @@ def _rsym(slot, i, j):
     return f"_R{i}{j}@{slot}"
 
 
-def strip_r_prefix(presentation, slot, word):
-    """Split a normal-ordered slot word into (R-symbol Poly, remaining word)."""
-    q = presentation.quotient
-    rset = set(q.gen_indices.values()) if q else set()
-    inv = {gi: ij for ij, gi in (q.gen_indices.items() if q else ())}
-    sym = POLY_ONE
-    rest = []
-    for gi, p in word:
-        if gi in rset:
-            i, j = inv[gi]
-            sym = sym * Poly.var(_rsym(slot, i, j), p)
-        else:
-            rest.append((gi, p))
-    return sym, tuple(rest)
-
-
 def _quotient_slots(ctx):
     return [s for s, p in enumerate(ctx.slots) if p.quotient is not None]
 
 
-def _bucket_by_rest(el):
+def _bucket_by_rest(el, slots_with_r):
     """Sum the terms of a normal-ordered element by their words with the R
-    prefix of every quotient slot stripped; the stripped R letters move into
-    the coefficients as _Rij@slot symbols."""
-    ctx = el.context
+    prefix of every quotient slot stripped (without one, the terms as they
+    are); the stripped R letters move into the coefficients as _Rij@slot."""
+    if not slots_with_r:
+        return el.terms
+    # per quotient slot: rotation generator -> its _Rij@slot symbol
+    r_syms = {s: {gi: _rsym(s, *ij) for ij, gi in el.context.slots[s].quotient.gen_indices.items()}
+              for s in slots_with_r}
     buckets = {}
     for w, c in el.terms.items():
         sym = POLY_ONE
-        rest_word = []
-        for s, sw in enumerate(w):
-            p = ctx.slots[s]
-            if p.quotient is not None:
-                sfac, rest = strip_r_prefix(p, s, sw)
-                sym = sym * sfac
-                rest_word.append(rest)
-            else:
-                rest_word.append(sw)
+        rest_word = list(w)
+        for s, names in r_syms.items():
+            rest = []
+            for gi, p in w[s]:
+                if gi in names:
+                    sym = sym * Poly.var(names[gi], p)
+                else:
+                    rest.append((gi, p))
+            rest_word[s] = tuple(rest)
         key = tuple(rest_word)
         contrib = c.scale(sym) if sym != POLY_ONE else c
         cur = buckets.get(key)
@@ -163,20 +153,19 @@ def _cayley_reduce_zero(poly, slots_with_r):
     return not any(sums.values())
 
 
-def zero_mod_quotient(element, budget=None):
+def zero_mod_quotient(element, budget=None, oracle=None):
     """Exact zero test of a normal-orderable element modulo any per-slot
-    orthogonality quotients.  Without quotients this is plain exactness."""
+    orthogonality quotients.  Without quotients this is plain exactness.
+    An oracle (PrefilterOracle) cross-checks the verdict on the same buckets."""
     el = normal_order(element, budget=budget)
-    if el.is_zero():
-        return True
     slots_with_r = _quotient_slots(el.context)
-    if not slots_with_r:
-        return False
-    for series in _bucket_by_rest(el).values():
-        for hc in series.coeffs.values():
-            if not _cayley_reduce_zero(hc.num, slots_with_r):
-                return False
-    return True
+    buckets = _bucket_by_rest(el, slots_with_r)
+    zero = el.is_zero() or (bool(slots_with_r) and all(
+        _cayley_reduce_zero(hc.num, slots_with_r)
+        for series in buckets.values() for hc in series.coeffs.values()))
+    if oracle is not None:
+        oracle.observe(el, zero, buckets)
+    return zero
 
 
 def equal_mod_quotient(a, b, budget=None):
@@ -188,52 +177,49 @@ def equal_mod_quotient(a, b, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def _random_fraction(rng):
-    num = rng.randint(-99, 99)
-    den = rng.randint(1, 17)
-    return Fraction(num, den)
+def _cayley_point_mod(rng, slot, reflect):
+    """The _Rij@slot values of cayley_data's N/D at a random point
+    v = (x, y, z) of F_p^3: N = (1 - s) I - 2A + 2 v v^T and D = 1 + s, with
+    s = x^2 + y^2 + z^2; `reflect` negates the first row."""
+    v = x, y, z = [rng.randrange(MOD_P) for _ in range(3)]
+    s = x * x + y * y + z * z
+    d_inv = inverse_mod(1 + s)
+    A = ((0, -z, y), (z, 0, -x), (-y, x, 0))
+    return {_rsym(slot, i + 1, j + 1): ((1 - s) * (i == j) - 2 * A[i][j] + 2 * v[i] * v[j])
+            * (-d_inv if reflect and i == 0 else d_inv) % MOD_P
+            for i in range(3) for j in range(3)}
 
 
-def prefilter_zero(element, rng, retries=4):
-    """Fast probabilistic zero test by exact random-rational substitution.
+def prefilter_zero(element, rng, retries=4, buckets=None):
+    """Fast probabilistic zero test by exact random substitution in F_p.
 
-    Substitutes random rationals for every coefficient symbol (h included)
-    and, for slots carrying the orthogonality quotient, random rational
-    Cayley points for the rotation coordinates (both group components).
-    Symbols draw their values in sorted name order, so the sample depends
-    only on the rng state, never on the hash seed.  False verdicts are
-    always sound (a nonzero value was computed); a True verdict could in
-    principle hit an unlucky root, which PrefilterOracle counts against the
-    exact verdict."""
-    el = normal_order(element)
-    if el.is_zero():
+    Maps the element into F_p (scalars.eval_mod) at random residues for the
+    coefficient symbols and h and, in quotient slots, at random Cayley
+    points of both group components.  `buckets` are _bucket_by_rest of the
+    normal-ordered `element`, when the caller has them.  Symbols draw their
+    values in sorted name order, so the sample depends only on the rng
+    state, never on the hash seed.  False verdicts are sound (a ring map
+    gave a nonzero image), except that `retries` samples with a denominator
+    0 mod p also answer False; a True verdict could hit a root (probability
+    about degree/p), which PrefilterOracle counts against the exact one."""
+    slots_with_r = _quotient_slots(element.context)
+    if buckets is None:
+        element = normal_order(element)
+        buckets = _bucket_by_rest(element, slots_with_r)
+    if not buckets:
         return True
-    slots_with_r = _quotient_slots(el.context)
-    syms = sorted(set().union(*(c.symbols() for c in el.terms.values())))
-    buckets = _bucket_by_rest(el)
-    N, D = cayley_data("_x", "_y", "_z")
+    syms = sorted(set().union(*(c.symbols() for c in element.terms.values())))
     for attempt in range(retries):
         try:
-            sample = {s: _random_fraction(rng) for s in syms}
-            h_value = _random_fraction(rng)
-            if h_value == 0:
-                h_value += 1
+            sample = {s: rng.randrange(MOD_P) for s in syms}
+            h_value = rng.randrange(1, MOD_P)
             # one random Cayley point per quotient slot and component choice
             for signs_mask in range(1 << len(slots_with_r)):
                 rsample = dict(sample)
                 for k, s in enumerate(slots_with_r):
-                    pt = {"_x": _random_fraction(rng), "_y": _random_fraction(rng),
-                          "_z": _random_fraction(rng)}
-                    dval = D.eval_gaussian(pt)
-                    sign = -1 if (signs_mask >> k) & 1 else 1
-                    for i in range(1, 4):
-                        for j in range(1, 4):
-                            val = N[i - 1][j - 1].eval_gaussian(pt) / dval
-                            if sign < 0 and i == 1:
-                                val = -val
-                            rsample[_rsym(s, i, j)] = val
+                    rsample.update(_cayley_point_mod(rng, s, (signs_mask >> k) & 1))
                 for series in buckets.values():
-                    if series.eval_gaussian(rsample, h_value):
+                    if eval_mod(series, rsample, h_value):
                         return False
             return True
         except ZeroDivisionError:
@@ -254,10 +240,10 @@ class PrefilterOracle:
         self.checked = 0
         self.agreements = 0
 
-    def observe(self, element, exact):
+    def observe(self, element, exact, buckets=None):
         """Cross-check one residual whose exact verdict is `exact`."""
         self.checked += 1
-        if prefilter_zero(element, self.rng) == exact:
+        if prefilter_zero(element, self.rng, buckets=buckets) == exact:
             self.agreements += 1
 
     @property

@@ -436,16 +436,6 @@ class Poly:
             out = out + term
         return out
 
-    def eval_gaussian(self, mapping):
-        """Full evaluation to a GaussianRational; all symbols must be mapped."""
-        total = GR_ZERO
-        for m, c in self.terms.items():
-            v = c
-            for s, e in m:
-                v = v * (as_gaussian(mapping[s]) ** e)
-            total = total + v
-        return total
-
     # -- comparisons ------------------------------------------------
     def __eq__(self, other):
         try:
@@ -857,12 +847,6 @@ class RationalFn:
         den = self.den.subs(mapping)
         return RationalFn(num, den)
 
-    def eval_gaussian(self, mapping):
-        d = self.den.eval_gaussian(mapping)
-        if not d:
-            raise ZeroDivisionError("denominator vanished at sample point")
-        return self.num.eval_gaussian(mapping) / d
-
     # -- comparisons: cross-multiplication ---------------------------
     def __eq__(self, other):
         try:
@@ -1077,15 +1061,6 @@ class HSeries:
     def subs(self, mapping):
         return HSeries({k: v.subs(mapping) for k, v in self.coeffs.items()}, self.truncation)
 
-    def eval_gaussian(self, mapping, h_value):
-        """Exact evaluation at rational h and symbol values (prefilter duty)."""
-        h = as_gaussian(h_value)
-        total = GR_ZERO
-        for k, v in self.coeffs.items():
-            hv = h ** k if k >= 0 else (GR_ONE / h) ** (-k)
-            total = total + v.eval_gaussian(mapping) * hv
-        return total
-
     # -- comparisons ------------------------------------------------
     def __eq__(self, other):
         try:
@@ -1151,6 +1126,46 @@ def as_hseries(x):
     if isinstance(x, (RationalFn, GaussianRational, Poly, int, Fraction)):
         return HSeries.const(as_rationalfn(x))
     raise TypeError(f"cannot coerce {x!r} to HSeries")
+
+
+# ---------------------------------------------------------------------------
+# images in F_p for a prime p = 1 (mod 4), so F_p holds a square root of -1
+# ---------------------------------------------------------------------------
+
+MOD_P = 2305843009213693973
+MOD_I = pow(3, (MOD_P - 1) // 4, MOD_P)
+
+
+def inverse_mod(x):
+    """x^-1 in F_p; ZeroDivisionError when p divides x."""
+    if not x % MOD_P:
+        raise ZeroDivisionError("value is 0 mod p")
+    return pow(x, -1, MOD_P)
+
+
+def _poly_mod(poly, values):
+    total = 0
+    for m, c in poly.terms.items():
+        v = c._a + c._b * MOD_I
+        if c._d != 1:
+            v = v * inverse_mod(c._d)
+        for s, e in m:
+            v = v * (values[s] if e == 1 else pow(values[s], e, MOD_P)) % MOD_P
+        total += v
+    return total % MOD_P
+
+
+def eval_mod(x, values, h=1):
+    """The image of the scalar x in F_p at the symbol residues `values` and
+    at h = `h`: (a + b*i)/d maps to (a + b*MOD_I) * d^-1.  It is a ring map
+    wherever no denominator is 0 mod p; one that is raises ZeroDivisionError."""
+    total = 0
+    for k, v in as_hseries(x).coeffs.items():
+        val = _poly_mod(v.num, values)
+        if v.den is not POLY_ONE:
+            val = val * inverse_mod(_poly_mod(v.den, values))
+        total += val * pow(h if k >= 0 else inverse_mod(h), abs(k), MOD_P)
+    return total % MOD_P
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,16 @@ from kappa_hopf.quotient import (
     prefilter_zero,
     zero_mod_quotient,
 )
-from kappa_hopf.scalars import GR_ONE, GR_ZERO, GaussianRational, HSeries, Poly, RationalFn
+from kappa_hopf.scalars import (
+    GR_ONE,
+    GR_ZERO,
+    MOD_P,
+    GaussianRational,
+    HSeries,
+    Poly,
+    RationalFn,
+    eval_mod,
+)
 
 
 def test_cayley_matrix_is_orthogonal():
@@ -166,6 +175,13 @@ def test_det_r_separates_the_two_components():
     assert zero_mod_quotient(det * det - one)
 
 
+def _recording(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_evaluate_raw_decides_each_mode_residual_once(monkeypatch):
     g = load_model("galilei_group_kappa")
     d = apply_coproduct(g.gen_element("R", (1, 2)), 0)
@@ -178,10 +194,16 @@ def test_evaluate_raw_decides_each_mode_residual_once(monkeypatch):
         return real(poly, slots)
 
     monkeypatch.setattr(quotient, "_cayley_reduce_zero", counting)
+    # the exact test and the cross-check share one normal form and one
+    # bucketing of each residual
+    calls = []
+    for name in ("normal_order", "_bucket_by_rest"):
+        monkeypatch.setattr(quotient, name, _recording(calls, name, getattr(quotient, name)))
     oracle = PrefilterOracle(5)
     res = evaluate_raw(raw, "both", 2, oracle)
     assert res.residual_zero()
     assert oracle.checked == oracle.agreements == 2
+    assert sorted(calls) == ["_bucket_by_rest"] * 2 + ["normal_order"] * 2
     used = len(reduced)
     # the same two exact tests, run on their own
     reduced.clear()
@@ -191,24 +213,73 @@ def test_evaluate_raw_decides_each_mode_residual_once(monkeypatch):
     assert used == len(reduced) > 0
 
 
+def test_modular_cayley_point_is_the_cayley_map():
+    N, D = cayley_data("x", "y", "z")
+    for seed in range(5):
+        for reflect in (0, 1):
+            got = quotient._cayley_point_mod(random.Random(seed), 7, reflect)
+            rng = random.Random(seed)
+            pt = {s: rng.randrange(MOD_P) for s in "xyz"}
+            d = eval_mod(D, pt)
+            R = [[got[f"_R{i}{j}@7"] for j in (1, 2, 3)] for i in (1, 2, 3)]
+            for i in range(3):
+                sign = -1 if reflect and i == 0 else 1
+                assert [r * d % MOD_P for r in R[i]] == [sign * eval_mod(n, pt) % MOD_P
+                                                         for n in N[i]]
+                for j in range(3):
+                    dot = sum(R[i][k] * R[j][k] for k in range(3)) % MOD_P
+                    assert dot == (i == j)
+
+
+def test_prefilter_rejects_det_r_minus_one():
+    # nonzero modulo the quotient (test_det_r_separates_the_two_components):
+    # det R - 1 is -2 on the reflected component at every sample
+    g = load_model("galilei_group_kappa")
+    el = _det_r(g) - NCElement.one(TensorContext((g,)))
+    for seed in range(20):
+        assert not prefilter_zero(el, random.Random(seed))
+
+
+def test_prefilter_retries_a_denominator_divisible_by_p(monkeypatch):
+    g = load_model("galilei_group_kappa")
+    ctx = TensorContext((g,))
+    el = NCElement.zero(ctx)
+    for k in (1, 2, 3):
+        a = g.gen_index("R", (1, k))
+        el = el + NCElement(ctx, {(((a, 1), (a, 1)),): GR_ONE})
+    # zero modulo the quotient, with a coefficient F_p cannot take
+    el = (el - NCElement.one(ctx)).scale(GaussianRational(F(1, MOD_P)))
+    assert zero_mod_quotient(el)
+    calls = []
+    monkeypatch.setattr(quotient, "eval_mod", _recording(calls, "eval_mod", eval_mod))
+    for retries in (1, 4):
+        calls.clear()
+        assert prefilter_zero(el, random.Random(retries), retries=retries) is False
+        assert len(calls) == retries
+    oracle = PrefilterOracle(0)
+    oracle.observe(el, True)
+    assert oracle.disagreements == 1
+
+
 def test_cayley_data_is_cached():
     assert cayley_data("p", "q", "r") is cayley_data("p", "q", "r")
 
 
 SAMPLE_SCRIPT = """
 import random
+from kappa_hopf import quotient
 from kappa_hopf.models import load_model
 from kappa_hopf.quotient import prefilter_zero
 from kappa_hopf.scalars import HSeries, Poly, RationalFn
 
 seen = []
-evaluate = HSeries.eval_gaussian
+evaluate = quotient.eval_mod
 
-def spy(self, mapping, h_value):
-    seen.append((sorted(mapping.items()), h_value))
-    return evaluate(self, mapping, h_value)
+def spy(x, values, h=1):
+    seen.append((sorted(values.items()), h))
+    return evaluate(x, values, h)
 
-HSeries.eval_gaussian = spy
+quotient.eval_mod = spy
 g = load_model("galilei_group_kappa")
 coeff = sum((Poly.var(s) for s in ("alpha", "beta", "gamma", "delta", "eps")), Poly())
 el = g.gen_element("R", (1, 1)) * g.gen_element("tau")

@@ -11,6 +11,8 @@ from kappa_hopf import scalars
 from kappa_hopf.dsl import parse_presentation
 from kappa_hopf.ncalg import NCElement, TensorContext
 from kappa_hopf.scalars import (
+    MOD_I,
+    MOD_P,
     GaussianRational,
     GR_I,
     GR_ONE,
@@ -22,6 +24,7 @@ from kappa_hopf.scalars import (
     SeriesDomainError,
     as_gaussian,
     as_hseries,
+    eval_mod,
     levi_civita,
     poly_exact_div,
     poly_gcd,
@@ -189,8 +192,9 @@ def test_poly_arithmetic_and_eval():
     q = x * y - Poly.const(F(1, 2))
     for _ in range(50):
         pt = {"x": rand_gaussian(rng, 9), "y": rand_gaussian(rng, 9)}
-        assert (p * q).eval_gaussian(pt) == p.eval_gaussian(pt) * q.eval_gaussian(pt)
-        assert (p + q).eval_gaussian(pt) == p.eval_gaussian(pt) + q.eval_gaussian(pt)
+        pt = {s: eval_mod(v, {}) for s, v in pt.items()}
+        assert eval_mod(p * q, pt) == eval_mod(p, pt) * eval_mod(q, pt) % MOD_P
+        assert eval_mod(p + q, pt) == (eval_mod(p, pt) + eval_mod(q, pt)) % MOD_P
     assert (p - p) == Poly()
     assert p.derivative("x") == x.scale(2)
     assert p.derivative("y") == Poly.const(2)
@@ -633,8 +637,64 @@ def test_random_evaluation_oracle_is_exact():
         pt = {"m": rand_gaussian(rng, 9), "v": rand_gaussian(rng, 9)}
         if not pt["m"]:
             continue
-        assert lhs.eval_gaussian(pt) == rhs.eval_gaussian(pt)
+        pt = {s: eval_mod(v, {}) for s, v in pt.items()}
+        assert eval_mod(lhs, pt) == eval_mod(rhs, pt)
     assert lhs == rhs
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 12 prime bases: exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modular_field_has_a_square_root_of_minus_one():
+    assert _is_prime(MOD_P)
+    assert not _is_prime(MOD_P + 2)
+    assert MOD_P % 4 == 1
+    assert MOD_I * MOD_I % MOD_P == MOD_P - 1
+    assert eval_mod(GR_I, {}) == MOD_I
+
+
+def test_modular_image_is_a_ring_map():
+    rng = random.Random(13)
+    for _ in range(100):
+        a, b = rand_gaussian(rng), rand_gaussian(rng)
+        ma, mb = eval_mod(a, {}), eval_mod(b, {})
+        assert eval_mod(a * b, {}) == ma * mb % MOD_P
+        assert eval_mod(a - b, {}) == (ma - mb) % MOD_P
+        if b:
+            assert eval_mod(a / b, {}) * mb % MOD_P == ma
+    # Laurent series at a nonzero h, negative powers included
+    m = Poly.var("m")
+    s = HSeries({-1: RationalFn(m), 0: 1, 2: RationalFn(POLY_ONE, m)})
+    t = HSeries({-2: 3, 1: RationalFn(m * m)})
+    pt, h = {"m": 12345}, 678
+    assert eval_mod(s * t, pt, h) == eval_mod(s, pt, h) * eval_mod(t, pt, h) % MOD_P
+    assert eval_mod(HSeries.h(), pt, h) == h
+
+
+def test_modular_image_rejects_denominators_divisible_by_p():
+    with pytest.raises(ZeroDivisionError):
+        eval_mod(GaussianRational(F(1, MOD_P)), {})
+    with pytest.raises(ZeroDivisionError):
+        eval_mod(RationalFn(POLY_ONE, Poly.var("m")), {"m": MOD_P})
+    assert eval_mod(GaussianRational(F(MOD_P, 2)), {}) == 0
 
 
 def test_levi_civita_all_index_triples():
