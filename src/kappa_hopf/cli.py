@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from .cohom import LieDataError
-from .dsl import DslError, Parser, tokenize
-from .models import ModelError
+from .dsl import DslError
+from .models import ModelError, resolve_overrides
 from .ncalg import DivergenceError, LimitError, PresentationError
 from .projrep import OrderCapError
 from .scalars import SeriesDomainError
@@ -51,40 +51,17 @@ def build_parser():
     return ap
 
 
-def _resolve_overrides(paths):
-    """Map declaration names to override files.  Only a syntactic parse runs
-    here; the semantic load happens inside the model catalog with the full
-    environment of previously loaded presentations."""
-    overrides = {}
-    for path in paths:
-        with open(path) as fh:
-            text = fh.read()
-        tokens, diags = tokenize(text, path)
-        parser = Parser(tokens, path)
-        decls = parser.parse_file()
-        diags.extend(parser.diagnostics)
-        if diags:
-            raise DslError(diags)
-        names = [d[1] for d in decls if d[0] in ("presentation", "bicross", "comodule")]
-        if not names:
-            raise ConfigError(f"{path}: no loadable declaration found")
-        for name in names:
-            overrides[name] = path
-    return overrides
-
-
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        overrides = _resolve_overrides(args.model)
         cfg = SuiteConfig(suite=args.suite, order=args.order, degree=args.degree,
-                          mode=args.mode, seed=args.seed, overrides=overrides)
-    except (ConfigError, DslError, OSError) as e:
+                          mode=args.mode, seed=args.seed,
+                          overrides=resolve_overrides(args.model))
+        report = run_suite(cfg)
+    except (ConfigError, OSError) as e:
         print(f"kappa-hopf: configuration error: {e}", file=sys.stderr)
         return 2
-    try:
-        report = run_suite(cfg)
     except MODEL_ERRORS as e:
         print(f"kappa-hopf: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

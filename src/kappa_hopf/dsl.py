@@ -848,15 +848,25 @@ class ModelModule:
     comodules: dict = field(default_factory=dict)     # name -> dict (resolved)
 
 
-def parse_source(text, path="<string>", env=None):
-    """Parse and load a .hopf source.  Returns (ModelModule, diagnostics);
-    the module is None when errors were found."""
+def parse_declarations(text, path="<string>"):
+    """The syntactic pass of parse_source: (declarations, diagnostics)."""
     tokens, diags = tokenize(text, path)
     parser = Parser(tokens, path)
     decls = parser.parse_file()
     diags.extend(parser.diagnostics)
-    if diags:
-        return None, diags
+    return decls, diags
+
+
+def parse_source(text, path="<string>", env=None, declarations=None):
+    """Parse and load a .hopf source.  Returns (ModelModule, diagnostics);
+    the module is None when errors were found.  A caller that has already
+    run parse_declarations on text passes its error-free declarations, and
+    text is not tokenized again."""
+    decls = declarations
+    if decls is None:
+        decls, diags = parse_declarations(text, path)
+        if diags:
+            return None, diags
     module = ModelModule()
     env_pres = dict(env.presentations) if env else {}
     try:

@@ -265,14 +265,20 @@ def _mask_product(model, word):
     return acc
 
 
-def pair_word(model, phi, word):
+def pair_word(model, phi, word, products=None):
     """<phi, x1...xk> for phi a Poly in coordinate symbols (coefficients may
     carry other commuting symbols, which pass through).  Returns an HSeries
-    (exact)."""
+    (exact).  products, when given, is a dict {word: mask product} of this
+    model that the caller keeps for one run of checks; each word's product
+    is then built once in it."""
     phi = phi if isinstance(phi, HSeries) else HSeries.const(RationalFn(phi))
     k = len(word)
     full = (1 << k) - 1
-    entries = _mask_product(model, word)
+    if products is None:
+        products = {}
+    entries = products.get(word)
+    if entries is None:
+        entries = products[word] = _mask_product(model, word)
 
     def eval_poly(p):
         total = {}
@@ -318,14 +324,14 @@ def pair_word(model, phi, word):
     return HSeries(out)
 
 
-def pair(phi, word, model=None):
+def pair(phi, word, model=None, products=None):
     """Spec-facing pairing: <Phi, X> with X a tuple of generator labels in
-    the 4D model (or any provided model)."""
+    the 4D model (or any provided model); products as for pair_word."""
     model = model or model_4d()
     for label in word:
         if label not in model.generators:
             raise ValueError(f"monomial contains non-model generator {label}")
-    return pair_word(model, phi, tuple(word))
+    return pair_word(model, phi, tuple(word), products)
 
 
 def pair_tensor(model, phi, psi, tensor_terms):

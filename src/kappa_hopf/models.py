@@ -1,16 +1,25 @@
 """Shipped model catalog.
 
 Every structure the engine verifies is written in the .hopf DSL and lives
-under models/ in this package; loading re-parses the files (dogfooding the
-parser) and runs cheap structural self-tests.  Each relation in the files
-carries a comment naming the structure it encodes.
+under models/ in this package, one structure with its factors per file; each
+relation in the files carries a comment naming the structure it encodes.
+
+A file may name the presentations of the files it depends on
+(FILE_DEPENDENCIES).  `load_model` loads the requested file after its
+dependencies and nothing else, so the first load of the kappa algebra parses
+one file and the first load of the spacetime comodule two.  Every parse
+(dogfooding the parser) is cached by the text and by the presentations it
+was loaded over: a text is parsed once per process, and an edited override
+file is parsed again.  The first load of a file runs that file's cheap
+structural self-test.  Presentations are immutable after construction, so
+every caller shares the cached ones.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .dsl import DslError, ModelModule, parse_source
+from .dsl import DslError, ModelModule, parse_declarations, parse_source
 from .ncalg import (
     clone_presentation,
     commutator,
@@ -19,8 +28,8 @@ from .ncalg import (
     normal_order,
 )
 
-# every shipped file in load order, with every name it declares; an override
-# whose declarations match any of these replaces that file
+# every shipped file, with every name it declares; an override whose
+# declarations match any of these replaces that file
 FILE_DECLARATIONS = {
     "galilei_algebra_kappa.hopf": ("galilei_algebra_kappa",),
     "galilei_algebra_classical.hopf": ("galilei_algebra_classical",),
@@ -33,7 +42,24 @@ FILE_DECLARATIONS = {
     "galilei_group_2d.hopf": ("galilei_group_2d",),
 }
 
+# every shipped file, with the files whose presentations it names; a file is
+# loaded over the presentations of these
+FILE_DEPENDENCIES = {
+    "galilei_algebra_kappa.hopf": (),
+    "galilei_algebra_classical.hopf": (),
+    "galilei_algebra_2d_classical.hopf": (),
+    "casimirs.hopf": ("galilei_algebra_kappa.hopf",),
+    "tilde_bicross.hopf": ("galilei_algebra_kappa.hopf",),
+    "galilei_group_kappa.hopf": (),
+    "group_bicross.hopf": ("galilei_group_kappa.hopf",),
+    "spacetime.hopf": ("galilei_group_kappa.hopf",),
+    "galilei_group_2d.hopf": (),
+}
+
 CATALOG_NAMES = tuple(f.rsplit(".", 1)[0] for f in FILE_DECLARATIONS)
+
+# the declaration kinds whose names select the file an override replaces
+OVERRIDE_KINDS = ("presentation", "element", "bicross", "comodule")
 
 
 class ModelError(ValueError):
@@ -48,72 +74,101 @@ def read_variant_text(filename):
     return resources.files("kappa_hopf").joinpath("models/variants").joinpath(filename).read_text()
 
 
-# keyed by the overrides' (name, file content) pairs, so an edited override
-# file is parsed again
-_CACHE = {}
+# (path, text, (name, id) of each presentation loaded over, self-test) ->
+# (those presentations, ModelModule).  An entry holds its presentations, so
+# the ids in its key are not reused by other objects while it lives.
+_PARSED = {}
 
 
-def _load_all(overrides=None):
-    """Parse every shipped file (plus overrides) into one environment."""
+def _parse(text, path, env=None, selftest=None, declarations=None):
+    """The ModelModule of text loaded over the presentations env ({name:
+    Presentation}), parsed and self-tested once per key of _PARSED."""
+    env = env or {}
+    key = (path, text, tuple((name, id(p)) for name, p in env.items()), selftest)
+    hit = _PARSED.get(key)
+    if hit is None:
+        module, diags = parse_source(text, path, env=ModelModule(presentations=env),
+                                     declarations=declarations)
+        if module is None:
+            raise DslError(diags)
+        if selftest is not None:
+            selftest(module)
+        hit = _PARSED[key] = (env, module)
+    return hit[1]
+
+
+def _override_texts(overrides):
+    """{catalog file: (path, text)} of the files that overrides ({declared
+    name: path}) replace.  Every file is read, so an edited one is seen."""
     texts = {}
-    file_override = {}
     for name, path in (overrides or {}).items():
         hits = [f for f, decls in FILE_DECLARATIONS.items()
                 if name in decls or name == f.rsplit(".", 1)[0]]
         if not hits:
             raise ModelError(f"unknown model override name: {name!r}")
         with open(path) as fh:
-            texts[name] = fh.read()
-        file_override[hits[0]] = texts[name]
-    key = tuple(sorted(texts.items()))
-    if key in _CACHE:
-        return _CACHE[key]
-    env = ModelModule()
-    for filename in FILE_DECLARATIONS:
-        if filename in file_override:
-            text = file_override[filename]
-            path = f"override:{filename}"
-        else:
-            text = _read_model_text(filename)
-            path = filename
-        module, diags = parse_source(text, path, env=env)
-        if module is None:
+            texts[hits[0]] = (str(path), fh.read())
+    return texts
+
+
+def _load_file(filename, texts, declarations=None):
+    """The ModelModule of one catalog file, or of the override text that
+    texts (see _override_texts) holds for it, loaded over its dependencies.
+    declarations: {(path, text): parsed declarations} of override texts."""
+    env = {}
+    for dep in FILE_DEPENDENCIES[filename]:
+        env.update(_load_file(dep, texts, declarations).presentations)
+    path, text = texts.get(filename) or (filename, _read_model_text(filename))
+    return _parse(text, path, env, SELFTESTS.get(filename),
+                  (declarations or {}).get((path, text)))
+
+
+def resolve_overrides(paths):
+    """{declared name: path} for override files given by path.  Each file is
+    parsed once: its declarations name the catalog files it replaces, and
+    those files are loaded here, with their dependencies, into the cache
+    that load_model reads.  A broken override therefore fails here even
+    when nothing loads it later."""
+    overrides = {}
+    declarations = {}
+    for path in paths:
+        with open(path) as fh:
+            text = fh.read()
+        decls, diags = parse_declarations(text, str(path))
+        if diags:
             raise DslError(diags)
-        env.presentations.update(module.presentations)
-        env.elements.update(module.elements)
-        env.maps.update(module.maps)
-        env.bicross.update(module.bicross)
-        env.comodules.update(module.comodules)
-    _selftest(env)
-    _CACHE[key] = env
-    return env
+        names = [d[1] for d in decls if d[0] in OVERRIDE_KINDS]
+        if not names:
+            raise ModelError(f"{path}: no loadable declaration found")
+        declarations[str(path), text] = decls
+        for name in names:
+            overrides[name] = path
+    texts = _override_texts(overrides)
+    for filename in texts:
+        _load_file(filename, texts, declarations)
+    return overrides
 
 
 def load_model(name, overrides=None):
     """Catalog lookup; returns a Presentation, a Casimir dict, a BicrossData
-    or a comodule bundle depending on the name."""
+    or a comodule bundle depending on the name.  Only the model's own file
+    and its dependencies are loaded."""
     if name not in CATALOG_NAMES:
         raise ModelError(f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    env = _load_all(overrides)
+    module = _load_file(name + ".hopf", _override_texts(overrides))
     if name == "casimirs":
-        return {el_name: el for el_name, (_, el) in env.elements.items()}
-    if name in env.presentations:
-        return env.presentations[name]
-    if name in env.bicross:
-        return env.bicross[name]
-    if name in env.comodules:
-        return env.comodules[name]
+        return {el_name: el for el_name, (_, el) in module.elements.items()}
+    for table in (module.presentations, module.bicross, module.comodules):
+        if name in table:
+            return table[name]
     raise ModelError(f"model {name!r} missing from shipped files")
 
 
 def load_printed_variant():
     """The Eq.-1 presentation with the [L,L] bracket exactly as printed
     (no factor i); used to surface the paper's internal inconsistency."""
-    module, diags = parse_source(
-        read_variant_text("galilei_algebra_kappa_printed.hopf"),
-        "variants/galilei_algebra_kappa_printed.hopf")
-    if module is None:
-        raise DslError(diags)
+    module = _parse(read_variant_text("galilei_algebra_kappa_printed.hopf"),
+                    "variants/galilei_algebra_kappa_printed.hopf")
     return module.presentations["galilei_algebra_kappa_printed"]
 
 
@@ -121,10 +176,8 @@ def load_casimirs_in(p):
     """C1 and C2 of the shipped casimirs.hopf with galilei_algebra_kappa
     bound to the Eq.-1-shaped presentation p (e.g. the printed variant),
     normal-ordered in p."""
-    env = ModelModule(presentations={"galilei_algebra_kappa": p})
-    module, diags = parse_source(_read_model_text("casimirs.hopf"), "casimirs.hopf", env=env)
-    if module is None:
-        raise DslError(diags)
+    module = _parse(_read_model_text("casimirs.hopf"), "casimirs.hopf",
+                    {"galilei_algebra_kappa": p})
     return {name: normal_order(el) for name, (_, el) in module.elements.items()}
 
 
@@ -133,10 +186,9 @@ def strip_quotient(p):
     return clone_presentation(p, name=p.name + "_no_orthogonality", quotient=None)
 
 
-def _selftest(env):
-    """Startup self-tests: cheap invariants every load re-establishes."""
-    kappa = env.presentations["galilei_algebra_kappa"]
-    # The L-E rewrite rule is derived, not postulated: re-derive it by series.
+def _selftest_kappa(module):
+    """The L-E rewrite rule is derived, not postulated: re-derive it by series."""
+    kappa = module.presentations["galilei_algebra_kappa"]
     ee = kappa.gen_element("EE")
     for i in (1, 2, 3):
         li = kappa.gen_element("L", (i,))
@@ -144,12 +196,24 @@ def _selftest(env):
         via_series = normal_order(h_expand_raw(li * ee - ee * li, 3))
         if h_expand(formal, 3) != via_series:
             raise ModelError(f"L[{i}]-EE rule fails its series re-derivation")
-    cas = {name: el for name, (_, el) in env.elements.items()}
-    if set(cas) < {"C1", "C2"}:
+
+
+def _selftest_casimirs(module):
+    if not {"C1", "C2"} <= set(module.elements):
         raise ModelError("casimirs model must define C1 and C2")
-    group = env.presentations["galilei_group_kappa"]
-    if group.quotient is None:
+
+
+def _selftest_group(module):
+    if module.presentations["galilei_group_kappa"].quotient is None:
         raise ModelError("group model must carry the implied orthogonality quotient")
+
+
+# the structural self-test of each file, run when the file is first loaded
+SELFTESTS = {
+    "galilei_algebra_kappa.hopf": _selftest_kappa,
+    "casimirs.hopf": _selftest_casimirs,
+    "galilei_group_kappa.hopf": _selftest_group,
+}
 
 
 def reduce_group_to_2d(group_4d, target_2d):

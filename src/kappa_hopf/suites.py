@@ -71,6 +71,20 @@ MAX_ORDER = 6
 MAX_DEGREE = 8
 
 
+# the catalog models each suite verifies
+SUITE_MODELS = {
+    "algebra": ("galilei_algebra_kappa",),
+    "group": ("galilei_group_kappa",),
+    "casimirs": ("galilei_algebra_kappa", "casimirs"),
+    "bicross": ("tilde_bicross", "group_bicross"),
+    "cocommutator": ("galilei_algebra_kappa", "galilei_algebra_classical"),
+    "rmatrix": ("galilei_algebra_kappa", "galilei_algebra_classical"),
+    "duality": ("galilei_algebra_kappa", "galilei_algebra_classical", "galilei_group_kappa"),
+    "spacetime": ("spacetime",),
+    "projrep": ("galilei_group_2d", "galilei_algebra_2d_classical"),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -85,6 +99,10 @@ class SuiteConfig:
     rep_order: int = 3
     rep_degree: int = 3
     overrides: dict = field(default_factory=dict)
+    # the models of the suite by catalog name, loaded with the overrides when
+    # the configuration is made: a model that does not load fails here,
+    # before any check runs
+    models: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.suite != "all" and self.suite not in SUITE_NAMES:
@@ -96,6 +114,9 @@ class SuiteConfig:
             raise ConfigError(f"degree must be in 0..{MAX_DEGREE}")
         if self.mode not in ("formal", "series", "both"):
             raise ConfigError("mode must be formal, series or both")
+        suites = SUITE_NAMES if self.suite == "all" else (self.suite,)
+        self.models = {name: load_model(name, self.overrides)
+                       for suite in suites for name in SUITE_MODELS[suite]}
 
     def echo(self):
         return {
@@ -161,7 +182,7 @@ def _eq9_expected(classical):
 
 def suite_algebra(cfg, oracle):
     rep = VerificationReport("algebra", cfg.echo())
-    kappa = load_model("galilei_algebra_kappa", cfg.overrides)
+    kappa = cfg.models["galilei_algebra_kappa"]
     rep.add(_confluence_check(kappa, "galilei_algebra_kappa", "Eq. 1"))
     rep.extend(verify_bialgebra(kappa, order=cfg.order, mode=cfg.mode, oracle=oracle))
 
@@ -188,7 +209,7 @@ def suite_algebra(cfg, oracle):
 
 def suite_group(cfg, oracle):
     rep = VerificationReport("group", cfg.echo())
-    group = load_model("galilei_group_kappa", cfg.overrides)
+    group = cfg.models["galilei_group_kappa"]
     rep.add(_confluence_check(group, "galilei_group_kappa", "Eq. 11"))
     rep.extend(verify_bialgebra(group, order=min(cfg.order, 2), mode="formal",
                                 oracle=oracle))
@@ -204,8 +225,8 @@ def suite_group(cfg, oracle):
 
 def suite_casimirs(cfg, oracle):
     rep = VerificationReport("casimirs", cfg.echo())
-    kappa = load_model("galilei_algebra_kappa", cfg.overrides)
-    cas = load_model("casimirs", cfg.overrides)
+    kappa = cfg.models["galilei_algebra_kappa"]
+    cas = cfg.models["casimirs"]
     rep.extend(verify_casimir(cas["C1"], kappa, order=cfg.order, mode=cfg.mode,
                               name="C1", oracle=oracle))
     rep.extend(verify_casimir(cas["C2"], kappa, order=cfg.order, mode=cfg.mode,
@@ -224,8 +245,8 @@ def suite_casimirs(cfg, oracle):
 
 def suite_cocommutator(cfg, oracle):
     rep = VerificationReport("cocommutator", cfg.echo())
-    kappa = load_model("galilei_algebra_kappa", cfg.overrides)
-    classical = load_model("galilei_algebra_classical", cfg.overrides)
+    kappa = cfg.models["galilei_algebra_kappa"]
+    classical = cfg.models["galilei_algebra_classical"]
     expected = _eq9_expected(classical)
 
     def sigma_check(gi, g):
@@ -259,8 +280,8 @@ def _fmt_wedge(p, comps):
 
 def suite_rmatrix(cfg, oracle):
     rep = VerificationReport("rmatrix", cfg.echo())
-    kappa = load_model("galilei_algebra_kappa", cfg.overrides)
-    classical = load_model("galilei_algebra_classical", cfg.overrides)
+    kappa = cfg.models["galilei_algebra_kappa"]
+    classical = cfg.models["galilei_algebra_classical"]
     lie = LieData.from_presentation(classical)
     sigma = _sigma_table(kappa, classical)
 
@@ -304,14 +325,19 @@ def suite_rmatrix(cfg, oracle):
 def suite_duality(cfg, oracle):
     rep = VerificationReport("duality", cfg.echo())
     model = model_4d()
-    kappa = load_model("galilei_algebra_kappa", cfg.overrides)
-    classical = load_model("galilei_algebra_classical", cfg.overrides)
-    group = load_model("galilei_group_kappa", cfg.overrides)
+    kappa = cfg.models["galilei_algebra_kappa"]
+    classical = cfg.models["galilei_algebra_classical"]
+    group = cfg.models["galilei_group_kappa"]
+    # the mask product of each pairing word, built once in this run
+    products = {}
+
+    def pairing(coord, word):
+        return pair(Poly.var(coord), word, model=model, products=products)
 
     def eq13():
         bad = []
         for coord, gen, want in EQ13_TABLE:
-            got = pair(Poly.var(coord), (gen,), model=model)
+            got = pairing(coord, (gen,))
             if got != HSeries.const(want):
                 bad.append((coord, gen, str(got), str(want)))
         return Check("eq13_table", "Eq. 13", PASS if not bad else FAIL,
@@ -319,7 +345,7 @@ def suite_duality(cfg, oracle):
                      detail=f"{len(EQ13_TABLE)} single-generator pairings")
 
     rep.add(run_check(eq13))
-    rep.extend(_a2_checks(model))
+    rep.extend(_a2_checks(pairing))
 
     sigma = _sigma_table(kappa, classical)
     engine = PairingEngine(model, [g.label() for g in classical.gens],
@@ -343,9 +369,10 @@ def suite_duality(cfg, oracle):
     return rep
 
 
-def _a2_checks(model):
+def _a2_checks(pairing):
     """The displayed identities of Eq. A2 tested verbatim (J = M, H = P0);
-    any convention mismatch would be reported as a finding."""
+    any convention mismatch would be reported as a finding.  pairing(coord,
+    word) is <coord, word> in the 4D matrix model."""
     def rotations():
         bad = []
         others = [(), ("L[1]",), ("P[2]",), ("P0",), ("L[1]", "P0"), ("P[1]", "P[3]")]
@@ -356,7 +383,7 @@ def _a2_checks(model):
                     word = js + x
                     for i in (1, 2, 3):
                         for j in (1, 2, 3):
-                            got = pair(Poly.var(f"R[{i},{j}]"), word, model=model)
+                            got = pairing(f"R[{i},{j}]", word)
                             want = HSeries() if x else _a2_rotation_value(ns, i, j)
                             if got != want:
                                 bad.append(("R", word, i, j, str(got), str(want)))
@@ -370,7 +397,7 @@ def _a2_checks(model):
         for k in (0, 1, 2, 3):
             for x in [(), ("M[1]",), ("L[2]",), ("P[3]",)]:
                 word = x + ("P0",) * k
-                got = pair(Poly.var("tau"), word, model=model)
+                got = pairing("tau", word)
                 want = HSeries.const(GR_I) if (not x and k == 1) else HSeries()
                 if got != want:
                     bad.append((word, str(got), str(want)))
@@ -384,11 +411,10 @@ def _a2_checks(model):
                 js = tuple(f"M[{n}]" for n in ns)
                 for i in (1, 2, 3):
                     for m in (1, 2, 3):
-                        ref = pair(Poly.var(f"R[{i},{m}]"), js, model=model)
-                        got_v = pair(Poly.var(f"v[{i}]"), js + (f"L[{m}]",), model=model)
-                        got_a = pair(Poly.var(f"a[{i}]"), js + (f"P[{m}]",), model=model)
-                        got_ap = pair(Poly.var(f"a[{i}]"), js + (f"L[{m}]", "P0"),
-                                      model=model)
+                        ref = pairing(f"R[{i},{m}]", js)
+                        got_v = pairing(f"v[{i}]", js + (f"L[{m}]",))
+                        got_a = pairing(f"a[{i}]", js + (f"P[{m}]",))
+                        got_ap = pairing(f"a[{i}]", js + (f"L[{m}]", "P0"))
                         mi = HSeries.const(-GR_I)
                         if got_v != mi * ref:
                             bad.append(("v", ns, i, m))
@@ -425,9 +451,9 @@ def _a2_rotation_value(ns, i, j):
 
 def suite_bicross(cfg, oracle):
     rep = VerificationReport("bicross", cfg.echo())
-    tilde = load_model("tilde_bicross", cfg.overrides)
+    tilde = cfg.models["tilde_bicross"]
     rep.extend(verify_bicross(tilde, order=cfg.order, mode=cfg.mode, oracle=oracle))
-    gb = load_model("group_bicross", cfg.overrides)
+    gb = cfg.models["group_bicross"]
     rep.extend(verify_bicross(gb, order=min(cfg.order, 2), mode="formal",
                               oracle=oracle))
     # documented Eq.-7 typo: the printed coaction coefficient i/kappa on
@@ -471,7 +497,7 @@ def _printed_coaction_check(tilde):
 
 def suite_spacetime(cfg, oracle):
     rep = VerificationReport("spacetime", cfg.echo())
-    sc = load_model("spacetime", cfg.overrides)
+    sc = cfg.models["spacetime"]
     rep.extend(verify_comodule(sc["space"], sc["group"], sc["action"],
                                order=min(cfg.order, 2), mode="formal", oracle=oracle))
     return rep
@@ -479,9 +505,8 @@ def suite_spacetime(cfg, oracle):
 
 def suite_projrep(cfg, oracle):
     rep = VerificationReport("projrep", cfg.echo())
-    g2 = load_model("galilei_group_2d", cfg.overrides)
-    lie2d = LieData.from_presentation(load_model("galilei_algebra_2d_classical",
-                                                 cfg.overrides))
+    g2 = cfg.models["galilei_group_2d"]
+    lie2d = LieData.from_presentation(cfg.models["galilei_algebra_2d_classical"])
     order = min(cfg.rep_order, cfg.order, 3)
 
     def omega_log():

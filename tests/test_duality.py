@@ -25,6 +25,7 @@ from kappa_hopf.duality import (
 from kappa_hopf.hopf import cocommutator
 from kappa_hopf.models import load_model
 from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly, RationalFn, as_hseries
+from kappa_hopf.suites import SuiteConfig, run_suite
 
 
 def build_engine():
@@ -426,3 +427,23 @@ def test_monomial_counts_are_pbw_words_up_to_the_bound():
     checks = poisson_family_verify(engine, queries)
     assert [c.detail for c in checks] == [
         f"{comb(10 + b, b)} monomials checked" for b in range(2, 7)]
+
+
+def test_duality_suite_builds_each_mask_product_once(monkeypatch):
+    model_4d()  # its own Eq. 13 self-test pairs outside any suite run
+    built = []
+    build = duality._mask_product
+
+    def spy(model, word):
+        built.append(word)
+        return build(model, word)
+
+    monkeypatch.setattr(duality, "_mask_product", spy)
+    runs = []
+    for _ in range(2):
+        run_suite(SuiteConfig(suite="duality", order=1, degree=3))
+        runs.append(list(built))
+        built.clear()
+    # one build per distinct word, and the products do not outlive the run
+    assert len(runs[0]) > 100 and len(set(runs[0])) == len(runs[0])
+    assert runs[1] == runs[0]

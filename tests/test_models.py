@@ -1,13 +1,25 @@
-"""Shipped model catalog: golden structure, cross-model consistency."""
+"""Shipped model catalog: golden structure, cross-model consistency, the
+dependency table, per-file self-tests and parses counted in a fresh process."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import kappa_hopf
+from kappa_hopf.cli import main
+from kappa_hopf.dsl import tokenize
 from kappa_hopf.hopf import classical_limit
 from kappa_hopf.models import (
     CATALOG_NAMES,
+    FILE_DECLARATIONS,
+    FILE_DEPENDENCIES,
     ModelError,
+    _read_model_text,
     load_model,
     load_printed_variant,
     reduce_group_to_2d,
@@ -139,3 +151,150 @@ def test_edited_override_is_reloaded(tmp_path):
     path.write_text(text.format("2*P[k]*P[k]"))
     second = load_model("casimirs", {"casimirs": str(path)})["C1"]
     assert second == first + first
+
+
+# -- the dependency table ---------------------------------------------------
+
+
+def closure(dependencies, filename):
+    """Every file that filename depends on, directly or not."""
+    seen, stack = set(), list(dependencies[filename])
+    while stack:
+        dep = stack.pop()
+        if dep not in seen:
+            seen.add(dep)
+            stack.extend(dependencies[dep])
+    return seen
+
+
+def dependency_gaps(dependencies, declarations, texts):
+    """(file, name, declaring file) for each name a file uses that another
+    file declares outside the file's dependency closure."""
+    owner = {name: f for f, names in declarations.items() for name in names}
+    gaps = set()
+    for f, text in texts.items():
+        tokens, _ = tokenize(text, f)
+        for tok in tokens:
+            other = owner.get(tok.text) if tok.kind == "IDENT" else None
+            if other not in (None, f) and other not in closure(dependencies, f):
+                gaps.add((f, tok.text, other))
+    return sorted(gaps)
+
+
+def dependency_cycles(dependencies):
+    """The files that depend on themselves."""
+    return sorted(f for f in dependencies if f in closure(dependencies, f))
+
+
+@pytest.fixture(scope="module")
+def shipped_texts():
+    return {f: _read_model_text(f) for f in FILE_DECLARATIONS}
+
+
+def test_lint_flags_a_removed_dependency(shipped_texts):
+    table = dict(FILE_DEPENDENCIES, **{"casimirs.hopf": ()})
+    assert dependency_gaps(table, FILE_DECLARATIONS, shipped_texts) == [
+        ("casimirs.hopf", "galilei_algebra_kappa", "galilei_algebra_kappa.hopf")]
+
+
+def test_lint_flags_a_cycle():
+    table = dict(FILE_DEPENDENCIES, **{"galilei_algebra_kappa.hopf": ("casimirs.hopf",)})
+    assert dependency_cycles(table) == ["casimirs.hopf", "galilei_algebra_kappa.hopf"]
+
+
+def test_dependency_table_covers_every_use(shipped_texts):
+    assert FILE_DEPENDENCIES.keys() == FILE_DECLARATIONS.keys()
+    assert dependency_gaps(FILE_DEPENDENCIES, FILE_DECLARATIONS, shipped_texts) == []
+    assert dependency_cycles(FILE_DEPENDENCIES) == []
+
+
+# -- per-file self-tests ----------------------------------------------------
+
+
+def _group_without_quotient(tmp_path):
+    text = _read_model_text("galilei_group_kappa.hopf")
+    assert "quotient orthogonal R;" in text
+    path = tmp_path / "group.hopf"
+    path.write_text(text.replace("quotient orthogonal R;", ""))
+    return path
+
+
+def _casimirs_without_c2(tmp_path):
+    path = tmp_path / "casimirs.hopf"
+    path.write_text("element C1 in galilei_algebra_kappa = P[k]*P[k];\n")
+    return path
+
+
+@pytest.mark.parametrize("name, broken, message", [
+    ("galilei_group_kappa", _group_without_quotient, "orthogonality quotient"),
+    ("casimirs", _casimirs_without_c2, "C1 and C2"),
+])
+def test_selftests_gate_their_file(tmp_path, capsys, name, broken, message):
+    path = broken(tmp_path)
+    with pytest.raises(ModelError, match=message):
+        load_model(name, {name: str(path)})
+    # through the CLI, under a suite that does not use the file
+    assert main(["verify", "projrep", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("kappa-hopf: ModelError: ") and message in err
+
+
+def test_unused_semantically_broken_override_exits_2(tmp_path, capsys):
+    # tokenizes and parses, but names a generator it does not declare; the
+    # spacetime suite never loads galilei_group_2d
+    path = tmp_path / "g2.hopf"
+    path.write_text("presentation galilei_group_2d {\n"
+                    "  generators: v a tau;\n"
+                    "  relation tau*b - b*tau = I*h*v;\n"
+                    "}\n")
+    assert main(["verify", "spacetime", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("kappa-hopf: DslError: ") and str(path) in err
+
+
+# -- parses, counted in a fresh process --------------------------------------
+
+COUNT_SCRIPT = """
+import json
+import sys
+import kappa_hopf
+from kappa_hopf import dsl
+
+calls = []
+parse = dsl.parse_source
+
+def spy(*args, **kwargs):
+    calls.append(args[1])
+    return parse(*args, **kwargs)
+
+for module in [m for n, m in sys.modules.items() if n.startswith("kappa_hopf")]:
+    for key, value in list(vars(module).items()):
+        if value is parse:
+            setattr(module, key, spy)
+"""
+
+
+def _parses(code):
+    """The paths parse_source is called with while code runs in a fresh
+    interpreter, one list per line that code prints with print_calls()."""
+    src = str(Path(kappa_hopf.__file__).resolve().parents[1])
+    script = COUNT_SCRIPT + "def print_calls():\n    print(json.dumps(calls))\n    calls.clear()\n" + code
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_a_model_load_parses_its_closure_only():
+    assert _parses("kappa_hopf.load_model('galilei_algebra_kappa')\nprint_calls()\n"
+                   "kappa_hopf.load_model('spacetime')\nprint_calls()\n") == [
+        ["galilei_algebra_kappa.hopf"],
+        ["galilei_group_kappa.hopf", "spacetime.hopf"],
+    ]
+
+
+def test_a_repeated_suite_parses_nothing():
+    run = "kappa_hopf.run_suite(kappa_hopf.SuiteConfig(suite='casimirs', order=1))\n"
+    first, second = _parses(run + "print_calls()\n" + run + "print_calls()\n")
+    assert len(first) == 4 and second == []
