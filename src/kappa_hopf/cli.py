@@ -40,7 +40,7 @@ def build_parser():
     v.add_argument("--order", type=int, default=4,
                    help="series truncation order N (default 4, max 6)")
     v.add_argument("--degree", type=int, default=6,
-                   help="monomial degree bound D for duality (default 6, max 8)")
+                   help="monomial degree bound D for duality (default 6, min 3, max 8)")
     v.add_argument("--mode", choices=("formal", "series", "both"), default="both")
     v.add_argument("--model", action="append", default=[], metavar="FILE",
                    help="override a shipped model with a .hopf file (its "

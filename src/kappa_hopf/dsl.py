@@ -11,7 +11,7 @@ Declarations::
       counit EE = 1;
       antipode L[i] = -L[i] - (3*I*h/2)*P[i];
       log EE = (h/2)*P0;              # grouplike log, enables series mode
-      quotient orthogonal R;          # R R^T = R^T R = I, decided via Cayley
+      quotient orthogonal R;          # R R^T = R^T R = I, a Groebner normal form
     }
     element C1 in galilei_algebra_kappa = P[k]*P[k];
     map NAME : SRC -> DST { L[i] |-> ...; }

@@ -74,25 +74,27 @@ def read_variant_text(filename):
     return resources.files("kappa_hopf").joinpath("models/variants").joinpath(filename).read_text()
 
 
-# (path, text, (name, id) of each presentation loaded over, self-test) ->
+# (path, text, (name, id) of each presentation loaded over, hook) ->
 # (those presentations, ModelModule).  An entry holds its presentations, so
 # the ids in its key are not reused by other objects while it lives.
 _PARSED = {}
 
 
-def _parse(text, path, env=None, selftest=None, declarations=None):
+def _parse(text, path, env=None, hook=None, declarations=None):
     """The ModelModule of text loaded over the presentations env ({name:
-    Presentation}), parsed and self-tested once per key of _PARSED."""
+    Presentation}), parsed once per key of _PARSED.  hook runs once on the
+    fresh module, before it is cached: a file's self-test, or a step whose
+    result the cached module keeps."""
     env = env or {}
-    key = (path, text, tuple((name, id(p)) for name, p in env.items()), selftest)
+    key = (path, text, tuple((name, id(p)) for name, p in env.items()), hook)
     hit = _PARSED.get(key)
     if hit is None:
         module, diags = parse_source(text, path, env=ModelModule(presentations=env),
                                      declarations=declarations)
         if module is None:
             raise DslError(diags)
-        if selftest is not None:
-            selftest(module)
+        if hook is not None:
+            hook(module)
         hit = _PARSED[key] = (env, module)
     return hit[1]
 
@@ -172,13 +174,18 @@ def load_printed_variant():
     return module.presentations["galilei_algebra_kappa_printed"]
 
 
+def _normal_order_elements(module):
+    module.elements = {name: (pres, normal_order(el))
+                       for name, (pres, el) in module.elements.items()}
+
+
 def load_casimirs_in(p):
     """C1 and C2 of the shipped casimirs.hopf with galilei_algebra_kappa
     bound to the Eq.-1-shaped presentation p (e.g. the printed variant),
-    normal-ordered in p."""
+    normal-ordered in p once per p."""
     module = _parse(_read_model_text("casimirs.hopf"), "casimirs.hopf",
-                    {"galilei_algebra_kappa": p})
-    return {name: normal_order(el) for name, (_, el) in module.elements.items()}
+                    {"galilei_algebra_kappa": p}, _normal_order_elements)
+    return {name: el for name, (_, el) in module.elements.items()}
 
 
 def strip_quotient(p):

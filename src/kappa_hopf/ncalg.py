@@ -42,7 +42,8 @@ class DivergenceError(RuntimeError):
 
 
 class LimitError(ValueError):
-    """A rule coefficient has a pole at h = 0."""
+    """An engine limit: a rule coefficient has a pole at h = 0, or a quotient
+    residual's R degree is beyond the orthogonality test's packed monomials."""
 
 
 REWRITE_BUDGET = 2_000_000
@@ -87,7 +88,7 @@ class QuotientSpec:
 
     Currently one kind: a 3x3 orthogonality quotient R R^T = R^T R = I on a
     doubly indexed commuting family.  Equality modulo the quotient is decided
-    exactly via the Cayley parametrization (see ``orthogonal_zero_test``).
+    exactly by a Groebner-basis normal form (see ``quotient.zero_mod_quotient``).
     """
 
     __slots__ = ("kind", "family", "gen_indices", "relations_text")

@@ -3,73 +3,131 @@
 The rotation coordinates R[i,j] of the quantum Galilei group commute with
 each other, and the function algebra of E(3) carries the relations
 R R^T = R^T R = I, which are sums of monomials and therefore not expressible
-as digram rewrite rules.  Membership of a polynomial in the O(3) ideal is
-decided exactly by substituting the rational Cayley parametrization
+as digram rewrite rules.  A polynomial lies in the O(3) ideal
+<R R^T - I, R^T R - I> iff its normal form modulo a Groebner basis of the
+ideal is zero (Buchberger 1965; Cox, Little & O'Shea, Ideals, Varieties,
+and Algorithms, ch. 2).  O3_BASIS_ROWS is a fixed reduced basis for grevlex
+with R11 > R12 > ... > R33.  Several quotient slots take one copy of it
+each, in grevlex over all their variables; leading monomials of different
+slots are coprime, so the union is again a Groebner basis.  The basis has
+no other symbols, so a polynomial is reduced one monomial in the other
+symbols at a time.  All arithmetic is exact.
+
+The ideal is radical (O(3) is smooth), so it equals the ideal of the
+polynomials that vanish on O(3): on the rational Cayley points
 
     R(x,y,z) = (I - A) (I + A)^{-1},   A = [[0,-z,y],[z,0,-x],[-y,x,0]]
 
-(whose image is Zariski-dense in SO(3)) and its reflected copy
-diag(-1,1,1) * R(x,y,z) (dense in the det = -1 component).  A polynomial
-vanishes on both components iff it lies in the O(3) ideal (the ideal is
-radical).  All arithmetic is exact; denominators are the single polynomial
-D = 1 + x^2 + y^2 + z^2, tracked as explicit powers.
-
-prefilter_zero cross-checks these verdicts by random substitution in the
-prime field F_p, reusing the normal form and buckets of zero_mod_quotient.
+(whose image is Zariski-dense in SO(3)) and on their reflected copies
+diag(-1,1,1) * R(x,y,z) (dense in the det = -1 component).  The normal form
+therefore decides exactly what substituting those points decides.
+prefilter_zero cross-checks each exact verdict at such points, drawn at
+random in the prime field F_p, on zero_mod_quotient's normal-ordered
+element and buckets; the exact test and its cross-check share no method.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
-from .ncalg import normal_order
-from .scalars import MOD_P, Poly, POLY_ONE, POLY_ZERO, eval_mod, inverse_mod
+from .ncalg import LimitError, normal_order
+from .scalars import MOD_P, GaussianRational, Poly, POLY_ONE, eval_mod, inverse_mod
 
-# bound of the Cayley power cache; the shipped suites use fewer than 50
-# (slot, i, j, exponent) keys
-POWER_CACHE_SIZE = 1024
+# the reduced Groebner basis of <R R^T - I, R^T R - I> for grevlex with
+# R11 > R12 > ... > R33: 11 quadrics, 11 cubics and 5 quartics, monic, each
+# with its leading term first
+O3_BASIS_ROWS = """
+R11^2 - R22^2 - R23^2 - R32^2 - R33^2 + 1
+R11*R12 + R21*R22 + R31*R32
+R12^2 + R22^2 + R32^2 - 1
+R11*R13 + R21*R23 + R31*R33
+R12*R13 + R22*R23 + R32*R33
+R13^2 + R23^2 + R33^2 - 1
+R11*R21 + R12*R22 + R13*R23
+R21^2 + R22^2 + R23^2 - 1
+R11*R31 + R12*R32 + R13*R33
+R21*R31 + R22*R32 + R23*R33
+R31^2 + R32^2 + R33^2 - 1
+R12*R21*R22 - R11*R22^2 - R13*R31*R33 + R11*R33^2
+R13*R21*R22 - R11*R22*R23 + R13*R31*R32 - R11*R32*R33
+R13*R22^2 - R12*R22*R23 + R13*R32^2 - R12*R32*R33 - R13
+R12*R21*R23 - R11*R22*R23 + R12*R31*R33 - R11*R32*R33
+R13*R21*R23 - R11*R23^2 + R13*R31*R33 - R11*R33^2 + R11
+R13*R22*R23 - R12*R23^2 + R13*R32*R33 - R12*R33^2 + R12
+R12*R22*R31 + R13*R23*R31 - R11*R22*R32 - R11*R23*R33
+R22^2*R31 + R23^2*R31 - R21*R22*R32 - R21*R23*R33 - R31
+R12*R21*R32 - R11*R22*R32 + R13*R21*R33 - R11*R23*R33
+R12*R31*R32 - R11*R32^2 + R13*R31*R33 - R11*R33^2 + R11
+R22*R31*R32 - R21*R32^2 + R23*R31*R33 - R21*R33^2 + R21
+R13*R23*R31*R32 - R12*R23*R31*R33 - R13*R21*R32*R33 + R12*R21*R33^2 - R12*R21
+R23^2*R31*R32 - R22*R23*R31*R33 - R21*R23*R32*R33 + R21*R22*R33^2 - R21*R22 - R31*R32
+R13*R23*R32^2 - R13*R22*R32*R33 - R12*R23*R32*R33 + R12*R22*R33^2 - R12*R22 - R13*R23
+R23^2*R32^2 - 2*R22*R23*R32*R33 + R22^2*R33^2 - R22^2 - R23^2 - R32^2 - R33^2 + 1
+R13*R22*R31*R33 - R12*R23*R31*R33 - R13*R21*R32*R33 + R11*R23*R32*R33 + R12*R21*R33^2 - R11*R22*R33^2 - R12*R21 + R11*R22
+"""
 
 
-def _adjugate3(M):
-    def det2(a, b, c, d):
-        return a * d - b * c
-    cof = [[None] * 3 for _ in range(3)]
-    idx = [0, 1, 2]
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in idx if r != i]
-            cols = [c for c in idx if c != j]
-            minor = det2(M[rows[0]][cols[0]], M[rows[0]][cols[1]],
-                         M[rows[1]][cols[0]], M[rows[1]][cols[1]])
-            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-    return [[cof[j][i] for j in range(3)] for i in range(3)]  # transpose
+def _parse_basis_row(row):
+    """[(exponents of R11..R33, integer coefficient)] of one basis row."""
+    terms = []
+    for term in row.replace(" - ", " + -").split(" + "):
+        sign = -1 if term.startswith("-") else 1
+        coeff, exps = sign, [0] * 9
+        for factor in term.lstrip("-").split("*"):
+            if factor.isdigit():
+                coeff *= int(factor)
+            elif factor.startswith("R"):
+                name, _, e = factor.partition("^")
+                exps[3 * int(name[1]) + int(name[2]) - 4] = int(e or 1)
+        terms.append((tuple(exps), coeff))
+    return terms
+
+
+O3_BASIS = tuple(_parse_basis_row(row) for row in O3_BASIS_ROWS.strip().splitlines())
+
+# bits per exponent in a packed monomial (see _slot_rules).  Reduction never
+# raises the total degree, so with every input degree below DEGREE_CAP each
+# exponent stays below its field's top bit, which _normal_form_is_zero's
+# divisibility test uses as a borrow guard.
+FIELD = 16
+DEGREE_CAP = 1 << (FIELD - 1)
+
+
+def _packed(exps):
+    """(packed exponents, degree) of a monomial of O3_BASIS: the exponent of
+    R[i,j] in the field at bit FIELD * (3(i-1) + (j-1))."""
+    return sum(e << FIELD * v for v, e in enumerate(exps)), sum(exps)
+
+
+# O3_BASIS packed once: per row, the packed exponents and degree of the
+# leading monomial, and its tail as (packed exponents, degree, negated
+# coefficient)
+_O3_PACKED = tuple((_packed(lead), [(*_packed(x), GaussianRational(-c)) for x, c in tail])
+                   for (lead, _), *tail in O3_BASIS)
+
+
+def _cayley(x, y, z):
+    """Numerator matrix N and denominator D of the Cayley map R = N / D at
+    v = (x, y, z), in any commutative ring holding x, y, z:
+    N = (1 - s) I - 2A + 2 v v^T and D = 1 + s, with s = x^2 + y^2 + z^2."""
+    v = (x, y, z)
+    s = x * x + y * y + z * z
+    A = ((0, -z, y), (z, 0, -x), (-y, x, 0))
+    N = tuple(tuple(2 * v[i] * v[j] - 2 * A[i][j] + (1 - s if i == j else 0) for j in range(3))
+              for i in range(3))
+    return N, 1 + s
 
 
 @lru_cache(maxsize=64)
 def cayley_data(xname, yname, zname):
-    """Numerator matrix N and denominator D with R = N / D on SO(3).
+    """Numerator matrix N and denominator D with R = N / D on SO(3), as Polys
+    in the named symbols.
 
     Cached by symbol names; N is a tuple of row tuples, so callers share
     one immutable result."""
-    x, y, z = Poly.var(xname), Poly.var(yname), Poly.var(zname)
-    zero, one = POLY_ZERO, POLY_ONE
-    A = [[zero, -z, y], [z, zero, -x], [-y, x, zero]]
-    IpA = [[one + A[i][j] if i == j else A[i][j] for j in range(3)] for i in range(3)]
-    ImA = [[one - A[i][j] if i == j else -A[i][j] for j in range(3)] for i in range(3)]
-    adj = _adjugate3(IpA)
-    N = tuple(tuple(sum((ImA[i][k] * adj[k][j] for k in range(3)), POLY_ZERO)
-                    for j in range(3)) for i in range(3))
-    D = one + x * x + y * y + z * z
-    return N, D
-
-
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def _cayley_power(slot, i, j, e):
-    """N[i][j] ** e at the unreflected Cayley point of `slot` (i, j from 1),
-    or D ** e for i = j = 0."""
-    N, D = cayley_data(f"_cx@{slot}", f"_cy@{slot}", f"_cz@{slot}")
-    return (D if i == 0 else N[i - 1][j - 1]) ** e
+    return _cayley(Poly.var(xname), Poly.var(yname), Poly.var(zname))
 
 
 def _rsym(slot, i, j):
@@ -108,49 +166,94 @@ def _bucket_by_rest(el, slots_with_r):
     return buckets
 
 
-def _cayley_reduce_zero(poly, slots_with_r):
-    """True iff `poly` (in _Rij@s symbols plus arbitrary others) lies in the
-    per-slot O(3) ideals.
+def _slot_rules(nslots):
+    """(lead exponents, lead, tail) of O3_BASIS in each of nslots slots, as
+    packed monomials over their n = 9 * nslots R variables; the tail lists
+    the other monomials with their negated coefficients.
 
-    Every term is substituted once, at the unreflected Cayley points with
-    the denominators D cleared.  The reflected point of a slot negates its
-    first row, which flips the sign of exactly the terms of odd first-row
-    degree in that slot.  So with S_p the sum of the terms of parity vector
-    p, the value on the component choice m is sum_p (-1)^|p & m| S_p; that
-    sign matrix is invertible, hence all 2^k values vanish iff every S_p
-    does."""
-    slots = sorted(slots_with_r)
-    bit = {s: 1 << k for k, s in enumerate(slots)}
-    maxdeg = dict.fromkeys(slots, 0)
-    split_terms = []
-    for mono, coeff in poly.terms.items():
-        r_part = []
+    A monomial with exponent e_p of the variable at position p (slot
+    position q and R[i,j] at p = 9q + 3(i-1) + (j-1)) packs to
+    E - degree * 2**(FIELD * n), with E = sum_p e_p * 2**(FIELD * p) its
+    packed exponents, recovered as packed & (2**(FIELD * n) - 1).  A smaller
+    packed monomial is a larger one in grevlex, and monomials multiply and
+    divide by adding and subtracting their packings."""
+    top = FIELD * 9 * nslots
+    rules = []
+    for q in range(nslots):
+        shift = FIELD * 9 * q
+        for (lead, degree), tail in _O3_PACKED:
+            rules.append((lead << shift, (lead << shift) - (degree << top),
+                          [((x << shift) - (d << top), k) for x, d, k in tail]))
+    return rules
+
+
+def _r_parts(poly, shifts, top):
+    """The parts of poly (in _Rij@s symbols plus others) at each monomial in
+    the other symbols, as {packed R monomial: coefficient}; shifts maps each
+    _Rij@s symbol to the bit position of its field (see _slot_rules)."""
+    parts = {}
+    for mono, c in poly.terms.items():
+        packed = degree = 0
         rest = []
-        degs = dict.fromkeys(slots, 0)
-        parity = 0
-        for symname, e in mono:
-            if symname.startswith("_R") and "@" in symname:
-                i, j = int(symname[2]), int(symname[3])
-                s = int(symname.split("@")[1])
-                r_part.append((s, i, j, e))
-                degs[s] += e
-                if i == 1 and e % 2:
-                    parity ^= bit[s]
+        for sym, e in mono:
+            shift = shifts.get(sym)
+            if shift is None:
+                rest.append((sym, e))
             else:
-                rest.append((symname, e))
-        for s in slots:
-            maxdeg[s] = max(maxdeg[s], degs[s])
-        split_terms.append((Poly({tuple(rest): coeff}), r_part, degs, parity))
-    sums = {}
-    for term, r_part, degs, parity in split_terms:
-        for s, i, j, e in r_part:
-            term = term * _cayley_power(s, i, j, e)
-        for s in slots:
-            pad = maxdeg[s] - degs[s]
-            if pad:
-                term = term * _cayley_power(s, 0, 0, pad)
-        sums[parity] = sums.get(parity, POLY_ZERO) + term
-    return not any(sums.values())
+                packed += e << shift
+                degree += e
+        if degree >= DEGREE_CAP:
+            raise LimitError(f"R degree {degree} of a quotient residual is not below {DEGREE_CAP}")
+        parts.setdefault(tuple(rest), {})[packed - (degree << top)] = c
+    return parts.values()
+
+
+def _normal_form_is_zero(terms, rules, top):
+    """True iff the polynomial {packed monomial: coefficient} (consumed) has
+    normal form zero modulo the monic rules of _slot_rules.
+
+    Monomials are taken in decreasing grevlex order.  A reduction step only
+    brings in smaller monomials, so the first monomial with a nonzero
+    coefficient that no leading monomial divides stays in the normal form,
+    and the answer is False there.  A leading monomial with exponents L
+    divides one with exponents E iff no field of E - L borrows: with the top
+    bit of every field set in E first, each stays set."""
+    mask = (1 << top) - 1
+    guard = sum(DEGREE_CAP << s for s in range(0, top, FIELD))
+    heap = list(terms)
+    heapify(heap)
+    while heap:
+        m = heappop(heap)
+        c = terms.pop(m)
+        if not c:
+            continue
+        probe = m & mask | guard
+        for exps, lead, tail in rules:
+            if (probe - exps) & guard == guard:
+                break
+        else:
+            return False
+        u = m - lead
+        for t, k in tail:
+            w = u + t
+            old = terms.get(w)
+            if old is None:
+                terms[w] = c * k
+                heappush(heap, w)
+            else:
+                terms[w] = old + c * k
+    return True
+
+
+def _in_quotient_ideal(polys, slots_with_r):
+    """True iff every poly (in _Rij@s symbols of slots_with_r plus others)
+    lies in the per-slot O(3) ideals."""
+    top = FIELD * 9 * len(slots_with_r)
+    shifts = {_rsym(s, i, j): FIELD * (9 * q + 3 * i + j - 4)
+              for q, s in enumerate(slots_with_r) for i in (1, 2, 3) for j in (1, 2, 3)}
+    rules = _slot_rules(len(slots_with_r))
+    return all(_normal_form_is_zero(terms, rules, top)
+               for poly in polys for terms in _r_parts(poly, shifts, top))
 
 
 def zero_mod_quotient(element, budget=None, oracle=None):
@@ -160,9 +263,8 @@ def zero_mod_quotient(element, budget=None, oracle=None):
     el = normal_order(element, budget=budget)
     slots_with_r = _quotient_slots(el.context)
     buckets = _bucket_by_rest(el, slots_with_r)
-    zero = el.is_zero() or (bool(slots_with_r) and all(
-        _cayley_reduce_zero(hc.num, slots_with_r)
-        for series in buckets.values() for hc in series.coeffs.values()))
+    zero = el.is_zero() or (bool(slots_with_r) and _in_quotient_ideal(
+        (hc.num for series in buckets.values() for hc in series.coeffs.values()), slots_with_r))
     if oracle is not None:
         oracle.observe(el, zero, buckets)
     return zero
@@ -178,15 +280,11 @@ def equal_mod_quotient(a, b, budget=None):
 
 
 def _cayley_point_mod(rng, slot, reflect):
-    """The _Rij@slot values of cayley_data's N/D at a random point
-    v = (x, y, z) of F_p^3: N = (1 - s) I - 2A + 2 v v^T and D = 1 + s, with
-    s = x^2 + y^2 + z^2; `reflect` negates the first row."""
-    v = x, y, z = [rng.randrange(MOD_P) for _ in range(3)]
-    s = x * x + y * y + z * z
-    d_inv = inverse_mod(1 + s)
-    A = ((0, -z, y), (z, 0, -x), (-y, x, 0))
-    return {_rsym(slot, i + 1, j + 1): ((1 - s) * (i == j) - 2 * A[i][j] + 2 * v[i] * v[j])
-            * (-d_inv if reflect and i == 0 else d_inv) % MOD_P
+    """The _Rij@slot values of the Cayley map (_cayley) at a random point
+    v = (x, y, z) of F_p^3; `reflect` negates the first row."""
+    N, D = _cayley(*(rng.randrange(MOD_P) for _ in range(3)))
+    d_inv = inverse_mod(D)
+    return {_rsym(slot, i + 1, j + 1): N[i][j] * (-d_inv if reflect and i == 0 else d_inv) % MOD_P
             for i in range(3) for j in range(3)}
 
 

@@ -69,6 +69,9 @@ SUITE_NAMES = ("algebra", "group", "casimirs", "bicross", "cocommutator",
 
 MAX_ORDER = 6
 MAX_DEGREE = 8
+# the duality suite's Eq. A4 candidates have coordinate degree 2, and a
+# Poisson check needs a monomial degree bound above its candidate's
+MIN_DUALITY_DEGREE = 3
 
 
 # the catalog models each suite verifies
@@ -112,6 +115,9 @@ class SuiteConfig:
             raise ConfigError(f"order must be in 0..{MAX_ORDER}")
         if not (0 <= self.degree <= MAX_DEGREE):
             raise ConfigError(f"degree must be in 0..{MAX_DEGREE}")
+        if self.suite in ("duality", "all") and self.degree < MIN_DUALITY_DEGREE:
+            raise ConfigError(f"degree must be in {MIN_DUALITY_DEGREE}..{MAX_DEGREE} for "
+                              "duality, whose Eq. A4 candidates have coordinate degree 2")
         if self.mode not in ("formal", "series", "both"):
             raise ConfigError("mode must be formal, series or both")
         suites = SUITE_NAMES if self.suite == "all" else (self.suite,)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import kappa_hopf
+from kappa_hopf import models
 from kappa_hopf.cli import main
 from kappa_hopf.dsl import tokenize
 from kappa_hopf.hopf import classical_limit
@@ -20,6 +21,7 @@ from kappa_hopf.models import (
     FILE_DEPENDENCIES,
     ModelError,
     _read_model_text,
+    load_casimirs_in,
     load_model,
     load_printed_variant,
     reduce_group_to_2d,
@@ -104,6 +106,22 @@ def test_printed_variant_differs_only_in_LL():
             diff.append(key)
     names = {(kappa.gens[a].name, kappa.gens[b].name) for a, b in diff}
     assert names == {("L", "L")}
+
+
+def test_casimirs_in_a_presentation_are_normal_ordered_once(monkeypatch):
+    printed = load_printed_variant()
+    first = load_casimirs_in(printed)
+    calls = []
+
+    def spy(el, *args, **kwargs):
+        calls.append(el)
+        return normal_order(el, *args, **kwargs)
+
+    monkeypatch.setattr(models, "normal_order", spy)
+    second = load_casimirs_in(printed)
+    assert calls == []
+    assert second == first
+    assert all(normal_order(el) == el for el in second.values())
 
 
 def test_strip_quotient_round_trip():

@@ -1,20 +1,24 @@
-"""The R-orthogonality quotient: Cayley decision procedure and the exact
-residuals the group model produces without the augmentation."""
+"""The R-orthogonality quotient: the Groebner-basis decision procedure, its
+Cayley-point cross-check and the exact residuals the group model produces
+without the augmentation."""
 
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
+
+import pytest
 
 import kappa_hopf
 from kappa_hopf import quotient
 from kappa_hopf.hopf import apply_antipode, apply_coproduct, evaluate_raw, multiply_slots
 from kappa_hopf.models import load_model, strip_quotient
-from kappa_hopf.ncalg import NCElement, TensorContext, normal_order
+from kappa_hopf.ncalg import LimitError, NCElement, TensorContext, normal_order
 from kappa_hopf.quotient import (
+    O3_BASIS,
     PrefilterOracle,
     cayley_data,
     equal_mod_quotient,
@@ -43,6 +47,161 @@ def test_cayley_matrix_is_orthogonal():
                 acc = acc + N[i][k] * N[j][k]
             want = D * D if i == j else Poly()
             assert acc == want, (i, j)
+
+
+def _r_monomial(exps):
+    """The Poly of R-exponents exps (R11..R33 order) in the _Rij@0 symbols."""
+    out = Poly.const(1)
+    for v, e in enumerate(exps):
+        out = out * Poly.var(quotient._rsym(0, v // 3 + 1, v % 3 + 1), e)
+    return out
+
+
+def _basis_poly(row):
+    return sum((_r_monomial(exps).scale(GaussianRational(c)) for exps, c in row), Poly())
+
+
+def _in_ideal(poly, slots=(0,)):
+    return quotient._in_quotient_ideal([poly], list(slots))
+
+
+def _grevlex(exps):
+    """Sort key of grevlex with R11 > R12 > ... > R33."""
+    return sum(exps), [-e for e in reversed(exps)]
+
+
+def _leads():
+    return [row[0][0] for row in O3_BASIS]
+
+
+def test_o3_basis_table_shape():
+    # 11 quadrics, 11 cubics and 5 quartics, 123 terms, monic, with the
+    # grevlex-leading term first and integer coefficients in {+-1, +-2}
+    degrees = [sum(row[0][0]) for row in O3_BASIS]
+    assert [degrees.count(d) for d in (2, 3, 4)] == [11, 11, 5]
+    assert sum(map(len, O3_BASIS)) == 123
+    for row in O3_BASIS:
+        assert row[0][1] == 1
+        assert max(row, key=lambda t: _grevlex(t[0])) == row[0]
+        assert {abs(c) for _, c in row} <= {1, 2}
+        assert len({exps for exps, _ in row}) == len(row)
+
+
+def test_o3_basis_s_pairs_reduce_to_zero():
+    # Buchberger's criterion: the table is a Groebner basis of its ideal
+    polys = [_basis_poly(row) for row in O3_BASIS]
+    leads = _leads()
+    for a, b in combinations(range(len(polys)), 2):
+        lcm = tuple(map(max, leads[a], leads[b]))
+        s_poly = (_r_monomial([x - y for x, y in zip(lcm, leads[a])]) * polys[a]
+                  - _r_monomial([x - y for x, y in zip(lcm, leads[b])]) * polys[b])
+        assert _in_ideal(s_poly), (a, b)
+
+
+def test_o3_relations_reduce_to_zero():
+    # all 12 entries of R R^T - I and R^T R - I lie in the ideal of the table
+    def r(i, j):
+        return Poly.var(quotient._rsym(0, i, j))
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            delta = Poly.const(int(i == j))
+            assert _in_ideal(sum((r(i, k) * r(j, k) for k in (1, 2, 3)), Poly()) - delta)
+            assert _in_ideal(sum((r(k, i) * r(k, j) for k in (1, 2, 3)), Poly()) - delta)
+    # and the unit does not: the ideal is proper
+    assert not _in_ideal(Poly.const(1))
+
+
+def test_o3_basis_vanishes_on_both_components():
+    # every table row lies in the vanishing ideal of O(3): zero at the
+    # Cayley point N / D of SO(3) and at its reflection (first row negated)
+    N, D = cayley_data("x", "y", "z")
+    for sign in (1, -1):
+        R = [[n * sign if i == 0 else n for n in row] for i, row in enumerate(N)]
+        for row in O3_BASIS:
+            degree = sum(row[0][0])
+            total = Poly()
+            for exps, c in row:
+                term = D ** (degree - sum(exps)) * GaussianRational(c)
+                for v, e in enumerate(exps):
+                    term = term * R[v // 3][v % 3] ** e
+                total = total + term
+            assert not total, (sign, row)
+
+
+def test_r_degree_beyond_the_packed_fields_is_an_engine_limit():
+    big = Poly.var(quotient._rsym(0, 1, 1), quotient.DEGREE_CAP)
+    with pytest.raises(LimitError):
+        _in_ideal(big)
+    with pytest.raises(LimitError):
+        _in_ideal(big * Poly.var(quotient._rsym(1, 2, 2)), slots=(0, 1))
+
+
+def _random_r_word(rng, ctx, qslots, letters):
+    """A product of `letters` random R generators of the quotient slots."""
+    el = NCElement.one(ctx)
+    for _ in range(letters):
+        slot = rng.choice(qslots)
+        word = [()] * ctx.slot_count
+        word[slot] = ((ctx.slots[slot].gen_index("R", (rng.randint(1, 3), rng.randint(1, 3))), 1),)
+        el = el * NCElement(ctx, {tuple(word): HSeries.const(1)})
+    return el
+
+
+def _standard_r_word(rng, ctx, qslots):
+    """A random R word whose monomial no leading monomial of the table
+    divides, in any of its slots."""
+    leads = _leads()
+    while True:
+        el = normal_order(_random_r_word(rng, ctx, qslots, rng.randint(0, 3)))
+        (word,) = el.terms
+        slot_exps = []
+        for s in qslots:
+            exps = [0] * 9
+            for gi, p in word[s]:
+                i, j = ctx.slots[s].gens[gi].index
+                exps[3 * i + j - 4] = p
+            slot_exps.append(exps)
+        if not any(all(e >= l for e, l in zip(exps, lead))
+                   for exps in slot_exps for lead in leads):
+            return el
+
+
+def _basis_element(ctx, row, slot):
+    el = NCElement.zero(ctx)
+    for exps, c in row:
+        word = [()] * ctx.slot_count
+        word[slot] = tuple((ctx.slots[slot].gen_index("R", (v // 3 + 1, v % 3 + 1)), e)
+                           for v, e in enumerate(exps) if e)
+        el = el + NCElement(ctx, {tuple(word): HSeries.const(c)})
+    return el
+
+
+def test_random_ideal_members_and_non_members():
+    # combinations (monomial x table row) reduce to zero; adding a nonzero
+    # multiple of a standard monomial does not; the F_p cross-check agrees
+    g = load_model("galilei_group_kappa")
+    contexts = [(TensorContext((g,)), [0]),
+                (TensorContext((g, strip_quotient(g), g)), [0, 2])]
+    alpha = HSeries.const(RationalFn(Poly.var("alpha")))
+    for seed in range(6):
+        rng = random.Random(seed)
+        for ctx, qslots in contexts:
+            for extra in (False, True):
+                member = NCElement.zero(ctx)
+                for _ in range(3):
+                    c = GaussianRational(F(rng.randint(1, 5), rng.randint(1, 4)),
+                                         rng.randint(-2, 2))
+                    term = (_random_r_word(rng, ctx, qslots, rng.randint(0, 2))
+                            * _basis_element(ctx, rng.choice(O3_BASIS), rng.choice(qslots)))
+                    term = term.scale(HSeries.const(c))
+                    member = member + (term.scale(alpha) if extra and rng.random() < 0.5
+                                       else term)
+                std = _standard_r_word(rng, ctx, qslots).scale(HSeries.const(rng.randint(1, 3)))
+                other = member + (std.scale(alpha) if extra else std)
+                assert not normal_order(member).is_zero()
+                for el, want in ((member, True), (other, False)):
+                    assert zero_mod_quotient(el) is want, (seed, qslots, extra)
+                    assert prefilter_zero(el, rng) is want, (seed, qslots, extra)
 
 
 def test_zero_mod_quotient_on_group_elements():
@@ -187,13 +346,13 @@ def test_evaluate_raw_decides_each_mode_residual_once(monkeypatch):
     d = apply_coproduct(g.gen_element("R", (1, 2)), 0)
     raw = multiply_slots(apply_antipode(d, 0), 0, 1)  # (R^T R)_12
     reduced = []
-    real = quotient._cayley_reduce_zero
+    real = quotient._normal_form_is_zero
 
-    def counting(poly, slots):
-        reduced.append(poly)
-        return real(poly, slots)
+    def counting(terms, rules, top):
+        reduced.append(terms)
+        return real(terms, rules, top)
 
-    monkeypatch.setattr(quotient, "_cayley_reduce_zero", counting)
+    monkeypatch.setattr(quotient, "_normal_form_is_zero", counting)
     # the exact test and the cross-check share one normal form and one
     # bucketing of each residual
     calls = []

@@ -88,6 +88,21 @@ def test_cli_exit_codes_and_json(tmp_path):
     assert main(["verify", "spacetime", "--model", str(tmp_path / "nope.hopf")]) == 2
 
 
+def test_duality_degree_below_its_candidates_is_a_config_error(capsys):
+    # the Eq. A4 candidates have coordinate degree 2: a bound of 0..2 is a
+    # configuration error for every run that includes duality
+    for suite in ("duality", "all"):
+        for degree in (0, 2):
+            with pytest.raises(ConfigError):
+                run_suite(SuiteConfig(suite=suite, order=1, degree=degree))
+    assert run_suite(SuiteConfig(suite="duality", order=1, degree=3)).passed
+    capsys.readouterr()
+    assert main(["verify", "duality", "--order", "1", "--degree", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "degree" in err
+    assert "Traceback" not in err
+
+
 def test_cli_failure_exit_code(tmp_path):
     # an override with a wrong spacetime relation must make covariance fail
     bad = tmp_path / "bad_spacetime.hopf"
