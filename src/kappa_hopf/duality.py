@@ -407,11 +407,15 @@ class PairingEngine:
                             k[r].pop(col, None)
             self.K[label] = _columns(k)
 
-    def sweep(self, max_degree, cols, visit):
+    def sweep(self, max_degree, cols, visit, sigma_cols):
         """Call visit(word, plain, sigma) for every PBW word of degree <=
         max_degree, depth first; plain and sigma are lists of sparse columns
-        {row -> value}, one per entry of cols.  One partial state is held
-        per level."""
+        {row -> value}, one per entry of cols.  Sigma is carried only in the
+        columns that are in sigma_cols and left empty in the others; a
+        column's t(a*w) reads only its own u(w) and t(w), so the carried
+        ones are exact.  One partial state is held per level."""
+        carry = [c in sigma_cols for c in cols]
+
         def walk(word, first, u, t):
             visit(word, u, t)
             if len(word) == max_degree:
@@ -419,8 +423,8 @@ class PairingEngine:
             for i, label in enumerate(self.gen_order[:first + 1]):
                 D, K = self.D[label], self.K[label]
                 walk((label,) + word, i, [_matvec(D, ucol) for ucol in u],
-                     [_vec_add(_matvec(D, tcol), _matvec(K, ucol))
-                      for ucol, tcol in zip(u, t)])
+                     [_vec_add(_matvec(D, tcol), _matvec(K, ucol)) if keep else tcol
+                      for ucol, tcol, keep in zip(u, t, carry)])
 
         walk((), len(self.gen_order) - 1, [{c: GR_ONE} for c in cols],
              [{} for _ in cols])
@@ -624,7 +628,7 @@ def _poisson_family_checks(engine, queries):
                 if lhs != rhs:
                     failures[qi].append((word, lhs, rhs))
 
-    engine.sweep(max(bounds), cols, visit)
+    engine.sweep(max(bounds), cols, visit, {sigma_col for _, (_, sigma_col) in compiled})
     rank = {label: i for i, label in enumerate(engine.gen_order)}
     checks = []
     for q, fails in zip(queries, failures):

@@ -18,6 +18,7 @@ with E.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .scalars import (
     CONSTANT_TYPES,
@@ -38,7 +39,8 @@ class PresentationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Rewriting exceeded its step budget; names the offending digram."""
+    """Rewriting exceeded its step budget, its word-length limit or its
+    pending-term limit; names the offending digram."""
 
 
 class LimitError(ValueError):
@@ -46,7 +48,12 @@ class LimitError(ValueError):
     residual's R degree is beyond the orthogonality test's packed monomials."""
 
 
+# bounds of one normal_order call: rewrite steps, letters in one slot word,
+# and terms waiting to be rewritten (`verify all --order 6 --degree 8` on the
+# shipped models reaches 10 letters and 1,400 pending terms)
 REWRITE_BUDGET = 2_000_000
+MAX_WORD_LENGTH = 128
+MAX_PENDING_TERMS = 100_000
 
 
 class GenDecl:
@@ -331,16 +338,10 @@ class NCElement:
                 t[w] = nc
             else:
                 t.pop(w, None)
-        out = NCElement.__new__(NCElement)
-        out.context = self.context
-        out.terms = t
-        return out
+        return _raw_element(self.context, t)
 
     def __neg__(self):
-        out = NCElement.__new__(NCElement)
-        out.context = self.context
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return _raw_element(self.context, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -363,31 +364,14 @@ class NCElement:
                 nv = v * c
                 if nv:
                     t[w] = nv
-        out = NCElement.__new__(NCElement)
-        out.context = self.context
-        out.terms = t
-        return out
+        return _raw_element(self.context, t)
 
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
             return self.scale(other)
         self._require_same_context(other)
-        n = self.context.slot_count
-        t = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(w1[s] + w2[s] for s in range(n))
-                c = c1 * c2
-                old = t.get(w)
-                nc = c if old is None else old + c
-                if nc:
-                    t[w] = nc
-                else:
-                    t.pop(w, None)
-        out = NCElement.__new__(NCElement)
-        out.context = self.context
-        out.terms = t
-        return out
+        return _raw_element(self.context,
+                            _mul_terms(self.terms, [(w, c, 0) for w, c in other.terms.items()]))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -492,6 +476,55 @@ class NCElement:
         return f"NCElement<{self.render()}>"
 
 
+def _raw_element(context, terms):
+    """The element with these terms, taken as they are: HSeries coefficients,
+    none zero."""
+    out = NCElement.__new__(NCElement)
+    out.context = context
+    out.terms = terms
+    return out
+
+
+def _mul_terms(left, right, order=None):
+    """The terms of a product, the product rule in one place: left is a dict
+    word -> coefficient, right a list of (word, coefficient, lowest h power)
+    items.  Words join slot by slot; pairs are summed in order, dropping
+    zero sums.
+
+    With `order`, every left coefficient must be truncated at h^order or
+    below.  A pair whose lowest h powers add past h^order is then not
+    formed: its product is zero through its truncation.  Summed into a word
+    already known through a higher order than that truncation, such a zero
+    would lower the word's truncation; only that is applied, without the
+    product."""
+    t = {}
+    for w1, c1 in left.items():
+        low1 = 0 if order is None else c1.min_power()
+        for w2, c2, low2 in right:
+            if order is not None and low1 + low2 > order:
+                w = tuple(map(add, w1, w2))
+                old = t.get(w)
+                if old is not None:
+                    t2 = c2.truncation
+                    trunc = c1.truncation if t2 is None else min(c1.truncation, t2)
+                    if trunc < old.truncation:
+                        nc = old.truncate(trunc)
+                        if nc:
+                            t[w] = nc
+                        else:
+                            del t[w]
+                continue
+            w = tuple(map(add, w1, w2))
+            c = c1 * c2
+            old = t.get(w)
+            nc = c if old is None else old + c
+            if nc:
+                t[w] = nc
+            else:
+                t.pop(w, None)
+    return t
+
+
 def _word_sort_key(w):
     return (sum(abs(p) for s in w for _, p in s), w)
 
@@ -578,15 +611,22 @@ def normal_order(e, budget=None):
         p = pres_list[s]
         steps += 1
         if steps > budget:
-            g1 = p.gens[sw[i][0]].label()
-            g2 = p.gens[sw[i + 1][0]].label()
-            raise DivergenceError(
-                f"rewrite budget exceeded at digram {g1}*{g2} in {p.name}")
+            _diverged(p, sw, i, "rewrite budget exceeded")
         lead, corrections = rewrite_digram(p, sw, i)
         stack.append((word[:s] + (lead,) + word[s + 1:], coeff))
         for nsw, c in corrections:
+            if len(nsw) > MAX_WORD_LENGTH:
+                _diverged(p, sw, i, f"word length limit {MAX_WORD_LENGTH} exceeded")
             stack.append((word[:s] + (nsw,) + word[s + 1:], coeff * c))
-    return NCElement(e.context, result)
+        if len(stack) > MAX_PENDING_TERMS:
+            _diverged(p, sw, i, f"pending-term limit {MAX_PENDING_TERMS} exceeded")
+    return _raw_element(e.context, result)
+
+
+def _diverged(p, sw, i, what):
+    g1 = p.gens[sw[i][0]].label()
+    g2 = p.gens[sw[i + 1][0]].label()
+    raise DivergenceError(f"{what} at digram {g1}*{g2} in {p.name}")
 
 
 def commutator(x, y, budget=None):
@@ -599,6 +639,17 @@ def commutator(x, y, budget=None):
 # ---------------------------------------------------------------------------
 
 
+def _letter_factor(img, order):
+    """An image prepared for the product loop: the word itself when the image
+    is a single word with coefficient exactly 1 (no truncation), else its
+    (word, coefficient, lowest h power) items."""
+    if len(img.terms) == 1:
+        (w, c), = img.terms.items()
+        if c.truncation is None and c == H_ONE:
+            return w
+    return [(w, c, 0 if order is None else c.min_power()) for w, c in img.terms.items()]
+
+
 def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
     """Extend maps given on generators letter by letter to the element e.
 
@@ -606,13 +657,23 @@ def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
     unchanged into that slot of the `target` context; a function
     (gen, power) -> NCElement in `target` gives each letter's image, and the
     images multiply in letter order, reversed for an anti-multiplicative
-    map (reverse=True).  Each distinct (slot, gen, power) image is built
-    once per call.  With `order`, every term's product is truncated at
-    h^order before it is summed.  Raw output (not normal-ordered)."""
+    map (reverse=True).  Each distinct (slot, gen, power) image is built and
+    prepared once per call.  Each term's product runs over a plain dict of
+    words: an image that is one word with coefficient 1 is appended to
+    every word with the coefficients left alone (appending a fixed word is
+    injective, so nothing merges); any other image goes through the shared
+    pair loop.  With `order`, each input coefficient is truncated at
+    h^order first, and pairs whose lowest h powers add past h^order are
+    skipped unformed, so every product is truncated at h^order before it is
+    summed.  Raw output (not normal-ordered)."""
     n = target.slot_count
     images = {}
     out = {}
     for w, c in e.terms.items():
+        if order is not None:
+            c = c.truncate(order)
+            if not c:
+                continue
         base = [()] * n
         factors = []
         for s, sw in enumerate(w):
@@ -621,25 +682,26 @@ def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
                 base[m] = sw
                 continue
             for gi, pw in (reversed(sw) if reverse else sw):
-                img = images.get((s, gi, pw))
-                if img is None:
-                    img = images[(s, gi, pw)] = m(gi, pw)
-                factors.append(img)
-        term = NCElement(target, {tuple(base): c})
-        for img in factors:
-            if not term.terms:
-                break
-            term = term * img
-        for tw, tc in term.terms.items():
-            if order is not None:
-                tc = tc.truncate(order)
+                f = images.get((s, gi, pw))
+                if f is None:
+                    f = images[(s, gi, pw)] = _letter_factor(m(gi, pw), order)
+                factors.append(f)
+        term = {tuple(base): c}
+        for f in factors:
+            if f.__class__ is tuple:
+                term = {tuple(map(add, tw, f)): tc for tw, tc in term.items()}
+            else:
+                term = _mul_terms(term, f, order)
+                if not term:
+                    break
+        for tw, tc in term.items():
             old = out.get(tw)
             nc = tc if old is None else old + tc
             if nc:
                 out[tw] = nc
             else:
                 out.pop(tw, None)
-    return NCElement(target, out)
+    return _raw_element(target, out)
 
 
 def letter_power(img, k):
@@ -700,7 +762,9 @@ def h_expand_raw(e, order):
     """Replace every grouplike letter E^k by its exponential series through
     h^order without normal ordering; the result is grouplike-free with
     truncated coefficients and agrees with e under the exponential
-    interpretation."""
+    interpretation.  Every other letter's image is its own unit word, which
+    extend_letterwise appends without a product; extend_letterwise also
+    truncates e's coefficients at h^order as it reads them."""
     if order < 0:
         raise ValueError("h_expand order must be >= 0")
     ctx = e.context
@@ -722,7 +786,7 @@ def h_expand_raw(e, order):
         return image
 
     maps = [series_in(s) for s in range(ctx.slot_count)]
-    return extend_letterwise(e.truncate(order), ctx, maps, order=order)
+    return extend_letterwise(e, ctx, maps, order=order)
 
 
 def _exp_series(log_el, k, order):

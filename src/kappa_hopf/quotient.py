@@ -33,7 +33,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .ncalg import LimitError, normal_order
-from .scalars import MOD_P, GaussianRational, Poly, POLY_ONE, eval_mod, inverse_mod
+from .scalars import GR_ONE, MOD_P, GaussianRational, Poly, eval_mod, inverse_mod
 
 # the reduced Groebner basis of <R R^T - I, R^T R - I> for grevlex with
 # R11 > R12 > ... > R33: 11 quadrics, 11 cubics and 5 quartics, monic, each
@@ -149,18 +149,20 @@ def _bucket_by_rest(el, slots_with_r):
               for s in slots_with_r}
     buckets = {}
     for w, c in el.terms.items():
-        sym = POLY_ONE
+        powers = {}
         rest_word = list(w)
         for s, names in r_syms.items():
             rest = []
             for gi, p in w[s]:
-                if gi in names:
-                    sym = sym * Poly.var(names[gi], p)
-                else:
+                name = names.get(gi)
+                if name is None:
                     rest.append((gi, p))
+                else:
+                    powers[name] = powers.get(name, 0) + p
             rest_word[s] = tuple(rest)
         key = tuple(rest_word)
-        contrib = c.scale(sym) if sym != POLY_ONE else c
+        # one monomial, its (symbol, power) pairs in Poly's sorted key order
+        contrib = c.scale(Poly({tuple(sorted(powers.items())): GR_ONE})) if powers else c
         cur = buckets.get(key)
         buckets[key] = contrib if cur is None else cur + contrib
     return buckets

@@ -355,7 +355,7 @@ def _per_word_oracle(engine, queries):
             if lhs != rhs:
                 failures[q.check_id].append((word, lhs, rhs))
 
-    engine.sweep(max(q.degree_bound for q in queries), cols, visit)
+    engine.sweep(max(q.degree_bound for q in queries), cols, visit, cols)
     rank = {label: i for i, label in enumerate(engine.gen_order)}
     out = []
     for q in queries:
@@ -447,3 +447,28 @@ def test_duality_suite_builds_each_mask_product_once(monkeypatch):
     # one build per distinct word, and the products do not outlive the run
     assert len(runs[0]) > 100 and len(set(runs[0])) == len(runs[0])
     assert runs[1] == runs[0]
+
+
+def test_sweep_carries_sigma_only_in_queried_columns(monkeypatch):
+    """The duality suite's residual texts and "N of M" counts, and those of a
+    failing quantization mutant, are the same when the sweep carries sigma
+    in every column; it carries fewer."""
+    carried = []
+    real = PairingEngine.sweep
+
+    def every_column(self, max_degree, cols, visit, sigma_cols):
+        carried.append((len(cols), len(sigma_cols)))
+        return real(self, max_degree, cols, visit, cols)
+
+    def outcomes():
+        rep = run_suite(SuiteConfig(suite="duality", order=3, seed=42))
+        return ([(c.check_id, c.status, c.residual, c.detail) for c in rep.checks],
+                _doubled_rule_failures(("a", (1,)), ("v", (2,))))
+
+    skipped = outcomes()
+    monkeypatch.setattr(PairingEngine, "sweep", every_column)
+    full = outcomes()
+    assert skipped == full
+    assert "(12 of 1001 monomials disagree)" in full[1]["quantize[a[1],v[2]]"]
+    assert carried and all(n_sigma <= n for n, n_sigma in carried)
+    assert any(n_sigma < n for n, n_sigma in carried)

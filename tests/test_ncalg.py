@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from kappa_hopf import ncalg
-from kappa_hopf.models import load_model
+from kappa_hopf.models import load_casimirs_in, load_model
 from kappa_hopf.ncalg import (
     DivergenceError,
     GenDecl,
@@ -17,6 +17,7 @@ from kappa_hopf.ncalg import (
     commutator,
     confluence_residual,
     confluence_triples,
+    extend_letterwise,
     h_expand,
     h_expand_raw,
     normal_order,
@@ -318,6 +319,209 @@ def test_h_expand_builds_each_letter_series_once(monkeypatch):
     assert normal_order(total) == normal_order(separately)
 
 
+def _reference_product(left, right, n):
+    """Terms of a product of two term dicts, pair by pair, nothing skipped."""
+    t = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = tuple(w1[s] + w2[s] for s in range(n))
+            c = c1 * c2
+            old = t.get(w)
+            nc = c if old is None else old + c
+            if nc:
+                t[w] = nc
+            else:
+                t.pop(w, None)
+    return t
+
+
+def _reference_extend_letterwise(e, target, slot_maps, reverse=False, order=None):
+    """Reference for extend_letterwise: each term multiplied by the full
+    image of every letter, every pair formed, truncated after the product."""
+    n = target.slot_count
+    images = {}
+    out = {}
+    for w, c in e.terms.items():
+        base = [()] * n
+        factors = []
+        for s, sw in enumerate(w):
+            m = slot_maps[s]
+            if isinstance(m, int):
+                base[m] = sw
+                continue
+            for gi, pw in (reversed(sw) if reverse else sw):
+                img = images.get((s, gi, pw))
+                if img is None:
+                    img = images[(s, gi, pw)] = m(gi, pw)
+                factors.append(img)
+        term = {tuple(base): c}
+        for img in factors:
+            if not term:
+                break
+            term = _reference_product(term, img.terms, n)
+        for tw, tc in term.items():
+            if order is not None:
+                tc = tc.truncate(order)
+            old = out.get(tw)
+            nc = tc if old is None else old + tc
+            if nc:
+                out[tw] = nc
+            else:
+                out.pop(tw, None)
+    return NCElement(target, out)
+
+
+def _oracle_coeff(rng):
+    """A few h powers from -1 to 3 with Gaussian, symbolic and fractional
+    coefficients, exact or truncated at 0..3."""
+    alpha = Poly.var("alpha")
+    coeffs = {}
+    for _ in range(rng.randint(1, 3)):
+        num = Poly.const(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)))
+        if rng.random() < 0.3:
+            num = num + alpha.scale(rng.randint(1, 2))
+        den = rng.choice([Poly.const(1), Poly.const(rng.randint(2, 3)), alpha + Poly.const(1)])
+        coeffs[rng.randint(-1, 3)] = RationalFn(num, den)
+    return HSeries(coeffs, rng.choice([None, None, 0, 1, 2, 3]))
+
+
+def _oracle_word(p, rng, slots, used):
+    word = []
+    for s in range(slots):
+        letters = []
+        if s in used:
+            for _ in range(rng.randint(0, 2)):
+                gi = rng.randrange(len(p.gens))
+                letters.append((gi, rng.choice([-1, 1, 2]) if p.gens[gi].grouplike else 1))
+        word.append(tuple(letters))
+    return tuple(word)
+
+
+def _oracle_image(p, ctx, rng, used):
+    """A letter image in ctx, with words only in the slots `used`: a unit
+    word, a unit word under a truncation, zero, or a random sum."""
+    kind = rng.random()
+    if kind < 0.35:
+        return NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): H_ONE})
+    if kind < 0.45:
+        one = H_ONE.truncate(rng.randint(1, 3))
+        return NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): one})
+    if kind < 0.5:
+        return NCElement.zero(ctx)
+    return NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): _oracle_coeff(rng)
+                           for _ in range(rng.randint(1, 4))})
+
+
+def _oracle_element(p, ctx, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        word = _oracle_word(p, rng, ctx.slot_count, range(ctx.slot_count))
+        terms[word] = _oracle_coeff(rng)
+    return NCElement(ctx, terms)
+
+
+@pytest.mark.parametrize("layout", ["one slot", "two slots", "int slot map"])
+def test_letterwise_kernel_matches_the_reference_product_loop(layout):
+    """Exact terms and per-coefficient truncations of extend_letterwise equal
+    the reference loop's on seeded random elements and images.  With an
+    order, the reference gets the input truncated at h^order, which the
+    kernel does itself."""
+    p = Presentation("oracle", [GenDecl("x"), GenDecl("y"), GenDecl("E", grouplike=True)])
+    rng = random.Random(f"letterwise {layout}")
+    slots = 1 if layout == "one slot" else 2
+    source = TensorContext((p,) * slots)
+    target = TensorContext((p,) * (3 if layout == "int slot map" else slots))
+    compared = 0
+    for _ in range(60):
+        table = {}
+
+        def mapped(s, used):
+            def image(gi, pw):
+                key = (s, gi, pw)
+                if key not in table:
+                    table[key] = _oracle_image(p, target, rng, used)
+                return table[key]
+            return image
+
+        if layout == "int slot map":  # as the coaction's [0, coaction]
+            maps = [0, mapped(1, (1, 2))]
+        else:
+            maps = [mapped(s, range(slots)) for s in range(slots)]
+        e = _oracle_element(p, source, rng)
+        for reverse in (False, True):
+            for order in (None, 0, 1, 2, 3):
+                got = extend_letterwise(e, target, maps, reverse=reverse, order=order)
+                ref = _reference_extend_letterwise(
+                    e if order is None else e.truncate(order), target, maps,
+                    reverse=reverse, order=order)
+                assert got.context == ref.context
+                assert got.terms == ref.terms
+                assert {w: c.truncation for w, c in got.terms.items()} \
+                    == {w: c.truncation for w, c in ref.terms.items()}
+                compared += len(ref.terms)
+    assert compared > 500
+
+
+def test_skipped_pair_still_lowers_a_summed_truncation():
+    """x*y at order 2, x -> 1 + h*z (h known through h^1), y -> z + h^2: the
+    pair (h*z, h^2) is past the order and not formed, yet the word z it
+    lands on is then known only through h^1, as in the reference loop."""
+    p = Presentation("oracle", [GenDecl("x"), GenDecl("y"), GenDecl("z")])
+    ctx = TensorContext((p,))
+    x, y, z = ((0, 1),), ((1, 1),), ((2, 1),)
+    images = {0: NCElement(ctx, {((),): H_ONE, (z,): HSeries({1: 1}, 1)}),
+              1: NCElement(ctx, {(z,): H_ONE, ((),): HSeries({2: 1})})}
+    e = NCElement(ctx, {(x + y,): H_ONE})
+    maps = [lambda gi, pw: images[gi]]
+    got = extend_letterwise(e, ctx, maps, order=2)
+    ref = _reference_extend_letterwise(e.truncate(2), ctx, maps, order=2)
+    assert got.terms == ref.terms
+    assert {w: c.truncation for w, c in got.terms.items()} \
+        == {w: c.truncation for w, c in ref.terms.items()}
+    assert got.terms[(z,)].truncation == 1
+
+
+@pytest.mark.parametrize("letter", [("L", (1,)), ("EE", ())])
+def test_h_expand_raw_forms_no_unit_or_past_order_products(monkeypatch, letter):
+    """Work count on the casimir commutators C2 x L[1] and C2 x EE at order 3:
+    h_expand_raw forms no HSeries product with a unit-letter image and none
+    whose lowest h powers add past the order (the exponential series
+    themselves are not counted)."""
+    kappa = load_model("galilei_algebra_kappa")
+    c2 = load_casimirs_in(kappa)["C2"]
+    g = kappa.gen_element(*letter)
+    e = c2 * g - g * c2
+    order = 3
+    products = []
+    in_series = []
+    real_mul, real_exp = HSeries.__mul__, ncalg._exp_series
+
+    def spy_mul(a, b):
+        if not in_series:
+            products.append((a, b))
+        return real_mul(a, b)
+
+    def exp_series(*args):
+        in_series.append(True)
+        try:
+            return real_exp(*args)
+        finally:
+            in_series.pop()
+
+    monkeypatch.setattr(HSeries, "__mul__", spy_mul)
+    monkeypatch.setattr(ncalg, "_exp_series", exp_series)
+    got = h_expand_raw(e, order)
+    monkeypatch.undo()
+    if letter[0] == "L":
+        assert products == []  # every letter is a unit word
+    else:
+        assert products  # EE's series still multiplies out
+    for a, b in products:
+        assert not any(c.truncation is None and c == H_ONE for c in (a, b))
+        assert a.min_power() + b.min_power() <= order
+    assert normal_order(got).is_zero()  # C2 is central through h^3
+
+
 def test_formal_series_modes_commute():
     kappa = load_model("galilei_algebra_kappa")
     rng = random.Random(23)
@@ -341,6 +545,35 @@ def test_divergence_and_mismatch_errors():
     other = load_model("galilei_group_2d")
     with pytest.raises(PresentationError):
         el._require_same_context(other.gen_element("v"))
+
+
+def _growing_rule_presentation():
+    """L < P with P*L -> L*P + L*L*P*P: every rewrite of P*P*L lengthens the
+    word, and no step budget is reached before memory runs out."""
+    L, P = (0, 1), (1, 1)
+    p = Presentation("grows", [GenDecl("L"), GenDecl("P")],
+                     rules={(1, 0): ((H_ONE, (L, L, P, P)),)})
+    return p, p.gen_element("P") * p.gen_element("P") * p.gen_element("L")
+
+
+def test_word_length_limit_stops_a_growing_rule():
+    # the step budget is small, so a missing limit ends in the budget error
+    # after about 30 MB, not in an exhausted memory
+    _, el = _growing_rule_presentation()
+    with pytest.raises(DivergenceError, match="word length limit 128 exceeded at digram P[*]L"):
+        normal_order(el, budget=1000)
+
+
+def test_pending_term_limit_stops_a_branching_rule(monkeypatch):
+    # y*x -> x*y + 2 copies of y*x: words stay short, pending terms pile up
+    gens = [GenDecl("x"), GenDecl("y")]
+    yx = ((1, 1), (0, 1))
+    p = Presentation("branches", gens,
+                     rules={(1, 0): ((HSeries.const(1), yx), (HSeries.const(2), yx))})
+    el = p.gen_element("y") * p.gen_element("x")
+    monkeypatch.setattr(ncalg, "MAX_PENDING_TERMS", 500)
+    with pytest.raises(DivergenceError, match="pending-term limit 500 exceeded at digram y[*]x"):
+        normal_order(el, budget=5000)
 
 
 def test_missing_rule_is_reported():

@@ -204,6 +204,62 @@ def test_random_ideal_members_and_non_members():
                     assert prefilter_zero(el, rng) is want, (seed, qslots, extra)
 
 
+def _chained_bucket_by_rest(el, slots_with_r):
+    """_bucket_by_rest as it was: one Poly.var product per stripped R letter."""
+    r_syms = {s: {gi: quotient._rsym(s, *ij)
+                  for ij, gi in el.context.slots[s].quotient.gen_indices.items()}
+              for s in slots_with_r}
+    buckets = {}
+    for w, c in el.terms.items():
+        sym = Poly.const(1)
+        rest_word = list(w)
+        for s, names in r_syms.items():
+            rest = []
+            for gi, p in w[s]:
+                if gi in names:
+                    sym = sym * Poly.var(names[gi], p)
+                else:
+                    rest.append((gi, p))
+            rest_word[s] = tuple(rest)
+        contrib = c.scale(sym) if sym != Poly.const(1) else c
+        cur = buckets.get(tuple(rest_word))
+        buckets[tuple(rest_word)] = contrib if cur is None else cur + contrib
+    return buckets
+
+
+def test_bucket_monomials_equal_the_chained_products():
+    # seeded random normal-ordered elements mixing R with v, a, tau letters
+    # and symbolic coefficients, in one and in three slots (two quotient)
+    g = load_model("galilei_group_kappa")
+    alpha = Poly.var("alpha")
+    compared = 0
+    for ctx, qslots in [(TensorContext((g,)), [0]),
+                        (TensorContext((g, strip_quotient(g), g)), [0, 2])]:
+        rng = random.Random(len(qslots))
+        for _ in range(20):
+            el = NCElement.zero(ctx)
+            for _ in range(rng.randint(1, 4)):
+                term = NCElement.one(ctx)
+                for _ in range(rng.randint(0, 5)):
+                    slot = rng.randrange(ctx.slot_count)
+                    p = ctx.slots[slot]
+                    gen = p.gens[rng.randrange(len(p.gens))]
+                    term = term * p.gen_element(gen.name, gen.index, slot=slot,
+                                                slots=ctx.slot_count).in_context(ctx)
+                coeff = RationalFn(alpha.scale(rng.randint(0, 2))
+                                   + Poly.const(GaussianRational(rng.randint(-3, 3), 1)))
+                el = el + term.scale(HSeries({rng.randint(0, 2): coeff}))
+            el = normal_order(el)
+            got = quotient._bucket_by_rest(el, qslots)
+            want = _chained_bucket_by_rest(el, qslots)
+            assert list(got) == list(want)
+            for key, series in want.items():
+                assert {k: (v.num.terms, v.den.terms) for k, v in got[key].coeffs.items()} \
+                    == {k: (v.num.terms, v.den.terms) for k, v in series.coeffs.items()}
+            compared += sum(len(v.num.terms) for b in want.values() for v in b.coeffs.values())
+    assert compared > 200
+
+
 def test_zero_mod_quotient_on_group_elements():
     g = load_model("galilei_group_kappa")
     ctx = TensorContext((g,))

@@ -1,12 +1,16 @@
 """Reports, JSON schema, CLI exit codes, determinism."""
 
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import kappa_hopf
 from kappa_hopf import cli, report
 from kappa_hopf.cli import main
 from kappa_hopf.ncalg import DivergenceError
@@ -166,3 +170,29 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "checks, 0 failed" in proc.stdout
+
+
+def _address_space_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_growing_user_rule_exits_2_within_bounded_memory(tmp_path):
+    # P*L -> L*P + L*L*P*P in the kappa algebra lengthens words at every
+    # rewrite; normal ordering must stop at its word-length limit (exit 2,
+    # one line), run in a child process with its own 1 GB address space
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_algebra_kappa.hopf"
+    text = shipped.read_text()
+    rule = "relation L[i]*P[j] - P[j]*L[i] = 0;"
+    assert rule in text
+    model = tmp_path / "growing.hopf"
+    model.write_text(text.replace(rule, "relation L[i]*P[j] - P[j]*L[i] = -L[i]*L[i]*P[j]*P[j];"))
+    src = str(Path(kappa_hopf.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "kappa_hopf.cli", "verify", "algebra",
+                           "--order", "2", "--model", str(model)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_address_space_1gb)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("kappa-hopf: DivergenceError: word length limit 128 exceeded")
+    assert proc.stderr.count("\n") == 1
