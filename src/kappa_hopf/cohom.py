@@ -110,43 +110,35 @@ class PreparedSystem:
         extra = any(v for r, v in enumerate(b) if r not in pivot_rows)
         return self.rank + (1 if extra else 0)
 
+    def kernel(self):
+        """The standard basis of the kernel of A, one vector per free column
+        in increasing order: 1 there, and minus each pivot row's entry in that
+        column at the row's pivot column."""
+        pivot_cols = {pc for _, pc in self.pivots}
+        basis = []
+        for fc in range(self.ncols):
+            if fc in pivot_cols:
+                continue
+            v = [GR_ZERO] * self.ncols
+            v[fc] = GR_ONE
+            for pr, pc in self.pivots:
+                x = self.rref[pr].get(fc)
+                if x:
+                    v[pc] = -x
+            basis.append(v)
+        return basis
 
-def mat_rank(rows):
-    work = _sparse_rows(rows)
-    ncols = 0
-    for r in work:
-        for c in r:
-            ncols = max(ncols, c + 1)
-    return PreparedSystem(work, ncols).rank
-
-
-def nullspace(rows, ncols):
-    """Basis of the kernel of A (list of column vectors)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [GR_ZERO] * ncols
-        v[fc] = GR_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    def reduce(self, vec):
+        """vec modulo the row space of A: the one representative that is zero
+        at every pivot column.  Entries may be HSeries (the rows' entries
+        scale them)."""
+        out = list(vec)
+        for pr, pc in self.pivots:
+            f = out[pc]
+            if f:
+                for c, v in self.rref[pr].items():
+                    out[c] = out[c] - f * v
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +221,15 @@ class LieData:
         """Ordered basis of Lambda^2: list of (i, j) with i < j."""
         n = self.dim
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def coboundary_rows(self):
+        """d1 of each dual basis form e^t, as a sparse row over pair_index:
+        (d e^t)(e_i, e_j) = -c[i,j][t].  They span the 2-coboundaries."""
+        rows = [{} for _ in range(self.dim)]
+        for k, ij in enumerate(self.pair_index()):
+            for t, c in self.brackets.get(ij, {}).items():
+                rows[t][k] = -c
+        return rows
 
     def ad_on_wedge(self, x, pairs=None):
         """Matrix of ad_x (x) 1 + 1 (x) ad_x on Lambda^2 (columns/rows indexed
@@ -476,32 +477,19 @@ def lie_h2(lie):
                     row[pos[(other, m)]] = row[pos[(other, m)]] - c * sgn
         return row
 
-    d2_rows = [pair_coeff_row(i, j, k) for (i, j, k) in triples]
-    kernel = nullspace(d2_rows, npairs) if d2_rows else [
-        [GR_ONE if t == s else GR_ZERO for t in range(npairs)] for s in range(npairs)]
+    kernel = PreparedSystem([pair_coeff_row(i, j, k) for (i, j, k) in triples],
+                            npairs).kernel()
     rank_d2 = npairs - len(kernel)
 
-    # d1: g* -> Lambda^2*, (d a)(x,y) = -a([x,y])
-    d1_cols = []
-    for t in range(n):
-        col = [GR_ZERO] * npairs
-        for (i, j) in pairs:
-            c = lie.bracket(i, j).get(t)
-            if c:
-                col[pos[(i, j)]] = -c
-        d1_cols.append(col)
-    rank_d1 = mat_rank([[d1_cols[t][r] for t in range(n)] for r in range(npairs)]) if npairs else 0
+    # d1: g* -> Lambda^2*, (d a)(x,y) = -a([x,y]); its rows span the coboundaries
+    span = PreparedSystem(lie.coboundary_rows(), npairs)
+    rank_d1 = span.rank
 
-    # representatives: kernel vectors independent modulo the coboundaries
-    basis_rows = [c for c in d1_cols if any(c)]
+    # representatives: in order, each kernel vector not in the span of the
+    # coboundaries and of the representatives before it
     reps = []
-    rank = mat_rank(basis_rows) if basis_rows else 0
-    current = list(basis_rows)
     for v in kernel:
-        cand = current + [v]
-        r = mat_rank(cand)
-        if r > rank:
-            rank = r
-            current = cand
+        if any(span.reduce(v)):
             reps.append({pairs[t]: v[t] for t in range(npairs) if v[t]})
+            span = PreparedSystem(span.rref + [v], npairs)
     return H2Result(len(kernel) - rank_d1, reps, npairs, rank_d2, rank_d1)

@@ -52,7 +52,6 @@ from .ncalg import (
 )
 from .scalars import (
     GR_I,
-    GR_ONE,
     H_ONE,
     H_ZERO,
     HSeries,
@@ -542,16 +541,8 @@ class ExprVal:
         return ExprVal(scalar=h)
 
     @staticmethod
-    def from_gen(p, gi, power=1):
-        if power == 0:
-            return ExprVal(scalar=H_ONE)
-        if p.gens[gi].grouplike:
-            word = ((gi, power),)
-        else:
-            if power < 0:
-                raise _EvalError(f"negative power on non-grouplike {p.gens[gi].label()}")
-            word = ((gi, 1),) * power
-        return ExprVal(pres=(p,), terms={(word,): H_ONE})
+    def from_gen(p, gi):
+        return ExprVal(pres=(p,), terms={(((gi, 1),),): H_ONE})
 
     def is_scalar(self):
         return self.slots == 0
@@ -629,11 +620,8 @@ class ExprVal:
         if self.is_scalar():
             if n >= 0:
                 return ExprVal(scalar=self.scalar ** n)
-            ks = list(self.scalar.coeffs)
-            if len(ks) == 1:
-                k = ks[0]
-                inv = HSeries({-k: 1 / self.scalar.coeffs[k]})
-                return ExprVal(scalar=inv ** (-n))
+            if len(self.scalar.coeffs) == 1:
+                return ExprVal(scalar=(H_ONE / self.scalar) ** (-n))
             raise _EvalError("negative power of a non-monomial scalar")
         if n >= 0:
             out = ExprVal(scalar=H_ONE)
@@ -1104,17 +1092,12 @@ def _orient(proto, lel, rel, tok, path):
 
 
 def _invert_scalar(coeff, sign):
-    ks = list(coeff.coeffs)
-    if len(ks) != 1:
+    if len(coeff.coeffs) != 1:
         raise _EvalError("relation commutator prefactor must be an h-monomial scalar")
-    k = ks[0]
-    v = coeff.coeffs[k]
+    (v,) = coeff.coeffs.values()
     if not v.is_const():
         raise _EvalError("relation commutator prefactor must be constant")
-    inv = GR_ONE / v.const_value()
-    if sign != 1:
-        inv = inv * sign
-    return HSeries({-k: RationalFn(Poly.const(inv))})
+    return HSeries.const(sign) / coeff
 
 
 # rewrite steps allowed per rule correction while a model loads; the

@@ -105,31 +105,26 @@ class MatrixModel:
         """[X,Y] = sum c Z as matrices; returns offending triples."""
         bad = []
         for (x, y), comp in brackets.items():
-            lhs = _sub(_smul(self.generators[x], self.generators[y]),
-                       _smul(self.generators[y], self.generators[x]))
-            rhs = {}
+            gx, gy = self.generators[x], self.generators[y]
+            diff = _axpy(_smul(gx, gy), -GR_ONE, _smul(gy, gx))
             for z, c in comp.items():
-                for r, row in self.generators[z].items():
-                    for col, v in row.items():
-                        nv = rhs.setdefault(r, {}).get(col, GR_ZERO) + c * v
-                        if nv:
-                            rhs[r][col] = nv
-                        else:
-                            rhs[r].pop(col, None)
-            if _sub(lhs, {r: dict(row) for r, row in rhs.items() if row}):
+                diff = _axpy(diff, -c, self.generators[z])
+            if diff:
                 bad.append((x, y))
         return bad
 
 
-def _sub(a, b):
+def _axpy(a, c, b):
+    """a + c*b for sparse matrices {row: {col: value}}; a new matrix with
+    no zero entries and no empty rows."""
     out = {r: dict(row) for r, row in a.items()}
     for r, row in b.items():
-        for c, v in row.items():
-            nv = out.setdefault(r, {}).get(c, GR_ZERO) - v
+        for col, v in row.items():
+            nv = out.setdefault(r, {}).get(col, GR_ZERO) + c * v
             if nv:
-                out[r][c] = nv
+                out[r][col] = nv
             else:
-                out[r].pop(c, None)
+                out[r].pop(col, None)
     return {r: row for r, row in out.items() if row}
 
 
@@ -393,18 +388,12 @@ class PairingEngine:
         eye = {r: {r: GR_ONE} for r in range(self.n)}
         for label in self.gen_order:
             x = model.gen_matrix(label)
-            self.D[label] = _columns(_merge(_skron(x, eye, self.n), _skron(eye, x, self.n)))
-            terms = sigma_table.get(label, [])
+            self.D[label] = _columns(_axpy(_skron(x, eye, self.n), GR_ONE,
+                                           _skron(eye, x, self.n)))
             k = {}
-            for c, a_lab, b_lab in terms:
-                contrib = _skron(model.gen_matrix(a_lab), model.gen_matrix(b_lab), self.n)
-                for r, row in contrib.items():
-                    for col, v in row.items():
-                        nv = k.setdefault(r, {}).get(col, GR_ZERO) + c * v
-                        if nv:
-                            k[r][col] = nv
-                        else:
-                            k[r].pop(col, None)
+            for c, a_lab, b_lab in sigma_table.get(label, []):
+                k = _axpy(k, c, _skron(model.gen_matrix(a_lab), model.gen_matrix(b_lab),
+                                       self.n))
             self.K[label] = _columns(k)
 
     def sweep(self, max_degree, cols, visit, sigma_cols):
@@ -428,18 +417,6 @@ class PairingEngine:
 
         walk((), len(self.gen_order) - 1, [{c: GR_ONE} for c in cols],
              [{} for _ in cols])
-
-
-def _merge(a, b):
-    out = {r: dict(row) for r, row in a.items()}
-    for r, row in b.items():
-        for c, v in row.items():
-            nv = out.setdefault(r, {}).get(c, GR_ZERO) + v
-            if nv:
-                out[r][c] = nv
-            else:
-                out[r].pop(c, None)
-    return {r: row for r, row in out.items() if row}
 
 
 def _columns(m):
@@ -648,17 +625,25 @@ def _poisson_family_checks(engine, queries):
 
 
 def poisson_verify(engine, f_label, g_label, candidate, degree_bound,
-                   check_id="poisson", anchor="Eq. 12"):
+                   check_id="poisson"):
     """Check <candidate, X> = -i <f (x) g, sigma(X)> for every PBW monomial X
-    with deg X <= degree_bound.  Exact; returns a single Check."""
-    q = PoissonQuery(f_label, g_label, candidate, degree_bound, check_id, anchor)
+    with deg X <= degree_bound.  Exact; returns a single Check anchored at
+    Eq. 12."""
+    q = PoissonQuery(f_label, g_label, candidate, degree_bound, check_id)
     return poisson_family_verify(engine, [q])[0]
 
 
-def quantization_crosscheck(group, engine, degree_margin=2, degree_cap=8):
+# PBW degrees past a candidate's degree that quantization_crosscheck
+# checks, and the largest degree bound it uses
+QUANTIZE_DEGREE_MARGIN = 2
+QUANTIZE_DEGREE_CAP = 8
+
+
+def quantization_crosscheck(group, engine):
     """Quantize Eq. 11: every group bracket read as {f,g} = -i[f,g] must be
     reproduced by the Poisson structure of the cocommutator (Eq. 12), checked
-    through deg(candidate) + degree_margin."""
+    through deg(candidate) + QUANTIZE_DEGREE_MARGIN, at most
+    QUANTIZE_DEGREE_CAP."""
     queries = []
     for (hi, lo), corr in sorted(group.rules.items()):
         f = group.gens[hi].label()
@@ -669,7 +654,7 @@ def quantization_crosscheck(group, engine, degree_margin=2, degree_cap=8):
             labels = tuple(group.gens[gi].label() for gi, _ in w)
             maxdeg = max(maxdeg, len(labels))
             cand.append((_MINUS_I * coeff, labels))
-        bound = min(degree_cap, max(maxdeg + degree_margin, 2))
+        bound = min(QUANTIZE_DEGREE_CAP, max(maxdeg + QUANTIZE_DEGREE_MARGIN, 2))
         queries.append(PoissonQuery(f, g, cand, bound,
                                     check_id=f"quantize[{f},{g}]",
                                     anchor="Eq. 11 via Eqs. 9, 12"))

@@ -114,8 +114,7 @@ class Presentation:
     """Finitely presented algebra with PBW order, oriented rewrite rules and
     optional Hopf data.  Immutable after construction."""
 
-    def __init__(self, name, gens, params=(), rules=None, hopf=None,
-                 grouplike_logs=None, quotient=None, star=None):
+    def __init__(self, name, gens, params=(), rules=None, hopf=None, quotient=None):
         self.name = name
         self.gens = tuple(gens)
         self.params = tuple(params)
@@ -127,9 +126,9 @@ class Presentation:
         # rules: dict (hi_idx, lo_idx) -> tuple of (HSeries coeff, slot_word)
         self.rules = dict(rules or {})
         self.hopf = hopf
-        self.grouplike_logs = dict(grouplike_logs or {})
+        self.grouplike_logs = {}   # gen_idx -> 1-slot NCElement, filled by the loader
         self.quotient = quotient
-        self.star = dict(star or {})
+        self.star = {}
         self._validate()
 
     # -- construction helpers ---------------------------------------
@@ -629,9 +628,9 @@ def _diverged(p, sw, i, what):
     raise DivergenceError(f"{what} at digram {g1}*{g2} in {p.name}")
 
 
-def commutator(x, y, budget=None):
+def commutator(x, y):
     """normal_order(x*y - y*x)."""
-    return normal_order(x * y - y * x, budget=budget)
+    return normal_order(x * y - y * x)
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +751,10 @@ def substitute(e, mapping, target):
     return normal_order(extend_letterwise(e, ctx, maps))
 
 
-def h_expand(e, order, budget=None):
+def h_expand(e, order):
     """Normal-ordered series expansion: every grouplike letter E^k replaced
     by its exponential series through h^order."""
-    return normal_order(h_expand_raw(e, order), budget=budget)
+    return normal_order(h_expand_raw(e, order))
 
 
 def h_expand_raw(e, order):
@@ -809,27 +808,24 @@ def _exp_series(log_el, k, order):
     return out
 
 
-def clone_presentation(p, name=None, rules=None, quotient="keep", hopf="keep"):
-    """Fresh presentation sharing p's generator table, with optional
-    replacements; all stored Hopf/log elements are re-tagged so their
-    contexts reference the clone."""
+def clone_presentation(p, name=None, rules=None, quotient="keep"):
+    """Fresh presentation sharing p's generator table, with the rules and the
+    quotient optionally replaced; p's Hopf data and grouplike logs are
+    re-tagged so their contexts reference the clone."""
     q = Presentation(name or p.name, p.gens, params=p.params,
                      rules=dict(p.rules if rules is None else rules))
     if quotient == "keep":
         q.quotient = p.quotient
     elif quotient is not None:
         q.quotient = quotient
-    if hopf == "keep" and p.hopf is not None:
-        ctx1 = TensorContext((q,))
+    ctx1 = TensorContext((q,))
+    if p.hopf is not None:
         ctx2 = TensorContext((q, q))
         q.hopf = HopfData(
             {gi: NCElement(ctx2, el.terms) for gi, el in p.hopf.delta.items()},
             dict(p.hopf.counit),
             {gi: NCElement(ctx1, el.terms) for gi, el in p.hopf.antipode.items()},
         )
-    elif hopf != "keep" and hopf is not None:
-        q.hopf = hopf
-    ctx1 = TensorContext((q,))
     q.grouplike_logs.update(
         {gi: NCElement(ctx1, el.terms) for gi, el in p.grouplike_logs.items()})
     q.star.update(p.star)
@@ -859,9 +855,9 @@ def confluence_triples(p):
     return out
 
 
-def confluence_residual(p, triple, budget=None):
+def confluence_residual(p, triple):
     """Reduce z*y*x along both reduction paths; return the residual element."""
     word = tuple(triple)
-    path_a = normal_order(rewrite_once(p, word, 0), budget=budget)  # reduce (z,y) first
-    path_b = normal_order(rewrite_once(p, word, 1), budget=budget)  # reduce (y,x) first
-    return normal_order(path_a - path_b, budget=budget)
+    path_a = normal_order(rewrite_once(p, word, 0))  # reduce (z,y) first
+    path_b = normal_order(rewrite_once(p, word, 1))  # reduce (y,x) first
+    return normal_order(path_a - path_b)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohom import lie_h2
+from .cohom import PreparedSystem, lie_h2
 from .duality import galilei_2d_matrix_model, pair_word
 from .hopf import apply_coproduct
 from .ncalg import (
@@ -36,7 +36,6 @@ from .ncalg import (
 from .report import Check, PASS, run_check
 from .scalars import (
     GR_I,
-    GR_ZERO,
     H_ONE,
     H_ZERO,
     HSeries,
@@ -47,6 +46,11 @@ from .scalars import (
 )
 
 MAX_BCH_ORDER = 6
+# nested brackets an ad series may take before `conjugate` gives up
+MAX_AD_DEPTH = MAX_BCH_ORDER + 2
+# largest degree n of psi = p^n and largest order rep_compose_check takes
+MAX_REP_DEGREE = 4
+MAX_REP_ORDER = 4
 
 
 class OrderCapError(ValueError):
@@ -113,7 +117,7 @@ def bch_plan(max_weight):
     return plan
 
 
-def bch_combine_exponents(a, b, order, budget=None):
+def bch_combine_exponents(a, b, order):
     """log(e^A e^B) through h^order for exponents whose ad raises h-degree."""
     if order > MAX_BCH_ORDER:
         raise OrderCapError(f"BCH order {order} exceeds the configured maximum "
@@ -129,8 +133,7 @@ def bch_combine_exponents(a, b, order, budget=None):
             else:
                 val = bracket(word[:-1])
                 if not val.is_zero():
-                    val = commutator(val, letters[word[-1]],
-                                     budget=budget).truncate(order)
+                    val = commutator(val, letters[word[-1]]).truncate(order)
             brackets[word] = val
         return val
 
@@ -142,12 +145,12 @@ def bch_combine_exponents(a, b, order, budget=None):
     return normal_order(out).truncate(order)
 
 
-def bch_combine_list(exponents, order, budget=None):
+def bch_combine_list(exponents, order):
     """log of a product of exponentials, combined left to right."""
     acc = None
     for x in exponents:
         acc = x.truncate(order) if acc is None else \
-            bch_combine_exponents(acc, x, order, budget=budget)
+            bch_combine_exponents(acc, x, order)
     if acc is None:
         raise ValueError("empty exponential product has no log")
     return acc
@@ -201,21 +204,20 @@ class ExpProduct:
     def inverse(self):
         return ExpProduct([f.inverse() for f in reversed(self.factors)])
 
-    def log(self, order, budget=None):
-        return bch_combine_list([f.exponent for f in self.factors], order,
-                                budget=budget)
+    def log(self, order):
+        return bch_combine_list([f.exponent for f in self.factors], order)
 
 
-def bch_combine(a, b, order, budget=None):
+def bch_combine(a, b, order):
     """Spec operation: ExpFactor x ExpFactor -> ExpFactor."""
     if a.exponent.context != b.exponent.context:
         raise PresentationError("bch_combine needs factors in one context")
-    return ExpFactor(bch_combine_exponents(a.exponent, b.exponent, order,
-                                           budget=budget))
+    return ExpFactor(bch_combine_exponents(a.exponent, b.exponent, order))
 
 
-def conjugate(e_factor, x, order, budget=None, cap=MAX_BCH_ORDER + 2):
-    """e^A x e^-A = sum_d ad_A^d(x) / d!, finite by the h-grading."""
+def conjugate(e_factor, x, order):
+    """e^A x e^-A = sum_d ad_A^d(x) / d!, finite by the h-grading; more
+    than MAX_AD_DEPTH nested brackets raise OrderCapError."""
     if order > MAX_BCH_ORDER:
         raise OrderCapError(f"conjugation order {order} exceeds the cap")
     a = e_factor.exponent.truncate(order)
@@ -225,9 +227,9 @@ def conjugate(e_factor, x, order, budget=None, cap=MAX_BCH_ORDER + 2):
     d = 0
     while not term.is_zero():
         d += 1
-        if d > cap:
+        if d > MAX_AD_DEPTH:
             raise OrderCapError("ad series failed to terminate within the cap")
-        term = commutator(a, term, budget=budget).truncate(order)
+        term = commutator(a, term).truncate(order)
         fact *= d
         if term.is_zero():
             break
@@ -287,46 +289,40 @@ def _sym(name):
 
 
 def tau_exponent_series(arg_square, order):
-    """-(i/h) * ln(1 + h*m*arg^2/2) through h^order, with arg^2 given as a
-    polynomial scalar (e.g. v^2 or (p/m)^2 shapes)."""
+    """-(i/h) * ln(1 + h*arg_square/2) through h^order, with arg_square a
+    scalar such as m*v^2 or p^2/m."""
     x = HSeries({1: arg_square.scale(Fraction(1, 2))})
     lg = series_log1p(x, order + 1)
     return (lg * HSeries({-1: RationalFn(Poly.const(-GR_I))})).truncate(order)
 
 
 def a_exponent_series(arg, arg_square, order):
-    """-i*arg / (1 + h*m*arg_like^2/2) shapes through h^order."""
+    """-i*arg / (1 + h*arg_square/2) through h^order."""
     inv = series_inverse_one_plus(HSeries({1: arg_square.scale(Fraction(1, 2))}), order)
     return (inv.scale(arg) * HSeries.const(-GR_I)).truncate(order)
 
 
-def build_omega(group2d, order, slots=(0, 1), total_slots=2, vsyms=("v1",)):
+def build_omega(group2d, order):
     """The two-factor multiplier of Eq. 31 as an ExpProduct:
 
         omega = e^{-i kappa ln(1 + m v^2/2kappa) (x) tau}
                 e^{(-i m v/(1 + m v^2/2kappa)) (x) a}
 
-    slot `slots[0]` carries the v-words, slot `slots[1]` the tau/a letters.
+    slot 0 carries the v-words (symbol v1), slot 1 the tau/a letters.
     For m = 0 both exponents vanish and omega is the identity."""
-    ctx = TensorContext((group2d,) * total_slots)
+    ctx = TensorContext((group2d, group2d))
     m = _sym("m")
-    vsym = vsyms[0]
-    v2 = m * (_sym(vsym) ** 2)
+    v2 = m * (_sym("v1") ** 2)
     texp = tau_exponent_series(v2, order)          # coefficient of (x) tau
-    aexp = a_exponent_series(m * _sym(vsym), v2, order)  # coefficient of (x) a
-    v_gi = group2d.gen_index("v")
-    tau_gi = group2d.gen_index("tau")
-    a_gi = group2d.gen_index("a")
-    var_map = {vsym: (slots[0], v_gi)}
+    aexp = a_exponent_series(m * _sym("v1"), v2, order)  # coefficient of (x) a
+    var_map = {"v1": (0, group2d.gen_index("v"))}
 
-    def with_letter(series, gi):
-        extra = [()] * total_slots
-        extra[slots[1]] = ((gi, 1),)
-        return series_to_element(series, ctx, var_map, tuple(extra))
+    def with_letter(series, gname):
+        extra = ((), ((group2d.gen_index(gname), 1),))
+        return series_to_element(series, ctx, var_map, extra)
 
-    f_tau = ExpFactor(with_letter(texp, tau_gi))
-    f_a = ExpFactor(with_letter(aexp, a_gi))
-    return ExpProduct([f_tau, f_a])
+    return ExpProduct([ExpFactor(with_letter(texp, "tau")),
+                       ExpFactor(with_letter(aexp, "a"))])
 
 
 def omega_log_phi(group2d, order):
@@ -336,20 +332,18 @@ def omega_log_phi(group2d, order):
     return lg.scale(HSeries.const(-GR_I))
 
 
-def classical_phi0(group2d, total_slots=2, slots=(0, 1), vsym="v1"):
-    """phi_0 = -m(v^2/2 (x) tau + v (x) a), Eq. 25."""
-    ctx = TensorContext((group2d,) * total_slots)
+def classical_phi0(group2d):
+    """phi_0 = -m(v^2/2 (x) tau + v (x) a), Eq. 25, laid out as build_omega."""
+    ctx = TensorContext((group2d, group2d))
     m = Poly.var("m")
-    v = Poly.var(vsym)
+    v = Poly.var("v1")
     series_tau = HSeries.const(RationalFn((m * v * v).scale(Fraction(-1, 2))))
     series_a = HSeries.const(RationalFn((m * v).scale(-1)))
-    v_gi = group2d.gen_index("v")
-    var_map = {vsym: (slots[0], v_gi)}
+    var_map = {"v1": (0, group2d.gen_index("v"))}
 
     def with_letter(series, gname):
-        extra = [()] * total_slots
-        extra[slots[1]] = ((group2d.gen_index(gname), 1),)
-        return series_to_element(series, ctx, var_map, tuple(extra))
+        extra = ((), ((group2d.gen_index(gname), 1),))
+        return series_to_element(series, ctx, var_map, extra)
 
     return normal_order(with_letter(series_tau, "tau") + with_letter(series_a, "a"))
 
@@ -412,27 +406,26 @@ def _omega_factor_exponents_3slot(group2d, order):
     return lhs, rhs
 
 
-def cocycle_residual(omega, order, budget=None):
+def cocycle_residual(omega, order):
     """Z = log[((omega (x) I)(Delta (x) I)omega)^{-1} (I (x) omega)(I (x) Delta)omega]
     through h^order; zero iff the multiplier equation Eq. 20 holds.
 
     omega is a 2-slot ExpProduct (or a prepared (lhs, rhs) pair of 3-slot
     exponent-factor lists, used internally)."""
     if isinstance(omega, ExpProduct):
-        return cocycle_residual_of_product(omega.context.slots[0], omega, order,
-                                           budget=budget)
+        return cocycle_residual_of_product(omega.context.slots[0], omega, order)
     lhs, rhs = omega
     seq = [f.inverse().exponent for f in reversed(lhs)] + [f.exponent for f in rhs]
-    return bch_combine_list(seq, order, budget=budget)
+    return bch_combine_list(seq, order)
 
 
-def cocycle_residual_for_omega(group2d, order, mutate=None, budget=None):
+def cocycle_residual_for_omega(group2d, order, mutate=None):
     """Convenience: build Eq. 31's omega, optionally mutate the exponent
     lists, and return the Eq. 20 residual."""
     lhs, rhs = _omega_factor_exponents_3slot(group2d, order)
     if mutate is not None:
         lhs, rhs = mutate(lhs, rhs)
-    return cocycle_residual((lhs, rhs), order, budget=budget)
+    return cocycle_residual((lhs, rhs), order)
 
 
 def _three_slot_images(el):
@@ -443,13 +436,13 @@ def _three_slot_images(el):
             apply_coproduct(el, 0), apply_coproduct(el, 1))
 
 
-def cocycle_residual_of_product(group2d, omega2, order, budget=None):
+def cocycle_residual_of_product(group2d, omega2, order):
     """Eq. 20 residual for an arbitrary 2-slot ExpProduct omega2 (used for
     equivalence-transformed multipliers)."""
     images = [_three_slot_images(f.exponent) for f in omega2.factors]
     lhs = [ExpFactor(i[0]) for i in images] + [ExpFactor(i[2]) for i in images]
     rhs = [ExpFactor(i[1]) for i in images] + [ExpFactor(i[3]) for i in images]
-    return cocycle_residual((lhs, rhs), order, budget=budget)
+    return cocycle_residual((lhs, rhs), order)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +450,7 @@ def cocycle_residual_of_product(group2d, omega2, order, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def phi1_residual(group2d, phi1_candidate, budget=None):
+def phi1_residual(group2d, phi1_candidate):
     """LHS - RHS of the order-1/kappa multiplier equation, evaluated on the
     classical group (h -> 0 after the deformed commutators are taken):
 
@@ -472,10 +465,10 @@ def phi1_residual(group2d, phi1_candidate, budget=None):
     left, right, d_left, d_right = _three_slot_images(phi1_candidate)
     lhs = left - right + d_left - d_right
     p0_0, p0_1, d0, d1 = _three_slot_images(classical_phi0(group2d))
-    comm = commutator(p0_1, d1, budget=budget) - commutator(p0_0, d0, budget=budget)
-    rhs = normal_order(comm, budget=budget).scale(
+    comm = commutator(p0_1, d1) - commutator(p0_0, d0)
+    rhs = normal_order(comm).scale(
         HSeries({-1: RationalFn(Poly.const(GR_I)).scale(Fraction(1, 2))}))
-    res = normal_order(lhs - rhs, budget=budget)
+    res = normal_order(lhs - rhs)
     return res.h_coefficient(0)
 
 
@@ -542,51 +535,13 @@ def _classical_class(group2d, lie2d, omega2, order):
             total = total + c * p1 * p2
         return total
 
-    lie = lie2d
-    pairs = lie.pair_index()
-    lab = {i: lie.labels[i] for i in range(lie.dim)}
-    wvec = {}
-    for (i, j) in pairs:
-        wij = pair2(lab[i], lab[j]) - pair2(lab[j], lab[i])
-        if wij:
-            wvec[(i, j)] = wij
     # reduce modulo coboundaries: the coboundary space is spanned by rational
-    # vectors; eliminate their pivot components from the symbolic cocycle
-    cob_rows = []
-    pos = {p: k for k, p in enumerate(pairs)}
-    for t in range(lie.dim):
-        row = [GR_ZERO] * len(pairs)
-        for (i, j) in pairs:
-            c = lie.bracket(i, j).get(t)
-            if c:
-                row[pos[(i, j)]] = -c
-        if any(row):
-            cob_rows.append(row)
-    sym = {pos[p]: v for p, v in wvec.items()}
-    # row-reduce the coboundary basis, then eliminate
-    reduced = []
-    for row in cob_rows:
-        row = list(row)
-        for prow, ppos in reduced:
-            if row[ppos]:
-                f = row[ppos]
-                row = [a - f * b for a, b in zip(row, prow)]
-        piv = next((k for k, v in enumerate(row) if v), None)
-        if piv is None:
-            continue
-        inv = row[piv].inverse()
-        reduced.append(([x * inv for x in row], piv))
-    for prow, ppos in reduced:
-        f = sym.get(ppos)
-        if f:
-            for k, b in enumerate(prow):
-                if b:
-                    nv = sym.get(k, H_ZERO) - f.scale(b)
-                    if nv:
-                        sym[k] = nv
-                    else:
-                        sym.pop(k, None)
-    return {pairs[k]: v for k, v in sym.items() if v}
+    # vectors; the symbolic cocycle is taken to zero at their pivot columns
+    pairs = lie2d.pair_index()
+    lab = lie2d.labels
+    w = [pair2(lab[i], lab[j]) - pair2(lab[j], lab[i]) for (i, j) in pairs]
+    cls = PreparedSystem(lie2d.coboundary_rows(), len(pairs)).reduce(w)
+    return {pairs[k]: v for k, v in enumerate(cls) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -599,16 +554,12 @@ def rep_prefactor_series(order, shift=None):
     argument p (optionally shifted, p -> p - m*v_slot):
 
         That(p) = -i kappa ln(1 + p^2/2m kappa),  Ghat(p) = i p/(1 + p^2/2m kappa)
+
+    which are the exponent series of omega at arg^2 = p^2/m and arg = -p.
     """
-    m = _sym("m")
     p = _sym("p") if shift is None else shift
-    p2_over_m = (p * p) / m
-    x = HSeries({1: p2_over_m.scale(Fraction(1, 2))})
-    lg = series_log1p(x, order + 1)
-    that = (lg * HSeries({-1: RationalFn(Poly.const(-GR_I))})).truncate(order)
-    inv = series_inverse_one_plus(x, order)
-    ghat = (inv.scale(p) * HSeries.const(GR_I)).truncate(order)
-    return that, ghat
+    p2_over_m = (p * p) / _sym("m")
+    return tau_exponent_series(p2_over_m, order), a_exponent_series(-p, p2_over_m, order)
 
 
 def rep_apply(group2d, n, order):
@@ -638,16 +589,16 @@ def rep_apply(group2d, n, order):
     return pre, normal_order(tail).truncate(order)
 
 
-def rep_compose_check(group2d, degrees, order, omega="paper", budget=None,
-                      n_cap=4, order_cap=4):
+def rep_compose_check(group2d, degrees, order, omega="paper"):
     """Both sides of Eq. 19 on psi = p^n in two group slots, for each n in
     degrees; returns (log_residual, tail_differences), one tail difference
     per degree.  The prefactor exponents never read n, so the log residual
-    is built once for all degrees."""
+    is built once for all degrees.  A degree above MAX_REP_DEGREE or an
+    order above MAX_REP_ORDER raises OrderCapError."""
     degrees = list(degrees)
-    if max(degrees, default=0) > n_cap or order > order_cap:
-        raise OrderCapError(f"rep_compose_check caps exceeded (n<={n_cap}, "
-                            f"order<={order_cap})")
+    if max(degrees, default=0) > MAX_REP_DEGREE or order > MAX_REP_ORDER:
+        raise OrderCapError(f"rep_compose_check caps exceeded (n<={MAX_REP_DEGREE}, "
+                            f"order<={MAX_REP_ORDER})")
     ctx2 = TensorContext((group2d,) * 2)
     v_gi = group2d.gen_index("v")
     tau_gi = group2d.gen_index("tau")
@@ -690,7 +641,7 @@ def rep_compose_check(group2d, degrees, order, omega="paper", budget=None,
     rhs_exps.append(series_to_element(ghat_p, ctx2, {}) * delta_a)
 
     seq = [(-x) for x in reversed(lhs_exps)] + rhs_exps
-    log_residual = bch_combine_list(seq, order, budget=budget)
+    log_residual = bch_combine_list(seq, order)
 
     # tails: (p - m v_0 - m v_1)^n on both sides, identical by construction;
     # recomputed independently on each side and compared

@@ -258,11 +258,11 @@ def _in_quotient_ideal(polys, slots_with_r):
                for poly in polys for terms in _r_parts(poly, shifts, top))
 
 
-def zero_mod_quotient(element, budget=None, oracle=None):
+def zero_mod_quotient(element, oracle=None):
     """Exact zero test of a normal-orderable element modulo any per-slot
     orthogonality quotients.  Without quotients this is plain exactness.
     An oracle (PrefilterOracle) cross-checks the verdict on the same buckets."""
-    el = normal_order(element, budget=budget)
+    el = normal_order(element)
     slots_with_r = _quotient_slots(el.context)
     buckets = _bucket_by_rest(el, slots_with_r)
     zero = el.is_zero() or (bool(slots_with_r) and _in_quotient_ideal(
@@ -272,8 +272,8 @@ def zero_mod_quotient(element, budget=None, oracle=None):
     return zero
 
 
-def equal_mod_quotient(a, b, budget=None):
-    return zero_mod_quotient(a - b, budget=budget)
+def equal_mod_quotient(a, b):
+    return zero_mod_quotient(a - b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ All values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 Rational = Fraction
 
@@ -1039,13 +1039,22 @@ class HSeries:
         return out
 
     def __truediv__(self, other):
+        """self / other for other = c*h^k (+ O(h^(t_o+1)) when truncated at
+        t_o).  The quotient is known through h^(t_a - k) when self is
+        truncated at t_a, and through h^(m_a + t_o - 2k) when other is, with
+        m_a the lowest power of self."""
         other = as_hseries(other)
-        ks = list(other.coeffs)
-        if len(ks) == 1:
-            k = ks[0]
-            inv = HSeries({-k: RFN_ONE / other.coeffs[k]}, other.truncation)
-            return self * inv
-        raise ArithmeticError("HSeries division only by h-monomials; expand instead")
+        if len(other.coeffs) != 1:
+            raise ArithmeticError("HSeries division only by h-monomials; expand instead")
+        (k, v), = other.coeffs.items()
+        bounds = []
+        if self.truncation is not None:
+            bounds.append(self.truncation - k)
+        if other.truncation is not None and self.coeffs:
+            bounds.append(self.min_power() + other.truncation - 2 * k)
+        inv = RFN_ONE / v
+        return HSeries({p - k: c * inv for p, c in self.coeffs.items()},
+                       min(bounds, default=None))
 
     def scale(self, c):
         """self * c for a constant c (int, Fraction, GaussianRational) or a
@@ -1177,59 +1186,45 @@ class SeriesDomainError(ValueError):
     """Argument outside a series operation's domain (nonzero constant term)."""
 
 
+def _power_sum(x, order, coeff, domain_error):
+    """sum_k coeff(k) x^k through h^order, for x with no h^0 term and no
+    negative power (else SeriesDomainError(domain_error)); the sum stops at
+    the first power of x that truncates to zero."""
+    x = as_hseries(x)
+    if x.constant_term() or (x.min_power() is not None and x.min_power() < 0):
+        raise SeriesDomainError(domain_error)
+    x = x.truncate(order)
+    power = H_ONE.truncate(order)
+    out = power.scale(coeff(0))
+    for k in range(1, order + 1):
+        power = (power * x).truncate(order)
+        if not power:
+            break
+        out = out + power.scale(coeff(k))
+    return out
+
+
 def series_log1p(x, order):
     """log(1 + x) = sum_{k>=1} (-1)^(k+1) x^k / k through h^order.
 
     x must vanish at h = 0 (no constant term); exponentials and logs with
     O(1) arguments belong to the projective-representation layer, never here.
     """
-    x = as_hseries(x)
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"series_log1p order must be >= 1, got {order!r}")
-    if x.constant_term() or (x.min_power() is not None and x.min_power() < 0):
-        raise SeriesDomainError("series_log1p needs an argument with no h^0 term")
-    x = x.truncate(order)
-    out = H_ZERO.truncate(order)
-    power = H_ONE.truncate(order)
-    for k in range(1, order + 1):
-        power = (power * x).truncate(order)
-        if not power:
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    return _power_sum(x, order, lambda k: Fraction((-1) ** (k + 1), k) if k else 0,
+                      "series_log1p needs an argument with no h^0 term")
 
 
 def series_exp(x, order):
     """exp(x) = sum x^k / k! through h^order; x must have no h^0 term."""
-    x = as_hseries(x)
     if not isinstance(order, int) or order < 0:
         raise ValueError(f"series_exp order must be >= 0, got {order!r}")
-    if x.constant_term() or (x.min_power() is not None and x.min_power() < 0):
-        raise SeriesDomainError("series_exp needs an argument with no h^0 term")
-    x = x.truncate(order)
-    out = H_ONE.truncate(order)
-    power = H_ONE.truncate(order)
-    fact = 1
-    for k in range(1, order + 1):
-        power = (power * x).truncate(order)
-        fact *= k
-        if not power:
-            break
-        out = out + power.scale(Fraction(1, fact))
-    return out
+    return _power_sum(x, order, lambda k: Fraction(1, factorial(k)),
+                      "series_exp needs an argument with no h^0 term")
 
 
 def series_inverse_one_plus(x, order):
     """1/(1+x) through h^order for x with no h^0 term (geometric series)."""
-    x = as_hseries(x)
-    if x.constant_term() or (x.min_power() is not None and x.min_power() < 0):
-        raise SeriesDomainError("series_inverse_one_plus needs a vanishing h^0 term")
-    x = x.truncate(order)
-    out = H_ONE.truncate(order)
-    power = H_ONE.truncate(order)
-    for k in range(1, order + 1):
-        power = (power * x).truncate(order)
-        if not power:
-            break
-        out = out + power.scale(Fraction((-1) ** k))
-    return out
+    return _power_sum(x, order, lambda k: (-1) ** k,
+                      "series_inverse_one_plus needs a vanishing h^0 term")

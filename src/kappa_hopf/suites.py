@@ -50,6 +50,7 @@ from .projrep import (
     phi1_residual,
     rep_compose_check,
     series_to_element,
+    tau_exponent_series,
     triviality_probe,
 )
 from .quotient import PrefilterOracle
@@ -61,7 +62,6 @@ from .scalars import (
     Poly,
     RationalFn,
     levi_civita,
-    series_log1p,
 )
 
 SUITE_NAMES = ("algebra", "group", "casimirs", "bicross", "cocommutator",
@@ -603,9 +603,7 @@ def suite_projrep(cfg, oracle):
 def _eq30_equals_eq31(g2, order):
     m = Poly.var("m")
     v1 = Poly.var("v1")
-    x = HSeries({1: RationalFn((m * v1 * v1).scale(Fraction(1, 2)))})
-    lg = series_log1p(x, order + 1)
-    texp = (lg * HSeries({-1: RationalFn(Poly.const(-GR_I))})).truncate(order)
+    texp = tau_exponent_series(m * v1 * v1, order)
     aexp = HSeries({k: (rf * RationalFn(Poly.const(2), v1))
                     for k, rf in texp.coeffs.items()}, texp.truncation)
     ctx2 = TensorContext((g2, g2))

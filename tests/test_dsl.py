@@ -201,6 +201,28 @@ presentation poley {
     assert any("pole" in d.message for d in diags)
 
 
+def test_relation_scalars_are_inverted_exactly():
+    def rules_or_messages(relation):
+        module, diags = parse_source(
+            "presentation inv {\n  params: m;\n  generators: A B;\n"
+            f"  relation {relation};\n}}\n")
+        return module.presentations["inv"].rules if module else [d.message for d in diags]
+
+    two_h = ((HSeries.h(1).scale(2), ((0, 1),)),)
+    assert rules_or_messages("kappa*(B*A - A*B) = 2*A") == {(1, 0): two_h}
+    assert rules_or_messages("B*A - A*B = 2*kappa^-1*A") == {(1, 0): two_h}
+    assert rules_or_messages("-2*I*kappa^2*(B*A - A*B) = A") \
+        == {(1, 0): ((HSeries.h(2).scale(GaussianRational(0, F(1, 2))), ((0, 1),)),)}
+    assert rules_or_messages("B*A - A*B = (1+h)^-1*A") \
+        == ["negative power of a non-monomial scalar"]
+    assert rules_or_messages("(1+h)*B*A - (1+h)*A*B = A") \
+        == ["relation commutator prefactor must be an h-monomial scalar"]
+    assert rules_or_messages("m*B*A - m*A*B = A") \
+        == ["relation commutator prefactor must be constant"]
+    assert rules_or_messages("B*A - A*B = (2*h)^-2*A") \
+        == ["relation right side has a pole at h=0 (net negative kappa power)"]
+
+
 def test_dsl_error_wrapper():
     with pytest.raises(DslError):
         parse_presentation("presentation x { generators: a b; }")

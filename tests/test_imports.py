@@ -7,7 +7,10 @@ nested in it; tuple, loop and `_`-prefixed targets are exempt.  Dead
 definitions: every function, method or class defined in a module must be
 named (called, read as an attribute or imported) somewhere in src/, tests/
 or demos/; dunder names are exempt.  One clock: report.py, which times every
-check, is the only module that imports time or calls a clock."""
+check, is the only module that imports time or calls a clock.  No unset
+knobs: every defaulted parameter of a module-level function or method must be
+passed, by keyword or by position, by some call in src/, tests/, demos/ or
+perfbench/."""
 
 import ast
 from pathlib import Path
@@ -201,3 +204,117 @@ def test_lint_spares_other_timing_words():
 def test_one_clock(module):
     reads = clock_reads(module.read_text())
     assert bool(reads) == (module.name == "report.py"), reads
+
+
+def defaulted_parameters(source):
+    """(line, function, parameter, position) of every defaulted parameter of
+    a module-level function or method.  position is the parameter's index
+    among a call's positional arguments (self or cls not counted), None for
+    a keyword-only parameter."""
+    found = []
+
+    def collect(func, method):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+        skip = 1 if method and not static else 0
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], first):
+            found.append((func.lineno, func.name, arg.arg, k - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((func.lineno, func.name, arg.arg, None))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            collect(node, False)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    collect(sub, True)
+    return found
+
+
+def _passed_arguments(sources):
+    """{callee name: [keywords passed, most positional arguments passed]} over
+    every call in sources; a starred argument passes every position and a
+    ** argument every keyword."""
+    passed = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            entry = passed.setdefault(name, [set(), 0])
+            entry[0].update(kw.arg or "**" for kw in node.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            entry[1] = max(entry[1], float("inf") if starred else len(node.args))
+    return passed
+
+
+def unset_knobs(source, sources):
+    """(line, function, parameter) of every defaulted parameter in source that
+    no call in sources passes; calls match by name, and a call of a class
+    counts toward its __init__.  Parameters named path (a diagnostics label)
+    are exempt, and the defaults of nested functions are not looked at."""
+    passed = _passed_arguments(sources)
+    classes = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                    classes[sub.lineno] = node.name
+    unset = []
+    for line, func, param, position in defaulted_parameters(source):
+        if param == "path":
+            continue
+        callees = [func] + ([classes[line]] if line in classes else [])
+        if not any(param in kws or "**" in kws or (position is not None and most > position)
+                   for kws, most in (passed.get(c, (set(), 0)) for c in callees)):
+            unset.append((line, func, param))
+    return unset
+
+
+def test_lint_flags_an_unset_knob():
+    source = (
+        "def f(a, b=1, *, c=2):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def __init__(self, x=0):\n"
+        "        pass\n"
+        "    def m(self, y=1):\n"
+        "        pass\n"
+    )
+    users = ["f(1)\n", "C()\n", "obj.m()\n"]
+    assert unset_knobs(source, [source, *users]) == [
+        (1, "f", "b"), (1, "f", "c"), (4, "__init__", "x"), (6, "m", "y")]
+
+
+def test_lint_spares_passed_and_exempt_knobs():
+    source = (
+        "def f(a, b=1, *, c=2, path='<string>'):\n"
+        "    def g(d=3):\n"
+        "        return d\n"
+        "    return g\n"
+        "class C:\n"
+        "    def __init__(self, x=0):\n"
+        "        pass\n"
+        "    def m(self, y=1):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(z=1):\n"
+        "        pass\n"
+    )
+    users = ["f(1, 2, c=3)\n", "C(5)\n", "obj.m(**options)\n", "C.s(1)\n"]
+    assert unset_knobs(source, [source, *users]) == []
+
+
+@pytest.fixture(scope="module")
+def caller_sources(project_sources):
+    return project_sources + [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unset_knobs(module, caller_sources):
+    assert unset_knobs(module.read_text(), caller_sources) == []

@@ -557,6 +557,28 @@ def test_hseries_laurent_powers():
     assert inv_h.has_negative_powers()
 
 
+def test_hseries_division_truncation():
+    h = HSeries.h(1)
+    # (h + h^2 + O(h^3)) / (h + O(h^3)) = 1 + h + O(h^2): the divisor's
+    # unknown h^3 term reaches the quotient at h^2
+    q = HSeries({1: 1, 2: 1}, 2) / HSeries({1: 1}, 2)
+    assert (q.truncation, q) == (1, HSeries({0: 1, 1: 1}))
+    # (1 + O(h^4)) / h = h^-1 + O(h^3)
+    q = HSeries({0: 1}, 3) / h
+    assert (q.truncation, q) == (2, HSeries({-1: 1}))
+    # 1 / (h + O(h^3)) = h^-1 + O(h)
+    q = HSeries.const(1) / HSeries({1: 1}, 2)
+    assert (q.truncation, q) == (0, HSeries({-1: 1}))
+    # exact by exact stays exact, and undoes the product
+    x = HSeries({0: 2, 3: F(1, 3)})
+    d = HSeries({1: GR_I})
+    q = x / d
+    assert q.is_exact() and q == HSeries({-1: GaussianRational(0, -2), 2: GaussianRational(0, F(-1, 3))})
+    assert q * d == x
+    with pytest.raises(ArithmeticError):
+        x / HSeries({0: 1, 1: 1})
+
+
 def _log1p_oracle(x_coeffs, order):
     """Coefficients of ln(1 + x(t)) via the ODE (1+x) f' = x', solved term by
     term; independent of the implementation's direct power sum."""
