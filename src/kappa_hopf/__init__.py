@@ -77,7 +77,6 @@ from .projrep import (
     bch_combine,
     build_omega,
     cocycle_residual,
-    cocycle_residual_for_omega,
     conjugate,
     phi1_particular,
     phi1_residual,

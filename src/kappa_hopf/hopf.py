@@ -535,6 +535,20 @@ def _embed_elem2(e, u_embed, t_embed, total, factors):
     return extend_letterwise(e, ctx2, maps)
 
 
+def coacted_coproduct_residual(b, gi, beta):
+    """Delta(x) minus its bicrossproduct assembly for the generator gi of
+    the coacted factor, given the coaction value beta: beta embedded in
+    total (x) total, plus x in the slot that coaction_missing leaves (raw)."""
+    total = b.total
+    factor, embed = (b.u_factor, b.u_embed) if b.coacted_factor == "u" \
+        else (b.t_factor, b.t_embed)
+    emb1 = _embed_elem(_gen(factor, gi), embed, total)
+    assembled = _embed_elem2(beta, b.u_embed, b.t_embed, total, ("u", "t"))
+    slot = 1 if b.coaction_missing == "one_otimes_x" else 0
+    assembled = assembled + emb1.place_in_slots(TensorContext((total, total)), {0: slot})
+    return apply_coproduct(emb1, 0) - assembled
+
+
 def verify_bicross(b, order=4, mode="formal", oracle=None):
     """Checks (a) factor relations transform correctly, (b) cross-commutators
     equal the action, (c) coproducts match the bicrossproduct assembly."""
@@ -573,20 +587,11 @@ def verify_bicross(b, order=4, mode="formal", oracle=None):
         coacted = (side == b.coacted_factor)
         for gi, g in enumerate(factor.gens):
             def raw(gi=gi, factor=factor, embed=embed, coacted=coacted):
-                emb1 = _embed_elem(_gen(factor, gi), embed, total)
-                lhs = apply_coproduct(emb1, 0)
                 if coacted:
-                    beta = b.coaction[gi]
-                    assembled = _embed_elem2(beta, b.u_embed, b.t_embed, total, ("u", "t"))
-                    ctx2 = TensorContext((total, total))
-                    if b.coaction_missing == "one_otimes_x":
-                        assembled = assembled + emb1.place_in_slots(ctx2, {0: 1})
-                    else:
-                        assembled = assembled + emb1.place_in_slots(ctx2, {0: 0})
-                else:
-                    dfac = apply_coproduct(_gen(factor, gi), 0)
-                    assembled = _embed_elem2(dfac, embed, embed, total, (side, side))
-                return lhs - assembled
+                    return coacted_coproduct_residual(b, gi, b.coaction[gi])
+                lhs = apply_coproduct(_embed_elem(_gen(factor, gi), embed, total), 0)
+                dfac = apply_coproduct(_gen(factor, gi), 0)
+                return lhs - _embed_elem2(dfac, embed, embed, total, (side, side))
 
             checks.append(_identity_check(
                 f"{b.name}:coproduct[{side}:{g.label()}]", "Eqs. 4-7 / 14-16",

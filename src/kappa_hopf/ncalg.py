@@ -29,6 +29,7 @@ from .scalars import (
     RationalFn,
     as_gaussian,
     as_hseries,
+    product_truncation,
 )
 
 _SCALAR_TYPES = CONSTANT_TYPES + (Poly, RationalFn, HSeries)
@@ -504,8 +505,7 @@ def _mul_terms(left, right, order=None):
                 w = tuple(map(add, w1, w2))
                 old = t.get(w)
                 if old is not None:
-                    t2 = c2.truncation
-                    trunc = c1.truncation if t2 is None else min(c1.truncation, t2)
+                    trunc = product_truncation(c1, c2)
                     if trunc < old.truncation:
                         nc = old.truncate(trunc)
                         if nc:

@@ -4,6 +4,11 @@ combination and conjugation push-through; builds the multiplier omega and
 verifies the cocycle equation, the first-order solution, triviality probes,
 and the representation composition law.
 
+The tensor legs of the cocycle equation (Eq. 20) and of the composition law
+(Eq. 19) are taken from the model's declared coproduct (hopf.apply_coproduct),
+so a model with a different Delta(v), Delta(tau) or Delta(a) is checked
+against its own declaration; no coproduct is typed out here.
+
 Exponentials with O(1) exponents are never series-expanded as elements.
 Every identity reduces to (i) equality of canonical exponent logs via BCH
 and (ii) equality of polynomial tails.  BCH truncates because every 2D-group
@@ -36,7 +41,6 @@ from .ncalg import (
 from .report import Check, PASS, run_check
 from .scalars import (
     GR_I,
-    H_ONE,
     H_ZERO,
     HSeries,
     Poly,
@@ -182,9 +186,6 @@ class ExpFactor:
             raise PresentationError(
                 "ExpFactor needs every commutator of its presentation to carry h")
 
-    def inverse(self):
-        return ExpFactor(-self.exponent)
-
 
 class ExpProduct:
     """Ordered product of exponential factors in a shared tensor context."""
@@ -197,12 +198,6 @@ class ExpProduct:
         for f in self.factors[1:]:
             if f.exponent.context != self.context:
                 raise PresentationError("ExpProduct factors in different contexts")
-
-    def __mul__(self, other):
-        return ExpProduct(self.factors + other.factors)
-
-    def inverse(self):
-        return ExpProduct([f.inverse() for f in reversed(self.factors)])
 
     def log(self, order):
         return bch_combine_list([f.exponent for f in self.factors], order)
@@ -302,6 +297,14 @@ def a_exponent_series(arg, arg_square, order):
     return (inv.scale(arg) * HSeries.const(-GR_I)).truncate(order)
 
 
+def _slot1_leg(group2d, series, gname):
+    """series (x) gname in two group slots: the symbol v1 of the series
+    becomes the generator v in slot 0, and the letter gname sits in slot 1."""
+    ctx = TensorContext((group2d, group2d))
+    var_map = {"v1": (0, group2d.gen_index("v"))}
+    return series_to_element(series, ctx, var_map, ((), ((group2d.gen_index(gname), 1),)))
+
+
 def build_omega(group2d, order):
     """The two-factor multiplier of Eq. 31 as an ExpProduct:
 
@@ -310,19 +313,12 @@ def build_omega(group2d, order):
 
     slot 0 carries the v-words (symbol v1), slot 1 the tau/a letters.
     For m = 0 both exponents vanish and omega is the identity."""
-    ctx = TensorContext((group2d, group2d))
     m = _sym("m")
     v2 = m * (_sym("v1") ** 2)
     texp = tau_exponent_series(v2, order)          # coefficient of (x) tau
     aexp = a_exponent_series(m * _sym("v1"), v2, order)  # coefficient of (x) a
-    var_map = {"v1": (0, group2d.gen_index("v"))}
-
-    def with_letter(series, gname):
-        extra = ((), ((group2d.gen_index(gname), 1),))
-        return series_to_element(series, ctx, var_map, extra)
-
-    return ExpProduct([ExpFactor(with_letter(texp, "tau")),
-                       ExpFactor(with_letter(aexp, "a"))])
+    return ExpProduct([ExpFactor(_slot1_leg(group2d, texp, "tau")),
+                       ExpFactor(_slot1_leg(group2d, aexp, "a"))])
 
 
 def omega_log_phi(group2d, order):
@@ -334,18 +330,25 @@ def omega_log_phi(group2d, order):
 
 def classical_phi0(group2d):
     """phi_0 = -m(v^2/2 (x) tau + v (x) a), Eq. 25, laid out as build_omega."""
-    ctx = TensorContext((group2d, group2d))
     m = Poly.var("m")
     v = Poly.var("v1")
     series_tau = HSeries.const(RationalFn((m * v * v).scale(Fraction(-1, 2))))
     series_a = HSeries.const(RationalFn((m * v).scale(-1)))
-    var_map = {"v1": (0, group2d.gen_index("v"))}
+    return normal_order(_slot1_leg(group2d, series_tau, "tau")
+                        + _slot1_leg(group2d, series_a, "a"))
 
-    def with_letter(series, gname):
-        extra = ((), ((group2d.gen_index(gname), 1),))
-        return series_to_element(series, ctx, var_map, extra)
 
-    return normal_order(with_letter(series_tau, "tau") + with_letter(series_a, "a"))
+def eq30_equals_eq31(group2d, order):
+    """Whether Eq. 30's single exponent equals the BCH log of Eq. 31's two
+    factors through h^order (the reordering argument the paper omits)."""
+    m = Poly.var("m")
+    v1 = Poly.var("v1")
+    texp = tau_exponent_series(m * v1 * v1, order)
+    aexp = HSeries({k: (rf * RationalFn(Poly.const(2), v1))
+                    for k, rf in texp.coeffs.items()}, texp.truncation)
+    el30 = normal_order(_slot1_leg(group2d, texp, "tau")
+                        + _slot1_leg(group2d, aexp, "a")).truncate(order)
+    return el30 == build_omega(group2d, order).log(order)
 
 
 # ---------------------------------------------------------------------------
@@ -353,96 +356,24 @@ def classical_phi0(group2d):
 # ---------------------------------------------------------------------------
 
 
-def _omega_factor_exponents_3slot(group2d, order):
-    """Exponent data for the four products appearing in Eq. 20, with the
-    coproduct applied inside coefficients (v is primitive, slot copies of v
-    commute): returns (lhs_exponents, rhs_exponents), each a list of four."""
-    ctx3 = TensorContext((group2d,) * 3)
-    v_gi = group2d.gen_index("v")
-    tau_gi = group2d.gen_index("tau")
-    a_gi = group2d.gen_index("a")
-    m = _sym("m")
-
-    def texp_of(vexpr):
-        return tau_exponent_series(m * vexpr * vexpr, order)
-
-    def aexp_of(vexpr):
-        return a_exponent_series(m * vexpr, m * vexpr * vexpr, order)
-
-    v1 = _sym("v1")
-    v2 = _sym("v2")
-    vmap = {"v1": (0, v_gi), "v2": (1, v_gi)}
-
-    def elem(series, extra):
-        return ExpFactor(series_to_element(series, ctx3, vmap, extra))
-
-    def letter(slot, gi):
-        w = [(), (), ()]
-        w[slot] = ((gi, 1),)
-        return tuple(w)
-
-    # (omega (x) I): slots (0,1); (Delta (x) I) omega: v -> v1+v2, second leg slot 2
-    lhs = [
-        elem(texp_of(v1), letter(1, tau_gi)),
-        elem(aexp_of(v1), letter(1, a_gi)),
-        elem(texp_of(v1 + v2), letter(2, tau_gi)),
-        elem(aexp_of(v1 + v2), letter(2, a_gi)),
-    ]
-    # (I (x) omega): slots (1,2); (I (x) Delta) omega: second leg Delta
-    delta_tau = NCElement(ctx3, {letter(1, tau_gi): H_ONE, letter(2, tau_gi): H_ONE})
-    delta_a = NCElement(ctx3, {
-        letter(1, a_gi): H_ONE,
-        letter(2, a_gi): H_ONE,
-        ((), ((v_gi, 1),), ((tau_gi, 1),)): H_ONE,
-    })
-    g3 = series_to_element(texp_of(v1), ctx3, vmap) * delta_tau
-    g4 = series_to_element(aexp_of(v1), ctx3, vmap) * delta_a
-    rhs = [
-        elem(texp_of(v2), letter(2, tau_gi)),
-        elem(aexp_of(v2), letter(2, a_gi)),
-        ExpFactor(g3),
-        ExpFactor(g4),
-    ]
-    return lhs, rhs
-
-
-def cocycle_residual(omega, order):
-    """Z = log[((omega (x) I)(Delta (x) I)omega)^{-1} (I (x) omega)(I (x) Delta)omega]
-    through h^order; zero iff the multiplier equation Eq. 20 holds.
-
-    omega is a 2-slot ExpProduct (or a prepared (lhs, rhs) pair of 3-slot
-    exponent-factor lists, used internally)."""
-    if isinstance(omega, ExpProduct):
-        return cocycle_residual_of_product(omega.context.slots[0], omega, order)
-    lhs, rhs = omega
-    seq = [f.inverse().exponent for f in reversed(lhs)] + [f.exponent for f in rhs]
-    return bch_combine_list(seq, order)
-
-
-def cocycle_residual_for_omega(group2d, order, mutate=None):
-    """Convenience: build Eq. 31's omega, optionally mutate the exponent
-    lists, and return the Eq. 20 residual."""
-    lhs, rhs = _omega_factor_exponents_3slot(group2d, order)
-    if mutate is not None:
-        lhs, rhs = mutate(lhs, rhs)
-    return cocycle_residual((lhs, rhs), order)
-
-
 def _three_slot_images(el):
     """The four 3-slot images of a 2-slot element that enter Eq. 20:
-    el (x) I, I (x) el, (Delta (x) I) el and (I (x) Delta) el (raw)."""
+    el (x) I, I (x) el, (Delta (x) I) el and (I (x) Delta) el (raw), the
+    last two by the model's coproduct."""
     ctx3 = TensorContext(el.context.slots + el.context.slots[:1])
     return (el.place_in_slots(ctx3, {0: 0, 1: 1}), el.place_in_slots(ctx3, {0: 1, 1: 2}),
             apply_coproduct(el, 0), apply_coproduct(el, 1))
 
 
-def cocycle_residual_of_product(group2d, omega2, order):
-    """Eq. 20 residual for an arbitrary 2-slot ExpProduct omega2 (used for
-    equivalence-transformed multipliers)."""
-    images = [_three_slot_images(f.exponent) for f in omega2.factors]
-    lhs = [ExpFactor(i[0]) for i in images] + [ExpFactor(i[2]) for i in images]
-    rhs = [ExpFactor(i[1]) for i in images] + [ExpFactor(i[3]) for i in images]
-    return cocycle_residual((lhs, rhs), order)
+def cocycle_residual(omega, order):
+    """Z = log[((omega (x) I)(Delta (x) I)omega)^{-1} (I (x) omega)(I (x) Delta)omega]
+    through h^order for a 2-slot ExpProduct omega; zero iff the multiplier
+    equation Eq. 20 holds.  Each three-slot leg is an ExpFactor, which
+    checks its h-floor."""
+    images = [_three_slot_images(f.exponent) for f in omega.factors]
+    legs = [[ExpFactor(i[k]).exponent for i in images] for k in range(4)]
+    lhs, rhs = legs[0] + legs[2], legs[1] + legs[3]
+    return bch_combine_list([-x for x in reversed(lhs)] + rhs, order)
 
 
 # ---------------------------------------------------------------------------
@@ -592,53 +523,31 @@ def rep_apply(group2d, n, order):
 def rep_compose_check(group2d, degrees, order, omega="paper"):
     """Both sides of Eq. 19 on psi = p^n in two group slots, for each n in
     degrees; returns (log_residual, tail_differences), one tail difference
-    per degree.  The prefactor exponents never read n, so the log residual
-    is built once for all degrees.  A degree above MAX_REP_DEGREE or an
-    order above MAX_REP_ORDER raises OrderCapError."""
+    per degree.  omega is "paper" (Eq. 31's multiplier) or "identity" (no
+    multiplier).  The prefactor exponents never read n, so the log residual
+    is built once for all degrees; the right-hand side takes them through
+    the model's coproduct.  A degree above MAX_REP_DEGREE or an order above
+    MAX_REP_ORDER raises OrderCapError."""
     degrees = list(degrees)
     if max(degrees, default=0) > MAX_REP_DEGREE or order > MAX_REP_ORDER:
         raise OrderCapError(f"rep_compose_check caps exceeded (n<={MAX_REP_DEGREE}, "
                             f"order<={MAX_REP_ORDER})")
+    if omega not in ("paper", "identity"):
+        raise ValueError(f"omega must be 'paper' or 'identity', not {omega!r}")
     ctx2 = TensorContext((group2d,) * 2)
     v_gi = group2d.gen_index("v")
-    tau_gi = group2d.gen_index("tau")
-    a_gi = group2d.gen_index("a")
     m = _sym("m")
     p = _sym("p")
 
-    def letter(slot, gi):
-        w = [(), ()]
-        w[slot] = ((gi, 1),)
-        return tuple(w)
-
     # LHS: U_b(p) in slot 0, then U_a(p - m v_0) in slot 1
-    that_p, ghat_p = rep_prefactor_series(order)
-    shifted = p - m * _sym("v1")
-    that_s, ghat_s = rep_prefactor_series(order, shift=shifted)
-    vmap = {"v1": (0, v_gi)}
-    lhs_exps = [
-        series_to_element(that_p, ctx2, {}, letter(0, tau_gi)),
-        series_to_element(ghat_p, ctx2, {}, letter(0, a_gi)),
-        series_to_element(that_s, ctx2, vmap, letter(1, tau_gi)),
-        series_to_element(ghat_s, ctx2, vmap, letter(1, a_gi)),
-    ]
-    # RHS: omega in slots (0,1), then prefactors with Delta-expanded letters
-    delta_tau = NCElement(ctx2, {letter(0, tau_gi): H_ONE, letter(1, tau_gi): H_ONE})
-    delta_a = NCElement(ctx2, {
-        letter(0, a_gi): H_ONE,
-        letter(1, a_gi): H_ONE,
-        (((v_gi, 1),), ((tau_gi, 1),)): H_ONE,
-    })
-    rhs_exps = []
-    if omega == "paper":
-        om = build_omega(group2d, order)
-        rhs_exps.extend(f.exponent for f in om.factors)
-    elif omega == "identity":
-        pass
-    else:
-        rhs_exps.extend(f.exponent for f in omega.factors)
-    rhs_exps.append(series_to_element(that_p, ctx2, {}) * delta_tau)
-    rhs_exps.append(series_to_element(ghat_p, ctx2, {}) * delta_a)
+    prefactors = [f.exponent for f in rep_apply(group2d, 0, order)[0].factors]
+    that_s, ghat_s = rep_prefactor_series(order, shift=p - m * _sym("v1"))
+    lhs_exps = [x.place_in_slots(ctx2, {0: 0}) for x in prefactors]
+    lhs_exps += [_slot1_leg(group2d, that_s, "tau"), _slot1_leg(group2d, ghat_s, "a")]
+    # RHS: omega in slots (0,1), then the coproducts of the prefactors
+    rhs_exps = [f.exponent for f in build_omega(group2d, order).factors] \
+        if omega == "paper" else []
+    rhs_exps += [apply_coproduct(x, 0) for x in prefactors]
 
     seq = [(-x) for x in reversed(lhs_exps)] + rhs_exps
     log_residual = bch_combine_list(seq, order)

@@ -17,7 +17,9 @@ The whole engine runs on four nested coefficient domains:
 * ``HSeries``: Laurent-style series sum_k c_k h^k with RationalFn
   coefficients.  ``truncation`` is None for exact values (no truncation
   ever happened) or the integer N such that terms beyond h^N were
-  dropped.  Arithmetic propagates the minimum truncation order.
+  dropped.  Arithmetic propagates the minimum truncation order; a product
+  loses one more order for each negative power of h in the other factor
+  (``product_truncation``).
 
 All values are immutable after construction.
 """
@@ -1008,7 +1010,8 @@ class HSeries:
     def __mul__(self, other):
         if other.__class__ is not HSeries:
             other = as_hseries(other)
-        t = self._join(self.truncation, other.truncation)
+        t = None if self.truncation is None and other.truncation is None \
+            else product_truncation(self, other)
         c = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
@@ -1113,6 +1116,25 @@ class HSeries:
 
 _set_coeffs = HSeries.coeffs.__set__
 _set_truncation = HSeries.truncation.__set__
+
+
+def product_truncation(a, b):
+    """The order through which a * b is known, for HSeries a and b of which
+    at least one is truncated.  The error O(h^(t+1)) of a factor truncated
+    at t meets the other factor's lowest power h^low, so the product is
+    known through t + low; a truncated zero is O(h^(t+1)) as a whole.  Only
+    a negative low lowers the order (h^-1 times O(h^(t+1)) is O(h^t)); a
+    positive one is not used to raise it."""
+    ta, tb = a.truncation, b.truncation
+    low_a = min(a.coeffs) if a.coeffs else 0 if ta is None else ta + 1
+    low_b = min(b.coeffs) if b.coeffs else 0 if tb is None else tb + 1
+    if ta is not None and low_b < 0:
+        ta += low_b
+    if tb is not None and low_a < 0:
+        tb += low_a
+    if ta is None:
+        return tb
+    return ta if tb is None or ta < tb else tb
 
 
 def _hseries(coeffs, truncation):

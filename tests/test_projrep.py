@@ -3,11 +3,13 @@ multiplier, the cocycle equation, triviality, and the composition law."""
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from kappa_hopf import projrep, suites
 from kappa_hopf.cohom import LieData
+from kappa_hopf.hopf import apply_coproduct
 from kappa_hopf.models import load_model
 from kappa_hopf.ncalg import NCElement, TensorContext, commutator, normal_order
 from kappa_hopf.projrep import (
@@ -20,8 +22,7 @@ from kappa_hopf.projrep import (
     bch_plan,
     build_omega,
     classical_phi0,
-    cocycle_residual_for_omega,
-    cocycle_residual_of_product,
+    cocycle_residual,
     conjugate,
     omega_log_phi,
     phi1_particular,
@@ -31,7 +32,7 @@ from kappa_hopf.projrep import (
     series_to_element,
     triviality_probe,
 )
-from kappa_hopf.report import PASS
+from kappa_hopf.report import FAIL, PASS
 from kappa_hopf.scalars import (
     GR_I,
     GaussianRational,
@@ -260,17 +261,102 @@ def test_phi1_equation_examples():
 def test_cocycle_residual_orders():
     g2 = load_model("galilei_group_2d")
     for order in (0, 1, 2, 3):
-        assert cocycle_residual_for_omega(g2, order).is_zero(), order
+        assert cocycle_residual(build_omega(g2, order), order).is_zero(), order
+
+
+def _hand_built_3slot_exponents(g2, order):
+    """The Eq. 20 exponents as they were once typed out, with Delta(v),
+    Delta(tau) and Delta(a) of Eq. 24 written by hand: v is primitive, so
+    (Delta (x) I) substitutes v1 + v2 inside the coefficient series."""
+    ctx3 = TensorContext((g2,) * 3)
+    v_gi, tau_gi, a_gi = g2.gen_index("v"), g2.gen_index("tau"), g2.gen_index("a")
+    m = RationalFn(Poly.var("m"))
+    v1, v2 = RationalFn(Poly.var("v1")), RationalFn(Poly.var("v2"))
+    vmap = {"v1": (0, v_gi), "v2": (1, v_gi)}
+
+    def texp_of(vexpr):
+        return projrep.tau_exponent_series(m * vexpr * vexpr, order)
+
+    def aexp_of(vexpr):
+        return projrep.a_exponent_series(m * vexpr, m * vexpr * vexpr, order)
+
+    def letter(slot, gi):
+        w = [(), (), ()]
+        w[slot] = ((gi, 1),)
+        return tuple(w)
+
+    def elem(series, extra):
+        return ExpFactor(series_to_element(series, ctx3, vmap, extra)).exponent
+
+    lhs = [elem(texp_of(v1), letter(1, tau_gi)), elem(aexp_of(v1), letter(1, a_gi)),
+           elem(texp_of(v1 + v2), letter(2, tau_gi)), elem(aexp_of(v1 + v2), letter(2, a_gi))]
+    delta_tau = NCElement(ctx3, {letter(1, tau_gi): HSeries.const(1),
+                                 letter(2, tau_gi): HSeries.const(1)})
+    delta_a = NCElement(ctx3, {letter(1, a_gi): HSeries.const(1),
+                               letter(2, a_gi): HSeries.const(1),
+                               ((), ((v_gi, 1),), ((tau_gi, 1),)): HSeries.const(1)})
+    g3 = series_to_element(texp_of(v1), ctx3, vmap) * delta_tau
+    g4 = series_to_element(aexp_of(v1), ctx3, vmap) * delta_a
+    rhs = [elem(texp_of(v2), letter(2, tau_gi)), elem(aexp_of(v2), letter(2, a_gi)),
+           ExpFactor(g3).exponent, ExpFactor(g4).exponent]
+    return lhs, rhs
+
+
+def test_coproduct_legs_match_hand_built_oracle():
+    """The eight Eq. 20 legs taken through the model's coproduct equal the
+    hand-typed ones term for term, and so do the Delta legs of Eq. 19."""
+    g2 = load_model("galilei_group_2d")
+    for order in (0, 1, 2, 3):
+        images = [projrep._three_slot_images(f.exponent)
+                  for f in build_omega(g2, order).factors]
+        legs = [[ExpFactor(i[k]).exponent for i in images] for k in range(4)]
+        want_lhs, want_rhs = _hand_built_3slot_exponents(g2, order)
+        assert legs[0] + legs[2] == want_lhs, order
+        assert legs[1] + legs[3] == want_rhs, order
+    ctx2 = TensorContext((g2, g2))
+    tau_gi, a_gi, v_gi = g2.gen_index("tau"), g2.gen_index("a"), g2.gen_index("v")
+    one = HSeries.const(1)
+    delta_tau = NCElement(ctx2, {(((tau_gi, 1),), ()): one, ((), ((tau_gi, 1),)): one})
+    delta_a = NCElement(ctx2, {(((a_gi, 1),), ()): one, ((), ((a_gi, 1),)): one,
+                               (((v_gi, 1),), ((tau_gi, 1),)): one})
+    that, ghat = projrep.rep_prefactor_series(2)
+    pre, _ = rep_apply(g2, 0, 2)
+    got = [normal_order(apply_coproduct(f.exponent, 0)) for f in pre.factors]
+    assert got == [normal_order(series_to_element(that, ctx2, {}) * delta_tau),
+                   normal_order(series_to_element(ghat, ctx2, {}) * delta_a)]
+
+
+_COPRODUCT_MUTANTS = {
+    "a_sign": ("coproduct a = a (x) 1 + 1 (x) a + v (x) tau;",
+               "coproduct a = a (x) 1 + 1 (x) a - v (x) tau;"),
+    "tau_scale": ("coproduct tau = tau (x) 1 + 1 (x) tau;",
+                  "coproduct tau = tau (x) 1 + 2*(1 (x) tau);"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_COPRODUCT_MUTANTS))
+def test_coproduct_mutants_fail_cocycle_and_rep_compose(tmp_path, mutant):
+    # the Eq. 19 and Eq. 20 checks read the declared coproduct, so a wrong
+    # Delta(a) or Delta(tau) in a --model file fails them
+    old, new = _COPRODUCT_MUTANTS[mutant]
+    text = (Path(projrep.__file__).parent / "models" / "galilei_group_2d.hopf").read_text()
+    assert old in text
+    path = tmp_path / "galilei_group_2d.hopf"
+    path.write_text(text.replace(old, new))
+    report = run_suite(SuiteConfig(suite="projrep", rep_order=1,
+                                   overrides={"galilei_group_2d": path}))
+    status = {c.check_id: c.status for c in report.checks}
+    composed = [k for k in status if k.startswith("rep_compose[")]
+    assert len(composed) == 4
+    for check_id in ["cocycle_residual"] + composed:
+        assert status[check_id] == FAIL, check_id
 
 
 def test_cocycle_residual_mutations():
     g2 = load_model("galilei_group_2d")
-
-    def strip_h1(lhs, rhs):
-        return ([ExpFactor(f.exponent.h_coefficient(0)) for f in lhs],
-                [ExpFactor(f.exponent.h_coefficient(0)) for f in rhs])
-
-    z = cocycle_residual_for_omega(g2, 1, mutate=strip_h1)
+    stripped = ExpProduct([ExpFactor(f.exponent.h_coefficient(0))
+                           for f in build_omega(g2, 1).factors])
+    z = cocycle_residual(stripped, 1)
     assert z.h_coefficient(0).is_zero()
     assert not z.h_coefficient(1).is_zero()
     # derived oracle: deleting the h^1 exponent parts A1, B1 of omega's two
@@ -280,7 +366,6 @@ def test_cocycle_residual_mutations():
     # which equals i * (Eq. 27 LHS at phi1) up to the factorization
     # coboundary four_term([A0,B0]/2) -- the Hausdorff reshuffle the paper's
     # "resulting equation" absorbs silently.
-    from kappa_hopf.hopf import apply_coproduct
     om = build_omega(g2, 1)
     a1b1 = normal_order(om.factors[0].exponent.h_coefficient(1)
                         + om.factors[1].exponent.h_coefficient(1))
@@ -329,7 +414,7 @@ def test_equivalence_transformed_multiplier():
                                  HSeries.const(GaussianRational(0, 2 * c))})
         chi_delta = chi12 + cross
         om_t = ExpProduct([ExpFactor(chi12)] + om.factors + [ExpFactor(-chi_delta)])
-        assert cocycle_residual_of_product(g2, om_t, 2).is_zero()
+        assert cocycle_residual(om_t, 2).is_zero()
         _, cls = triviality_probe(g2, lie2d, omega2=om_t)
         assert cls == base_cls
 
@@ -386,6 +471,8 @@ def test_rep_compose_orders_and_mutation():
     assert not logres.h_coefficient(0).is_zero()
     with pytest.raises(OrderCapError):
         rep_compose_check(g2, (0, 9), 1)
+    with pytest.raises(ValueError):
+        rep_compose_check(g2, (0,), 1, omega="trivial")
 
 
 def test_rep_compose_builds_the_log_once(monkeypatch):

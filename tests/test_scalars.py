@@ -557,6 +557,29 @@ def test_hseries_laurent_powers():
     assert inv_h.has_negative_powers()
 
 
+def test_hseries_product_truncation_with_negative_powers():
+    # h^-1 (1 + h + O(h^3)) = h^-1 + 1 + O(h^2): the unknown h^3 term
+    # reaches the product at h^2, in either order
+    inv_h = HSeries.h(-1)
+    a = HSeries({0: 1, 1: 1}, 2)
+    for q in (inv_h * a, a * inv_h):
+        assert (q.truncation, q) == (1, HSeries({-1: 1, 0: 1}))
+    # h^-2 drops two orders, and the known terms past the new order go
+    q = HSeries({-2: 3}) * HSeries({0: 1, 1: 2, 2: 5}, 2)
+    assert (q.truncation, q) == (0, HSeries({-2: 3, -1: 6, 0: 15}))
+    # both truncated: each error meets the other's lowest power
+    q = HSeries({-1: 1}, 4) * HSeries({0: 1}, 2)
+    assert q.truncation == 1
+    # a truncated zero is O(h^(t+1)) as a whole: O(h^-1) O(h^-2) = O(h^-3)
+    assert (HSeries({}, -2) * HSeries({}, -3)).truncation == -4
+    # nonnegative powers keep the minimum; exact by exact stays exact
+    assert (HSeries.h(2) * a).truncation == 2
+    assert (inv_h * HSeries({0: 1, 1: 1})).is_exact()
+    # a product the projrep tau exponent forms: -i/h times log1p through h^3
+    lg = series_log1p(HSeries({1: F(1, 2)}), 3)
+    assert (lg * HSeries({-1: -GR_I})).truncation == 2
+
+
 def test_hseries_division_truncation():
     h = HSeries.h(1)
     # (h + h^2 + O(h^3)) / (h + O(h^3)) = 1 + h + O(h^2): the divisor's
