@@ -657,7 +657,11 @@ class ExprVal:
 
 
 class _EvalError(Exception):
-    pass
+    """A load error; its diagnostic names tok's line and column, if given."""
+
+    def __init__(self, message, tok=None):
+        super().__init__(message)
+        self.tok = tok
 
 
 class Evaluator:
@@ -887,7 +891,8 @@ def parse_source(text, path="<string>", env=None, declarations=None):
                 _, name, fields = decl
                 module.comodules[name] = _load_comodule(name, fields, env_pres, path)
     except _EvalError as e:
-        return None, [Diagnostic("error", str(e), 0, 0, path)]
+        line, col = (e.tok.line, e.tok.col) if e.tok else (0, 0)
+        return None, [Diagnostic("error", str(e), line, col, path)]
     except (PresentationError, DivergenceError) as e:
         return None, [Diagnostic("error", str(e), 0, 0, path)]
     return module, []
@@ -931,6 +936,7 @@ def _load_presentation(decl, path):
 
     ev = Evaluator([proto], params, path)
     raw_rules = {}
+    rule_toks = {}
     hopf_delta, hopf_counit, hopf_antipode = {}, {}, {}
     logs = {}
     star = {}
@@ -940,7 +946,7 @@ def _load_presentation(decl, path):
     for kind, payload in sections:
         if kind == "relation":
             lhs, rhs, tok = payload
-            _load_relation(proto, ev, lhs, rhs, raw_rules, tok, path)
+            _load_relation(proto, ev, lhs, rhs, raw_rules, rule_toks, tok, path)
         elif kind in ("coproduct", "counit", "antipode", "log", "star"):
             ref, rhs, tok = payload
             refs = _instantiate_ref(proto, ev, ref)
@@ -995,7 +1001,7 @@ def _load_presentation(decl, path):
     proto.quotient = quotient
     proto.star.update(star)
     proto._validate()
-    _normalize_rule_corrections(proto)
+    _normalize_rule_corrections(proto, rule_toks)
     return proto
 
 
@@ -1025,7 +1031,7 @@ def _instantiate_ref(proto, ev, ref):
     return out
 
 
-def _load_relation(proto, ev, lhs, rhs, raw_rules, tok, path):
+def _load_relation(proto, ev, lhs, rhs, raw_rules, rule_toks, tok, path):
     vars_ = ev.collect_vars(lhs, {})
     from itertools import product as iproduct
     names = sorted(vars_)
@@ -1046,6 +1052,7 @@ def _load_relation(proto, ev, lhs, rhs, raw_rules, tok, path):
                     f"{proto.gens[digram[0]].label()}*{proto.gens[digram[1]].label()}")
         else:
             raw_rules[digram] = corr
+            rule_toks[digram] = tok
 
 
 def _orient(proto, lel, rel, tok, path):
@@ -1106,15 +1113,20 @@ def _invert_scalar(coeff, sign):
 CORRECTION_BUDGET = 1_000
 
 
-def _normalize_rule_corrections(p):
-    """Canonicalize every rule's correction to its PBW normal form."""
+def _normalize_rule_corrections(p, rule_toks):
+    """Canonicalize every rule's correction to its PBW normal form; a
+    correction that does not normalize within the budget is an error at the
+    relation of its digram (rule_toks: digram -> relation token)."""
     ctx = TensorContext((p,))
     new_rules = {}
     for digram, corr in p.rules.items():
         terms = {}
         for c, w in corr:
             terms[(w,)] = terms.get((w,), H_ZERO) + c
-        el = normal_order(NCElement(ctx, terms), budget=CORRECTION_BUDGET)
+        try:
+            el = normal_order(NCElement(ctx, terms), budget=CORRECTION_BUDGET)
+        except DivergenceError as e:
+            raise _EvalError(str(e), rule_toks[digram]) from None
         new_rules[digram] = tuple((c, w[0]) for w, c in sorted(el.terms.items()))
     p.rules.clear()
     p.rules.update(new_rules)

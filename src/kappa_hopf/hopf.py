@@ -205,6 +205,17 @@ def _rule_sides(p, hi, lo, hpow, lpow):
     return NCElement(TensorContext((p,)), {(word,): H_ONE}), rewrite_once(p, word, 0)
 
 
+def delta_respects_check(p, hi, lo, check_id, anchor, mode="formal", order=4,
+                         expect="zero", detail="", oracle=None, powers=(1, 1)):
+    """The check that the coproduct respects the rule for the digram hi*lo,
+    with hi and lo at these powers: Delta(hi*lo - lo*hi - corr) vanishes."""
+    def raw():
+        lhs, rhs = _rule_sides(p, hi, lo, *powers)
+        return apply_coproduct(lhs - rhs, 0)
+
+    return _identity_check(check_id, anchor, raw, mode, order, expect, detail, oracle)
+
+
 def _rule_variants(p, hi, lo):
     hs = [1, -1] if p.gens[hi].grouplike else [1]
     ls = [1, -1] if p.gens[lo].grouplike else [1]
@@ -222,15 +233,11 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
         raise PresentationError(f"{p.name} has no Hopf data")
 
     for (hi, lo), _ in sorted(p.rules.items()):
-        for hpow, lpow in _rule_variants(p, hi, lo):
-            lab = f"{_plab(p, hi, hpow)}*{_plab(p, lo, lpow)}"
-
-            def raw_a(hi=hi, lo=lo, hp=hpow, lp=lpow):
-                lhs, rhs = _rule_sides(p, hi, lo, hp, lp)
-                return apply_coproduct(lhs - rhs, 0)
-
-            checks.append(_identity_check(f"delta_respects[{lab}]", f"{p.name} relations",
-                                          raw_a, mode, order, expect, oracle=oracle))
+        for powers in _rule_variants(p, hi, lo):
+            lab = f"{_plab(p, hi, powers[0])}*{_plab(p, lo, powers[1])}"
+            checks.append(delta_respects_check(
+                p, hi, lo, f"delta_respects[{lab}]", f"{p.name} relations",
+                mode, order, expect, oracle=oracle, powers=powers))
 
     if p.quotient is not None:
         checks.append(run_check(lambda: _quotient_coproduct_check(p, order, mode, oracle)))

@@ -17,6 +17,7 @@ with E.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from operator import add
 
@@ -50,8 +51,9 @@ class LimitError(ValueError):
 
 
 # bounds of one normal_order call: rewrite steps, letters in one slot word,
-# and terms waiting to be rewritten (`verify all --order 6 --degree 8` on the
-# shipped models reaches 10 letters and 1,400 pending terms)
+# and terms waiting to be rewritten, steps and terms counted in rewrite paths
+# (`verify all --order 6 --degree 8` on the shipped models reaches 10 letters,
+# 12,827 steps, 1,202 waiting paths and a correction depth of 4)
 REWRITE_BUDGET = 2_000_000
 MAX_WORD_LENGTH = 128
 MAX_PENDING_TERMS = 100_000
@@ -586,38 +588,77 @@ def rewrite_once(p, sw, i):
 
 
 def normal_order(e, budget=None):
-    """Unique PBW normal form of e; idempotent, linear, algebra-preserving."""
+    """Unique PBW normal form of e; idempotent, linear, algebra-preserving.
+
+    Like terms are summed before they are rewritten.  A term in normal
+    form goes to the result; any other waits in a dict word -> [coefficient,
+    paths, depth, redex], served first in, first out, and a term whose word
+    is already waiting is added to it.  Normal form is linear, so each
+    waiting word is rewritten once, for the sum of its terms.
+
+    The limits count what rewriting each term on its own, from a stack,
+    would count.  `paths` is the number of terms a waiting word stands for;
+    the step budget and the pending-term limit count paths, so a rule whose
+    corrections copy their own digram trips the pending-term limit instead
+    of growing one coefficient without bound.  `depth` is the most
+    correction steps on one rewrite path to the word.  A stack keeps the
+    lead word of each such step below its correction, so a term of depth d
+    waits with at least d others, and the pending-term limit applies to the
+    depth too: a cycle of corrections stops there."""
     budget = REWRITE_BUDGET if budget is None else budget
     pres_list = e.context.slots
     result = {}
-    stack = [(w, c) for w, c in e.terms.items()]
+    pending = {}
+    for w, c in e.terms.items():
+        loc = _find_redex(w, pres_list)
+        if loc is None:
+            result[w] = c
+        else:
+            pending[w] = [c, 1, 0, loc]
+    queue = deque(pending)
+    waiting = len(pending)
     steps = 0
-    while stack:
-        word, coeff = stack.pop()
+    while queue:
+        word = queue.popleft()
+        coeff, paths, depth, (s, i) = pending.pop(word)
+        waiting -= paths
         if not coeff:
             continue
-        loc = _find_redex(word, pres_list)
-        if loc is None:
-            old = result.get(word)
-            nc = coeff if old is None else old + coeff
-            if nc:
-                result[word] = nc
-            else:
-                result.pop(word, None)
-            continue
-        s, i = loc
         sw = word[s]
         p = pres_list[s]
-        steps += 1
+        steps += paths
         if steps > budget:
             _diverged(p, sw, i, "rewrite budget exceeded")
         lead, corrections = rewrite_digram(p, sw, i)
-        stack.append((word[:s] + (lead,) + word[s + 1:], coeff))
+        new = [(lead, coeff, depth)]
         for nsw, c in corrections:
             if len(nsw) > MAX_WORD_LENGTH:
                 _diverged(p, sw, i, f"word length limit {MAX_WORD_LENGTH} exceeded")
-            stack.append((word[:s] + (nsw,) + word[s + 1:], coeff * c))
-        if len(stack) > MAX_PENDING_TERMS:
+            c = coeff * c
+            if c:
+                new.append((nsw, c, depth + 1))
+        for nsw, c, d in new:
+            w = word[:s] + (nsw,) + word[s + 1:]
+            entry = pending.get(w)
+            if entry is None:
+                loc = _find_redex(w, pres_list)
+                if loc is None:
+                    old = result.get(w)
+                    nc = c if old is None else old + c
+                    if nc:
+                        result[w] = nc
+                    else:
+                        del result[w]
+                    continue
+                pending[w] = [c, paths, d, loc]
+                queue.append(w)
+            else:
+                entry[0] += c
+                entry[1] += paths
+                if d > entry[2]:
+                    entry[2] = d
+            waiting += paths
+        if waiting > MAX_PENDING_TERMS or depth >= MAX_PENDING_TERMS:
             _diverged(p, sw, i, f"pending-term limit {MAX_PENDING_TERMS} exceeded")
     return _raw_element(e.context, result)
 
@@ -856,8 +897,9 @@ def confluence_triples(p):
 
 
 def confluence_residual(p, triple):
-    """Reduce z*y*x along both reduction paths; return the residual element."""
+    """Reduce z*y*x along both reduction paths; return the residual element:
+    the normal form of the difference of the two first steps, (z,y) first
+    minus (y,x) first, in which the words both paths share cancel before
+    they are rewritten."""
     word = tuple(triple)
-    path_a = normal_order(rewrite_once(p, word, 0))  # reduce (z,y) first
-    path_b = normal_order(rewrite_once(p, word, 1))  # reduce (y,x) first
-    return normal_order(path_a - path_b)
+    return normal_order(rewrite_once(p, word, 0) - rewrite_once(p, word, 1))

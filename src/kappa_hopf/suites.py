@@ -197,14 +197,10 @@ def suite_algebra(cfg, oracle):
                               expect="report"))
     for (hi, lo) in sorted(printed.rules):
         if printed.gens[hi].name == "L" and printed.gens[lo].name == "L":
-            def raw():
-                lhs, rhs = hopf._rule_sides(printed, hi, lo, 1, 1)
-                return hopf.apply_coproduct(lhs - rhs, 0)
-
             lab = f"{printed.gens[hi].label()}*{printed.gens[lo].label()}"
-            rep.add(hopf._identity_check(
-                f"printed_variant:delta_respects[{lab}]", "Eq. 1 as printed vs Eqs. 2, 5",
-                raw, "formal", cfg.order, "report",
+            rep.add(hopf.delta_respects_check(
+                printed, hi, lo, f"printed_variant:delta_respects[{lab}]",
+                "Eq. 1 as printed vs Eqs. 2, 5", "formal", cfg.order, "report",
                 detail="nonzero residual: the printed [L,L] bracket "
                        "(no factor i) breaks the coproduct homomorphism",
                 oracle=oracle))

@@ -239,6 +239,7 @@ presentation loop {
     module, diags = parse_source(loop)
     assert module is None
     assert [d.message for d in diags] == ["rewrite budget exceeded at digram B*A in loop"]
+    assert (diags[0].line, diags[0].col) == (4, 3)  # the relation
 
 
 def test_token_mutants_of_shipped_models_give_a_module_or_diagnostics():

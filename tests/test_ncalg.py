@@ -576,6 +576,132 @@ def test_pending_term_limit_stops_a_branching_rule(monkeypatch):
         normal_order(el, budget=5000)
 
 
+def _reference_normal_order(e):
+    """The term-by-term loop normal_order replaced: a LIFO stack of (word,
+    coefficient) pairs, each rewritten on its own, like terms summed only in
+    the result.  It has no limits."""
+    pres_list = e.context.slots
+    result = {}
+    stack = list(e.terms.items())
+    while stack:
+        word, coeff = stack.pop()
+        if not coeff:
+            continue
+        loc = ncalg._find_redex(word, pres_list)
+        if loc is None:
+            old = result.get(word)
+            nc = coeff if old is None else old + coeff
+            if nc:
+                result[word] = nc
+            else:
+                result.pop(word, None)
+            continue
+        s, i = loc
+        lead, corrections = ncalg.rewrite_digram(pres_list[s], word[s], i)
+        stack.append((word[:s] + (lead,) + word[s + 1:], coeff))
+        for nsw, c in corrections:
+            stack.append((word[:s] + (nsw,) + word[s + 1:], coeff * c))
+    return result
+
+
+def _generator_product(ctx, rng):
+    """A sum of up to four products of 2-5 generators per slot, in random
+    order, with _oracle_coeff's exact or truncated coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = []
+        for p in ctx.slots:
+            letters = []
+            for _ in range(rng.randint(2, 5)):
+                gi = rng.randrange(len(p.gens))
+                letters.append((gi, rng.choice([-1, 1, 2]) if p.gens[gi].grouplike else 1))
+            word.append(tuple(letters))
+        terms[tuple(word)] = _oracle_coeff(rng)
+    return NCElement(ctx, terms)
+
+
+@pytest.mark.parametrize("layout", ["algebra", "group", "two slots"])
+def test_normal_order_matches_the_term_by_term_loop(layout):
+    """Summing like terms before rewriting them changes nothing: terms and
+    per-coefficient truncations equal the term-by-term loop's."""
+    kappa = load_model("galilei_algebra_kappa")
+    group = load_model("galilei_group_kappa")
+    slots = {"algebra": (kappa,), "group": (group,), "two slots": (kappa, kappa)}[layout]
+    ctx = TensorContext(slots)
+    rng = random.Random(f"normal order {layout}")
+    compared = 0
+    for _ in range(40):
+        e = _generator_product(ctx, rng)
+        got = normal_order(e)
+        ref = _reference_normal_order(e)
+        assert got.terms == ref
+        assert {w: c.truncation for w, c in got.terms.items()} \
+            == {w: c.truncation for w, c in ref.items()}
+        compared += len(ref)
+    assert compared > 200
+
+
+def _count_rewrites(monkeypatch, most):
+    """The list of rewrite_digram calls; call most + 1 fails the test, so a
+    rule that no longer stops fast does not run on to the step budget."""
+    calls = []
+    rewrite = ncalg.rewrite_digram
+
+    def spy(p, sw, i):
+        calls.append(sw)
+        assert len(calls) <= most, f"no DivergenceError within {most} rewrites"
+        return rewrite(p, sw, i)
+
+    monkeypatch.setattr(ncalg, "rewrite_digram", spy)
+    return calls
+
+
+def test_branching_rule_fails_fast_at_the_default_limits(monkeypatch):
+    # y*x -> x*y + 2 copies of y*x: summed, y*x waits once with a coefficient
+    # 3^n, but it stands for 2^n rewrite paths, and those reach the
+    # pending-term limit
+    gens = [GenDecl("x"), GenDecl("y")]
+    yx = ((1, 1), (0, 1))
+    p = Presentation("branches", gens,
+                     rules={(1, 0): ((HSeries.const(1), yx), (HSeries.const(2), yx))})
+    el = p.gen_element("y") * p.gen_element("x")
+    _count_rewrites(monkeypatch, 64)
+    with pytest.raises(DivergenceError, match="pending-term limit 100000 exceeded at digram y[*]x"):
+        normal_order(el)
+    # the step budget counts paths too: 1 + 2 + ... + 64 > 100 in 7 rewrites
+    with pytest.raises(DivergenceError, match="rewrite budget exceeded at digram y[*]x"):
+        normal_order(el, budget=100)
+
+
+def test_doubling_two_cycle_fails_fast_at_the_default_limits(monkeypatch):
+    # y*x -> x*y + 2 copies of z*w and z*w -> w*z + 2 copies of y*x: each
+    # pass round the cycle doubles the paths the one waiting word stands for
+    gens = [GenDecl("x"), GenDecl("y"), GenDecl("w"), GenDecl("z")]
+    yx, zw = ((1, 1), (0, 1)), ((3, 1), (2, 1))
+    p = Presentation("cycles", gens,
+                     rules={(1, 0): ((H_ONE, zw), (H_ONE, zw)),
+                            (3, 2): ((H_ONE, yx), (H_ONE, yx))})
+    el = p.gen_element("y") * p.gen_element("x")
+    _count_rewrites(monkeypatch, 64)
+    with pytest.raises(DivergenceError, match="pending-term limit 100000 exceeded at digram"):
+        normal_order(el)
+
+
+def test_cycle_of_single_corrections_stops_at_the_pending_term_limit(monkeypatch):
+    # y*x -> x*y + 2*z*w and z*w -> w*z + 2*y*x: one path throughout, but each
+    # step is one correction deeper, as a stack would be one term longer
+    gens = [GenDecl("x"), GenDecl("y"), GenDecl("w"), GenDecl("z")]
+    yx, zw = ((1, 1), (0, 1)), ((3, 1), (2, 1))
+    two = HSeries.const(2)
+    p = Presentation("cycles", gens, rules={(1, 0): ((two, zw),), (3, 2): ((two, yx),)})
+    el = p.gen_element("y") * p.gen_element("x")
+    monkeypatch.setattr(ncalg, "MAX_PENDING_TERMS", 500)
+    calls = _count_rewrites(monkeypatch, 501)
+    with pytest.raises(DivergenceError, match="pending-term limit 500 exceeded at digram"):
+        normal_order(el, budget=5000)
+    assert len(calls) == 501
+
+
 def test_missing_rule_is_reported():
     gens = [GenDecl("x"), GenDecl("y")]
     p = Presentation("incomplete", gens, rules={})

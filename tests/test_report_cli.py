@@ -139,6 +139,24 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "no_such_presentation" in err and err.count("\n") == 1
 
 
+def test_cycling_rules_exit_2_naming_the_relation(tmp_path, capsys):
+    # P*L -> L*P + P0*L and P0*L -> L*P0 + P*L rewrite each other's
+    # corrections forever; the load stops at its correction budget, and the
+    # diagnostic points at the relation whose correction diverged
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_algebra_2d_classical.hopf"
+    lines = shipped.read_text().splitlines()
+    first = lines.index("  relation L*P0 - P0*L = I*P;")
+    second = lines.index("  relation L*P - P*L = 0;")
+    lines[first] = "  relation P0*L - L*P0 = P*L;"
+    lines[second] = "  relation P*L - L*P = P0*L;"
+    model = tmp_path / "cycling.hopf"
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "projrep", "--order", "1", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"kappa-hopf: DslError: {model}:{first + 1}:3: error: rewrite budget "
+                   "exceeded at digram P*L in galilei_algebra_2d_classical\n")
+
+
 @pytest.mark.parametrize("error", [DivergenceError, OrderCapError, SeriesDomainError])
 def test_cli_engine_error_exit_code(monkeypatch, capsys, error):
     # an engine limit hit by a model or a configuration is exit 2 with a
