@@ -673,28 +673,28 @@ def test_branching_rule_fails_fast_at_the_default_limits(monkeypatch):
         normal_order(el, budget=100)
 
 
-def test_doubling_two_cycle_fails_fast_at_the_default_limits(monkeypatch):
-    # y*x -> x*y + 2 copies of z*w and z*w -> w*z + 2 copies of y*x: each
-    # pass round the cycle doubles the paths the one waiting word stands for
+def _two_cycle(*coeffs):
+    """y*x, with y*x -> x*y + c*z*w and z*w -> w*z + c*y*x, one correction
+    for each c in coeffs."""
     gens = [GenDecl("x"), GenDecl("y"), GenDecl("w"), GenDecl("z")]
     yx, zw = ((1, 1), (0, 1)), ((3, 1), (2, 1))
-    p = Presentation("cycles", gens,
-                     rules={(1, 0): ((H_ONE, zw), (H_ONE, zw)),
-                            (3, 2): ((H_ONE, yx), (H_ONE, yx))})
-    el = p.gen_element("y") * p.gen_element("x")
+    p = Presentation("cycles", gens, rules={(1, 0): tuple((c, zw) for c in coeffs),
+                                            (3, 2): tuple((c, yx) for c in coeffs)})
+    return p.gen_element("y") * p.gen_element("x")
+
+
+def test_doubling_two_cycle_fails_fast_at_the_default_limits(monkeypatch):
+    # two copies of each correction: each pass round the cycle doubles the
+    # paths the one waiting word stands for
     _count_rewrites(monkeypatch, 64)
     with pytest.raises(DivergenceError, match="pending-term limit 100000 exceeded at digram"):
-        normal_order(el)
+        normal_order(_two_cycle(H_ONE, H_ONE))
 
 
 def test_cycle_of_single_corrections_stops_at_the_pending_term_limit(monkeypatch):
     # y*x -> x*y + 2*z*w and z*w -> w*z + 2*y*x: one path throughout, but each
     # step is one correction deeper, as a stack would be one term longer
-    gens = [GenDecl("x"), GenDecl("y"), GenDecl("w"), GenDecl("z")]
-    yx, zw = ((1, 1), (0, 1)), ((3, 1), (2, 1))
-    two = HSeries.const(2)
-    p = Presentation("cycles", gens, rules={(1, 0): ((two, zw),), (3, 2): ((two, yx),)})
-    el = p.gen_element("y") * p.gen_element("x")
+    el = _two_cycle(HSeries.const(2))
     monkeypatch.setattr(ncalg, "MAX_PENDING_TERMS", 500)
     calls = _count_rewrites(monkeypatch, 501)
     with pytest.raises(DivergenceError, match="pending-term limit 500 exceeded at digram"):
