@@ -29,15 +29,24 @@ side are instantiated over the declared index range; variables appearing
 only on the right are summed (ranges inferred from the generator table,
 defaulting to 1..3).
 
+A right side is evaluated straight into the tensor context of the table it
+fills (one slot for an antipode or a map image, two for a coproduct or a
+coaction): tensor factors fill the slots in order, a scalar factor taking
+one slot, and a generator is looked up in the presentation of its own slot.
+A scalar right side fills no slot and stands for itself times 1.
+
 Every rejection carries a Diagnostic with a line/column span; parsing never
-throws on malformed input.
+throws on malformed input.  A load error names its presentation section, or
+else the keyword of its declaration.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .ncalg import (
     DivergenceError,
@@ -350,8 +359,20 @@ class Parser:
                 return
             self.next()
 
+    def parse_binding(self, what, sep):
+        """ref sep expr ; -- a generator reference bound to an expression.
+        what names the presentation section whose ref is checked here; with
+        None, ref is checked when it loads."""
+        ref = self.parse_atom()
+        if what and not isinstance(ref, (GenRef, Sym)):
+            self.error(f"{what} needs a generator reference")
+        self.expect(sep)
+        rhs = self.parse_expr()
+        self.expect(";")
+        return ref, rhs
+
     def parse_presentation_decl(self):
-        self.next()  # presentation
+        tok = self.next()  # presentation
         name = self.expect("IDENT", "presentation name").text
         self.expect("{")
         sections = []
@@ -363,18 +384,17 @@ class Parser:
             if kw == "params":
                 self.next()
                 self.expect(":")
-                names = []
+                payload = []
                 while self.peek().kind == "IDENT":
-                    names.append(self.next().text)
+                    payload.append(self.next().text)
                     self.accept(",")
                 self.expect(";")
-                sections.append(("params", names))
             elif kw == "generators" or kw == "order":
                 self.next()
                 self.expect(":")
-                gens = []
+                payload = []
                 while self.peek().kind == "IDENT":
-                    gt = self.next()
+                    gname = self.next().text
                     idx = ()
                     if self.peek().kind == "[":
                         self.next()
@@ -387,39 +407,31 @@ class Parser:
                     if self.peek().kind == "IDENT" and self.peek().text == "grouplike":
                         self.next()
                         grouplike = True
-                    gens.append((gt.text, idx, grouplike, gt))
+                    payload.append((gname, idx, grouplike))
                     self.accept(",")
                 self.expect(";")
-                sections.append((kw, gens))
             elif kw == "relation":
-                tok = self.next()
+                self.next()
                 lhs = self.parse_expr()
                 self.expect("=")
-                rhs = self.parse_expr()
+                payload = (lhs, self.parse_expr())
                 self.expect(";")
-                sections.append(("relation", (lhs, rhs, tok)))
             elif kw == "quotient":
                 self.next()
                 kind = self.expect("IDENT", "quotient kind").text
-                fam = self.expect("IDENT", "generator family").text
+                payload = (kind, self.expect("IDENT", "generator family").text)
                 self.expect(";")
-                sections.append(("quotient", (kind, fam, t)))
             elif kw in ("coproduct", "counit", "antipode", "log", "star"):
                 self.next()
-                ref = self.parse_atom()
-                if not isinstance(ref, (GenRef, Sym)):
-                    self.error(f"{kw} needs a generator reference")
-                self.expect("=")
-                rhs = self.parse_expr()
-                self.expect(";")
-                sections.append((kw, (ref, rhs, t)))
+                payload = self.parse_binding(kw, "=")
             else:
                 self.error(f"unknown section {kw!r}")
+            sections.append((kw, payload, t))
         self.expect("}")
-        return ("presentation", name, sections)
+        return ("presentation", name, sections, tok)
 
     def parse_element_decl(self):
-        self.next()
+        tok = self.next()
         name = self.expect("IDENT", "element name").text
         kw = self.expect("IDENT")
         if kw.text != "in":
@@ -428,10 +440,10 @@ class Parser:
         self.expect("=")
         rhs = self.parse_expr()
         self.expect(";")
-        return ("element", name, pres, rhs)
+        return ("element", name, pres, rhs, tok)
 
     def parse_map_decl(self):
-        self.next()
+        tok = self.next()
         name = self.expect("IDENT", "map name").text
         self.expect(":")
         src = self.expect("IDENT").text
@@ -440,16 +452,12 @@ class Parser:
         self.expect("{")
         rules = []
         while self.peek().kind != "}":
-            ref = self.parse_atom()
-            self.expect("MAPSTO")
-            rhs = self.parse_expr()
-            self.expect(";")
-            rules.append((ref, rhs))
+            rules.append(self.parse_binding(None, "MAPSTO"))
         self.expect("}")
-        return ("map", name, src, dst, rules)
+        return ("map", name, src, dst, rules, tok)
 
     def parse_bicross_decl(self):
-        self.next()
+        tok = self.next()
         name = self.expect("IDENT", "bicross name").text
         self.expect("{")
         fields = {"uembed": [], "tembed": [], "action": [], "coaction": []}
@@ -461,11 +469,7 @@ class Parser:
                 self.expect(";")
                 fields[kw] = val
             elif kw in ("uembed", "tembed"):
-                ref = self.parse_atom()
-                self.expect("MAPSTO")
-                rhs = self.parse_expr()
-                self.expect(";")
-                fields[kw].append((ref, rhs))
+                fields[kw].append(self.parse_binding(None, "MAPSTO"))
             elif kw == "action":
                 r1 = self.parse_atom()
                 self.expect(",")
@@ -475,18 +479,14 @@ class Parser:
                 self.expect(";")
                 fields["action"].append((r1, r2, rhs))
             elif kw == "coaction":
-                ref = self.parse_atom()
-                self.expect("=")
-                rhs = self.parse_expr()
-                self.expect(";")
-                fields["coaction"].append((ref, rhs))
+                fields["coaction"].append(self.parse_binding(None, "="))
             else:
                 self.error(f"unknown bicross field {kw!r}")
         self.expect("}")
-        return ("bicross", name, fields)
+        return ("bicross", name, fields, tok)
 
     def parse_comodule_decl(self):
-        self.next()
+        tok = self.next()
         name = self.expect("IDENT", "comodule name").text
         self.expect("{")
         fields = {"action": []}
@@ -497,15 +497,11 @@ class Parser:
                 fields[kw] = self.expect("IDENT").text
                 self.expect(";")
             elif kw == "action":
-                ref = self.parse_atom()
-                self.expect("=")
-                rhs = self.parse_expr()
-                self.expect(";")
-                fields["action"].append((ref, rhs))
+                fields["action"].append(self.parse_binding(None, "="))
             else:
                 self.error(f"unknown comodule field {kw!r}")
         self.expect("}")
-        return ("comodule", name, fields)
+        return ("comodule", name, fields, tok)
 
 
 class _ParseAbort(Exception):
@@ -518,144 +514,6 @@ class _ParseAbort(Exception):
 # ---------------------------------------------------------------------------
 
 
-class ExprVal:
-    """Evaluated expression: scalar (slots == 0) or tensor element whose
-    per-slot presentations may still be undetermined (None) for unit slots."""
-
-    __slots__ = ("slots", "scalar", "pres", "terms")
-
-    def __init__(self, scalar=None, pres=None, terms=None):
-        if scalar is not None:
-            self.slots = 0
-            self.scalar = scalar
-            self.pres = ()
-            self.terms = None
-        else:
-            self.slots = len(pres)
-            self.scalar = None
-            self.pres = tuple(pres)
-            self.terms = terms
-
-    @staticmethod
-    def from_scalar(h):
-        return ExprVal(scalar=h)
-
-    @staticmethod
-    def from_gen(p, gi):
-        return ExprVal(pres=(p,), terms={(((gi, 1),),): H_ONE})
-
-    def is_scalar(self):
-        return self.slots == 0
-
-    def _unify_pres(self, other):
-        if self.slots != other.slots:
-            raise _EvalError(f"slot mismatch: {self.slots} vs {other.slots}")
-        out = []
-        for a, b in zip(self.pres, other.pres):
-            if a is None:
-                out.append(b)
-            elif b is None or a is b:
-                out.append(a)
-            else:
-                raise _EvalError(f"slot presentation mismatch: {a.name} vs {b.name}")
-        return tuple(out)
-
-    def add(self, other):
-        if self.is_scalar() and other.is_scalar():
-            return ExprVal(scalar=self.scalar + other.scalar)
-        if self.is_scalar():
-            return other.add(self)
-        if other.is_scalar():
-            other = ExprVal(pres=(None,) * self.slots,
-                            terms={((),) * self.slots: other.scalar})
-        pres = self._unify_pres(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = t.get(w, H_ZERO) + c
-            if nc:
-                t[w] = nc
-            else:
-                t.pop(w, None)
-        return ExprVal(pres=pres, terms=t)
-
-    def neg(self):
-        if self.is_scalar():
-            return ExprVal(scalar=-self.scalar)
-        return ExprVal(pres=self.pres, terms={w: -c for w, c in self.terms.items()})
-
-    def mul(self, other):
-        if self.is_scalar() and other.is_scalar():
-            return ExprVal(scalar=self.scalar * other.scalar)
-        if self.is_scalar():
-            if not self.scalar:
-                return ExprVal(scalar=H_ZERO)
-            return ExprVal(pres=other.pres,
-                           terms={w: c * self.scalar for w, c in other.terms.items()})
-        if other.is_scalar():
-            return other.mul(self)
-        pres = self._unify_pres(other)
-        t = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                c = c1 * c2
-                nc = t.get(w, H_ZERO) + c
-                if nc:
-                    t[w] = nc
-                else:
-                    t.pop(w, None)
-        return ExprVal(pres=pres, terms=t)
-
-    def tensor(self, other):
-        a = self if not self.is_scalar() else ExprVal(pres=(None,), terms={((),): self.scalar})
-        b = other if not other.is_scalar() else ExprVal(pres=(None,), terms={((),): other.scalar})
-        pres = a.pres + b.pres
-        t = {}
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                t[w1 + w2] = t.get(w1 + w2, H_ZERO) + c1 * c2
-        return ExprVal(pres=pres, terms=t)
-
-    def power(self, n):
-        if self.is_scalar():
-            if n >= 0:
-                return ExprVal(scalar=self.scalar ** n)
-            if len(self.scalar.coeffs) == 1:
-                return ExprVal(scalar=(H_ONE / self.scalar) ** (-n))
-            raise _EvalError("negative power of a non-monomial scalar")
-        if n >= 0:
-            out = ExprVal(scalar=H_ONE)
-            for _ in range(n):
-                out = out.mul(self)
-            return out
-        # negative powers: single grouplike letter only
-        if len(self.terms) == 1:
-            (w, c), = self.terms.items()
-            letters = [(s, l) for s, sw in enumerate(w) for l in sw]
-            if c == H_ONE and len(letters) == 1:
-                s, (gi, p) = letters[0]
-                pr = self.pres[s]
-                if pr is not None and pr.gens[gi].grouplike:
-                    nw = list(w)
-                    nw[s] = ((gi, p * n),)
-                    return ExprVal(pres=self.pres, terms={tuple(nw): H_ONE})
-        raise _EvalError("negative power only on grouplike generators or scalar monomials")
-
-    def conform(self, slot_pres):
-        """Fix the context to the given per-slot presentations; scalars
-        broadcast; unit slots accept any presentation."""
-        if self.is_scalar():
-            ctx = TensorContext(slot_pres)
-            return NCElement.scalar(ctx, self.scalar)
-        if self.slots != len(slot_pres):
-            raise _EvalError(f"expected {len(slot_pres)} tensor slots, found {self.slots}")
-        for got, want in zip(self.pres, slot_pres):
-            if got is not None and got is not want:
-                raise _EvalError(f"expression slot in {got.name}, expected {want.name}")
-        ctx = TensorContext(slot_pres)
-        return NCElement(ctx, self.terms)
-
-
 class _EvalError(Exception):
     """A load error; its diagnostic names tok's line and column, if given."""
 
@@ -664,164 +522,243 @@ class _EvalError(Exception):
         self.tok = tok
 
 
+def _index_ranges(presentations):
+    """{(generator family, index position): the values it takes}."""
+    ranges = {}
+    for p in presentations:
+        for g in p.gens:
+            for pos, v in enumerate(g.index):
+                ranges.setdefault((g.name, pos), set()).add(v)
+    return {key: sorted(vals) for key, vals in ranges.items()}
+
+
+def _assignments(ranges, base):
+    """base extended by every combination of ranges ({variable: values}),
+    the variables taken in sorted order."""
+    names = sorted(ranges)
+    for combo in product(*(ranges[v] for v in names)):
+        yield {**base, **dict(zip(names, combo))}
+
+
+def _var_uses(node):
+    """(variable, generator family, index position) for each index variable
+    in node, in reading order; family and position are None in eps or delta."""
+    if isinstance(node, GenRef):
+        for k, a in enumerate(node.idx):
+            if isinstance(a, str):
+                yield a, node.name, k
+    elif isinstance(node, Call):
+        for a in node.args:
+            if isinstance(a, str):
+                yield a, None, None
+    elif isinstance(node, BinOp):
+        yield from _var_uses(node.left)
+        yield from _var_uses(node.right)
+    elif isinstance(node, Neg):
+        yield from _var_uses(node.arg)
+    elif isinstance(node, Pow):
+        yield from _var_uses(node.base)
+
+
+def _expand_terms(node, sign):
+    """Distribute products over sums: list of (sign, sum-free AST)."""
+    if isinstance(node, Neg):
+        return _expand_terms(node.arg, -sign)
+    if isinstance(node, BinOp) and node.op in ("+", "-"):
+        right_sign = sign if node.op == "+" else -sign
+        return _expand_terms(node.left, sign) + _expand_terms(node.right, right_sign)
+    if isinstance(node, BinOp):  # * / (x)
+        lt = _expand_terms(node.left, 1)
+        rt = _expand_terms(node.right, 1)
+        if node.op == "/" and len(rt) != 1:
+            raise _EvalError("division only by a single scalar term")
+        return [(sign * s1 * s2, BinOp(node.op, a, b)) for s1, a in lt for s2, b in rt]
+    if isinstance(node, Pow) and any(_var_uses(node.base)):
+        raise _EvalError("powers of index-bearing subexpressions are not "
+                         "supported; write the product out explicitly")
+    return [(sign, node)]
+
+
+def _plus(a, b):
+    """a + b; an element's terms come before a scalar's."""
+    if isinstance(a, HSeries) and not isinstance(b, HSeries):
+        return b + a
+    return a + b
+
+
+def _times(a, b):
+    """a * b; a scalar scales an element's coefficients."""
+    if isinstance(a, HSeries) and not isinstance(b, HSeries):
+        return b.scale(a)
+    return a * b
+
+
+def _power(v, n):
+    if isinstance(v, HSeries):
+        if n >= 0:
+            return v ** n
+        if len(v.coeffs) == 1:
+            return (H_ONE / v) ** (-n)
+        raise _EvalError("negative power of a non-monomial scalar")
+    if n >= 0:
+        out = H_ONE
+        for _ in range(n):
+            out = _times(out, v)
+        return out
+    # negative powers: single grouplike letter only
+    if len(v.terms) == 1:
+        (w, c), = v.terms.items()
+        letters = [(s, l) for s, sw in enumerate(w) for l in sw]
+        if c == H_ONE and len(letters) == 1:
+            s, (gi, p) = letters[0]
+            if v.context.slots[s].gens[gi].grouplike:
+                nw = list(w)
+                nw[s] = ((gi, p * n),)
+                return NCElement(v.context, {tuple(nw): H_ONE})
+    raise _EvalError("negative power only on grouplike generators or scalar monomials")
+
+
 class Evaluator:
-    """Evaluates ASTs against one or more resolution presentations."""
+    """Evaluates expressions in the tensor context of the table they fill:
+    slot k holds slots[k], tensor factors fill slots in order, and a
+    generator is looked up in the presentation of its own slot."""
 
-    def __init__(self, resolution, params, path="<string>"):
-        self.resolution = list(resolution)  # presentations for genref lookup
-        self.params = set(params)
-        self.path = path
+    def __init__(self, slots):
+        self.slots = tuple(slots)
+        self.context = TensorContext(self.slots)
+        self.params = {n for p in self.slots for n in p.params}
+        self.names = {g.name for p in self.slots for g in p.gens}
+        self.ranges = _index_ranges(self.slots)
 
-    def lookup(self, name, idx):
-        for p in self.resolution:
-            key = (name, idx)
-            if key in p.by_key:
-                return p, p.by_key[key]
-        return None
-
-    def index_range(self, name, pos):
-        vals = sorted({g.index[pos] for p in self.resolution for g in p.gens
-                       if g.name == name and len(g.index) > pos})
-        return vals
-
-    def collect_vars(self, node, out):
+    def width(self, node):
+        """The tensor slots node fills: 0 for a scalar, 1 for a generator.
+        A name that is no generator counts as a scalar; eval rejects it."""
+        if isinstance(node, Sym):
+            return int(node.name not in ("I", "h", "kappa") and node.name not in self.params
+                       and any((node.name, ()) in p.by_key for p in self.slots))
         if isinstance(node, GenRef):
-            for k, a in enumerate(node.idx):
-                if isinstance(a, str):
-                    rng = self.index_range(node.name, k)
-                    cur = out.get(a)
-                    out[a] = sorted(set(rng) & set(cur)) if cur is not None else rng
-        elif isinstance(node, Call):
-            for a in node.args:
-                if isinstance(a, str) and a not in out:
-                    out[a] = [1, 2, 3]
-        elif isinstance(node, (BinOp,)):
-            self.collect_vars(node.left, out)
-            self.collect_vars(node.right, out)
-        elif isinstance(node, (Neg, Pow)):
-            self.collect_vars(node.arg if isinstance(node, Neg) else node.base, out)
+            return int(node.name in self.names)
+        if isinstance(node, Neg):
+            return self.width(node.arg)
+        if isinstance(node, Pow):
+            return self.width(node.base)
+        if isinstance(node, BinOp):
+            wl, wr = self.width(node.left), self.width(node.right)
+            if node.op == "(x)":
+                return max(wl, 1) + max(wr, 1)
+            if node.op == "/" and wr:
+                raise _EvalError("division only by scalars")
+            if wl and wr and wl != wr:
+                raise _EvalError(f"slot mismatch: {wl} vs {wr}")
+            return wl or wr
+        return 0
+
+    def collect_vars(self, uses):
+        """{index variable: the values it ranges over} of uses (see
+        _var_uses): those its generator positions share, 1..3 where only eps
+        or delta takes it."""
+        out = {}
+        for a, name, k in uses:
+            if name is None:
+                out.setdefault(a, [1, 2, 3])
+            else:
+                rng = self.ranges.get((name, k), [])
+                cur = out.get(a)
+                out[a] = sorted(set(rng) & set(cur)) if cur is not None else rng
         return out
 
-    def eval(self, node, assign):
+    def generator(self, name, idx, slot):
+        """The generator (name, idx) of slot's presentation, or None."""
+        p = self.slots[slot]
+        gi = p.by_key.get((name, idx))
+        if gi is None:
+            for q in self.slots:
+                if (name, idx) in q.by_key:
+                    raise _EvalError(f"expression slot in {q.name}, expected {p.name}")
+            return None
+        word = [()] * len(self.slots)
+        word[slot] = ((gi, 1),)
+        return NCElement(self.context, {tuple(word): H_ONE})
+
+    def eval(self, node, assign, slot):
+        """node with its first tensor factor in slot: an HSeries for a
+        scalar, an NCElement of the table's context otherwise."""
         if isinstance(node, Num):
-            return ExprVal.from_scalar(HSeries.const(Fraction(node.value)))
+            return HSeries.const(Fraction(node.value))
         if isinstance(node, Sym):
             if node.name == "I":
-                return ExprVal.from_scalar(HSeries.const(GR_I))
+                return HSeries.const(GR_I)
             if node.name == "h":
-                return ExprVal.from_scalar(HSeries.h(1))
+                return HSeries.h(1)
             if node.name == "kappa":
-                return ExprVal.from_scalar(HSeries.h(-1))
+                return HSeries.h(-1)
             if node.name in self.params:
-                return ExprVal.from_scalar(HSeries.const(RationalFn(Poly.var(node.name))))
-            hit = self.lookup(node.name, ())
-            if hit is not None:
-                return ExprVal.from_gen(hit[0], hit[1])
-            raise _EvalError(f"unknown symbol {node.name!r}")
+                return HSeries.const(RationalFn(Poly.var(node.name)))
+            gen = self.generator(node.name, (), slot)
+            if gen is None:
+                raise _EvalError(f"unknown symbol {node.name!r}")
+            return gen
         if isinstance(node, GenRef):
             idx = tuple(assign[a] if isinstance(a, str) else a for a in node.idx)
-            for a in node.idx:
-                if isinstance(a, str) and a not in assign:
-                    raise _EvalError(f"unbound index variable {a!r}")
-            hit = self.lookup(node.name, idx)
-            if hit is None:
+            gen = self.generator(node.name, idx, slot)
+            if gen is None:
                 raise _EvalError(f"unknown generator {node.name}{list(idx)}")
-            return ExprVal.from_gen(hit[0], hit[1])
+            return gen
         if isinstance(node, Call):
             vals = [assign[a] if isinstance(a, str) else a for a in node.args]
             if node.fn == "eps":
                 if len(vals) != 3:
                     raise _EvalError("eps takes three indices")
-                return ExprVal.from_scalar(HSeries.const(Fraction(levi_civita(*vals))))
+                return HSeries.const(Fraction(levi_civita(*vals)))
             if node.fn == "delta":
                 if len(vals) != 2:
                     raise _EvalError("delta takes two indices")
-                return ExprVal.from_scalar(HSeries.const(Fraction(1 if vals[0] == vals[1] else 0)))
+                return HSeries.const(Fraction(1 if vals[0] == vals[1] else 0))
             raise _EvalError(f"unknown function {node.fn!r}")
         if isinstance(node, Neg):
-            return self.eval(node.arg, assign).neg()
+            return -self.eval(node.arg, assign, slot)
         if isinstance(node, Pow):
-            return self.eval(node.base, assign).power(node.n)
-        if isinstance(node, BinOp):
-            lv = self.eval(node.left, assign)
-            rv = self.eval(node.right, assign)
-            if node.op == "+":
-                return lv.add(rv)
-            if node.op == "-":
-                return lv.add(rv.neg())
-            if node.op == "*":
-                return lv.mul(rv)
-            if node.op == "/":
-                if not rv.is_scalar():
-                    raise _EvalError("division only by scalars")
-                return lv.mul(rv.power(-1))
-            if node.op == "(x)":
-                return lv.tensor(rv)
-        raise _EvalError(f"cannot evaluate {node!r}")
+            return _power(self.eval(node.base, assign, slot), node.n)
+        lv = self.eval(node.left, assign, slot)
+        if node.op == "(x)":
+            right = slot + max(self.width(node.left), 1)
+            return _times(lv, self.eval(node.right, assign, right))
+        rv = self.eval(node.right, assign, slot)
+        if node.op == "+":
+            return _plus(lv, rv)
+        if node.op == "-":
+            return _plus(lv, -rv)
+        if node.op == "*":
+            return _times(lv, rv)
+        return _times(lv, _power(rv, -1))
 
-    def _expand_terms(self, node, sign=1):
-        """Distribute products over sums: list of (sign, sum-free AST)."""
-        if isinstance(node, Neg):
-            return self._expand_terms(node.arg, -sign)
-        if isinstance(node, BinOp) and node.op in ("+", "-"):
-            right_sign = sign if node.op == "+" else -sign
-            return (self._expand_terms(node.left, sign)
-                    + self._expand_terms(node.right, right_sign))
-        if isinstance(node, BinOp):  # * / (x)
-            lt = self._expand_terms(node.left)
-            rt = self._expand_terms(node.right)
-            if node.op == "/" and len(rt) != 1:
-                raise _EvalError("division only by a single scalar term")
-            return [(sign * s1 * s2, BinOp(node.op, a, b))
-                    for s1, a in lt for s2, b in rt]
-        if isinstance(node, Pow):
-            if self.collect_vars(node.base, {}):
-                raise _EvalError("powers of index-bearing subexpressions are not "
-                                 "supported; write the product out explicitly")
-            return [(sign, node)]
-        return [(sign, node)]
-
-    def _count_var_occurrences(self, node, counts):
-        if isinstance(node, GenRef):
-            for a in node.idx:
-                if isinstance(a, str):
-                    counts[a] = counts.get(a, 0) + 1
-        elif isinstance(node, Call):
-            for a in node.args:
-                if isinstance(a, str):
-                    counts[a] = counts.get(a, 0) + 1
-        elif isinstance(node, BinOp):
-            self._count_var_occurrences(node.left, counts)
-            self._count_var_occurrences(node.right, counts)
-        elif isinstance(node, Neg):
-            self._count_var_occurrences(node.arg, counts)
-        elif isinstance(node, Pow):
-            self._count_var_occurrences(node.base, counts)
-        return counts
-
-    def eval_summed(self, node, free_assign):
-        """Einstein-convention evaluation: expand into product terms, then sum
-        each term over its own repeated non-free index variables."""
-        from itertools import product as iproduct
+    def element(self, node, assign):
+        """node as an NCElement of the table's context, a scalar filling no
+        slot; Einstein convention: after expanding node into product terms,
+        each term is summed over its own repeated variables not in assign."""
+        terms = _expand_terms(node, 1)
+        found = self.width(node)
+        if found not in (0, len(self.slots)):
+            raise _EvalError(f"expected {len(self.slots)} tensor slots, found {found}")
         total = None
-        for sign, term in self._expand_terms(node):
-            vars_ = self.collect_vars(term, {})
-            summed = sorted(v for v in vars_ if v not in free_assign)
-            counts = self._count_var_occurrences(term, {})
+        for sign, term in terms:
+            uses = list(_var_uses(term))
+            vars_ = self.collect_vars(uses)
+            summed = sorted(v for v in vars_ if v not in assign)
+            counts = Counter(a for a, _, _ in uses)
             for v in summed:
-                if counts.get(v, 0) < 2:
+                if counts[v] < 2:
                     raise _EvalError(
                         f"unbalanced index {v!r}: appears once and is not bound "
                         "on the left side")
-            ranges = [vars_[v] for v in summed]
-            for combo in iproduct(*ranges) if summed else [()]:
-                assign = dict(free_assign)
-                assign.update(dict(zip(summed, combo)))
-                val = self.eval(term, assign)
+            for full in _assignments({v: vars_[v] for v in summed}, assign):
+                val = self.eval(term, full, 0)
                 if sign < 0:
-                    val = val.neg()
-                total = val if total is None else total.add(val)
-        return total if total is not None else ExprVal.from_scalar(H_ZERO)
+                    val = -val
+                total = val if total is None else _plus(total, val)
+        if total is None or isinstance(total, HSeries):
+            return NCElement.scalar(self.context, total or H_ZERO)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +790,8 @@ def parse_source(text, path="<string>", env=None, declarations=None):
     """Parse and load a .hopf source.  Returns (ModelModule, diagnostics);
     the module is None when errors were found.  A caller that has already
     run parse_declarations on text passes its error-free declarations, and
-    text is not tokenized again."""
+    text is not tokenized again.  A load error names the line and column of
+    its presentation section, or else of its declaration's keyword."""
     decls = declarations
     if decls is None:
         decls, diags = parse_declarations(text, path)
@@ -863,38 +801,34 @@ def parse_source(text, path="<string>", env=None, declarations=None):
     env_pres = dict(env.presentations) if env else {}
     try:
         for decl in decls:
-            kind = decl[0]
+            kind, name, tok = decl[0], decl[1], decl[-1]
             if kind == "presentation":
-                p = _load_presentation(decl, path)
+                p = _load_presentation(decl)
                 module.presentations[p.name] = p
                 env_pres[p.name] = p
             elif kind == "element":
-                _, name, pres_name, rhs = decl
-                p = env_pres.get(pres_name) or module.presentations.get(pres_name)
+                pres_name, rhs = decl[2:4]
+                p = env_pres.get(pres_name)
                 if p is None:
                     raise _EvalError(f"element {name}: unknown presentation {pres_name}")
-                ev = Evaluator([p], p.params, path)
-                el = ev.eval_summed(rhs, {}).conform((p,))
-                module.elements[name] = (pres_name, el)
+                module.elements[name] = (pres_name, Evaluator((p,)).element(rhs, {}))
             elif kind == "map":
-                _, name, src, dst, rules = decl
+                src, dst, rules = decl[2:5]
                 ps = env_pres.get(src)
                 pd = env_pres.get(dst)
                 if ps is None or pd is None:
                     raise _EvalError(f"map {name}: unknown presentation {src} or {dst}")
-                images = _load_map(ps, pd, rules, path)
+                images = _table(ps, rules, Evaluator((pd,)))
+                if _uncovered(ps, images):
+                    raise _EvalError(f"map does not cover generators {_uncovered(ps, images)}")
                 module.maps[name] = (src, dst, images)
             elif kind == "bicross":
-                _, name, fields = decl
-                module.bicross[name] = _load_bicross(name, fields, env_pres, path)
+                module.bicross[name] = _load_bicross(name, decl[2], env_pres)
             elif kind == "comodule":
-                _, name, fields = decl
-                module.comodules[name] = _load_comodule(name, fields, env_pres, path)
-    except _EvalError as e:
-        line, col = (e.tok.line, e.tok.col) if e.tok else (0, 0)
-        return None, [Diagnostic("error", str(e), line, col, path)]
-    except (PresentationError, DivergenceError) as e:
-        return None, [Diagnostic("error", str(e), 0, 0, path)]
+                module.comodules[name] = _load_comodule(name, decl[2], env_pres)
+    except (_EvalError, PresentationError, DivergenceError) as e:
+        at = getattr(e, "tok", None) or tok
+        return None, [Diagnostic("error", str(e), at.line, at.col, path)]
     return module, []
 
 
@@ -908,77 +842,77 @@ def parse_presentation(text, path="<string>"):
     return next(iter(module.presentations.values()))
 
 
-def _load_presentation(decl, path):
-    _, name, sections = decl
+def _uncovered(p, table):
+    """Labels of p's generators that table has no entry for."""
+    return [g.label() for gi, g in enumerate(p.gens) if gi not in table]
+
+
+def _table(source, bindings, ev):
+    """{generator index of source: value} of bindings ((ref, rhs) pairs),
+    each rhs evaluated by ev for every instance of its ref."""
+    return {gi: ev.element(rhs, assign)
+            for ref, rhs in bindings for gi, assign in _instantiate_ref(source, ref)}
+
+
+def _load_presentation(decl):
+    _, name, sections, _ = decl
     params = []
-    genspecs = None
+    genspecs = []
     order = None
-    for kind, payload in sections:
+    for kind, payload, _ in sections:
         if kind == "params":
             params.extend(payload)
         elif kind == "generators":
             genspecs = payload
         elif kind == "order":
             order = payload
-    if genspecs is None:
-        genspecs = []
     if order is not None:
-        declared = {(n, i) for n, i, _, _ in genspecs}
-        ordered = [(n, i) for n, i, _, _ in order]
+        declared = {(n, i) for n, i, _ in genspecs}
+        ordered = [(n, i) for n, i, _ in order]
         if set(ordered) != declared or len(ordered) != len(declared):
             raise _EvalError(f"{name}: order section must list every generator exactly once")
-        flagmap = {(n, i): g for n, i, g, _ in genspecs}
-        genspecs = [(n, i, flagmap[(n, i)], None) for n, i in ordered]
-    gens = [GenDecl(n, i, grouplike=g) for n, i, g, _ in genspecs]
+        flagmap = {(n, i): g for n, i, g in genspecs}
+        genspecs = [(n, i, flagmap[(n, i)]) for n, i in ordered]
+    gens = [GenDecl(n, i, grouplike=g) for n, i, g in genspecs]
     # single shared object: rules/hopf/quotient are attached after evaluation,
     # so every stored element's context references this same presentation
     proto = Presentation(name, gens, params=params)
 
-    ev = Evaluator([proto], params, path)
+    ev = Evaluator((proto,))
+    ev_delta = Evaluator((proto, proto))
     raw_rules = {}
     rule_toks = {}
-    hopf_delta, hopf_counit, hopf_antipode = {}, {}, {}
-    logs = {}
-    star = {}
+    tables = {"coproduct": {}, "counit": {}, "antipode": {}, "log": {}, "star": {}}
     quotient = None
-    has_hopf = False
 
-    for kind, payload in sections:
-        if kind == "relation":
-            lhs, rhs, tok = payload
-            _load_relation(proto, ev, lhs, rhs, raw_rules, rule_toks, tok, path)
-        elif kind in ("coproduct", "counit", "antipode", "log", "star"):
-            ref, rhs, tok = payload
-            refs = _instantiate_ref(proto, ev, ref)
-            for gi, assign in refs:
-                val = ev.eval_summed(rhs, assign)
-                if kind == "coproduct":
-                    has_hopf = True
-                    hopf_delta[gi] = val.conform((proto, proto))
-                elif kind == "counit":
-                    has_hopf = True
-                    if not val.is_scalar():
-                        raise _EvalError(f"{name}: counit value must be scalar")
-                    hopf_counit[gi] = val.scalar
-                elif kind == "antipode":
-                    has_hopf = True
-                    hopf_antipode[gi] = val.conform((proto,))
-                elif kind == "log":
-                    logs[gi] = val.conform((proto,))
-                elif kind == "star":
-                    star[gi] = val.conform((proto,))
-        elif kind == "quotient":
-            qkind, fam, tok = payload
-            if qkind != "orthogonal":
-                raise _EvalError(f"{name}: unknown quotient kind {qkind!r}")
-            idxmap = {}
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    key = (fam, (i, j))
-                    if key not in proto.by_key:
-                        raise _EvalError(f"{name}: quotient family {fam} needs {fam}[{i},{j}]")
-                    idxmap[(i, j)] = proto.by_key[key]
-            quotient = QuotientSpec("orthogonal", fam, idxmap)
+    for kind, payload, tok in sections:
+        try:
+            if kind == "relation":
+                _load_relation(proto, ev, payload, raw_rules, rule_toks, tok)
+            elif kind in tables:
+                ref, rhs = payload
+                for gi, assign in _instantiate_ref(proto, ref):
+                    if kind == "counit":
+                        if ev.width(rhs):
+                            raise _EvalError(f"{name}: counit value must be scalar")
+                        tables[kind][gi] = ev.element(rhs, assign).scalar_part()
+                    else:
+                        table_ev = ev_delta if kind == "coproduct" else ev
+                        tables[kind][gi] = table_ev.element(rhs, assign)
+            elif kind == "quotient":
+                qkind, fam = payload
+                if qkind != "orthogonal":
+                    raise _EvalError(f"{name}: unknown quotient kind {qkind!r}")
+                idxmap = {}
+                for i in (1, 2, 3):
+                    for j in (1, 2, 3):
+                        key = (fam, (i, j))
+                        if key not in proto.by_key:
+                            raise _EvalError(f"{name}: quotient family {fam} needs {fam}[{i},{j}]")
+                        idxmap[(i, j)] = proto.by_key[key]
+                quotient = QuotientSpec("orthogonal", fam, idxmap)
+        except (_EvalError, PresentationError, DivergenceError) as e:
+            raise _EvalError(str(e), getattr(e, "tok", None) or tok) from None
 
     proto.rules.update(raw_rules)
     proto._validate()
@@ -987,61 +921,48 @@ def _load_presentation(decl, path):
         raise _EvalError(f"{name}: no relation covers digrams: {missing[:6]}"
                          + ("..." if len(missing) > 6 else ""))
 
-    if has_hopf:
-        allgi = set(range(len(gens)))
-        for label, table in (("coproduct", hopf_delta), ("counit", hopf_counit),
-                             ("antipode", hopf_antipode)):
-            missing_h = allgi - set(table)
-            if missing_h:
-                labels = [gens[gi].label() for gi in sorted(missing_h)]
-                raise _EvalError(f"{name}: missing {label} for {labels}")
-        proto.hopf = HopfData(hopf_delta, hopf_counit, hopf_antipode)
+    hopf = [(label, tables[label]) for label in ("coproduct", "counit", "antipode")]
+    if any(table for _, table in hopf):
+        for label, table in hopf:
+            if _uncovered(proto, table):
+                raise _EvalError(f"{name}: missing {label} for {_uncovered(proto, table)}")
+        proto.hopf = HopfData(*(table for _, table in hopf))
 
-    proto.grouplike_logs.update(logs)
+    proto.grouplike_logs.update(tables["log"])
     proto.quotient = quotient
-    proto.star.update(star)
+    proto.star.update(tables["star"])
     proto._validate()
     _normalize_rule_corrections(proto, rule_toks)
     return proto
 
 
-def _instantiate_ref(proto, ev, ref):
-    """A generator reference with index variables -> list of (gen_idx, assignment)."""
+def _instantiate_ref(p, ref):
+    """A generator reference of p with index variables -> list of
+    (gen_idx, assignment)."""
     if isinstance(ref, Sym):
         key = (ref.name, ())
-        if key not in proto.by_key:
+        if key not in p.by_key:
             raise _EvalError(f"unknown generator {ref.name}")
-        return [(proto.by_key[key], {})]
+        return [(p.by_key[key], {})]
     if not isinstance(ref, GenRef):
         raise _EvalError("expected a generator reference")
-    vars_ = {}
-    for k, a in enumerate(ref.idx):
-        if isinstance(a, str):
-            vars_[a] = ev.index_range(ref.name, k)
-    from itertools import product as iproduct
-    names = sorted(vars_)
+    p_ranges = _index_ranges((p,))
+    ranges = {a: p_ranges.get((ref.name, k), [])
+              for k, a in enumerate(ref.idx) if isinstance(a, str)}
     out = []
-    for combo in iproduct(*(vars_[v] for v in names)) if names else [()]:
-        assign = dict(zip(names, combo))
+    for assign in _assignments(ranges, {}):
         idx = tuple(assign[a] if isinstance(a, str) else a for a in ref.idx)
         key = (ref.name, idx)
-        if key not in proto.by_key:
+        if key not in p.by_key:
             raise _EvalError(f"unknown generator {ref.name}{list(idx)} (index out of range)")
-        out.append((proto.by_key[key], assign))
+        out.append((p.by_key[key], assign))
     return out
 
 
-def _load_relation(proto, ev, lhs, rhs, raw_rules, rule_toks, tok, path):
-    vars_ = ev.collect_vars(lhs, {})
-    from itertools import product as iproduct
-    names = sorted(vars_)
-    for combo in iproduct(*(vars_[v] for v in names)) if names else [()]:
-        assign = dict(zip(names, combo))
-        lv = ev.eval(lhs, assign)
-        rv = ev.eval_summed(rhs, assign)
-        lel = lv.conform((proto,))
-        rel = rv.conform((proto,))
-        rule = _orient(proto, lel, rel, tok, path)
+def _load_relation(proto, ev, sides, raw_rules, rule_toks, tok):
+    lhs, rhs = sides
+    for assign in _assignments(ev.collect_vars(_var_uses(lhs)), {}):
+        rule = _orient(proto, ev.element(lhs, assign), ev.element(rhs, assign))
         if rule is None:
             continue
         digram, corr = rule
@@ -1055,7 +976,7 @@ def _load_relation(proto, ev, lhs, rhs, raw_rules, rule_toks, tok, path):
             rule_toks[digram] = tok
 
 
-def _orient(proto, lel, rel, tok, path):
+def _orient(proto, lel, rel):
     """relation c*(X*Y - Y*X) = rhs  ->  rule (hi,lo) -> correction terms."""
     terms = lel.terms
     if not terms:
@@ -1071,24 +992,17 @@ def _orient(proto, lel, rel, tok, path):
     b2, a2 = w2[0]
     if (a, b) != (a2, b2) or c1 != -c2:
         raise _EvalError("relation left side must be a commutator difference X*Y - Y*X")
-    (ga, pa), (gb, pb) = a, b
+    ga, gb = a[0], b[0]
     if ga == gb:
         raise _EvalError("relation digram needs two distinct generators")
     # identify which term is hi*lo (the disordered digram)
-    if ga > gb:
-        hi, lo = (ga, pa), (gb, pb)
-        coeff = c1
-        sign = 1
-    else:
-        hi, lo = (gb, pb), (ga, pa)
-        coeff = c1
-        sign = -1
+    hi, lo, sign = (a, b, 1) if ga > gb else (b, a, -1)
     if proto.gens[hi[0]].grouplike and hi[1] != 1:
         raise _EvalError("declare grouplike relations at power 1")
     if proto.gens[lo[0]].grouplike and lo[1] != 1:
         raise _EvalError("declare grouplike relations at power 1")
-    # lel = coeff*(a b) - coeff*(b a) = sign*coeff*(hi lo - lo hi)
-    corr_el = rel.scale(_invert_scalar(coeff, sign))
+    # lel = c1*(a b) - c1*(b a) = sign*c1*(hi lo - lo hi)
+    corr_el = rel.scale(_invert_scalar(c1, sign))
     corr = []
     for w, c in sorted(corr_el.terms.items()):
         if c.has_negative_powers():
@@ -1132,21 +1046,7 @@ def _normalize_rule_corrections(p, rule_toks):
     p.rules.update(new_rules)
 
 
-def _load_map(ps, pd, rules, path):
-    ev_src = Evaluator([ps], ps.params, path)
-    ev_dst = Evaluator([pd], pd.params, path)
-    images = {}
-    for ref, rhs in rules:
-        for gi, assign in _instantiate_ref(ps, ev_src, ref):
-            images[gi] = ev_dst.eval_summed(rhs, assign).conform((pd,))
-    missing = set(range(len(ps.gens))) - set(images)
-    if missing:
-        labels = [ps.gens[gi].label() for gi in sorted(missing)]
-        raise _EvalError(f"map does not cover generators {labels}")
-    return images
-
-
-def _load_bicross(name, fields, env_pres, path):
+def _load_bicross(name, fields, env_pres):
     for req in ("total", "ufactor", "tfactor", "action_codomain", "coacted", "missing"):
         if req not in fields or not isinstance(fields[req], str):
             raise _EvalError(f"bicross {name}: missing field {req}")
@@ -1155,46 +1055,25 @@ def _load_bicross(name, fields, env_pres, path):
     tf = env_pres.get(fields["tfactor"])
     if total is None or uf is None or tf is None:
         raise _EvalError(f"bicross {name}: unresolved presentation reference")
-    ev_total = Evaluator([total], total.params, path)
-    ev_u = Evaluator([uf], uf.params, path)
-    ev_t = Evaluator([tf], tf.params, path)
-    ev_ut = Evaluator([uf, tf], tuple(uf.params) + tuple(tf.params), path)
-
-    u_embed = {}
-    for ref, rhs in fields["uembed"]:
-        for gi, assign in _instantiate_ref(uf, ev_u, ref):
-            u_embed[gi] = ev_total.eval_summed(rhs, assign).conform((total,))
-    t_embed = {}
-    for ref, rhs in fields["tembed"]:
-        for gi, assign in _instantiate_ref(tf, ev_t, ref):
-            t_embed[gi] = ev_total.eval_summed(rhs, assign).conform((total,))
+    ev_total = Evaluator((total,))
+    u_embed = _table(uf, fields["uembed"], ev_total)
+    t_embed = _table(tf, fields["tembed"], ev_total)
 
     codomain = fields["action_codomain"]
     if codomain not in ("u", "t"):
         raise _EvalError(f"bicross {name}: action_codomain must be u or t")
-    ev_cod = ev_u if codomain == "u" else ev_t
-    cod_pres = uf if codomain == "u" else tf
+    ev_cod = Evaluator((uf if codomain == "u" else tf,))
     action = {}
     for r1, r2, rhs in fields["action"]:
-        for gi, a1 in _instantiate_ref(uf, ev_u, r1):
-            for gj, a2 in _instantiate_ref(tf, ev_t, r2):
-                assign = dict(a1)
-                for k, v in a2.items():
-                    if k in assign and assign[k] != v:
-                        break
-                    assign[k] = v
-                else:
-                    action[(gi, gj)] = ev_cod.eval_summed(rhs, assign).conform((cod_pres,))
+        for gi, a1 in _instantiate_ref(uf, r1):
+            for gj, a2 in _instantiate_ref(tf, r2):
+                if all(a1.get(k, v) == v for k, v in a2.items()):
+                    action[(gi, gj)] = ev_cod.element(rhs, {**a1, **a2})
 
     coacted = fields["coacted"]
     if coacted not in ("u", "t"):
         raise _EvalError(f"bicross {name}: coacted must be u or t")
-    co_pres = uf if coacted == "u" else tf
-    ev_co = ev_u if coacted == "u" else ev_t
-    coaction = {}
-    for ref, rhs in fields["coaction"]:
-        for gi, assign in _instantiate_ref(co_pres, ev_co, ref):
-            coaction[gi] = ev_ut.eval_summed(rhs, assign).conform((uf, tf))
+    coaction = _table(uf if coacted == "u" else tf, fields["coaction"], Evaluator((uf, tf)))
     missing = fields["missing"]
     if missing not in ("one_otimes_x", "x_otimes_one"):
         raise _EvalError(f"bicross {name}: missing must be one_otimes_x or x_otimes_one")
@@ -1206,21 +1085,14 @@ def _load_bicross(name, fields, env_pres, path):
                        coacted_factor=coacted, coaction_missing=missing)
 
 
-def _load_comodule(name, fields, env_pres, path):
+def _load_comodule(name, fields, env_pres):
     group = env_pres.get(fields.get("group"))
     space = env_pres.get(fields.get("space"))
     if group is None or space is None:
         raise _EvalError(f"comodule {name}: unresolved presentation reference")
-    ev = Evaluator([group, space], tuple(group.params) + tuple(space.params), path)
-    ev_space = Evaluator([space], space.params, path)
-    action = {}
-    for ref, rhs in fields["action"]:
-        for gi, assign in _instantiate_ref(space, ev_space, ref):
-            action[gi] = ev.eval_summed(rhs, assign).conform((group, space))
-    missing = set(range(len(space.gens))) - set(action)
-    if missing:
-        labels = [space.gens[gi].label() for gi in sorted(missing)]
-        raise _EvalError(f"comodule {name}: action does not cover {labels}")
+    action = _table(space, fields["action"], Evaluator((group, space)))
+    if _uncovered(space, action):
+        raise _EvalError(f"comodule {name}: action does not cover {_uncovered(space, action)}")
     return {"name": name, "group": group, "space": space, "action": action}
 
 

@@ -223,6 +223,70 @@ def test_relation_scalars_are_inverted_exactly():
         == ["relation right side has a pole at h=0 (net negative kappa power)"]
 
 
+HOPF_AB = """presentation ab {
+  generators: A B G grouplike;
+  relation B*A - A*B = 0;
+  relation G*A - A*G = 0;
+  relation G*B - B*G = 0;
+  coproduct A = A (x) 1 + 1 (x) A;
+  coproduct B = B (x) 1 + 1 (x) B;
+  coproduct G = G (x) G;
+  counit A = 0;
+  counit B = 0;
+  counit G = 1;
+  antipode A = -A;
+  antipode B = -B;
+  antipode G = G^-1;
+}
+"""
+
+
+@pytest.mark.parametrize("old, new, at, message", [
+    ("counit A = 0;", "counit A = A (x) 1;", (9, 3), "ab: counit value must be scalar"),
+    # a zero times a 2-slot element still fills 2 slots
+    ("antipode A = -A;", "antipode A = 0*(A (x) B);", (12, 3), "expected 1 tensor slots, found 2"),
+    ("antipode A = -A;", "antipode A = delta(1,2)*(A (x) B);", (12, 3),
+     "expected 1 tensor slots, found 2"),
+    ("coproduct A = A (x) 1 + 1 (x) A;", "coproduct A = A (x) 1 + A;", (6, 3), "slot mismatch: 2 vs 1"),
+    ("coproduct A = A (x) 1 + 1 (x) A;", "coproduct A = A;", (6, 3),
+     "expected 2 tensor slots, found 1"),
+    ("antipode A = -A;", "antipode A = (1+h)^-1*A;", (12, 3),
+     "negative power of a non-monomial scalar"),
+    ("antipode A = -A;", "antipode A = A^-1;", (12, 3),
+     "negative power only on grouplike generators or scalar monomials"),
+    ("antipode A = -A;", "antipode A = A/B;", (12, 3), "division only by scalars"),
+    ("antipode A = -A;", "antipode A = A/(1+h);", (12, 3), "division only by a single scalar term"),
+    ("relation G*B - B*G = 0;", "relation G*B + B*G = 0;", (5, 3),
+     "relation left side must be a commutator difference X*Y - Y*X"),
+    ("counit G = 1;", "counit G = 1; relation B*A - A*B = B;", (11, 17),
+     "conflicting rules for digram B*A"),
+    # errors outside a section name the declaration
+    ("generators: A B G", "generators: A B A G", (1, 1), "duplicate generator A in ab"),
+    ("antipode B = -B;", "", (1, 1), "ab: missing antipode for ['B']"),
+])
+def test_evaluator_diagnostics(old, new, at, message):
+    # one malformed presentation per message; the diagnostic names the
+    # line and column of the section that fails to load
+    assert old in HOPF_AB
+    module, diags = parse_source(HOPF_AB.replace(old, new), "ab.hopf")
+    assert module is None
+    assert [((d.line, d.col), d.message) for d in diags] == [(at, message)]
+
+
+def test_coaction_generator_of_the_wrong_factor():
+    text = resources.files("kappa_hopf").joinpath("models", "tilde_bicross.hopf").read_text()
+    env = ModelModule(presentations={
+        "galilei_algebra_kappa": load_model("galilei_algebra_kappa")})
+    assert parse_source(text, "tilde_bicross.hopf", env=env)[1] == []
+    module, diags = parse_source(
+        text.replace("coaction Mt[i] = Mt[i] (x) 1;", "coaction Mt[i] = 1 (x) Mt[i];"),
+        "tilde_bicross.hopf", env=env)
+    assert module is None
+    assert [d.message for d in diags] == ["expression slot in e3_tilde, expected t_translations"]
+    # the bicross declaration's keyword
+    assert text.splitlines()[diags[0].line - 1].startswith("bicross tilde_bicross")
+
+
 def test_dsl_error_wrapper():
     with pytest.raises(DslError):
         parse_presentation("presentation x { generators: a b; }")
@@ -272,5 +336,6 @@ def test_token_mutants_of_shipped_models_give_a_module_or_diagnostics():
         except Exception as e:
             pytest.fail(f"mutant {i} ({op} at token {a} of {name}) raised {e!r}")
         assert (module is None) == bool(diags)
+        assert all(d.line >= 1 for d in diags), f"mutant {i}: {diags}"
         outcomes.add(module is None)
     assert outcomes == {True, False}

@@ -3,6 +3,7 @@ bicrossproduct and comodule reconstruction."""
 
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
@@ -142,6 +143,43 @@ def test_verify_bialgebra_mutation_fails():
     mutant = clone_presentation(group, name="mutant2d", rules=rules)
     checks = verify_bialgebra(mutant, order=2, mode="formal")
     assert any(c.status == "fail" for c in checks)
+
+
+# the Hopf algebras a bicrossproduct is built from, and the 2D group
+def _factor_presentations(overrides):
+    tilde = load_model("tilde_bicross", overrides)
+    group = load_model("group_bicross", overrides)
+    return (tilde.u_factor, tilde.t_factor, group.u_factor, group.t_factor,
+            load_model("galilei_group_2d", overrides))
+
+
+def _failed_factor_axioms(overrides):
+    return sorted(c.check_id for p in _factor_presentations(overrides)
+                  for c in verify_bialgebra(p, order=3) if c.status != "pass")
+
+
+def test_factor_presentations_are_hopf_algebras():
+    factors = _factor_presentations(None)
+    assert [p.name for p in factors] == [
+        "e3_tilde", "t_translations", "e3_functions", "t_star", "galilei_group_2d"]
+    checks = [c for p in factors for c in verify_bialgebra(p, order=3)]
+    assert len(checks) == 299
+    assert all(c.status == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("name, old, new, failing", [
+    ("tilde_bicross", "antipode Mt[i] = -Mt[i];", "antipode Mt[i] = Mt[i];",
+     {"antipode[Mt[1]]", "antipode[Mt[2]]", "antipode[Mt[3]]"}),
+    ("galilei_group_2d", "counit a = 0;", "counit a = 1;", {"counit[a]", "antipode[a]"}),
+])
+def test_factor_axioms_catch_an_overridden_factor(tmp_path, name, old, new, failing):
+    # these overrides pass the bicross and projrep suites: only the factor's
+    # own Hopf axioms see them
+    text = resources.files("kappa_hopf").joinpath("models", name + ".hopf").read_text()
+    assert old in text
+    path = tmp_path / (name + ".hopf")
+    path.write_text(text.replace(old, new))
+    assert failing <= set(_failed_factor_axioms({name: path}))
 
 
 def test_verify_casimir_examples():
