@@ -9,7 +9,10 @@ substitution, and infeasibility is reported as auditable rank data
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from types import MappingProxyType
 
 from .report import Check, FAIL, PASS, run_check
 from .scalars import GR_ONE, GR_ZERO, as_gaussian
@@ -23,7 +26,7 @@ from .scalars import GR_ONE, GR_ZERO, as_gaussian
 def _sparse_rows(rows):
     out = []
     for r in rows:
-        if isinstance(r, dict):
+        if isinstance(r, Mapping):
             out.append({c: v for c, v in r.items() if v})
         else:
             out.append({c: v for c, v in enumerate(r) if v})
@@ -93,22 +96,16 @@ class PreparedSystem:
         return b
 
     def solve(self, rhs):
-        """Solution vector or None (inconsistent)."""
+        """(x, rank(A|b)) from one pass of the recorded elimination over b:
+        x is a solution vector, or None when b is inconsistent (then
+        rank(A|b) = rank(A) + 1).  Pivot rows are the first rank rows."""
         b = self.apply(rhs)
-        pivot_rows = {pr for pr, _ in self.pivots}
-        for r, val in enumerate(b):
-            if val and r not in pivot_rows:
-                return None
+        if any(b[self.rank:]):
+            return None, self.rank + 1
         x = [GR_ZERO] * self.ncols
         for pr, pc in self.pivots:
             x[pc] = b[pr]
-        return x
-
-    def rank_augmented(self, rhs):
-        b = self.apply(rhs)
-        pivot_rows = {pr for pr, _ in self.pivots}
-        extra = any(v for r, v in enumerate(b) if r not in pivot_rows)
-        return self.rank + (1 if extra else 0)
+        return x, self.rank
 
     def kernel(self):
         """The standard basis of the kernel of A, one vector per free column
@@ -150,14 +147,30 @@ class LieDataError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieData:
     """Finite-dimensional Lie algebra: basis labels and exact structure
     constants [e_i, e_j] = sum_k c[i,j][k] e_k (antisymmetry and Jacobi are
-    checked at construction)."""
+    checked at construction).
 
-    labels: list
-    brackets: dict  # (i, j) with i < j -> {k: GaussianRational}
+    The operators every cohomology check reads are built once, at
+    construction, and never change, since the instance is immutable (its
+    brackets are read-only mappings):
+      pairs     the ordered basis of Lambda^2, (i, j) with i < j;
+      pair_pos  (i, j) -> its position in pairs;
+      ad        per generator x, the sparse columns of ad_x (x) 1 + 1 (x) ad_x
+                on Lambda^2, each a tuple of (row position, value);
+      ad_rows   the coboundary matrix A of sigma(X) = ad_X . r over all
+                generators: row x * len(pairs) + t is component t of ad_X,
+                a read-only {pair position of r: value}.
+    """
+
+    labels: tuple
+    brackets: Mapping  # (i, j) with i < j -> {k: GaussianRational}
+    pairs: tuple = field(init=False, repr=False, compare=False)
+    pair_pos: Mapping = field(init=False, repr=False, compare=False)
+    ad: tuple = field(init=False, repr=False, compare=False)
+    ad_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -167,9 +180,23 @@ class LieData:
                 raise LieDataError(f"bracket key ({i},{j}) out of range or unordered")
             comp = {k: as_gaussian(c) for k, c in comp.items() if as_gaussian(c)}
             if comp:
-                clean[(i, j)] = comp
-        self.brackets = clean
+                clean[(i, j)] = MappingProxyType(comp)
+        assign = partial(object.__setattr__, self)
+        assign("labels", tuple(self.labels))
+        assign("brackets", MappingProxyType(clean))
         self._check_jacobi()
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        assign("pairs", pairs)
+        assign("pair_pos", MappingProxyType({p: k for k, p in enumerate(pairs)}))
+        assign("ad", tuple(self._ad_columns(x) for x in range(n)))
+        rows = []
+        for cols in self.ad:
+            sparse = [{} for _ in pairs]
+            for cpos, col in enumerate(cols):
+                for rpos, v in col:
+                    sparse[rpos][cpos] = v
+            rows.extend(MappingProxyType(row) for row in sparse)
+        assign("ad_rows", tuple(rows))
 
     @property
     def dim(self):
@@ -218,26 +245,24 @@ class LieData:
         return LieData(labels, brackets)
 
     def pair_index(self):
-        """Ordered basis of Lambda^2: list of (i, j) with i < j."""
-        n = self.dim
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        """Ordered basis of Lambda^2: (i, j) with i < j."""
+        return self.pairs
 
     def coboundary_rows(self):
         """d1 of each dual basis form e^t, as a sparse row over pair_index:
         (d e^t)(e_i, e_j) = -c[i,j][t].  They span the 2-coboundaries."""
         rows = [{} for _ in range(self.dim)]
-        for k, ij in enumerate(self.pair_index()):
+        for k, ij in enumerate(self.pairs):
             for t, c in self.brackets.get(ij, {}).items():
                 rows[t][k] = -c
         return rows
 
-    def ad_on_wedge(self, x, pairs=None):
-        """Matrix of ad_x (x) 1 + 1 (x) ad_x on Lambda^2 (columns/rows indexed
-        by pairs)."""
-        pairs = pairs or self.pair_index()
-        pos = {p: k for k, p in enumerate(pairs)}
+    def _ad_columns(self, x):
+        """The columns of ad_x (x) 1 + 1 (x) ad_x on Lambda^2, one per pair
+        position; built once per generator, into self.ad."""
+        pos = self.pair_pos
         cols = []
-        for (a, b) in pairs:
+        for (a, b) in self.pairs:
             col = {}
 
             def put(i, j, c):
@@ -252,8 +277,8 @@ class LieData:
                 put(m, b, cm)
             for m, cm in self.bracket(x, b).items():
                 put(a, m, cm)
-            cols.append(col)
-        return cols  # list of sparse columns
+            cols.append(tuple(col.items()))
+        return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +296,15 @@ class LinearCertificate:
     rank_a: int
     rank_aug: int
     witness: list | None = None   # r in Lambda^2 components (pair order)
-    pairs: list = field(default_factory=list)
+    pairs: tuple = ()
 
     def revalidate(self, lie, sigma):
-        """Substitute the witness (or re-rank from scratch) against the
-        original system."""
-        rows, rhs, pairs = _coboundary_system(lie, sigma)
+        """Check the certificate against the system it claims to answer,
+        independently of the elimination that produced it: a witness is
+        substituted into every equation, and an infeasibility is re-ranked
+        by a fresh PreparedSystem.  Only the rows of A are shared with the
+        solver: both read the coboundary matrix lie.ad_rows."""
+        rows, rhs = _coboundary_system(lie, sigma)
         if self.status == "solution":
             for row, b in zip(rows, rhs):
                 acc = GR_ZERO
@@ -285,77 +313,49 @@ class LinearCertificate:
                 if acc != b:
                     return False
             return True
-        ps = PreparedSystem(rows, len(pairs))
+        ps = PreparedSystem(rows, len(lie.pairs))
         ra = ps.rank
-        raug = ps.rank_augmented(rhs)
+        _, raug = ps.solve(rhs)
         return ra == self.rank_a and raug == self.rank_aug and ra < raug
 
 
 def _coboundary_system(lie, sigma):
-    """Sparse rows of sigma(X) = (ad_X (x) 1 + 1 (x) ad_X) r over all
-    generators X.  All-zero equations 0 = 0 are dropped (they carry no rank);
+    """Rows of lie.ad_rows with their right sides sigma(X) component by
+    component.  All-zero equations 0 = 0 are dropped (they carry no rank);
     an all-zero row with nonzero rhs is kept (it certifies infeasibility)."""
-    pairs = lie.pair_index()
-    pos = {p: k for k, p in enumerate(pairs)}
+    npairs = len(lie.pairs)
     rows, rhs = [], []
     for x in range(lie.dim):
-        cols = lie.ad_on_wedge(x, pairs)
-        sx = sigma.get(x, {})
-        target = {}
-        for (a, b), c in sx.items():
-            target[pos[(a, b)]] = c
-        sparse = {}
-        for cpos, col in enumerate(cols):
-            for rpos, v in col.items():
-                sparse.setdefault(rpos, {})[cpos] = v
-        for rpos in set(sparse) | set(target):
-            row = sparse.get(rpos, {})
+        target = {lie.pair_pos[p]: c for p, c in sigma.get(x, {}).items()}
+        for rpos, row in enumerate(lie.ad_rows[x * npairs:(x + 1) * npairs]):
             b = target.get(rpos, GR_ZERO)
             if row or b:
                 rows.append(row)
                 rhs.append(b)
-    return rows, rhs, pairs
+    return rows, rhs
 
 
 class CoboundarySolver:
     """Factor the coboundary system once per Lie algebra; solve many sigma
-    tables cheaply (the round-trip tests reuse this)."""
+    tables cheaply (the round-trip tests reuse this).  The matrix is the
+    algebra's own lie.ad_rows, so nothing is transposed here, and each
+    right side is eliminated once: one pass gives both the solution and
+    rank(A|b)."""
 
     def __init__(self, lie):
         self.lie = lie
-        self.pairs = lie.pair_index()
-        self.row_index = []  # (generator, pair position)
-        rows = []
-        for x in range(lie.dim):
-            cols = lie.ad_on_wedge(x, self.pairs)
-            sparse = {}
-            for cpos, col in enumerate(cols):
-                for rpos, v in col.items():
-                    sparse.setdefault(rpos, {})[cpos] = v
-            for rpos in range(len(self.pairs)):
-                self.row_index.append((x, rpos))
-                rows.append(sparse.get(rpos, {}))
-        self.system = PreparedSystem(rows, len(self.pairs))
+        self.pairs = lie.pairs
+        self.system = PreparedSystem(lie.ad_rows, len(self.pairs))
 
     def _rhs(self, sigma):
-        b = [GR_ZERO] * len(self.row_index)
-        for r, (x, rpos) in enumerate(self.row_index):
-            w = sigma.get(x, {})
-            val = w.get(self.pairs[rpos])
-            if val:
-                b[r] = val
-        return b
+        return [sigma.get(x, {}).get(p) or GR_ZERO
+                for x in range(self.lie.dim) for p in self.pairs]
 
     def solve(self, sigma):
-        b = self._rhs(sigma)
-        x = self.system.solve(b)
-        ra = self.system.rank
-        raug = self.system.rank_augmented(b)
-        if x is None:
-            return LinearCertificate("infeasible", len(self.pairs),
-                                     len(self.row_index), ra, raug, None, self.pairs)
-        return LinearCertificate("solution", len(self.pairs),
-                                 len(self.row_index), ra, raug, x, self.pairs)
+        x, raug = self.system.solve(self._rhs(sigma))
+        status = "infeasible" if x is None else "solution"
+        return LinearCertificate(status, len(self.pairs), len(self.lie.ad_rows),
+                                 self.system.rank, raug, x, self.pairs)
 
 
 def solve_coboundary(lie, sigma):
@@ -370,22 +370,16 @@ def solve_coboundary(lie, sigma):
 
 def coboundary_of(lie, r_components):
     """sigma(X) = ad_X . r for every generator; r given in pair components."""
-    pairs = lie.pair_index()
+    pairs = lie.pairs
     out = {}
-    for x in range(lie.dim):
-        cols = lie.ad_on_wedge(x, pairs)
+    for x, cols in enumerate(lie.ad):
         acc = {}
-        for cpos, col in enumerate(cols):
-            c = r_components[cpos]
+        for col, c in zip(cols, r_components):
             if not c:
                 continue
-            for rpos, v in col.items():
+            for rpos, v in col:
                 acc[rpos] = acc.get(rpos, GR_ZERO) + v * c
-        w = {}
-        for rpos, v in acc.items():
-            if v:
-                w[pairs[rpos]] = v
-        out[x] = w
+        out[x] = {pairs[rpos]: v for rpos, v in acc.items() if v}
     return out
 
 
@@ -396,15 +390,13 @@ def coboundary_of(lie, r_components):
 
 def co_jacobi_check(lie, sigma):
     """sigma([X,Y]) = X.sigma(Y) - Y.sigma(X) for all basis pairs."""
-    pairs = lie.pair_index()
-    pos = {p: k for k, p in enumerate(pairs)}
+    pairs, pos = lie.pairs, lie.pair_pos
 
     def act(x, w):
-        cols = lie.ad_on_wedge(x, pairs)
+        cols = lie.ad[x]
         acc = {}
-        for (a, b), c in w.items():
-            col = cols[pos[(a, b)]]
-            for rpos, v in col.items():
+        for p, c in w.items():
+            for rpos, v in cols[pos[p]]:
                 acc[rpos] = acc.get(rpos, GR_ZERO) + v * c
         return {pairs[r]: v for r, v in acc.items() if v}
 
@@ -452,8 +444,7 @@ class H2Result:
 
 def lie_h2(lie):
     """dim H^2(g, trivial) = dim ker d2 - rank d1, by exact ranks."""
-    pairs = lie.pair_index()
-    pos = {p: k for k, p in enumerate(pairs)}
+    pairs, pos = lie.pairs, lie.pair_pos
     n = lie.dim
     npairs = len(pairs)
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -452,24 +453,29 @@ class Parser:
         self.expect("{")
         rules = []
         while self.peek().kind != "}":
-            rules.append(self.parse_binding(None, "MAPSTO"))
+            # no token: a rule's load error names the map declaration
+            rules.append((*self.parse_binding(None, "MAPSTO"), None))
         self.expect("}")
         return ("map", name, src, dst, rules, tok)
 
     def parse_bicross_decl(self):
+        """Every field keeps its keyword token, so a load error in it names
+        its line: a name field is (value, token), a list field holds
+        (ref, rhs, token) bindings and (ref, ref, rhs, token) actions."""
         tok = self.next()
         name = self.expect("IDENT", "bicross name").text
         self.expect("{")
         fields = {"uembed": [], "tembed": [], "action": [], "coaction": []}
         while self.peek().kind != "}":
-            kw = self.expect("IDENT").text
+            kw_tok = self.expect("IDENT")
+            kw = kw_tok.text
             if kw in ("total", "ufactor", "tfactor", "action_codomain", "coacted", "missing"):
                 self.expect(":")
                 val = self.expect("IDENT").text
                 self.expect(";")
-                fields[kw] = val
+                fields[kw] = (val, kw_tok)
             elif kw in ("uembed", "tembed"):
-                fields[kw].append(self.parse_binding(None, "MAPSTO"))
+                fields[kw].append((*self.parse_binding(None, "MAPSTO"), kw_tok))
             elif kw == "action":
                 r1 = self.parse_atom()
                 self.expect(",")
@@ -477,27 +483,29 @@ class Parser:
                 self.expect("=")
                 rhs = self.parse_expr()
                 self.expect(";")
-                fields["action"].append((r1, r2, rhs))
+                fields["action"].append((r1, r2, rhs, kw_tok))
             elif kw == "coaction":
-                fields["coaction"].append(self.parse_binding(None, "="))
+                fields["coaction"].append((*self.parse_binding(None, "="), kw_tok))
             else:
                 self.error(f"unknown bicross field {kw!r}")
         self.expect("}")
         return ("bicross", name, fields, tok)
 
     def parse_comodule_decl(self):
+        """Fields keep their keyword tokens, as in parse_bicross_decl."""
         tok = self.next()
         name = self.expect("IDENT", "comodule name").text
         self.expect("{")
         fields = {"action": []}
         while self.peek().kind != "}":
-            kw = self.expect("IDENT").text
+            kw_tok = self.expect("IDENT")
+            kw = kw_tok.text
             if kw in ("group", "space"):
                 self.expect(":")
-                fields[kw] = self.expect("IDENT").text
+                fields[kw] = (self.expect("IDENT").text, kw_tok)
                 self.expect(";")
             elif kw == "action":
-                fields["action"].append(self.parse_binding(None, "="))
+                fields["action"].append((*self.parse_binding(None, "="), kw_tok))
             else:
                 self.error(f"unknown comodule field {kw!r}")
         self.expect("}")
@@ -833,12 +841,19 @@ def parse_source(text, path="<string>", env=None, declarations=None):
 
 
 def parse_presentation(text, path="<string>"):
-    """Single-presentation convenience: Presentation or raises DslError."""
-    module, diags = parse_source(text, path)
-    if module is None:
+    """Single-presentation convenience: Presentation or raises DslError.  A
+    source with two or more presentations is an error at the second one; a
+    source with none declares nothing that loads (every other declaration
+    names a presentation), so its error is at line 1."""
+    decls, diags = parse_declarations(text, path)
+    if not diags:
+        module, diags = parse_source(text, path, declarations=decls)
+    if diags:
         raise DslError(diags)
     if len(module.presentations) != 1:
-        raise DslError([Diagnostic("error", "expected exactly one presentation", 0, 0, path)])
+        pres = [d[-1] for d in decls if d[0] == "presentation"]
+        line, col = (pres[1].line, pres[1].col) if len(pres) > 1 else (1, 1)
+        raise DslError([Diagnostic("error", "expected exactly one presentation", line, col, path)])
     return next(iter(module.presentations.values()))
 
 
@@ -847,11 +862,25 @@ def _uncovered(p, table):
     return [g.label() for gi, g in enumerate(p.gens) if gi not in table]
 
 
+@contextmanager
+def _located(tok):
+    """A load error raised inside names tok, unless it names a token already."""
+    try:
+        yield
+    except (_EvalError, PresentationError, DivergenceError) as e:
+        raise _EvalError(str(e), getattr(e, "tok", None) or tok) from None
+
+
 def _table(source, bindings, ev):
-    """{generator index of source: value} of bindings ((ref, rhs) pairs),
-    each rhs evaluated by ev for every instance of its ref."""
-    return {gi: ev.element(rhs, assign)
-            for ref, rhs in bindings for gi, assign in _instantiate_ref(source, ref)}
+    """{generator index of source: value} of bindings ((ref, rhs, tok)
+    triples), each rhs evaluated by ev for every instance of its ref; a load
+    error names the tok of its binding."""
+    table = {}
+    for ref, rhs, tok in bindings:
+        with _located(tok):
+            for gi, assign in _instantiate_ref(source, ref):
+                table[gi] = ev.element(rhs, assign)
+    return table
 
 
 def _load_presentation(decl):
@@ -886,7 +915,7 @@ def _load_presentation(decl):
     quotient = None
 
     for kind, payload, tok in sections:
-        try:
+        with _located(tok):
             if kind == "relation":
                 _load_relation(proto, ev, payload, raw_rules, rule_toks, tok)
             elif kind in tables:
@@ -911,8 +940,6 @@ def _load_presentation(decl):
                             raise _EvalError(f"{name}: quotient family {fam} needs {fam}[{i},{j}]")
                         idxmap[(i, j)] = proto.by_key[key]
                 quotient = QuotientSpec("orthogonal", fam, idxmap)
-        except (_EvalError, PresentationError, DivergenceError) as e:
-            raise _EvalError(str(e), getattr(e, "tok", None) or tok) from None
 
     proto.rules.update(raw_rules)
     proto._validate()
@@ -1048,35 +1075,35 @@ def _normalize_rule_corrections(p, rule_toks):
 
 def _load_bicross(name, fields, env_pres):
     for req in ("total", "ufactor", "tfactor", "action_codomain", "coacted", "missing"):
-        if req not in fields or not isinstance(fields[req], str):
+        if req not in fields:
             raise _EvalError(f"bicross {name}: missing field {req}")
-    total = env_pres.get(fields["total"])
-    uf = env_pres.get(fields["ufactor"])
-    tf = env_pres.get(fields["tfactor"])
-    if total is None or uf is None or tf is None:
-        raise _EvalError(f"bicross {name}: unresolved presentation reference")
+
+    def choice(key, allowed, message):
+        val, tok = fields[key]
+        if val not in allowed:
+            raise _EvalError(f"bicross {name}: {message}", tok)
+        return val
+
+    total, uf, tf = (env_pres[choice(key, env_pres, "unresolved presentation reference")]
+                     for key in ("total", "ufactor", "tfactor"))
     ev_total = Evaluator((total,))
     u_embed = _table(uf, fields["uembed"], ev_total)
     t_embed = _table(tf, fields["tembed"], ev_total)
 
-    codomain = fields["action_codomain"]
-    if codomain not in ("u", "t"):
-        raise _EvalError(f"bicross {name}: action_codomain must be u or t")
+    codomain = choice("action_codomain", ("u", "t"), "action_codomain must be u or t")
     ev_cod = Evaluator((uf if codomain == "u" else tf,))
     action = {}
-    for r1, r2, rhs in fields["action"]:
-        for gi, a1 in _instantiate_ref(uf, r1):
-            for gj, a2 in _instantiate_ref(tf, r2):
-                if all(a1.get(k, v) == v for k, v in a2.items()):
-                    action[(gi, gj)] = ev_cod.element(rhs, {**a1, **a2})
+    for r1, r2, rhs, tok in fields["action"]:
+        with _located(tok):
+            for gi, a1 in _instantiate_ref(uf, r1):
+                for gj, a2 in _instantiate_ref(tf, r2):
+                    if all(a1.get(k, v) == v for k, v in a2.items()):
+                        action[(gi, gj)] = ev_cod.element(rhs, {**a1, **a2})
 
-    coacted = fields["coacted"]
-    if coacted not in ("u", "t"):
-        raise _EvalError(f"bicross {name}: coacted must be u or t")
+    coacted = choice("coacted", ("u", "t"), "coacted must be u or t")
     coaction = _table(uf if coacted == "u" else tf, fields["coaction"], Evaluator((uf, tf)))
-    missing = fields["missing"]
-    if missing not in ("one_otimes_x", "x_otimes_one"):
-        raise _EvalError(f"bicross {name}: missing must be one_otimes_x or x_otimes_one")
+    missing = choice("missing", ("one_otimes_x", "x_otimes_one"),
+                     "missing must be one_otimes_x or x_otimes_one")
 
     from .hopf import BicrossData
     return BicrossData(name=name, total=total, u_factor=uf, t_factor=tf,
@@ -1086,10 +1113,13 @@ def _load_bicross(name, fields, env_pres):
 
 
 def _load_comodule(name, fields, env_pres):
-    group = env_pres.get(fields.get("group"))
-    space = env_pres.get(fields.get("space"))
-    if group is None or space is None:
-        raise _EvalError(f"comodule {name}: unresolved presentation reference")
+    pres = []
+    for key in ("group", "space"):
+        ref, tok = fields.get(key, (None, None))
+        if ref not in env_pres:
+            raise _EvalError(f"comodule {name}: unresolved presentation reference", tok)
+        pres.append(env_pres[ref])
+    group, space = pres
     action = _table(space, fields["action"], Evaluator((group, space)))
     if _uncovered(space, action):
         raise _EvalError(f"comodule {name}: action does not cover {_uncovered(space, action)}")

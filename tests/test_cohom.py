@@ -1,15 +1,18 @@
 """Coboundary solving, co-Jacobi, and second cohomology: exact certificates."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from kappa_hopf import suites
 from kappa_hopf.cohom import (
     CoboundarySolver,
     H2Result,
     LieData,
     LieDataError,
+    LinearCertificate,
     PreparedSystem,
     co_jacobi_check,
     coboundary_of,
@@ -18,6 +21,7 @@ from kappa_hopf.cohom import (
 )
 from kappa_hopf.hopf import cocommutator
 from kappa_hopf.models import load_model
+from kappa_hopf.suites import SuiteConfig, run_suite
 from kappa_hopf.scalars import GR_I, GR_ONE, GR_ZERO, H_ZERO, GaussianRational, HSeries, Poly
 
 
@@ -305,3 +309,148 @@ def test_lie_h2_skips_a_kernel_vector_dependent_modulo_the_coboundaries():
     assert h2 == _h2_oracle(lie)
     assert (0, 1) in h2.representatives[0] and h2.dimension == len(h2.representatives)
     assert not any((0, 3) in rep and len(rep) == 1 for rep in h2.representatives)
+
+
+# ---------------------------------------------------------------------------
+# the operators each LieData builds once
+# ---------------------------------------------------------------------------
+
+
+def so3_lie():
+    return LieData(["M1", "M2", "M3"],
+                   {(0, 1): {2: GR_I}, (1, 2): {0: GR_I}, (0, 2): {1: -GR_I}})
+
+
+def _ad_reference(lie, x):
+    """ad_x on Lambda^2 through g (x) g: the dense matrix of ad_x from the
+    brackets acts as ad_x (x) 1 + 1 (x) ad_x on e_a (x) e_b - e_b (x) e_a,
+    and the e_i (x) e_j coefficients with i < j are read off.  One column
+    {row pair: value} per pair."""
+    n = lie.dim
+    ad = [[lie.bracket(x, a).get(i, GR_ZERO) for a in range(n)] for i in range(n)]
+    cols = []
+    for a, b in lie.pair_index():
+        tensor = [[GR_ZERO] * n for _ in range(n)]
+        for (p, q), sign in (((a, b), GR_ONE), ((b, a), -GR_ONE)):
+            for i in range(n):
+                tensor[i][q] = tensor[i][q] + sign * ad[i][p]
+                tensor[p][i] = tensor[p][i] + sign * ad[i][q]
+        cols.append({(i, j): tensor[i][j] for i in range(n) for j in range(i + 1, n)
+                     if tensor[i][j]})
+    return cols
+
+
+@pytest.mark.parametrize("make", [
+    so3_lie,
+    galilei_lie,
+    lambda: LieData.from_presentation(load_model("galilei_algebra_2d_classical")),
+], ids=["so3", "galilei_algebra_classical", "galilei_algebra_2d_classical"])
+def test_ad_table_matches_the_brackets(make):
+    lie = make()
+    pairs = lie.pair_index()
+    assert lie.ad_rows == tuple(
+        {cpos: v for cpos, col in enumerate(lie.ad[x]) for r, v in col if r == rpos}
+        for x in range(lie.dim) for rpos in range(len(pairs)))
+    for x in range(lie.dim):
+        got = [{pairs[r]: v for r, v in col if v} for col in lie.ad[x]]
+        assert got == _ad_reference(lie, x), lie.labels[x]
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_ad_table_is_built_once_per_liedata(monkeypatch):
+    built = _count_calls(monkeypatch, LieData, "_ad_columns")
+    sigma = eq9_sigma()
+    for run in range(2):
+        del built[:]
+        lie = galilei_lie()
+        solver = CoboundarySolver(lie)
+        assert solver.solve(sigma).revalidate(lie, sigma)
+        rng = random.Random(5)
+        for _ in range(20):
+            sig = coboundary_of(lie, [GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+                                      for _ in lie.pair_index()])
+            cert = solver.solve(sig)
+            assert cert.revalidate(lie, sig) and coboundary_of(lie, cert.witness) == sig
+        assert all(c.status == "pass" for c in co_jacobi_check(lie, sigma))
+        assert len(built) == 10, run
+        assert all(args[0] is lie for args in built)
+        # and the same through the suites: one LieData, 10 columns tables, per run
+        for suite in ("rmatrix", "cocommutator"):
+            del built[:]
+            assert run_suite(SuiteConfig(suite=suite, order=1, seed=42)).passed
+            assert len(built) == 10, (suite, run)
+
+
+def _two_pass_certificate(solver, sigma):
+    """The certificate as the solver made it before: one replay of the
+    elimination for the solution, a second one for rank(A|b)."""
+    system = solver.system
+    b = [sigma.get(x, {}).get(p, GR_ZERO) for x in range(solver.lie.dim) for p in solver.pairs]
+    pivot_rows = {pr for pr, _ in system.pivots}
+    reduced = system.apply(b)
+    x = None
+    if not any(v for r, v in enumerate(reduced) if r not in pivot_rows):
+        x = [GR_ZERO] * system.ncols
+        for pr, pc in system.pivots:
+            x[pc] = reduced[pr]
+    reduced = system.apply(b)
+    raug = system.rank + any(v for r, v in enumerate(reduced) if r not in pivot_rows)
+    return LinearCertificate("infeasible" if x is None else "solution", len(solver.pairs),
+                             len(b), system.rank, raug, x, solver.pairs)
+
+
+def test_solve_eliminates_each_right_side_once(monkeypatch):
+    lie = galilei_lie()
+    solver = CoboundarySolver(lie)
+    rng = random.Random(31)
+    sigmas = [eq9_sigma()] + [
+        coboundary_of(lie, [GaussianRational(F(rng.randint(-6, 6), rng.randint(1, 3)),
+                                             rng.randint(-6, 6)) for _ in lie.pair_index()])
+        for _ in range(20)]
+    expected = [_two_pass_certificate(solver, sigma) for sigma in sigmas]
+    applied = _count_calls(monkeypatch, PreparedSystem, "apply")
+    got = [solver.solve(sigma) for sigma in sigmas]
+    assert len(applied) == len(sigmas)
+    assert got == expected
+    assert got[0].status == "infeasible" and (got[0].rank_a, got[0].rank_aug) == (44, 45)
+    assert all(c.status == "solution" and c.rank_aug == 44 for c in got[1:])
+
+
+def test_liedata_is_immutable():
+    lie = so3_lie()
+    for name, value in (("labels", ("a", "b", "c")), ("brackets", {}), ("ad", ()),
+                        ("ad_rows", ()), ("pairs", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lie, name, value)
+    with pytest.raises(TypeError):
+        lie.brackets[(0, 1)] = {}
+    with pytest.raises(TypeError):
+        lie.brackets[(0, 1)][2] = GR_ONE
+    with pytest.raises(TypeError):
+        lie.ad_rows[0][0] = GR_ONE
+    assert lie == so3_lie()
+
+
+def test_cocommutator_suite_reuses_the_eq9_wedges(monkeypatch):
+    # the h^1 wedge of an order-2 expansion is the order-1 one, so the
+    # co-Jacobi table is the one the sigma[...] checks computed
+    kappa = load_model("galilei_algebra_kappa")
+    classical = load_model("galilei_algebra_classical")
+    for g in classical.gens:
+        assert suites._sigma(kappa, g, higher_order=2)[0] == suites._sigma(kappa, g)[0]
+    evaluated = _count_calls(monkeypatch, suites, "cocommutator")
+    report = run_suite(SuiteConfig(suite="cocommutator", order=1, seed=42))
+    assert len(evaluated) == len(classical.gens) == 10
+    assert report.passed
+    assert sum(c.check_id.startswith("co_jacobi[") for c in report.checks) == 45

@@ -283,8 +283,52 @@ def test_coaction_generator_of_the_wrong_factor():
         "tilde_bicross.hopf", env=env)
     assert module is None
     assert [d.message for d in diags] == ["expression slot in e3_tilde, expected t_translations"]
-    # the bicross declaration's keyword
-    assert text.splitlines()[diags[0].line - 1].startswith("bicross tilde_bicross")
+    # the failing field's keyword, not the bicross declaration's
+    line = text.splitlines()[diags[0].line - 1]
+    assert line.startswith("  coaction Mt[i] = Mt[i] (x) 1;")
+    assert (diags[0].line, diags[0].col) == (64, 3)
+
+
+def _shipped(name):
+    return resources.files("kappa_hopf").joinpath("models", name).read_text()
+
+
+@pytest.mark.parametrize("name, env_names, old, new, message", [
+    ("tilde_bicross.hopf", ["galilei_algebra_kappa"], "  action_codomain: t;",
+     "  action_codomain: x;", "bicross tilde_bicross: action_codomain must be u or t"),
+    ("tilde_bicross.hopf", ["galilei_algebra_kappa"], "  tfactor: t_translations;",
+     "  tfactor: nowhere;", "bicross tilde_bicross: unresolved presentation reference"),
+    ("tilde_bicross.hopf", ["galilei_algebra_kappa"], "  tembed Pt0 |-> P0;",
+     "  tembed Pt0 |-> Q0;", "unknown symbol 'Q0'"),
+    ("tilde_bicross.hopf", ["galilei_algebra_kappa"], "  action Lt[i], Pt0 = I*Pt[i];",
+     "  action Lt[i], Pt0 = I*Mt[i];", "unknown generator Mt[1]"),
+    ("spacetime.hopf", ["galilei_group_kappa"], "  action t = 1 (x) t + tau (x) 1;",
+     "  action t = 1 (x) t + tau;", "slot mismatch: 2 vs 1"),
+    ("spacetime.hopf", ["galilei_group_kappa"], "  group: galilei_group_kappa;",
+     "  group: galilei_group;", "comodule spacetime: unresolved presentation reference"),
+])
+def test_bicross_and_comodule_errors_name_the_failing_field(name, env_names, old, new,
+                                                            message):
+    text = _shipped(name)
+    env = ModelModule(presentations={n: load_model(n) for n in env_names})
+    assert old in text
+    module, diags = parse_source(text.replace(old, new), name, env=env)
+    assert module is None
+    assert [d.message for d in diags] == [message]
+    line = next(k for k, ln in enumerate(text.splitlines(), 1) if ln.startswith(old))
+    assert (diags[0].line, diags[0].col) == (line, 3)
+
+
+@pytest.mark.parametrize("text, at", [
+    ("", (1, 1)),
+    ("# a comment only\n", (1, 1)),
+    (MINI + MINI.replace("mini", "other"), (9, 1)),
+])
+def test_one_presentation_error_names_a_position(text, at):
+    with pytest.raises(DslError) as err:
+        parse_presentation(text, "f.hopf")
+    assert [(d.message, d.line, d.col) for d in err.value.diagnostics] == [
+        ("expected exactly one presentation", *at)]
 
 
 def test_dsl_error_wrapper():
