@@ -404,19 +404,22 @@ class PairingEngine:
         column's t(a*w) reads only its own u(w) and t(w), so the carried
         ones are exact.  One partial state is held per level."""
         carry = [c in sigma_cols for c in cols]
+        self._walk(max_degree, visit, carry, (), len(self.gen_order) - 1,
+                   [{c: GR_ONE} for c in cols], [{} for _ in cols])
 
-        def walk(word, first, u, t):
-            visit(word, u, t)
-            if len(word) == max_degree:
-                return
-            for i, label in enumerate(self.gen_order[:first + 1]):
-                D, K = self.D[label], self.K[label]
-                walk((label,) + word, i, [_matvec(D, ucol) for ucol in u],
-                     [_vec_add(_matvec(D, tcol), _matvec(K, ucol)) if keep else tcol
-                      for ucol, tcol, keep in zip(u, t, carry)])
-
-        walk((), len(self.gen_order) - 1, [{c: GR_ONE} for c in cols],
-             [{} for _ in cols])
+    def _walk(self, max_degree, visit, carry, word, first, u, t):
+        # a method, not a closure over itself: a recursive closure holds its
+        # own cell, and that cycle would leave each sweep's state to the
+        # cyclic garbage collector
+        visit(word, u, t)
+        if len(word) == max_degree:
+            return
+        for i, label in enumerate(self.gen_order[:first + 1]):
+            D, K = self.D[label], self.K[label]
+            self._walk(max_degree, visit, carry, (label,) + word, i,
+                       [_matvec(D, ucol) for ucol in u],
+                       [_vec_add(_matvec(D, tcol), _matvec(K, ucol)) if keep else tcol
+                        for ucol, tcol, keep in zip(u, t, carry)])
 
 
 def _columns(m):

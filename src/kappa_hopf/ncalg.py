@@ -669,9 +669,82 @@ def _diverged(p, sw, i, what):
     raise DivergenceError(f"{what} at digram {g1}*{g2} in {p.name}")
 
 
-def commutator(x, y):
-    """normal_order(x*y - y*x)."""
-    return normal_order(x * y - y * x)
+class BracketTable:
+    """Normal forms of word brackets w1*w2 - w2*w1 in one tensor context; a
+    commutator reads and fills it.  Word brackets carry unit coefficients,
+    so they are exact and hold for any coefficients: one table serves every
+    commutator of a computation in its context, and is dropped with it.
+
+    `pairs` is keyed by the word pair and `forms` by the two concatenated
+    words, so pairs that concatenate alike, in either order, share one
+    normal form."""
+
+    __slots__ = ("context", "pairs", "forms", "__weakref__")
+
+    def __init__(self, context):
+        self.context = context
+        self.pairs = {}  # (w1, w2) -> tuple of (word, exact HSeries)
+        self.forms = {}  # (w1*w2, w2*w1) -> the same
+
+    def bracket(self, w1, w2):
+        """The terms of normal_order(w1*w2 - w2*w1), as a tuple of items."""
+        key = (w1, w2)
+        b = self.pairs.get(key)
+        if b is not None:
+            return b
+        w12 = tuple(map(add, w1, w2))
+        w21 = tuple(map(add, w2, w1))
+        if w12 == w21:
+            b = ()
+        else:
+            b = self.forms.get((w12, w21))
+            if b is None:
+                back = self.forms.get((w21, w12))
+                b = _word_bracket(self.context, w12, w21) if back is None \
+                    else tuple((w, -c) for w, c in back)
+                self.forms[(w12, w21)] = b
+        self.pairs[key] = b
+        return b
+
+
+def _word_bracket(context, w12, w21):
+    """The terms of normal_order(w12 - w21), as a tuple of items."""
+    return tuple(normal_order(_raw_element(context, {w12: H_ONE, w21: -H_ONE})).terms.items())
+
+
+def commutator(x, y, *, table=None):
+    """normal_order(x*y - y*x), summed over term pairs: normal form is linear
+    and coefficients are central, so each pair adds c1*c2 times the normal
+    form of its word bracket w1*w2 - w2*w1.  The product c1*c2 is formed once
+    per pair, and not at all for a pair whose bracket is zero.  Brackets are
+    looked up in `table` (a BracketTable of x's context) and added to it;
+    without one, a table lives for this call only.  When each operand's
+    terms share one truncation, and one lowest h power if it is negative,
+    every word's truncation is also that of normal_order(x*y - y*x)."""
+    x._require_same_context(y)
+    ctx = x.context
+    if table is None:
+        table = BracketTable(ctx)
+    elif table.context != ctx:
+        raise PresentationError(
+            f"bracket table of {table.context!r} read for {ctx!r}")
+    bracket = table.bracket
+    out = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            b = bracket(w1, w2)
+            if not b:
+                continue
+            c = c1 * c2
+            for w, bc in b:
+                term = c * bc
+                old = out.get(w)
+                nc = term if old is None else old + term
+                if nc:
+                    out[w] = nc
+                else:
+                    out.pop(w, None)
+    return _raw_element(ctx, out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .cohom import PreparedSystem, lie_h2
 from .duality import galilei_2d_matrix_model, pair_word
 from .hopf import apply_coproduct
 from .ncalg import (
+    BracketTable,
     NCElement,
     PresentationError,
     TensorContext,
@@ -121,40 +122,43 @@ def bch_plan(max_weight):
     return plan
 
 
-def bch_combine_exponents(a, b, order):
-    """log(e^A e^B) through h^order for exponents whose ad raises h-degree."""
+def bch_combine_exponents(a, b, order, *, table=None):
+    """log(e^A e^B) through h^order for exponents whose ad raises h-degree.
+    The brackets read and fill `table`, a BracketTable of the exponents'
+    context (a fresh one when None)."""
     if order > MAX_BCH_ORDER:
         raise OrderCapError(f"BCH order {order} exceeds the configured maximum "
                             f"{MAX_BCH_ORDER}")
+    if table is None:
+        table = BracketTable(a.context)
     letters = (a.truncate(order), b.truncate(order))
     brackets = {}  # word prefix -> its truncated left-normed bracket
-
-    def bracket(word):
-        val = brackets.get(word)
-        if val is None:
-            if len(word) == 1:
-                val = letters[word[0]]
-            else:
-                val = bracket(word[:-1])
-                if not val.is_zero():
-                    val = commutator(val, letters[word[-1]]).truncate(order)
-            brackets[word] = val
-        return val
-
     out = NCElement.zero(a.context)
     for n, coeff, word in bch_plan(order + 1):
-        val = bracket(word)
+        val = letters[word[0]]
+        for k in range(2, n + 1):
+            known = brackets.get(word[:k])
+            if known is not None:
+                val = known
+                continue
+            if not val.is_zero():
+                val = commutator(val, letters[word[k - 1]], table=table).truncate(order)
+            brackets[word[:k]] = val
         if not val.is_zero():
             out = out + val.scale(Fraction(coeff))
     return normal_order(out).truncate(order)
 
 
 def bch_combine_list(exponents, order):
-    """log of a product of exponentials, combined left to right."""
-    acc = None
+    """log of a product of exponentials, combined left to right; the
+    combinations share one table of word brackets."""
+    acc = table = None
     for x in exponents:
-        acc = x.truncate(order) if acc is None else \
-            bch_combine_exponents(acc, x, order)
+        if acc is None:
+            acc = x.truncate(order)
+            table = BracketTable(acc.context)
+        else:
+            acc = bch_combine_exponents(acc, x, order, table=table)
     if acc is None:
         raise ValueError("empty exponential product has no log")
     return acc
@@ -216,6 +220,7 @@ def conjugate(e_factor, x, order):
     if order > MAX_BCH_ORDER:
         raise OrderCapError(f"conjugation order {order} exceeds the cap")
     a = e_factor.exponent.truncate(order)
+    table = BracketTable(a.context)
     term = normal_order(x).truncate(order)
     out = term
     fact = 1
@@ -224,7 +229,7 @@ def conjugate(e_factor, x, order):
         d += 1
         if d > MAX_AD_DEPTH:
             raise OrderCapError("ad series failed to terminate within the cap")
-        term = commutator(a, term).truncate(order)
+        term = commutator(a, term, table=table).truncate(order)
         fact *= d
         if term.is_zero():
             break

@@ -709,3 +709,130 @@ def test_missing_rule_is_reported():
     el = p.gen_element("y") * p.gen_element("x")
     with pytest.raises(PresentationError):
         normal_order(el)
+
+
+# the h^-1 factor phi1_residual puts on its commutators, i/(2h)
+_INV_H = HSeries({-1: RationalFn(Poly.const(GaussianRational(0, F(1, 2))))})
+
+
+def _commutator_operand(p, ctx, rng, kind):
+    """A seeded random operand for the commutator oracle, whose terms share
+    one truncation and one lowest h power sign, as the engine's elements
+    do: exact, truncated at h^0..h^3, classical coefficients times the
+    h^-1 factor (exact or truncated), zero, or a single term."""
+    if kind == "zero":
+        return NCElement.zero(ctx)
+    alpha = Poly.var("alpha")
+
+    def coeff(powers):
+        out = {}
+        for k in powers:
+            num = Poly.const(GaussianRational(rng.randint(-3, 3), rng.randint(1, 3)))
+            num = num + alpha.scale(rng.randint(0, 2))
+            den = rng.choice([Poly.const(1), Poly.const(2), alpha + Poly.const(1)])
+            out[k] = RationalFn(num, den)
+        return HSeries(out)
+
+    inverse_h = kind.startswith("inverse h")
+    terms = {}
+    for _ in range(1 if kind == "one term" else rng.randint(2, 5)):
+        word = _oracle_word(p, rng, ctx.slot_count, range(ctx.slot_count))
+        if inverse_h:
+            terms[word] = coeff([0]) * _INV_H
+        else:
+            terms[word] = coeff(rng.sample(range(4), rng.randint(1, 3)))
+    el = NCElement(ctx, terms)
+    return el.truncate(rng.randint(0, 3)) if kind.endswith("truncated") else el
+
+
+_OPERAND_KINDS = ("exact", "truncated", "inverse h", "inverse h truncated",
+                  "zero", "one term")
+
+
+@pytest.mark.parametrize("layout", ["group 2d, one slot", "group 2d, three slots",
+                                    "kappa algebra"])
+def test_commutator_matches_the_element_difference(layout):
+    """commutator(x, y), summed over word brackets, has the terms and the
+    per-word truncations of normal_order(x*y - y*x), for every pair of
+    operand kinds; one bracket table serves every call of a layout, and a
+    call without one gives the same element."""
+    name, slots = {"group 2d, one slot": ("galilei_group_2d", 1),
+                   "group 2d, three slots": ("galilei_group_2d", 3),
+                   "kappa algebra": ("galilei_algebra_kappa", 1)}[layout]
+    p = load_model(name)
+    ctx = TensorContext((p,) * slots)
+    table = ncalg.BracketTable(ctx)
+    rng = random.Random(f"commutator {layout}")
+    compared = 0
+    for _ in range(4):
+        for kx in _OPERAND_KINDS:
+            for ky in _OPERAND_KINDS:
+                x = _commutator_operand(p, ctx, rng, kx)
+                y = _commutator_operand(p, ctx, rng, ky)
+                want = normal_order(x * y - y * x)
+                for got in (commutator(x, y, table=table), commutator(x, y)):
+                    assert got.context == ctx
+                    assert got.terms == want.terms, (kx, ky)
+                    assert {w: c.truncation for w, c in got.terms.items()} \
+                        == {w: c.truncation for w, c in want.terms.items()}, (kx, ky)
+                compared += len(want.terms)
+    assert compared > 200
+    assert table.pairs
+    if name == "galilei_algebra_kappa":
+        ee = p.gen_index("EE")
+        assert any(gi == ee and pw < 0 for w1, w2 in table.pairs
+                   for sw in w1 + w2 for gi, pw in sw)
+
+
+def test_commutator_table_is_bound_to_its_context():
+    """A bracket table is read only for elements of its own context: an
+    equal context built anew is fine, another one raises."""
+    g2 = load_model("galilei_group_2d")
+    kappa = load_model("galilei_algebra_kappa")
+    v, a = g2.gen_element("v"), g2.gen_element("a")
+    table = ncalg.BracketTable(TensorContext((g2,)))
+    assert commutator(v, a, table=table) == normal_order(v * a - a * v)
+    with pytest.raises(PresentationError, match="bracket table"):
+        commutator(kappa.gen_element("L", (1,)), kappa.gen_element("P0"), table=table)
+    with pytest.raises(PresentationError, match="bracket table"):
+        commutator(v.in_context(TensorContext((g2, g2))),
+                   a.in_context(TensorContext((g2, g2))), table=table)
+
+
+def test_commutator_forms_one_product_per_nonzero_bracket(monkeypatch):
+    """Each term pair's coefficient product is formed once, and not at all
+    when its word bracket is zero: of the four pairs of words tau and
+    v*tau, the two pairs of equal words form none."""
+    g2 = load_model("galilei_group_2d")
+    x = NCElement(TensorContext((g2,)), {
+        (((2, 1),),): HSeries({0: Poly.var("m")}),
+        (((0, 1), (2, 1)),): HSeries({1: Poly.var("p")}, 2),
+    })
+    y = NCElement(x.context, {
+        (((2, 1),),): HSeries({0: Poly.var("q")}),
+        (((0, 1), (2, 1)),): HSeries({1: Poly.var("r")}, 2),
+    })
+    pairs = []
+    real_mul = HSeries.__mul__
+
+    def spy(a, b):
+        if a.symbols() and b.symbols():
+            pairs.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(HSeries, "__mul__", spy)
+    got = commutator(x, y)
+    monkeypatch.undo()
+    assert not got.is_zero() and got == normal_order(x * y - y * x)
+    assert len(pairs) == 2
+
+
+def test_commutator_names_a_diverging_digram(monkeypatch):
+    # y*x -> x*y + y*x never ends; reached through a word bracket, the
+    # error still names the digram
+    monkeypatch.setattr(ncalg, "MAX_PENDING_TERMS", 500)
+    gens = [GenDecl("x"), GenDecl("y")]
+    p = Presentation("loop", gens, rules={(1, 0): ((HSeries.const(1), ((1, 1), (0, 1))),)})
+    with pytest.raises(DivergenceError, match=r"at digram y\*x in loop"):
+        commutator(p.gen_element("y"), p.gen_element("x"),
+                   table=ncalg.BracketTable(TensorContext((p,))))

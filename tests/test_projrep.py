@@ -1,17 +1,29 @@
 """Projective representation calculus: graded BCH, conjugation, the
 multiplier, the cocycle equation, triviality, and the composition law."""
 
+import os
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from kappa_hopf import projrep, suites
+import kappa_hopf
+from kappa_hopf import ncalg, projrep, suites
 from kappa_hopf.cohom import LieData
 from kappa_hopf.hopf import apply_coproduct
 from kappa_hopf.models import load_model
-from kappa_hopf.ncalg import NCElement, TensorContext, commutator, normal_order
+from kappa_hopf.ncalg import (
+    BracketTable,
+    NCElement,
+    PresentationError,
+    TensorContext,
+    commutator,
+    normal_order,
+)
 from kappa_hopf.projrep import (
     ExpFactor,
     ExpProduct,
@@ -546,3 +558,100 @@ def test_h_grading_soundness():
     assert g2.rule_h_floor() == 1
     f = ExpFactor(g2.gen_element("v") + g2.gen_element("a"))
     assert f.h_floor >= 1
+
+
+def _spy_tables(monkeypatch):
+    """Weak references to every BracketTable projrep makes."""
+    made = []
+
+    def tracked(context):
+        table = BracketTable(context)
+        made.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(projrep, "BracketTable", tracked)
+    return made
+
+
+def test_one_bracket_table_per_combination(monkeypatch):
+    """One cocycle_residual is one bch_combine_list: all its commutators
+    read one table, each distinct word bracket is normal-ordered once, and
+    the table is freed by reference counting when the call returns."""
+    g2 = load_model("galilei_group_2d")
+    omega = build_omega(g2, 2)
+    want = cocycle_residual(omega, 2)
+    made = _spy_tables(monkeypatch)
+    tables, pairs, term_pairs = [], [], []
+
+    def counted(x, y, **kwargs):
+        tables.append(kwargs["table"])
+        term_pairs.append(len(x.terms) * len(y.terms))
+        return commutator(x, y, **kwargs)
+
+    word_bracket = ncalg._word_bracket
+
+    def bracket(context, w12, w21):
+        pairs.append((w12, w21))
+        return word_bracket(context, w12, w21)
+
+    monkeypatch.setattr(projrep, "commutator", counted)
+    monkeypatch.setattr(ncalg, "_word_bracket", bracket)
+    assert cocycle_residual(omega, 2) == want
+    assert len(made) == 1 and len(tables) > 10
+    assert all(t is tables[0] for t in tables)
+    # each word bracket is normal-ordered once, in one order of its words
+    assert len(pairs) == len({frozenset(p) for p in pairs}) > 50
+    # most term pairs found their bracket in the table
+    assert sum(term_pairs) > 2 * len(pairs)
+    del tables[:]
+    assert made[0]() is None
+
+
+def test_conjugate_shares_one_table_and_drops_it(monkeypatch):
+    g2 = load_model("galilei_group_2d")
+    a = ExpFactor(g2.gen_element("tau").scale(HSeries.const(3)))
+    x = g2.gen_element("v") * g2.gen_element("a")
+    want = conjugate(a, x, 3)
+    made = _spy_tables(monkeypatch)
+    tables = []
+
+    def counted(x, y, **kwargs):
+        tables.append(kwargs["table"])
+        return commutator(x, y, **kwargs)
+
+    monkeypatch.setattr(projrep, "commutator", counted)
+    assert conjugate(a, x, 3) == want
+    assert len(made) == 1 and len(tables) > 1
+    assert all(t is tables[0] for t in tables)
+    del tables[:]
+    assert made[0]() is None
+
+
+def test_bch_table_is_not_read_for_another_context():
+    g2 = load_model("galilei_group_2d")
+    one, two = TensorContext((g2,)), TensorContext((g2, g2))
+    v, a = g2.gen_element("v"), g2.gen_element("a")
+    # an equal context built anew reads the same table
+    table = BracketTable(TensorContext((g2,)))
+    assert bch_combine_exponents(v, a, 2, table=table) == bch_combine_exponents(v, a, 2)
+    assert table.pairs and table.context == one
+    with pytest.raises(PresentationError, match="bracket table"):
+        bch_combine_exponents(v.in_context(two), a.in_context(two), 2, table=table)
+
+
+PROJREP_SCRIPT = """
+from kappa_hopf.suites import SuiteConfig, run_suite
+print(run_suite(SuiteConfig(suite="projrep", order=2, rep_order=1, seed=42)).to_json())
+"""
+
+
+def test_projrep_report_ignores_the_hash_seed():
+    src = str(Path(kappa_hopf.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", PROJREP_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout)
+    assert '"suite": "projrep"' in outs[0]
+    assert outs[0] == outs[1]

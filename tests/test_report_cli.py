@@ -157,6 +157,22 @@ def test_cycling_rules_exit_2_naming_the_relation(tmp_path, capsys):
                    "exceeded at digram P*L in galilei_algebra_2d_classical\n")
 
 
+def test_growing_rule_in_a_word_bracket_exits_2_naming_the_digram(tmp_path, capsys):
+    # tau*v -> v*tau - i h v*v*tau*tau loads (its correction is in normal
+    # order), but the word brackets of projrep's commutators then lengthen
+    # without end; normal ordering stops at its word-length limit
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_group_2d.hopf"
+    text = shipped.read_text()
+    rule = "relation tau*v - v*tau = I*h*v;"
+    assert rule in text
+    model = tmp_path / "growing_group.hopf"
+    model.write_text(text.replace(rule, "relation tau*v - v*tau = I*h*v*v*tau*tau;"))
+    assert main(["verify", "projrep", "--order", "1", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("kappa-hopf: DivergenceError: word length limit 128 exceeded at "
+                   "digram tau*v in galilei_group_2d\n")
+
+
 @pytest.mark.parametrize("error", [DivergenceError, OrderCapError, SeriesDomainError])
 def test_cli_engine_error_exit_code(monkeypatch, capsys, error):
     # an engine limit hit by a model or a configuration is exit 2 with a
