@@ -525,10 +525,8 @@ def _compile_query(model, q):
 
 
 def _constant_powers(coeff):
-    """{h power: GaussianRational} of an exact series of constants, else
-    None: a symbol or a truncation is left to _sides."""
-    if coeff.truncation is not None:
-        return None
+    """{h power: GaussianRational} of a series of constants, else None: a
+    symbol is left to _sides."""
     out = {}
     for k, rf in coeff.coeffs.items():
         if not rf.is_const():
@@ -564,7 +562,7 @@ def _poisson_family_checks(engine, queries):
     the residual sum c v - (-i s) per (query, power of h), scattered from
     the nonzero block entries only.  The HSeries sides are built (by
     _sides) only for a query whose residual is nonzero, and on every word
-    for a query with a symbolic or truncated coefficient."""
+    for a query with a symbolic coefficient."""
     compiled = [_compile_query(engine.model, q) for q in queries]
     bounds = [q.degree_bound for q in queries]
     cols = sorted({col for cand_cols, (_, sigma_col) in compiled

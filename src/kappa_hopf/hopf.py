@@ -99,7 +99,7 @@ def multiply_slots(e, s1, s2):
         key = tuple(lw)
         cur = t.get(key)
         t[key] = c if cur is None else cur + c
-    return NCElement(nctx, t)
+    return NCElement(nctx, t) if e.order is None else NCElement(nctx, t).truncate(e.order)
 
 
 def apply_algebra_map(e, images, target_ctx):

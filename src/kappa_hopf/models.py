@@ -76,7 +76,8 @@ def read_variant_text(filename):
 
 # (path, text, (name, id) of each presentation loaded over, hook) ->
 # (those presentations, ModelModule).  An entry holds its presentations, so
-# the ids in its key are not reused by other objects while it lives.
+# the ids in its key are not reused by other objects while it lives; so do
+# strip_quotient's entries, ("strip_quotient", id(p)) -> (p, clone).
 _PARSED = {}
 
 
@@ -189,8 +190,14 @@ def load_casimirs_in(p):
 
 
 def strip_quotient(p):
-    """Same presentation without the implied R-orthogonality quotient."""
-    return clone_presentation(p, name=p.name + "_no_orthogonality", quotient=None)
+    """Same presentation without the implied R-orthogonality quotient, cloned
+    once per p and kept in the parse cache beside p: a clone per call would
+    leave its reference cycles with its Hopf data to the cyclic collector."""
+    key = ("strip_quotient", id(p))
+    if key not in _PARSED:
+        _PARSED[key] = (p, clone_presentation(p, name=p.name + "_no_orthogonality",
+                                              quotient=None))
+    return _PARSED[key][1]
 
 
 def _selftest_kappa(module):

@@ -30,7 +30,6 @@ from .scalars import (
     RationalFn,
     as_gaussian,
     as_hseries,
-    product_truncation,
 )
 
 _SCALAR_TYPES = CONSTANT_TYPES + (Poly, RationalFn, HSeries)
@@ -289,12 +288,15 @@ class TensorContext:
 
 
 class NCElement:
-    """Finite sum of (HSeries coefficient) * (per-slot ordered word)."""
+    """Finite sum of (HSeries coefficient) * (per-slot ordered word), known
+    through h^order (None: exact, as built here); `truncate` sets the order,
+    and no term past it is stored.  Equality and hashing read the terms."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "order")
 
     def __init__(self, context, terms=None):
         self.context = context
+        self.order = None
         t = {}
         if terms:
             for w, c in terms.items():
@@ -340,10 +342,12 @@ class NCElement:
                 t[w] = nc
             else:
                 t.pop(w, None)
-        return _raw_element(self.context, t)
+        if self.order == other.order:
+            return _raw_element(self.context, t, self.order)
+        return _truncated(self.context, t, _min_order(self.order, other.order))
 
     def __neg__(self):
-        return _raw_element(self.context, {w: -c for w, c in self.terms.items()})
+        return _raw_element(self.context, {w: -c for w, c in self.terms.items()}, self.order)
 
     def __sub__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -351,6 +355,7 @@ class NCElement:
         return self + (-other)
 
     def scale(self, c):
+        order = self.order
         if isinstance(c, CONSTANT_TYPES):
             c = as_gaussian(c)
             if not c:
@@ -361,19 +366,22 @@ class NCElement:
             c = as_hseries(c)
             if not c:
                 return NCElement.zero(self.context)
+            if order is not None:
+                order += min(c.min_power(), 0)
             t = {}
             for w, v in self.terms.items():
-                nv = v * c
+                nv = v.mul_through(c, order)
                 if nv:
                     t[w] = nv
-        return _raw_element(self.context, t)
+        return _raw_element(self.context, t, order)
 
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
             return self.scale(other)
         self._require_same_context(other)
+        order = _product_order(self.order, _low(self), other.order, _low(other))
         return _raw_element(self.context,
-                            _mul_terms(self.terms, [(w, c, 0) for w, c in other.terms.items()]))
+                            _mul_terms(self.terms, other.terms.items(), order), order)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -381,10 +389,8 @@ class NCElement:
         return NotImplemented
 
     def truncate(self, order):
-        return NCElement(self.context, {w: c.truncate(order) for w, c in self.terms.items()})
-
-    def map_coeffs(self, f):
-        return NCElement(self.context, {w: f(c) for w, c in self.terms.items()})
+        """The element known through h^order, or its own order if lower."""
+        return _truncated(self.context, self.terms, _min_order(self.order, order))
 
     def h_coefficient(self, k):
         """Element whose coefficients are the h^k parts (as exact scalars)."""
@@ -416,7 +422,7 @@ class NCElement:
             t[tuple(lw)] = c
         slots = list(self.context.slots)
         slots[a], slots[b] = slots[b], slots[a]
-        return NCElement(TensorContext(tuple(slots)), t)
+        return _raw_element(TensorContext(tuple(slots)), t, self.order)
 
     def in_context(self, context):
         """Reinterpret in a wider/equal context (words padded with empty slots)."""
@@ -425,7 +431,7 @@ class NCElement:
         if n < m:
             raise PresentationError("cannot shrink context")
         pad = ((),) * (n - m)
-        return NCElement(context, {w + pad: c for w, c in self.terms.items()})
+        return _raw_element(context, {w + pad: c for w, c in self.terms.items()}, self.order)
 
     def place_in_slots(self, context, slot_map):
         """Move slot s of self to slot_map[s] of the target context."""
@@ -439,7 +445,7 @@ class NCElement:
                         raise PresentationError("slot collision in place_in_slots")
                     nw[slot_map[s]] = sw
             t[tuple(nw)] = c
-        return NCElement(context, t)
+        return _raw_element(context, t, self.order)
 
     # -- comparisons / rendering ------------------------------------------
     def __eq__(self, other):
@@ -478,45 +484,65 @@ class NCElement:
         return f"NCElement<{self.render()}>"
 
 
-def _raw_element(context, terms):
-    """The element with these terms, taken as they are: HSeries coefficients,
-    none zero."""
+def _raw_element(context, terms, order):
+    """The element with these terms, known through h^order, taken as they
+    are: HSeries coefficients, none zero, none past h^order."""
     out = NCElement.__new__(NCElement)
     out.context = context
     out.terms = terms
+    out.order = order
     return out
 
 
-def _mul_terms(left, right, order=None):
-    """The terms of a product, the product rule in one place: left is a dict
-    word -> coefficient, right a list of (word, coefficient, lowest h power)
-    items.  Words join slot by slot; pairs are summed in order, dropping
-    zero sums.
+def _truncated(context, terms, order):
+    """The element of these terms through h^order, higher powers dropped."""
+    t = {}
+    for w, c in terms.items():
+        if max(c.coeffs) > order:
+            c = c.truncate(order)
+            if not c:
+                continue
+        t[w] = c
+    return _raw_element(context, t, order)
 
-    With `order`, every left coefficient must be truncated at h^order or
-    below.  A pair whose lowest h powers add past h^order is then not
-    formed: its product is zero through its truncation.  Summed into a word
-    already known through a higher order than that truncation, such a zero
-    would lower the word's truncation; only that is applied, without the
-    product."""
+
+def _min_order(a, b):
+    """The lower of two orders, None standing for exact."""
+    if a is None or (b is not None and b < a):
+        return b
+    return a
+
+
+def _low(el):
+    """The lowest power of h in el if it is negative, else 0; a zero known
+    through h^t is O(h^(t+1)) as a whole."""
+    if not el.terms:
+        return 0 if el.order is None else min(el.order + 1, 0)
+    return min(0, *(min(c.coeffs) for c in el.terms.values()))
+
+
+def _product_order(order_x, low_x, order_y, low_y):
+    """The order through which a product is known, for factors known through
+    order_x and order_y (None: exact) with the lows (_low) low_x and low_y:
+    each factor's error O(h^(t+1)) meets the other's lowest power, so h^-1
+    times O(h^(t+1)) is O(h^t)."""
+    return _min_order(None if order_x is None else order_x + low_y,
+                      None if order_y is None else order_y + low_x)
+
+
+def _mul_terms(left, right, order):
+    """The terms of a product through h^order (all of them when None), the
+    product rule in one place: left is a dict word -> coefficient, right
+    (word, coefficient) items.  Words join slot by slot; pairs are summed in
+    order, dropping zero sums, and a pair with no power of h through
+    h^order is not formed."""
     t = {}
     for w1, c1 in left.items():
-        low1 = 0 if order is None else c1.min_power()
-        for w2, c2, low2 in right:
-            if order is not None and low1 + low2 > order:
-                w = tuple(map(add, w1, w2))
-                old = t.get(w)
-                if old is not None:
-                    trunc = product_truncation(c1, c2)
-                    if trunc < old.truncation:
-                        nc = old.truncate(trunc)
-                        if nc:
-                            t[w] = nc
-                        else:
-                            del t[w]
+        for w2, c2 in right:
+            c = c1.mul_through(c2, order)
+            if not c:
                 continue
             w = tuple(map(add, w1, w2))
-            c = c1 * c2
             old = t.get(w)
             nc = c if old is None else old + c
             if nc:
@@ -604,9 +630,14 @@ def normal_order(e, budget=None):
     correction steps on one rewrite path to the word.  A stack keeps the
     lead word of each such step below its correction, so a term of depth d
     waits with at least d others, and the pending-term limit applies to the
-    depth too: a cycle of corrections stops there."""
+    depth too: a cycle of corrections stops there.
+
+    The normal form is known through e's order, less the rules' negative
+    lowest power (if any) for each step of the deepest correction path."""
     budget = REWRITE_BUDGET if budget is None else budget
     pres_list = e.context.slots
+    order = e.order
+    deepest = 0
     result = {}
     pending = {}
     for w, c in e.terms.items():
@@ -634,7 +665,7 @@ def normal_order(e, budget=None):
         for nsw, c in corrections:
             if len(nsw) > MAX_WORD_LENGTH:
                 _diverged(p, sw, i, f"word length limit {MAX_WORD_LENGTH} exceeded")
-            c = coeff * c
+            c = coeff.mul_through(c, order)
             if c:
                 new.append((nsw, c, depth + 1))
         for nsw, c, d in new:
@@ -649,6 +680,8 @@ def normal_order(e, budget=None):
                         result[w] = nc
                     else:
                         del result[w]
+                    if d > deepest:
+                        deepest = d
                     continue
                 pending[w] = [c, paths, d, loc]
                 queue.append(w)
@@ -660,7 +693,14 @@ def normal_order(e, budget=None):
             waiting += paths
         if waiting > MAX_PENDING_TERMS or depth >= MAX_PENDING_TERMS:
             _diverged(p, sw, i, f"pending-term limit {MAX_PENDING_TERMS} exceeded")
-    return _raw_element(e.context, result)
+    if order is not None and deepest and _rule_floor(e.context):
+        return _truncated(e.context, result, order + deepest * _rule_floor(e.context))
+    return _raw_element(e.context, result, order)
+
+
+def _rule_floor(context):
+    """The negative lowest power of h in the context's rules, else 0."""
+    return min(0, *(p.rule_h_floor() or 0 for p in set(context.slots)))
 
 
 def _diverged(p, sw, i, what):
@@ -709,7 +749,8 @@ class BracketTable:
 
 def _word_bracket(context, w12, w21):
     """The terms of normal_order(w12 - w21), as a tuple of items."""
-    return tuple(normal_order(_raw_element(context, {w12: H_ONE, w21: -H_ONE})).terms.items())
+    diff = _raw_element(context, {w12: H_ONE, w21: -H_ONE}, None)
+    return tuple(normal_order(diff).terms.items())
 
 
 def commutator(x, y, *, table=None):
@@ -718,9 +759,9 @@ def commutator(x, y, *, table=None):
     form of its word bracket w1*w2 - w2*w1.  The product c1*c2 is formed once
     per pair, and not at all for a pair whose bracket is zero.  Brackets are
     looked up in `table` (a BracketTable of x's context) and added to it;
-    without one, a table lives for this call only.  When each operand's
-    terms share one truncation, and one lowest h power if it is negative,
-    every word's truncation is also that of normal_order(x*y - y*x)."""
+    without one, a table lives for this call only.  The result is known
+    through the order of x*y, or is normal_order(x*y - y*x) itself when that
+    order is lowered by rules with a negative power of h."""
     x._require_same_context(y)
     ctx = x.context
     if table is None:
@@ -728,6 +769,9 @@ def commutator(x, y, *, table=None):
     elif table.context != ctx:
         raise PresentationError(
             f"bracket table of {table.context!r} read for {ctx!r}")
+    order = _product_order(x.order, _low(x), y.order, _low(y))
+    if order is not None and _rule_floor(ctx):
+        return normal_order(x * y - y * x)
     bracket = table.bracket
     out = {}
     for w1, c1 in x.terms.items():
@@ -735,16 +779,16 @@ def commutator(x, y, *, table=None):
             b = bracket(w1, w2)
             if not b:
                 continue
-            c = c1 * c2
+            c = c1.mul_through(c2, order)
             for w, bc in b:
-                term = c * bc
+                term = c.mul_through(bc, order)
                 old = out.get(w)
                 nc = term if old is None else old + term
                 if nc:
                     out[w] = nc
                 else:
                     out.pop(w, None)
-    return _raw_element(ctx, out)
+    return _raw_element(ctx, out, order)
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +796,15 @@ def commutator(x, y, *, table=None):
 # ---------------------------------------------------------------------------
 
 
-def _letter_factor(img, order):
+def _letter_factor(img):
     """An image prepared for the product loop: the word itself when the image
-    is a single word with coefficient exactly 1 (no truncation), else its
-    (word, coefficient, lowest h power) items."""
-    if len(img.terms) == 1:
+    is exact and a single word with coefficient 1, else the list [its
+    (word, coefficient) items, its order, its low (see _low)]."""
+    if img.order is None and len(img.terms) == 1:
         (w, c), = img.terms.items()
-        if c.truncation is None and c == H_ONE:
+        if c == H_ONE:
             return w
-    return [(w, c, 0 if order is None else c.min_power()) for w, c in img.terms.items()]
+    return [list(img.terms.items()), img.order, _low(img)]
 
 
 def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
@@ -772,21 +816,20 @@ def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
     images multiply in letter order, reversed for an anti-multiplicative
     map (reverse=True).  Each distinct (slot, gen, power) image is built and
     prepared once per call.  Each term's product runs over a plain dict of
-    words: an image that is one word with coefficient 1 is appended to
+    words: an exact image that is one word with coefficient 1 is appended to
     every word with the coefficients left alone (appending a fixed word is
     injective, so nothing merges); any other image goes through the shared
-    pair loop.  With `order`, each input coefficient is truncated at
-    h^order first, and pairs whose lowest h powers add past h^order are
-    skipped unformed, so every product is truncated at h^order before it is
-    summed.  Raw output (not normal-ordered)."""
+    pair loop.  The result is known through the least order of the terms'
+    products, and with `order` through h^order at most; no product past it
+    is formed.  Raw output (not normal-ordered)."""
+    if order is not None:
+        e = e.truncate(order)
     n = target.slot_count
     images = {}
+    low = _low(e)
+    orders = {e.order}
     out = {}
     for w, c in e.terms.items():
-        if order is not None:
-            c = c.truncate(order)
-            if not c:
-                continue
         base = [()] * n
         factors = []
         for s, sw in enumerate(w):
@@ -797,16 +840,20 @@ def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
             for gi, pw in (reversed(sw) if reverse else sw):
                 f = images.get((s, gi, pw))
                 if f is None:
-                    f = images[(s, gi, pw)] = _letter_factor(m(gi, pw), order)
+                    f = images[(s, gi, pw)] = _letter_factor(m(gi, pw))
                 factors.append(f)
+        # each partial product is formed through its own order, which is all
+        # the later factors can read of it
+        t_order, t_low = e.order, low
         term = {tuple(base): c}
         for f in factors:
             if f.__class__ is tuple:
                 term = {tuple(map(add, tw, f)): tc for tw, tc in term.items()}
             else:
-                term = _mul_terms(term, f, order)
-                if not term:
-                    break
+                t_order = _product_order(t_order, t_low, f[1], f[2])
+                t_low += f[2]
+                term = _mul_terms(term, f[0], t_order)
+        orders.add(t_order)
         for tw, tc in term.items():
             old = out.get(tw)
             nc = tc if old is None else old + tc
@@ -814,7 +861,10 @@ def extend_letterwise(e, target, slot_maps, reverse=False, order=None):
                 out[tw] = nc
             else:
                 out.pop(tw, None)
-    return _raw_element(target, out)
+    known = min((o for o in orders if o is not None), default=None)
+    if len(orders) > 1 and known is not None:
+        return _truncated(target, out, known)
+    return _raw_element(target, out, known)
 
 
 def letter_power(img, k):
@@ -830,7 +880,7 @@ def letter_power(img, k):
         if c == H_ONE and all(slots[s].gens[gi].grouplike
                               for s, sw in enumerate(w) for gi, _ in sw):
             scaled = tuple(tuple((gi, p * k) for gi, p in sw) for sw in w)
-            return NCElement(img.context, {scaled: H_ONE})
+            return _raw_element(img.context, {scaled: H_ONE}, img.order)
     if k < 1:
         raise PresentationError(f"power {k} of the non-grouplike image {img.render()}")
     out = img
@@ -873,11 +923,10 @@ def h_expand(e, order):
 
 def h_expand_raw(e, order):
     """Replace every grouplike letter E^k by its exponential series through
-    h^order without normal ordering; the result is grouplike-free with
-    truncated coefficients and agrees with e under the exponential
+    h^order without normal ordering; the result is grouplike-free, known
+    through h^order at most, and agrees with e under the exponential
     interpretation.  Every other letter's image is its own unit word, which
-    extend_letterwise appends without a product; extend_letterwise also
-    truncates e's coefficients at h^order as it reads them."""
+    extend_letterwise appends without a product."""
     if order < 0:
         raise ValueError("h_expand order must be >= 0")
     ctx = e.context
@@ -903,15 +952,13 @@ def h_expand_raw(e, order):
 
 
 def _exp_series(log_el, k, order):
-    """exp(k * log_el) truncated at h^order; log_el must carry h >= 1."""
+    """exp(k * log_el) through h^order; log_el must carry h >= 1."""
     x = log_el.scale(Fraction(k)).truncate(order)
-    ctx = log_el.context
-    out = NCElement.one(ctx).truncate(order)
-    power = NCElement.one(ctx).truncate(order)
+    out = power = NCElement.one(log_el.context).truncate(order)
     fact = 1
     j = 1
     while True:
-        power = (power * x).truncate(order)
+        power = power * x
         if power.is_zero():
             break
         fact *= j

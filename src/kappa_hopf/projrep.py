@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .cohom import PreparedSystem, lie_h2
 from .duality import galilei_2d_matrix_model, pair_word
@@ -66,9 +67,6 @@ class OrderCapError(ValueError):
 # Dynkin-projected BCH plans
 # ---------------------------------------------------------------------------
 
-_PLAN_CACHE = {}
-
-
 def _free_mul(p, q, cap):
     out = {}
     for w1, c1 in p.items():
@@ -84,12 +82,12 @@ def _free_mul(p, q, cap):
     return out
 
 
+@cache
 def bch_plan(max_weight):
-    """[(weight, coeff, word)] with word a tuple over {0,1}; evaluating the
-    left-normed bracket of each word (0 -> A, 1 -> B) scaled by coeff and
-    summing reproduces log(e^A e^B) through Lie-word weight max_weight."""
-    if max_weight in _PLAN_CACHE:
-        return _PLAN_CACHE[max_weight]
+    """((weight, coeff, word), ...) with word a tuple over {0,1}; evaluating
+    the left-normed bracket of each word (0 -> A, 1 -> B) scaled by coeff and
+    summing reproduces log(e^A e^B) through Lie-word weight max_weight.  The
+    plan is built once per weight and shared, so it is a tuple."""
     exp = {}
     for letter in (0, 1):
         e = {(): Fraction(1)}
@@ -114,12 +112,8 @@ def bch_plan(max_weight):
                 z[w] = nc
             else:
                 z.pop(w, None)
-    plan = []
-    for w in sorted(z, key=lambda w: (len(w), w)):
-        n = len(w)
-        plan.append((n, z[w] / n, w))  # Dynkin projection: divide by the weight
-    _PLAN_CACHE[max_weight] = plan
-    return plan
+    # Dynkin projection: divide by the weight
+    return tuple((len(w), z[w] / len(w), w) for w in sorted(z, key=lambda w: (len(w), w)))
 
 
 def bch_combine_exponents(a, b, order, *, table=None):
@@ -142,7 +136,7 @@ def bch_combine_exponents(a, b, order, *, table=None):
                 val = known
                 continue
             if not val.is_zero():
-                val = commutator(val, letters[word[k - 1]], table=table).truncate(order)
+                val = commutator(val, letters[word[k - 1]], table=table)
             brackets[word[:k]] = val
         if not val.is_zero():
             out = out + val.scale(Fraction(coeff))
@@ -229,7 +223,7 @@ def conjugate(e_factor, x, order):
         d += 1
         if d > MAX_AD_DEPTH:
             raise OrderCapError("ad series failed to terminate within the cap")
-        term = commutator(a, term, table=table).truncate(order)
+        term = commutator(a, term, table=table)
         fact *= d
         if term.is_zero():
             break
@@ -273,8 +267,7 @@ def series_to_element(series, ctx, var_map, extra_word=None):
             if extra_word is not None:
                 key = [a + b for a, b in zip(key, extra_word)]
             key = tuple(key)
-            c = HSeries({hp: RationalFn(Poly({tuple(rest): coeff}), den)},
-                        series.truncation)
+            c = HSeries({hp: RationalFn(Poly({tuple(rest): coeff}), den)})
             terms[key] = terms.get(key, H_ZERO) + c
     return NCElement(ctx, terms)
 
@@ -322,8 +315,8 @@ def build_omega(group2d, order):
     v2 = m * (_sym("v1") ** 2)
     texp = tau_exponent_series(v2, order)          # coefficient of (x) tau
     aexp = a_exponent_series(m * _sym("v1"), v2, order)  # coefficient of (x) a
-    return ExpProduct([ExpFactor(_slot1_leg(group2d, texp, "tau")),
-                       ExpFactor(_slot1_leg(group2d, aexp, "a"))])
+    return ExpProduct([ExpFactor(_slot1_leg(group2d, texp, "tau").truncate(order)),
+                       ExpFactor(_slot1_leg(group2d, aexp, "a").truncate(order))])
 
 
 def omega_log_phi(group2d, order):
@@ -350,7 +343,7 @@ def eq30_equals_eq31(group2d, order):
     v1 = Poly.var("v1")
     texp = tau_exponent_series(m * v1 * v1, order)
     aexp = HSeries({k: (rf * RationalFn(Poly.const(2), v1))
-                    for k, rf in texp.coeffs.items()}, texp.truncation)
+                    for k, rf in texp.coeffs.items()})
     el30 = normal_order(_slot1_leg(group2d, texp, "tau")
                         + _slot1_leg(group2d, aexp, "a")).truncate(order)
     return el30 == build_omega(group2d, order).log(order)
@@ -507,8 +500,8 @@ def rep_apply(group2d, n, order):
     a_gi = group2d.gen_index("a")
     v_gi = group2d.gen_index("v")
     that, ghat = rep_prefactor_series(order)
-    f_tau = ExpFactor(series_to_element(that, ctx, {}, (((tau_gi, 1),),)))
-    f_a = ExpFactor(series_to_element(ghat, ctx, {}, (((a_gi, 1),),)))
+    f_tau = ExpFactor(series_to_element(that, ctx, {}, (((tau_gi, 1),),)).truncate(order))
+    f_a = ExpFactor(series_to_element(ghat, ctx, {}, (((a_gi, 1),),)).truncate(order))
     pre = ExpProduct([f_tau, f_a])
     # (p (x) I - I (x) m v)^n expands binomially (the two pieces commute)
     m = Poly.var("m")
@@ -548,7 +541,8 @@ def rep_compose_check(group2d, degrees, order, omega="paper"):
     prefactors = [f.exponent for f in rep_apply(group2d, 0, order)[0].factors]
     that_s, ghat_s = rep_prefactor_series(order, shift=p - m * _sym("v1"))
     lhs_exps = [x.place_in_slots(ctx2, {0: 0}) for x in prefactors]
-    lhs_exps += [_slot1_leg(group2d, that_s, "tau"), _slot1_leg(group2d, ghat_s, "a")]
+    lhs_exps += [_slot1_leg(group2d, that_s, "tau").truncate(order),
+                 _slot1_leg(group2d, ghat_s, "a").truncate(order)]
     # RHS: omega in slots (0,1), then the coproducts of the prefactors
     rhs_exps = [f.exponent for f in build_omega(group2d, order).factors] \
         if omega == "paper" else []

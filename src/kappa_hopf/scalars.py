@@ -14,12 +14,9 @@ The whole engine runs on four nested coefficient domains:
 * ``RationalFn``: quotient of two Polys, gcd-reduced, denominator
   normalized so its leading coefficient (in a fixed monomial order) is 1.
   A denominator of one is always the shared ``POLY_ONE``.
-* ``HSeries``: Laurent-style series sum_k c_k h^k with RationalFn
-  coefficients.  ``truncation`` is None for exact values (no truncation
-  ever happened) or the integer N such that terms beyond h^N were
-  dropped.  Arithmetic propagates the minimum truncation order; a product
-  loses one more order for each negative power of h in the other factor
-  (``product_truncation``).
+* ``HSeries``: exact Laurent polynomial sum_k c_k h^k with RationalFn
+  coefficients.  A value known only through some power of h is an
+  ``NCElement`` with an ``order``; its coefficients stay exact.
 
 All values are immutable after construction.
 """
@@ -910,26 +907,19 @@ def as_rationalfn(x):
 
 
 class HSeries:
-    """sum_k coeff[k] * h^k with RationalFn coefficients.
+    """sum_k coeff[k] * h^k with RationalFn coefficients, exact: a value
+    known only through some order of h is an NCElement with an ``order``."""
 
-    truncation is None when the value is exact (a finite h-polynomial no
-    truncation ever touched), otherwise the order N through which the
-    series is trusted.  Terms beyond the truncation are never stored.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "truncation")
-
-    def __init__(self, coeffs=None, truncation=None):
+    def __init__(self, coeffs=None):
         c = {}
         if coeffs:
             for k, v in coeffs.items():
                 v = as_rationalfn(v)
                 if v:
-                    if truncation is not None and k > truncation:
-                        continue
                     c[k] = v
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "truncation", truncation)
 
     def __setattr__(self, *a):
         raise AttributeError("HSeries is immutable")
@@ -937,16 +927,13 @@ class HSeries:
     @staticmethod
     def const(c):
         c = as_rationalfn(c)
-        return _hseries({0: c}, None) if c else H_ZERO
+        return _hseries({0: c}) if c else H_ZERO
 
     @staticmethod
     def h(power=1):
         return HSeries({power: RFN_ONE})
 
     # -- structure ----------------------------------------------------
-    def is_exact(self):
-        return self.truncation is None
-
     def min_power(self):
         return min(self.coeffs) if self.coeffs else None
 
@@ -968,23 +955,14 @@ class HSeries:
             out |= v.symbols()
         return out
 
-    @staticmethod
-    def _join(t1, t2):
-        if t1 is None:
-            return t2
-        if t2 is None:
-            return t1
-        return min(t1, t2)
-
     def truncate(self, order):
-        t = self.truncation if self.truncation is not None and self.truncation < order else order
-        return HSeries({k: v for k, v in self.coeffs.items() if k <= t}, t)
+        """The powers of h up to h^order."""
+        return _hseries({k: v for k, v in self.coeffs.items() if k <= order})
 
     # -- arithmetic -------------------------------------------------
     def __add__(self, other):
         if other.__class__ is not HSeries:
             other = as_hseries(other)
-        t = self._join(self.truncation, other.truncation)
         c = dict(self.coeffs)
         for k, v in other.coeffs.items():
             nv = c.get(k, RFN_ZERO) + v
@@ -992,14 +970,12 @@ class HSeries:
                 c[k] = nv
             else:
                 c.pop(k, None)
-        if t is not None:
-            c = {k: v for k, v in c.items() if k <= t}
-        return _hseries(c, t)
+        return _hseries(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _hseries({k: -v for k, v in self.coeffs.items()}, self.truncation)
+        return _hseries({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-as_hseries(other))
@@ -1008,15 +984,18 @@ class HSeries:
         return as_hseries(other) + (-self)
 
     def __mul__(self, other):
-        if other.__class__ is not HSeries:
-            other = as_hseries(other)
-        t = None if self.truncation is None and other.truncation is None \
-            else product_truncation(self, other)
+        return self.mul_through(as_hseries(other), None)
+
+    __rmul__ = __mul__
+
+    def mul_through(self, other, order):
+        """self * other for an HSeries other through h^order (None: all of
+        it); pairs past h^order are not multiplied."""
         c = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
-                if t is not None and k > t:
+                if order is not None and k > order:
                     continue
                 v = v1 * v2
                 old = c.get(k)
@@ -1025,9 +1004,7 @@ class HSeries:
                     c[k] = nv
                 else:
                     c.pop(k, None)
-        return _hseries(c, t)
-
-    __rmul__ = __mul__
+        return _hseries(c)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -1042,36 +1019,27 @@ class HSeries:
         return out
 
     def __truediv__(self, other):
-        """self / other for other = c*h^k (+ O(h^(t_o+1)) when truncated at
-        t_o).  The quotient is known through h^(t_a - k) when self is
-        truncated at t_a, and through h^(m_a + t_o - 2k) when other is, with
-        m_a the lowest power of self."""
+        """self / other for an h-monomial other = c*h^k."""
         other = as_hseries(other)
         if len(other.coeffs) != 1:
             raise ArithmeticError("HSeries division only by h-monomials; expand instead")
         (k, v), = other.coeffs.items()
-        bounds = []
-        if self.truncation is not None:
-            bounds.append(self.truncation - k)
-        if other.truncation is not None and self.coeffs:
-            bounds.append(self.min_power() + other.truncation - 2 * k)
         inv = RFN_ONE / v
-        return HSeries({p - k: c * inv for p, c in self.coeffs.items()},
-                       min(bounds, default=None))
+        return HSeries({p - k: c * inv for p, c in self.coeffs.items()})
 
     def scale(self, c):
         """self * c for a constant c (int, Fraction, GaussianRational) or a
-        Poly or RationalFn c; the truncation is kept."""
+        Poly or RationalFn c."""
         if isinstance(c, CONSTANT_TYPES):
             c, mul = as_gaussian(c), RationalFn.scale
         else:
             c, mul = as_rationalfn(c), RationalFn.__mul__
         if not c:
-            return _hseries({}, self.truncation)
-        return _hseries({k: mul(v, c) for k, v in self.coeffs.items()}, self.truncation)
+            return H_ZERO
+        return _hseries({k: mul(v, c) for k, v in self.coeffs.items()})
 
     def subs(self, mapping):
-        return HSeries({k: v.subs(mapping) for k, v in self.coeffs.items()}, self.truncation)
+        return HSeries({k: v.subs(mapping) for k, v in self.coeffs.items()})
 
     # -- comparisons ------------------------------------------------
     def __eq__(self, other):
@@ -1115,34 +1083,13 @@ class HSeries:
 
 
 _set_coeffs = HSeries.coeffs.__set__
-_set_truncation = HSeries.truncation.__set__
 
 
-def product_truncation(a, b):
-    """The order through which a * b is known, for HSeries a and b of which
-    at least one is truncated.  The error O(h^(t+1)) of a factor truncated
-    at t meets the other factor's lowest power h^low, so the product is
-    known through t + low; a truncated zero is O(h^(t+1)) as a whole.  Only
-    a negative low lowers the order (h^-1 times O(h^(t+1)) is O(h^t)); a
-    positive one is not used to raise it."""
-    ta, tb = a.truncation, b.truncation
-    low_a = min(a.coeffs) if a.coeffs else 0 if ta is None else ta + 1
-    low_b = min(b.coeffs) if b.coeffs else 0 if tb is None else tb + 1
-    if ta is not None and low_b < 0:
-        ta += low_b
-    if tb is not None and low_a < 0:
-        tb += low_a
-    if ta is None:
-        return tb
-    return ta if tb is None or ta < tb else tb
-
-
-def _hseries(coeffs, truncation):
+def _hseries(coeffs):
     """The HSeries with these coefficients, taken as they are: nonzero
-    RationalFns, none beyond the truncation."""
+    RationalFns."""
     out = _new(HSeries)
     _set_coeffs(out, coeffs)
-    _set_truncation(out, truncation)
     return out
 
 
@@ -1209,17 +1156,17 @@ class SeriesDomainError(ValueError):
 
 
 def _power_sum(x, order, coeff, domain_error):
-    """sum_k coeff(k) x^k through h^order, for x with no h^0 term and no
-    negative power (else SeriesDomainError(domain_error)); the sum stops at
-    the first power of x that truncates to zero."""
+    """The exact polynomial sum_k coeff(k) x^k through h^order, for x with no
+    h^0 term and no negative power (else SeriesDomainError(domain_error));
+    the sum stops at the first power of x with no term through h^order."""
     x = as_hseries(x)
     if x.constant_term() or (x.min_power() is not None and x.min_power() < 0):
         raise SeriesDomainError(domain_error)
     x = x.truncate(order)
-    power = H_ONE.truncate(order)
+    power = H_ONE
     out = power.scale(coeff(0))
     for k in range(1, order + 1):
-        power = (power * x).truncate(order)
+        power = power.mul_through(x, order)
         if not power:
             break
         out = out + power.scale(coeff(k))

@@ -7,15 +7,13 @@ import pytest
 from kappa_hopf.suites import SuiteConfig, run_suite
 
 
-@pytest.mark.parametrize("suite", ["projrep", "duality"])
+@pytest.mark.parametrize("suite", ["projrep", "duality", "group"])
 def test_suite_run_leaves_no_cyclic_garbage(suite):
     """With the cyclic collector off, one run leaves no object that only the
     collector could free: a reference cycle (such as a recursive closure's
-    cell) would keep its state alive until a collection reached it.
-
-    The group suite is not covered: its strip_quotient clone of the group
-    presentation sits in a cycle with its HopfData and elements, 91 objects
-    per run."""
+    cell, or a presentation cloned per run, which sits in a cycle with its
+    HopfData and elements) would keep its state alive until a collection
+    reached it."""
     cfg = SuiteConfig(suite=suite, order=2, rep_order=1, seed=42)  # loads the models
     gc.collect()
     flags = gc.get_debug()

@@ -381,15 +381,6 @@ def test_residual_scatter_agrees_with_per_word_oracle(monkeypatch):
                                                    (h, ("a[1]",))], 3, "q")],
         "symbolic": [PoissonQuery("tau", "a[2]",
                                   [(HSeries({1: RationalFn(m, m + 1)}), ("a[2]",))], 3, "q")],
-        # the truncation drops h terms, so the sides are not linear in the
-        # pairings: the h^0 parts below cancel and the truncation still fails
-        "truncated_h0": [PoissonQuery("tau", "a[1]", [(HSeries({0: 2}, 0), ("a[1]",)),
-                                                      (h, ("a[1]",))], 3, "q"),
-                         PoissonQuery("tau", "a[1]", [(HSeries({0: 1}, 0), ("a[1]",)),
-                                                      (HSeries({0: -1, 1: 1}), ("a[1]",))],
-                                      3, "cancel")],
-        "truncated_h1": [PoissonQuery("tau", "a[1]", [(HSeries({1: 1, 2: 5}, 1), ("a[1]",))],
-                                      3, "q")],
         "empty": [PoissonQuery("tau", "a[1]", [], 3, "nonzero"),
                   PoissonQuery("R[1,2]", "R[2,3]", [], 3, "zero")],
         "mixed": [PoissonQuery("tau", "a[1]", [(h, ("a[1]",))], 3, "pass"),
@@ -411,7 +402,7 @@ def test_residual_scatter_agrees_with_per_word_oracle(monkeypatch):
         assert got == want, name
         statuses.update(c.status for c in checks)
         # the series sides are built for the failing words only, apart
-        # from a symbolic or truncated coefficient
+        # from a symbolic coefficient
         if name in ("sign_flip", "h0_and_h2", "empty"):
             fails = sum(int(r.split("(")[-1].split()[0]) for s, r, _ in want if s == "fail")
             assert len(sides) == fails, name

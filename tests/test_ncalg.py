@@ -319,6 +319,63 @@ def test_h_expand_builds_each_letter_series_once(monkeypatch):
     assert normal_order(total) == normal_order(separately)
 
 
+def _scalars(*series):
+    """One-slot scalar elements of a one-generator presentation, and its
+    generator z."""
+    p = Presentation("scalars", [GenDecl("z")])
+    ctx = TensorContext((p,))
+    return [NCElement.scalar(ctx, c) for c in series] + [p.gen_element("z")]
+
+
+def test_precision_of_sums_and_products():
+    a, b, z = _scalars(HSeries({0: 1, 1: 2}), HSeries({0: 1, 2: 5}))
+    a, b = a.truncate(3), b.truncate(2)
+    assert (a * b).order == (a + b).order == (b - a).order == 2
+    assert (a * b).scalar_part() == HSeries({0: 1, 1: 2, 2: 5})
+    assert (a + z).order == 3 and (z * z).order is None
+    assert z.truncate(5).truncate(1).order == 1
+    # scaling by a constant keeps the order; by zero, the result is exact
+    assert a.scale(F(3, 2)).order == 3 and a.scale(0).order is None
+
+
+def test_product_precision_with_negative_powers():
+    inv_h, one_h, z = _scalars(HSeries.h(-1), HSeries({0: 1, 1: 1}))
+    # h^-1 (1 + h + O(h^3)) = h^-1 + 1 + O(h^2): the unknown h^3 term
+    # reaches the product at h^2, in either order
+    a = one_h.truncate(2)
+    for q in (inv_h * a, a * inv_h, a.scale(HSeries.h(-1))):
+        assert (q.order, q.scalar_part()) == (1, HSeries({-1: 1, 0: 1}))
+    # h^-2 drops two orders, and the known terms past the new order go
+    three, wide, _ = _scalars(HSeries({-2: 3}), HSeries({0: 1, 1: 2, 2: 5}))
+    q = three * wide.truncate(2)
+    assert (q.order, q.scalar_part()) == (0, HSeries({-2: 3, -1: 6, 0: 15}))
+    # both truncated: each error meets the other's lowest power
+    assert (inv_h.truncate(4) * one_h.truncate(2)).order == 1
+    # a truncated zero is O(h^(t+1)) as a whole: O(h^-1) O(h^-2) = O(h^-3)
+    zero = NCElement.zero(z.context)
+    assert (zero.truncate(-2) * zero.truncate(-3)).order == -4
+    # nonnegative powers keep the minimum; exact by exact stays exact
+    assert (z.scale(HSeries.h(2)) * a).order == 2
+    assert (inv_h * one_h).order is None
+    # (1 + O(h^4)) / h = h^-1 + O(h^3)
+    q = one_h.truncate(3).scale(HSeries({-1: 1}))
+    assert (q.order, q.scalar_part()) == (2, HSeries({-1: 1, 0: 1}))
+
+
+def test_product_precision_does_not_depend_on_term_order():
+    """x1 = 1 + (h + O(h^2))*z and x2, the same terms inserted in the other
+    order, times y = z + h: the products have equal terms and precision."""
+    h, z = _scalars(HSeries.h(1))
+    one = NCElement.one(z.context)
+    x1 = (one + (z * h)).truncate(1)
+    x2 = ((z * h) + one).truncate(1)
+    y = z + h
+    assert list(x1.terms) != list(x2.terms)
+    p1, p2 = x1 * y, x2 * y
+    assert (p1.terms, p1.order) == (p2.terms, p2.order)
+    assert p1 == z + h + (z * z).scale(HSeries.h(1)) and p1.order == 1
+
+
 def _reference_product(left, right, n):
     """Terms of a product of two term dicts, pair by pair, nothing skipped."""
     t = {}
@@ -335,12 +392,33 @@ def _reference_product(left, right, n):
     return t
 
 
+def _precision(factors):
+    """The order through which a product is known, from the (order, lowest
+    h power) of its factors: the least order_i + the other factors' negative
+    lowest powers, None when every factor is exact."""
+    lows = [min(low, 0) for _, low in factors]
+    known = [o + sum(lows) - lows[i] for i, (o, _) in enumerate(factors) if o is not None]
+    return min(known, default=None)
+
+
+def _lowest(el):
+    """The lowest power of h in el; a zero known through h^t is O(h^(t+1))."""
+    default = 0 if el.order is None else el.order + 1
+    return min((min(c.coeffs) for c in el.terms.values()), default=default)
+
+
 def _reference_extend_letterwise(e, target, slot_maps, reverse=False, order=None):
-    """Reference for extend_letterwise: each term multiplied by the full
-    image of every letter, every pair formed, truncated after the product."""
+    """Reference for extend_letterwise: each term multiplied exactly by the
+    full image of every letter, every pair formed, and the sum truncated at
+    the least precision of the terms' products.  A partial product is cut
+    only past that precision less the remaining factors' negative lowest
+    powers, where no kept power can reach it."""
+    if order is not None:
+        e = e.truncate(order)
     n = target.slot_count
     images = {}
-    out = {}
+    work = []
+    orders = [e.order]
     for w, c in e.terms.items():
         base = [()] * n
         factors = []
@@ -354,26 +432,32 @@ def _reference_extend_letterwise(e, target, slot_maps, reverse=False, order=None
                 if img is None:
                     img = images[(s, gi, pw)] = m(gi, pw)
                 factors.append(img)
-        term = {tuple(base): c}
-        for img in factors:
-            if not term:
-                break
+        orders.append(_precision([(e.order, _lowest(e))]
+                                 + [(img.order, _lowest(img)) for img in factors]))
+        work.append((tuple(base), c, factors))
+    known = min((o for o in orders if o is not None), default=None)
+    out = {}
+    for base, c, factors in work:
+        term = {base: c}
+        for i, img in enumerate(factors):
             term = _reference_product(term, img.terms, n)
+            if known is not None:
+                reach = known - sum(min(_lowest(f), 0) for f in factors[i + 1:])
+                term = {tw: tc.truncate(reach) for tw, tc in term.items() if tc.truncate(reach)}
         for tw, tc in term.items():
-            if order is not None:
-                tc = tc.truncate(order)
             old = out.get(tw)
             nc = tc if old is None else old + tc
             if nc:
                 out[tw] = nc
             else:
                 out.pop(tw, None)
-    return NCElement(target, out)
+    out = NCElement(target, out)
+    return out if known is None else out.truncate(known)
 
 
 def _oracle_coeff(rng):
     """A few h powers from -1 to 3 with Gaussian, symbolic and fractional
-    coefficients, exact or truncated at 0..3."""
+    coefficients."""
     alpha = Poly.var("alpha")
     coeffs = {}
     for _ in range(rng.randint(1, 3)):
@@ -382,7 +466,13 @@ def _oracle_coeff(rng):
             num = num + alpha.scale(rng.randint(1, 2))
         den = rng.choice([Poly.const(1), Poly.const(rng.randint(2, 3)), alpha + Poly.const(1)])
         coeffs[rng.randint(-1, 3)] = RationalFn(num, den)
-    return HSeries(coeffs, rng.choice([None, None, 0, 1, 2, 3]))
+    return HSeries(coeffs)
+
+
+def _oracle_precision(el, rng):
+    """el exact or known through h^0..h^3."""
+    order = rng.choice([None, None, 0, 1, 2, 3])
+    return el if order is None else el.truncate(order)
 
 
 def _oracle_word(p, rng, slots, used):
@@ -399,17 +489,19 @@ def _oracle_word(p, rng, slots, used):
 
 def _oracle_image(p, ctx, rng, used):
     """A letter image in ctx, with words only in the slots `used`: a unit
-    word, a unit word under a truncation, zero, or a random sum."""
+    word, a unit word known through some order, zero, or a random sum of
+    any precision."""
     kind = rng.random()
     if kind < 0.35:
         return NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): H_ONE})
     if kind < 0.45:
-        one = H_ONE.truncate(rng.randint(1, 3))
-        return NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): one})
+        one = NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): H_ONE})
+        return one.truncate(rng.randint(1, 3))
     if kind < 0.5:
         return NCElement.zero(ctx)
-    return NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): _oracle_coeff(rng)
-                           for _ in range(rng.randint(1, 4))})
+    return _oracle_precision(
+        NCElement(ctx, {_oracle_word(p, rng, ctx.slot_count, used): _oracle_coeff(rng)
+                        for _ in range(rng.randint(1, 4))}), rng)
 
 
 def _oracle_element(p, ctx, rng):
@@ -417,15 +509,13 @@ def _oracle_element(p, ctx, rng):
     for _ in range(rng.randint(1, 5)):
         word = _oracle_word(p, rng, ctx.slot_count, range(ctx.slot_count))
         terms[word] = _oracle_coeff(rng)
-    return NCElement(ctx, terms)
+    return _oracle_precision(NCElement(ctx, terms), rng)
 
 
 @pytest.mark.parametrize("layout", ["one slot", "two slots", "int slot map"])
 def test_letterwise_kernel_matches_the_reference_product_loop(layout):
-    """Exact terms and per-coefficient truncations of extend_letterwise equal
-    the reference loop's on seeded random elements and images.  With an
-    order, the reference gets the input truncated at h^order, which the
-    kernel does itself."""
+    """The terms and the order of extend_letterwise equal the reference
+    loop's on seeded random elements and images of every precision."""
     p = Presentation("oracle", [GenDecl("x"), GenDecl("y"), GenDecl("E", grouplike=True)])
     rng = random.Random(f"letterwise {layout}")
     slots = 1 if layout == "one slot" else 2
@@ -451,41 +541,19 @@ def test_letterwise_kernel_matches_the_reference_product_loop(layout):
         for reverse in (False, True):
             for order in (None, 0, 1, 2, 3):
                 got = extend_letterwise(e, target, maps, reverse=reverse, order=order)
-                ref = _reference_extend_letterwise(
-                    e if order is None else e.truncate(order), target, maps,
-                    reverse=reverse, order=order)
+                ref = _reference_extend_letterwise(e, target, maps, reverse=reverse,
+                                                   order=order)
                 assert got.context == ref.context
-                assert got.terms == ref.terms
-                assert {w: c.truncation for w, c in got.terms.items()} \
-                    == {w: c.truncation for w, c in ref.terms.items()}
+                assert (got.terms, got.order) == (ref.terms, ref.order)
                 compared += len(ref.terms)
     assert compared > 500
-
-
-def test_skipped_pair_still_lowers_a_summed_truncation():
-    """x*y at order 2, x -> 1 + h*z (h known through h^1), y -> z + h^2: the
-    pair (h*z, h^2) is past the order and not formed, yet the word z it
-    lands on is then known only through h^1, as in the reference loop."""
-    p = Presentation("oracle", [GenDecl("x"), GenDecl("y"), GenDecl("z")])
-    ctx = TensorContext((p,))
-    x, y, z = ((0, 1),), ((1, 1),), ((2, 1),)
-    images = {0: NCElement(ctx, {((),): H_ONE, (z,): HSeries({1: 1}, 1)}),
-              1: NCElement(ctx, {(z,): H_ONE, ((),): HSeries({2: 1})})}
-    e = NCElement(ctx, {(x + y,): H_ONE})
-    maps = [lambda gi, pw: images[gi]]
-    got = extend_letterwise(e, ctx, maps, order=2)
-    ref = _reference_extend_letterwise(e.truncate(2), ctx, maps, order=2)
-    assert got.terms == ref.terms
-    assert {w: c.truncation for w, c in got.terms.items()} \
-        == {w: c.truncation for w, c in ref.terms.items()}
-    assert got.terms[(z,)].truncation == 1
 
 
 @pytest.mark.parametrize("letter", [("L", (1,)), ("EE", ())])
 def test_h_expand_raw_forms_no_unit_or_past_order_products(monkeypatch, letter):
     """Work count on the casimir commutators C2 x L[1] and C2 x EE at order 3:
-    h_expand_raw forms no HSeries product with a unit-letter image and none
-    whose lowest h powers add past the order (the exponential series
+    h_expand_raw forms no HSeries product with a unit-letter image, and
+    every product it forms stops at h^order (the exponential series
     themselves are not counted)."""
     kappa = load_model("galilei_algebra_kappa")
     c2 = load_casimirs_in(kappa)["C2"]
@@ -494,12 +562,12 @@ def test_h_expand_raw_forms_no_unit_or_past_order_products(monkeypatch, letter):
     order = 3
     products = []
     in_series = []
-    real_mul, real_exp = HSeries.__mul__, ncalg._exp_series
+    real_mul, real_exp = HSeries.mul_through, ncalg._exp_series
 
-    def spy_mul(a, b):
+    def spy_mul(a, b, bound):
         if not in_series:
-            products.append((a, b))
-        return real_mul(a, b)
+            products.append(bound)
+        return real_mul(a, b, bound)
 
     def exp_series(*args):
         in_series.append(True)
@@ -508,7 +576,7 @@ def test_h_expand_raw_forms_no_unit_or_past_order_products(monkeypatch, letter):
         finally:
             in_series.pop()
 
-    monkeypatch.setattr(HSeries, "__mul__", spy_mul)
+    monkeypatch.setattr(HSeries, "mul_through", spy_mul)
     monkeypatch.setattr(ncalg, "_exp_series", exp_series)
     got = h_expand_raw(e, order)
     monkeypatch.undo()
@@ -516,9 +584,8 @@ def test_h_expand_raw_forms_no_unit_or_past_order_products(monkeypatch, letter):
         assert products == []  # every letter is a unit word
     else:
         assert products  # EE's series still multiplies out
-    for a, b in products:
-        assert not any(c.truncation is None and c == H_ONE for c in (a, b))
-        assert a.min_power() + b.min_power() <= order
+    assert all(bound == order for bound in products)
+    assert got.order == order
     assert normal_order(got).is_zero()  # C2 is central through h^3
 
 
@@ -606,7 +673,7 @@ def _reference_normal_order(e):
 
 def _generator_product(ctx, rng):
     """A sum of up to four products of 2-5 generators per slot, in random
-    order, with _oracle_coeff's exact or truncated coefficients."""
+    order, with _oracle_coeff's coefficients, of any precision."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
         word = []
@@ -617,27 +684,28 @@ def _generator_product(ctx, rng):
                 letters.append((gi, rng.choice([-1, 1, 2]) if p.gens[gi].grouplike else 1))
             word.append(tuple(letters))
         terms[tuple(word)] = _oracle_coeff(rng)
-    return NCElement(ctx, terms)
+    return _oracle_precision(NCElement(ctx, terms), rng)
 
 
 @pytest.mark.parametrize("layout", ["algebra", "group", "two slots"])
 def test_normal_order_matches_the_term_by_term_loop(layout):
-    """Summing like terms before rewriting them changes nothing: terms and
-    per-coefficient truncations equal the term-by-term loop's."""
+    """Summing like terms before rewriting them changes nothing: the terms
+    equal the term-by-term loop's through the input's order, which the
+    normal form keeps."""
     kappa = load_model("galilei_algebra_kappa")
     group = load_model("galilei_group_kappa")
     slots = {"algebra": (kappa,), "group": (group,), "two slots": (kappa, kappa)}[layout]
     ctx = TensorContext(slots)
     rng = random.Random(f"normal order {layout}")
     compared = 0
-    for _ in range(40):
+    for _ in range(60):
         e = _generator_product(ctx, rng)
         got = normal_order(e)
-        ref = _reference_normal_order(e)
-        assert got.terms == ref
-        assert {w: c.truncation for w, c in got.terms.items()} \
-            == {w: c.truncation for w, c in ref.items()}
-        compared += len(ref)
+        ref = NCElement(ctx, _reference_normal_order(e))
+        if e.order is not None:
+            ref = ref.truncate(e.order)
+        assert (got.terms, got.order) == (ref.terms, e.order)
+        compared += len(ref.terms)
     assert compared > 200
 
 
@@ -716,12 +784,14 @@ _INV_H = HSeries({-1: RationalFn(Poly.const(GaussianRational(0, F(1, 2))))})
 
 
 def _commutator_operand(p, ctx, rng, kind):
-    """A seeded random operand for the commutator oracle, whose terms share
-    one truncation and one lowest h power sign, as the engine's elements
-    do: exact, truncated at h^0..h^3, classical coefficients times the
-    h^-1 factor (exact or truncated), zero, or a single term."""
+    """A seeded random operand for the commutator oracle: exact, known
+    through h^0..h^3, classical coefficients times the h^-1 factor (exact
+    or truncated), zero, a single term, or _oracle_element's terms, whose
+    lowest h powers differ."""
     if kind == "zero":
         return NCElement.zero(ctx)
+    if kind == "oracle":
+        return _oracle_element(p, ctx, rng)
     alpha = Poly.var("alpha")
 
     def coeff(powers):
@@ -746,16 +816,16 @@ def _commutator_operand(p, ctx, rng, kind):
 
 
 _OPERAND_KINDS = ("exact", "truncated", "inverse h", "inverse h truncated",
-                  "zero", "one term")
+                  "zero", "one term", "oracle")
 
 
 @pytest.mark.parametrize("layout", ["group 2d, one slot", "group 2d, three slots",
                                     "kappa algebra"])
 def test_commutator_matches_the_element_difference(layout):
     """commutator(x, y), summed over word brackets, has the terms and the
-    per-word truncations of normal_order(x*y - y*x), for every pair of
-    operand kinds; one bracket table serves every call of a layout, and a
-    call without one gives the same element."""
+    order of normal_order(x*y - y*x), for every pair of operand kinds; one
+    bracket table serves every call of a layout, and a call without one
+    gives the same element."""
     name, slots = {"group 2d, one slot": ("galilei_group_2d", 1),
                    "group 2d, three slots": ("galilei_group_2d", 3),
                    "kappa algebra": ("galilei_algebra_kappa", 1)}[layout]
@@ -772,9 +842,7 @@ def test_commutator_matches_the_element_difference(layout):
                 want = normal_order(x * y - y * x)
                 for got in (commutator(x, y, table=table), commutator(x, y)):
                     assert got.context == ctx
-                    assert got.terms == want.terms, (kx, ky)
-                    assert {w: c.truncation for w, c in got.terms.items()} \
-                        == {w: c.truncation for w, c in want.terms.items()}, (kx, ky)
+                    assert (got.terms, got.order) == (want.terms, want.order), (kx, ky)
                 compared += len(want.terms)
     assert compared > 200
     assert table.pairs
@@ -806,21 +874,21 @@ def test_commutator_forms_one_product_per_nonzero_bracket(monkeypatch):
     g2 = load_model("galilei_group_2d")
     x = NCElement(TensorContext((g2,)), {
         (((2, 1),),): HSeries({0: Poly.var("m")}),
-        (((0, 1), (2, 1)),): HSeries({1: Poly.var("p")}, 2),
-    })
+        (((0, 1), (2, 1)),): HSeries({1: Poly.var("p")}),
+    }).truncate(2)
     y = NCElement(x.context, {
         (((2, 1),),): HSeries({0: Poly.var("q")}),
-        (((0, 1), (2, 1)),): HSeries({1: Poly.var("r")}, 2),
-    })
+        (((0, 1), (2, 1)),): HSeries({1: Poly.var("r")}),
+    }).truncate(2)
     pairs = []
-    real_mul = HSeries.__mul__
+    real_mul = HSeries.mul_through
 
-    def spy(a, b):
+    def spy(a, b, order):
         if a.symbols() and b.symbols():
             pairs.append((a, b))
-        return real_mul(a, b)
+        return real_mul(a, b, order)
 
-    monkeypatch.setattr(HSeries, "__mul__", spy)
+    monkeypatch.setattr(HSeries, "mul_through", spy)
     got = commutator(x, y)
     monkeypatch.undo()
     assert not got.is_zero() and got == normal_order(x * y - y * x)

@@ -322,12 +322,15 @@ def _general_as_rationalfn(x):
 
 def _general_hseries_scale(self, c):
     c = scalars.as_rationalfn(c)
-    return HSeries({k: v * c for k, v in self.coeffs.items()} if c else {}, self.truncation)
+    return HSeries({k: v * c for k, v in self.coeffs.items()} if c else {})
 
 
 def _general_ncelement_scale(self, c):
     c = as_hseries(c)
-    return NCElement(self.context, {w: v * c for w, v in self.terms.items()} if c else {})
+    out = NCElement(self.context, {w: v * c for w, v in self.terms.items()} if c else {})
+    if self.order is None or not c:
+        return out
+    return out.truncate(self.order + min(c.min_power(), 0))
 
 
 def _use_general_paths(monkeypatch):
@@ -358,9 +361,8 @@ def _shape(x, fast=False):
         assert not fast or (x.den == POLY_ONE) == (x.den is POLY_ONE)
         return str(x), hash(x), list(x.num.terms), list(x.den.terms)
     if isinstance(x, HSeries):
-        return (str(x), hash(x), x.truncation,
-                [(k, _shape(v, fast)) for k, v in x.coeffs.items()])
-    return [(w, _shape(c, fast)) for w, c in x.terms.items()]
+        return str(x), hash(x), [(k, _shape(v, fast)) for k, v in x.coeffs.items()]
+    return x.order, [(w, _shape(c, fast)) for w, c in x.terms.items()]
 
 
 def test_constant_fast_paths_agree_with_general_path(monkeypatch):
@@ -389,12 +391,13 @@ def test_constant_fast_paths_agree_with_general_path(monkeypatch):
         return RationalFn(poly(), _rand_poly(rng, 1))
 
     def series():
-        return HSeries({k: rfn() for k in range(rng.randint(0, 3))},
-                       rng.choice([None, 1, 2]))
+        return HSeries({k: rfn() for k in range(rng.randint(0, 3))})
 
     def element():
         words = [((),), (((0, 1), (1, 1)),), (((1, 1),),)]
-        return NCElement(ctx, {w: series() for w in words})
+        el = NCElement(ctx, {w: series() for w in words})
+        order = rng.choice([None, 1, 2])
+        return el if order is None else el.truncate(order)
 
     ops = [
         lambda: poly() * constant(),
@@ -538,14 +541,7 @@ def test_hseries_truncation_is_multiplicative():
         b = HSeries({k: rand_gaussian(rng, 5) for k in range(0, 5)})
         n = rng.randint(0, 4)
         assert (a * b).truncate(n) == (a.truncate(n) * b.truncate(n)).truncate(n)
-    # truncation metadata propagates as the min of the operands
-    a = HSeries({0: 1, 1: 2}, truncation=3)
-    b = HSeries({0: 1, 2: 5}, truncation=2)
-    assert (a * b).truncation == 2
-    assert (a + b).truncation == 2
-    exact = HSeries({0: 1, 4: 1})
-    assert exact.is_exact()
-    assert (exact * exact).is_exact()
+        assert a.mul_through(b, n) == (a * b).truncate(n)
 
 
 def test_hseries_laurent_powers():
@@ -555,48 +551,11 @@ def test_hseries_laurent_powers():
     assert (x / HSeries.h(1)) == HSeries({0: 3, 1: 5})
     assert x.has_negative_powers() is False
     assert inv_h.has_negative_powers()
-
-
-def test_hseries_product_truncation_with_negative_powers():
-    # h^-1 (1 + h + O(h^3)) = h^-1 + 1 + O(h^2): the unknown h^3 term
-    # reaches the product at h^2, in either order
-    inv_h = HSeries.h(-1)
-    a = HSeries({0: 1, 1: 1}, 2)
-    for q in (inv_h * a, a * inv_h):
-        assert (q.truncation, q) == (1, HSeries({-1: 1, 0: 1}))
-    # h^-2 drops two orders, and the known terms past the new order go
-    q = HSeries({-2: 3}) * HSeries({0: 1, 1: 2, 2: 5}, 2)
-    assert (q.truncation, q) == (0, HSeries({-2: 3, -1: 6, 0: 15}))
-    # both truncated: each error meets the other's lowest power
-    q = HSeries({-1: 1}, 4) * HSeries({0: 1}, 2)
-    assert q.truncation == 1
-    # a truncated zero is O(h^(t+1)) as a whole: O(h^-1) O(h^-2) = O(h^-3)
-    assert (HSeries({}, -2) * HSeries({}, -3)).truncation == -4
-    # nonnegative powers keep the minimum; exact by exact stays exact
-    assert (HSeries.h(2) * a).truncation == 2
-    assert (inv_h * HSeries({0: 1, 1: 1})).is_exact()
-    # a product the projrep tau exponent forms: -i/h times log1p through h^3
-    lg = series_log1p(HSeries({1: F(1, 2)}), 3)
-    assert (lg * HSeries({-1: -GR_I})).truncation == 2
-
-
-def test_hseries_division_truncation():
-    h = HSeries.h(1)
-    # (h + h^2 + O(h^3)) / (h + O(h^3)) = 1 + h + O(h^2): the divisor's
-    # unknown h^3 term reaches the quotient at h^2
-    q = HSeries({1: 1, 2: 1}, 2) / HSeries({1: 1}, 2)
-    assert (q.truncation, q) == (1, HSeries({0: 1, 1: 1}))
-    # (1 + O(h^4)) / h = h^-1 + O(h^3)
-    q = HSeries({0: 1}, 3) / h
-    assert (q.truncation, q) == (2, HSeries({-1: 1}))
-    # 1 / (h + O(h^3)) = h^-1 + O(h)
-    q = HSeries.const(1) / HSeries({1: 1}, 2)
-    assert (q.truncation, q) == (0, HSeries({-1: 1}))
-    # exact by exact stays exact, and undoes the product
+    # division by an h-monomial is exact, and undoes the product
     x = HSeries({0: 2, 3: F(1, 3)})
     d = HSeries({1: GR_I})
     q = x / d
-    assert q.is_exact() and q == HSeries({-1: GaussianRational(0, -2), 2: GaussianRational(0, F(-1, 3))})
+    assert q == HSeries({-1: GaussianRational(0, -2), 2: GaussianRational(0, F(-1, 3))})
     assert q * d == x
     with pytest.raises(ArithmeticError):
         x / HSeries({0: 1, 1: 1})
@@ -626,7 +585,7 @@ def test_series_log1p_matches_taylor_oracle():
     x = HSeries({1: RationalFn((m * v * v).scale(F(1, 2)))})
     lg = series_log1p(x, 2)
     want = HSeries({1: RationalFn((m * v * v).scale(F(1, 2))),
-                    2: RationalFn((m * m * v ** 4).scale(F(-1, 8)))}, 2)
+                    2: RationalFn((m * m * v ** 4).scale(F(-1, 8)))})
     assert lg == want
     # rational-coefficient oracle comparison across orders
     coeffs = [F(0), F(3, 2), F(-1, 3), F(2)]
@@ -638,7 +597,7 @@ def test_series_log1p_matches_taylor_oracle():
 
 
 def test_series_log1p_trivial_and_inverse_identity():
-    assert series_log1p(HSeries(), 3) == HSeries().truncate(3)
+    assert series_log1p(HSeries(), 3) == HSeries()
     m, v = Poly.var("m"), Poly.var("v")
     x = HSeries({1: RationalFn((m * v * v).scale(F(1, 2)))})
     # exp(log1p(x, N)) = 1 + x through h^N for N = 4
@@ -651,13 +610,12 @@ def test_series_exp_examples():
     got = series_exp(x, 2)
     want = HSeries({0: RationalFn(POLY_ONE),
                     1: RationalFn(p0.scale(F(1, 2))),
-                    2: RationalFn((p0 * p0).scale(F(1, 8)))}, 2)
+                    2: RationalFn((p0 * p0).scale(F(1, 8)))})
     assert got == want
-    assert series_exp(HSeries(), 5) == HSeries.const(1).truncate(5)
+    assert series_exp(HSeries(), 5) == HSeries.const(1)
     m, v = Poly.var("m"), Poly.var("v")
     a = HSeries({1: RationalFn(m * v)})
-    assert (series_exp(a, 3) * series_exp(-a, 3)).truncate(3) \
-        == HSeries.const(1).truncate(3)
+    assert (series_exp(a, 3) * series_exp(-a, 3)).truncate(3) == HSeries.const(1)
 
 
 def test_series_domain_errors():
