@@ -561,6 +561,69 @@ def test_hseries_laurent_powers():
         x / HSeries({0: 1, 1: 1})
 
 
+def _through(order, low):
+    """The order through which a product of a factor known through h^order
+    and an exact factor with lowest h power low is known."""
+    return order + min(low, 0)
+
+
+def test_hseries_product_truncation_with_negative_powers():
+    # h^-1 (1 + h + O(h^3)) = h^-1 + 1 + O(h^2): the unknown h^3 term
+    # reaches the product at h^2, in either order
+    inv_h = HSeries.h(-1)
+    a = HSeries({0: 1, 1: 1, 3: 7})
+    n = _through(2, -1)
+    assert n == 1
+    for q in ((inv_h * a.truncate(2)).truncate(n), (a.truncate(2) * inv_h).truncate(n),
+              a.truncate(2).mul_through(inv_h, n), (inv_h * a).truncate(n)):
+        assert q == HSeries({-1: 1, 0: 1})
+    # h^-2 drops two orders, and the known terms past the new order go
+    wide = HSeries({0: 1, 1: 2, 2: 5, 3: 11})
+    q = HSeries({-2: 3}).mul_through(wide.truncate(2), _through(2, -2))
+    assert q == HSeries({-2: 3, -1: 6, 0: 15})
+    assert q == (HSeries({-2: 3}) * wide).truncate(0)
+    # the precision rule min(order_x + low_y, order_y + low_x) is exactly what
+    # truncating both factors keeps of the product
+    rng = random.Random(11)
+    for _ in range(40):
+        la, lb = rng.randint(-2, 1), rng.randint(-2, 1)
+        x = HSeries({k: rand_gaussian(rng, 5) for k in range(la, la + 5)})
+        y = HSeries({k: rand_gaussian(rng, 5) for k in range(lb, lb + 5)})
+        nx, ny = rng.randint(la, la + 4), rng.randint(lb, lb + 4)
+        m = min(_through(nx, lb), _through(ny, la))
+        assert (x.truncate(nx) * y.truncate(ny)).truncate(m) == (x * y).truncate(m)
+    # a product the projrep tau exponent forms: -i/h times log1p through h^3
+    # is known through h^2, and log1p through h^4 agrees there
+    lg3 = series_log1p(HSeries({1: F(1, 2)}), 3)
+    lg4 = series_log1p(HSeries({1: F(1, 2)}), 4)
+    tau = HSeries({-1: -GR_I})
+    assert (lg3 * tau).truncate(_through(3, -1)) == (lg4 * tau).truncate(2)
+    assert lg3 * tau != (lg4 * tau).truncate(3)
+
+
+def test_hseries_division_truncation():
+    h = HSeries.h(1)
+    # (1 + 7h^4) / h = h^-1 + 7h^3: dividing by h^k moves the order down by k,
+    # so (1 + O(h^4)) / h = h^-1 + O(h^3)
+    x = HSeries({0: 1, 4: 7})
+    assert x / h == HSeries({-1: 1, 3: 7})
+    assert (x.truncate(3) / h) == (x / h).truncate(2) == HSeries({-1: 1})
+    # (h + h^2 + O(h^3)) / h = 1 + h + O(h^2)
+    y = HSeries({1: 1, 2: 1, 3: 4})
+    assert y.truncate(2) / h == (y / h).truncate(1) == HSeries({0: 1, 1: 1})
+    # division by c*h^k commutes with truncation at the shifted order
+    rng = random.Random(5)
+    for _ in range(30):
+        x = HSeries({k: rand_gaussian(rng, 5) for k in range(-2, 4)})
+        k, n = rng.randint(-2, 2), rng.randint(-2, 3)
+        d = HSeries({k: rand_gaussian(rng, 5) or GR_ONE})
+        assert x.truncate(n) / d == (x / d).truncate(n - k)
+        assert (x / d) * d == x
+    # a truncated non-monomial divisor has no quotient here
+    with pytest.raises(ArithmeticError):
+        HSeries.const(1) / HSeries({1: 1, 3: 1})
+
+
 def _log1p_oracle(x_coeffs, order):
     """Coefficients of ln(1 + x(t)) via the ODE (1+x) f' = x', solved term by
     term; independent of the implementation's direct power sum."""
