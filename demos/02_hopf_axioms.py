@@ -12,7 +12,7 @@ coproduct stops being an algebra map.  The demo shows that residual.
 """
 
 from kappa_hopf import apply_coproduct, coproduct, verify_bialgebra
-from kappa_hopf.hopf import _rule_sides, evaluate_raw
+from kappa_hopf.hopf import _rule_difference, evaluate_raw
 from kappa_hopf.models import load_model, load_printed_variant
 
 kappa = load_model("galilei_algebra_kappa")
@@ -27,8 +27,7 @@ print(f"\nHopf axioms for g_kappa: {len(checks)} checks, {len(failed)} failed")
 printed = load_printed_variant()
 for (hi, lo) in sorted(printed.rules):
     if printed.gens[hi].name == "L" and printed.gens[lo].name == "L":
-        lhs, rhs = _rule_sides(printed, hi, lo, 1, 1)
-        res = evaluate_raw(apply_coproduct(lhs - rhs, 0), "formal", 3)
+        res = evaluate_raw(apply_coproduct(_rule_difference(printed, hi, lo, 1, 1), 0), "formal", 3)
         lab = f"{printed.gens[hi].label()}*{printed.gens[lo].label()}"
         print(f"\nprinted [L,L] coefficient (no i): Delta breaks on {lab}:")
         print("  residual =", res.formal.render()[:160], "...")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .ncalg import (
     NCElement,
@@ -126,6 +127,7 @@ class ModeResiduals:
     series: NCElement | None = None
     modes_agree: bool | None = None
     _zero: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def mode_zero(self, mode, oracle=None):
         """Exact verdict on the `mode` residual modulo any quotient, decided
@@ -134,17 +136,27 @@ class ModeResiduals:
             self._zero[mode] = zero_mod_quotient(getattr(self, mode), oracle=oracle)
         return self._zero[mode]
 
-    def residual_zero(self):
-        return all(self.mode_zero(m) for m in ("formal", "series")
-                   if getattr(self, m) is not None)
+    def residual_zero(self, oracle=None):
+        """Exact verdict on every mode, each decided once; an oracle cross-checks new ones."""
+        return all([self.mode_zero(m, oracle) for m in ("formal", "series")
+                    if getattr(self, m) is not None])
+
+    def moved(self, old, new, oracle):
+        """These residuals with presentation new in place of old in their contexts,
+        rendered as these are and decided afresh, cross-checked by the oracle."""
+        out = ModeResiduals(*(e and e.in_context(TensorContext([new if s is old else s
+                                                                for s in e.context.slots]))
+                              for e in (self.formal, self.series)), self.modes_agree)
+        out._text = self.render()
+        out.residual_zero(oracle)
+        return out
 
     def render(self):
-        parts = []
-        if self.formal is not None and not self.formal.is_zero():
-            parts.append(self.formal.render())
-        if self.series is not None and not self.series.is_zero():
-            parts.append("series: " + self.series.render())
-        return " ; ".join(parts) if parts else "0"
+        if self._text is None:
+            self._text = " ; ".join(head + e.render() for head, e in (("", self.formal),
+                                                                      ("series: ", self.series))
+                                    if e is not None and not e.is_zero()) or "0"
+        return self._text
 
 
 def evaluate_raw(raw, mode, order, oracle=None):
@@ -158,40 +170,32 @@ def evaluate_raw(raw, mode, order, oracle=None):
     if mode in ("series", "both"):
         res.series = normal_order(h_expand_raw(raw, order))
     if mode == "both":
-        expanded_formal = normal_order(h_expand_raw(res.formal, order))
-        res.modes_agree = expanded_formal == res.series
+        res.modes_agree = normal_order(h_expand_raw(res.formal, order)) == res.series
     if oracle is not None:
-        for m in ("formal", "series"):
-            if getattr(res, m) is not None:
-                res.mode_zero(m, oracle)
+        res.residual_zero(oracle)
     return res
+
+
+def _residual_check(check_id, anchor, res, mode, order, expect, detail=""):
+    """The check of the evaluated residuals res: they must vanish; with
+    expect="report" a nonzero residual is a finding, not a failure."""
+    ok = res.residual_zero()
+    agree = res.modes_agree
+    # mode disagreement is always an engine-level failure
+    status = FAIL if agree is False or (not ok and expect == "zero") else PASS if ok else INFO
+    if agree is not None:
+        detail = (detail + "; " if detail else "") + (
+            "modes agree" if agree else "formal/series modes DISAGREE")
+    return Check(check_id, anchor, status, residual=res.render(),
+                 order=(order if mode in ("series", "both") else None), detail=detail)
 
 
 def _identity_check(check_id, anchor, raw_builder, mode="formal", order=4,
                     expect="zero", detail="", oracle=None):
-    """One identity check: the residual raw_builder() must vanish; with
-    expect="report" a nonzero residual is a finding, not a failure."""
-    def build():
-        res = evaluate_raw(raw_builder(), mode, order, oracle)
-        ok = res.residual_zero()
-        agree = res.modes_agree
-        if agree is False:
-            status = FAIL  # mode disagreement is always an engine-level failure
-        elif expect == "zero":
-            status = PASS if ok else FAIL
-        else:
-            status = PASS if ok else INFO
-        d = detail
-        if agree is False:
-            d = (d + "; " if d else "") + "formal/series modes DISAGREE"
-        elif agree is True:
-            d = (d + "; " if d else "") + "modes agree"
-        return Check(check_id, anchor, status,
-                     residual=res.render(),
-                     order=(order if mode in ("series", "both") else None),
-                     detail=d)
-
-    return run_check(build)
+    """One identity check: the residual raw_builder() must vanish."""
+    return run_check(lambda: _residual_check(
+        check_id, anchor, evaluate_raw(raw_builder(), mode, order, oracle),
+        mode, order, expect, detail))
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +203,20 @@ def _identity_check(check_id, anchor, raw_builder, mode="formal", order=4,
 # ---------------------------------------------------------------------------
 
 
-def _rule_sides(p, hi, lo, hpow, lpow):
-    """(lhs, rhs) elements of the oriented relation hi*lo = lo*hi + corr."""
+def _rule_difference(p, hi, lo, hpow, lpow):
+    """lhs - rhs of the oriented relation hi*lo = lo*hi + corr, with hi and
+    lo at these powers."""
     word = ((hi, hpow), (lo, lpow))
-    return NCElement(TensorContext((p,)), {(word,): H_ONE}), rewrite_once(p, word, 0)
+    return NCElement(TensorContext((p,)), {(word,): H_ONE}) - rewrite_once(p, word, 0)
 
 
 def delta_respects_check(p, hi, lo, check_id, anchor, mode="formal", order=4,
-                         expect="zero", detail="", oracle=None, powers=(1, 1)):
-    """The check that the coproduct respects the rule for the digram hi*lo,
-    with hi and lo at these powers: Delta(hi*lo - lo*hi - corr) vanishes."""
-    def raw():
-        lhs, rhs = _rule_sides(p, hi, lo, *powers)
-        return apply_coproduct(lhs - rhs, 0)
-
-    return _identity_check(check_id, anchor, raw, mode, order, expect, detail, oracle)
+                         expect="zero", detail="", oracle=None):
+    """The check that the coproduct respects the rule for the digram hi*lo:
+    Delta(hi*lo - lo*hi - corr) vanishes."""
+    return _identity_check(check_id, anchor,
+                           lambda: apply_coproduct(_rule_difference(p, hi, lo, 1, 1), 0),
+                           mode, order, expect, detail, oracle)
 
 
 def _rule_variants(p, hi, lo):
@@ -227,40 +230,53 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
 
     (a) Delta respects every rewrite rule, (b) coassociativity,
     (c) counit, (d) antipode axiom, (e) S respects rules as
-    anti-homomorphism.  Residuals are decided modulo any quotient."""
-    checks = []
+    anti-homomorphism.  Residuals are decided modulo any quotient.
+
+    p and expect may also be pairs: a presentation and its strip_quotient
+    clone, and what each expects.  The clone then decides each residual of
+    the presentation exactly, after all of the presentation's decisions,
+    and the result is a pair of lists."""
+    p, bare = p if isinstance(p, tuple) else (p, None)
+    expect, bare_expect = expect if bare else (expect, None)
     if p.hopf is None:
         raise PresentationError(f"{p.name} has no Hopf data")
+    checks = []
+    built = []  # (check id, anchor after the name, residuals)
 
-    for (hi, lo), _ in sorted(p.rules.items()):
-        for powers in _rule_variants(p, hi, lo):
-            lab = f"{_plab(p, hi, powers[0])}*{_plab(p, lo, powers[1])}"
-            checks.append(delta_respects_check(
-                p, hi, lo, f"delta_respects[{lab}]", f"{p.name} relations",
-                mode, order, expect, oracle=oracle, powers=powers))
+    def add(check_id, kind, raw):
+        def build():
+            built.append((check_id, kind, evaluate_raw(raw(), mode, order, oracle)))
+            return _residual_check(check_id, f"{p.name} {kind}", built[-1][2], mode, order, expect)
 
+        checks.append(run_check(build))
+
+    def respect_rules(family, structure_map):
+        for (hi, lo), _ in sorted(p.rules.items()):
+            for hpow, lpow in _rule_variants(p, hi, lo):
+                add(f"{family}[{_plab(p, hi, hpow)}*{_plab(p, lo, lpow)}]", "relations",
+                    lambda: structure_map(_rule_difference(p, hi, lo, hpow, lpow), 0))
+
+    respect_rules("delta_respects", apply_coproduct)
     if p.quotient is not None:
         checks.append(run_check(lambda: _quotient_coproduct_check(p, order, mode, oracle)))
 
     for gi, g in enumerate(p.gens):
-        def raw_coassoc(gi=gi):
+        def raw_coassoc():
             d = apply_coproduct(_gen(p, gi), 0)
             return apply_coproduct(d, 0) - apply_coproduct(d, 1)
 
-        checks.append(_identity_check(f"coassoc[{g.label()}]", f"{p.name} coproducts",
-                                      raw_coassoc, mode, order, expect, oracle=oracle))
+        add(f"coassoc[{g.label()}]", "coproducts", raw_coassoc)
 
     for gi, g in enumerate(p.gens):
-        def raw_counit(gi=gi):
+        def raw_counit():
             el = _gen(p, gi)
             d = apply_coproduct(el, 0)
             return (apply_counit(d, 0) - el) + (apply_counit(d, 1) - el)
 
-        checks.append(_identity_check(f"counit[{g.label()}]", f"{p.name} counit",
-                                      raw_counit, mode, order, expect, oracle=oracle))
+        add(f"counit[{g.label()}]", "counit", raw_counit)
 
     for gi, g in enumerate(p.gens):
-        def raw_antipode(gi=gi):
+        def raw_antipode():
             el = _gen(p, gi)
             d = apply_coproduct(el, 0)
             left = multiply_slots(apply_antipode(d, 0), 0, 1)
@@ -269,21 +285,15 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
             unit = NCElement.scalar(TensorContext((p,)), eps)
             return (left - unit) + (right - unit)
 
-        checks.append(_identity_check(f"antipode[{g.label()}]", f"{p.name} antipode",
-                                      raw_antipode, mode, order, expect, oracle=oracle))
+        add(f"antipode[{g.label()}]", "antipode", raw_antipode)
 
-    for (hi, lo), _ in sorted(p.rules.items()):
-        for hpow, lpow in _rule_variants(p, hi, lo):
-            lab = f"{_plab(p, hi, hpow)}*{_plab(p, lo, lpow)}"
+    respect_rules("antipode_respects", apply_antipode)
 
-            def raw_e(hi=hi, lo=lo, hp=hpow, lp=lpow):
-                lhs, rhs = _rule_sides(p, hi, lo, hp, lp)
-                return apply_antipode(lhs - rhs, 0)
-
-            checks.append(_identity_check(f"antipode_respects[{lab}]", f"{p.name} relations",
-                                          raw_e, mode, order, expect, oracle=oracle))
-
-    return checks
+    if bare is None:
+        return checks
+    return checks, [run_check(lambda: _residual_check(
+        check_id, f"{bare.name} {kind}", res.moved(p, bare, oracle), mode, order, bare_expect))
+        for check_id, kind, res in built]
 
 
 def _plab(p, gi, power):
@@ -300,20 +310,16 @@ def _quotient_coproduct_check(p, order, mode, oracle=None):
     q = p.quotient
     ctx = TensorContext((p,))
     bad = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for transposed in (False, True):
-                el = NCElement.zero(ctx)
-                for k in range(1, 4):
-                    a = q.gen_indices[(i, k) if not transposed else (k, i)]
-                    b = q.gen_indices[(j, k) if not transposed else (k, j)]
-                    el = el + NCElement(ctx, {(((min(a, b), 1), (max(a, b), 1)),): H_ONE})
-                if i == j:
-                    el = el - NCElement.one(ctx)
-                raw = apply_coproduct(el, 0)
-                res = evaluate_raw(raw, mode, order, oracle)
-                if not res.residual_zero():
-                    bad.append((i, j, transposed))
+    for i, j, transposed in product((1, 2, 3), (1, 2, 3), (False, True)):
+        el = NCElement.zero(ctx)
+        for k in range(1, 4):
+            a = q.gen_indices[(i, k) if not transposed else (k, i)]
+            b = q.gen_indices[(j, k) if not transposed else (k, j)]
+            el = el + NCElement(ctx, {(((min(a, b), 1), (max(a, b), 1)),): H_ONE})
+        if i == j:
+            el = el - NCElement.one(ctx)
+        if not evaluate_raw(apply_coproduct(el, 0), mode, order, oracle).residual_zero():
+            bad.append((i, j, transposed))
     status = PASS if not bad else FAIL
     return Check("delta_respects[orthogonality]", f"{p.name} implied R relations",
                  status, residual="0" if not bad else f"failing entries {bad}",
@@ -566,14 +572,11 @@ def verify_bicross(b, order=4, mode="formal", oracle=None):
         for (hi, lo), _ in sorted(factor.rules.items()):
             for hpow, lpow in _rule_variants(factor, hi, lo):
                 lab = f"{_plab(factor, hi, hpow)}*{_plab(factor, lo, lpow)}"
-
-                def raw(hi=hi, lo=lo, hp=hpow, lp=lpow, factor=factor, embed=embed):
-                    lhs, rhs = _rule_sides(factor, hi, lo, hp, lp)
-                    return apply_algebra_map(lhs - rhs, embed, TensorContext((total,)))
-
                 checks.append(_identity_check(
                     f"{b.name}:factor_relation[{side}:{lab}]", "Eqs. 5-6 / 15",
-                    raw, mode, order, oracle=oracle))
+                    lambda: apply_algebra_map(_rule_difference(factor, hi, lo, hpow, lpow),
+                                              embed, TensorContext((total,))),
+                    mode, order, oracle=oracle))
 
     act_embed = b.t_embed if b.action_codomain == "t" else b.u_embed
     for (xi, yi), val in sorted(b.action.items()):
@@ -621,13 +624,10 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", oracle=Non
 
     for (hi, lo), _ in sorted(spacetime.rules.items()):
         lab = f"{spacetime.gens[hi].label()}*{spacetime.gens[lo].label()}"
-
-        def raw(hi=hi, lo=lo):
-            lhs, rhs = _rule_sides(spacetime, hi, lo, 1, 1)
-            return apply_algebra_map(lhs - rhs, action, ctx2)
-
-        checks.append(_identity_check(f"comodule:covariance[{lab}]", "Eqs. 17-18",
-                                      raw, mode, order, oracle=oracle))
+        checks.append(_identity_check(
+            f"comodule:covariance[{lab}]", "Eqs. 17-18",
+            lambda: apply_algebra_map(_rule_difference(spacetime, hi, lo, 1, 1), action, ctx2),
+            mode, order, oracle=oracle))
 
     for gi, g in enumerate(spacetime.gens):
         def raw_coassoc(gi=gi):

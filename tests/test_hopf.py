@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from kappa_hopf import hopf, suites
 from kappa_hopf.dsl import parse_presentation
 from kappa_hopf.hopf import (
     apply_antipode,
@@ -22,7 +23,7 @@ from kappa_hopf.hopf import (
     verify_comodule,
     wedge_from_pairs,
 )
-from kappa_hopf.models import load_model, load_printed_variant
+from kappa_hopf.models import load_model, load_printed_variant, strip_quotient
 from kappa_hopf.ncalg import (
     NCElement,
     PresentationError,
@@ -143,6 +144,37 @@ def test_verify_bialgebra_mutation_fails():
     mutant = clone_presentation(group, name="mutant2d", rules=rules)
     checks = verify_bialgebra(mutant, order=2, mode="formal")
     assert any(c.status == "fail" for c in checks)
+
+
+def _entries(checks, prefix=""):
+    return [(c.check_id.removeprefix(prefix), c.paper_anchor, c.status, c.residual)
+            for c in checks if c.check_id.startswith(prefix)]
+
+
+def test_group_suite_builds_each_residual_once_for_both_presentations(monkeypatch):
+    calls = {"evaluate_raw": 0, "confluence_residual": 0}
+    for module, name in ((hopf, "evaluate_raw"), (suites, "confluence_residual")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    rep = suites.run_suite(suites.SuiteConfig(suite="group", order=3, seed=42))
+    # the parent path built and reduced them twice: 594 and 1120 calls
+    assert calls == {"evaluate_raw": 306, "confluence_residual": 560}
+    # the oracle still cross-checks the bare clone's 288 exact decisions
+    assert rep.checks[-1].detail.startswith("594 of 594 residual evaluations")
+    monkeypatch.undo()
+
+    # the one-pass checks equal those of the bare clone verified on its own
+    bare = strip_quotient(load_model("galilei_group_kappa"))
+    prefix = "no_orthogonality:"
+    alone = verify_bialgebra(bare, order=2, mode="formal", expect="report")
+    assert _entries(rep.checks, prefix) == _entries(alone)
+    assert {c.status for c in alone} == {"pass", "info"}
+    [confluence] = [c for c in rep.checks if c.check_id == "confluence[no_orthogonality]"]
+    assert confluence.as_json_dict() == suites._confluence_check(
+        bare, "no_orthogonality", "Eq. 11 bare", expect="report").as_json_dict()
 
 
 # the Hopf algebras a bicrossproduct is built from, and the 2D group

@@ -196,8 +196,12 @@ def test_bch_associativity_through_h3():
                 el = el + (g * h).scale(F(rng.randint(-2, 2)))
             return normal_order(el + gens[rng.randrange(3)].scale(F(rng.randint(-2, 2))))
         A, B, C = rnd(), rnd(), rnd()
-        left = bch_combine_exponents(bch_combine_exponents(A, B, 3), C, 3)
-        right = bch_combine_exponents(A, bch_combine_exponents(B, C, 3), 3)
+        # the triple's four calls share one bracket table, as bch_combine_list's do
+        table = BracketTable(A.context)
+        left = bch_combine_exponents(bch_combine_exponents(A, B, 3, table=table), C, 3,
+                                     table=table)
+        right = bch_combine_exponents(A, bch_combine_exponents(B, C, 3, table=table), 3,
+                                      table=table)
         assert left == right
 
 
