@@ -50,6 +50,8 @@ from fractions import Fraction
 from itertools import product
 
 from .ncalg import (
+    MAX_PENDING_TERMS,
+    MAX_WORD_LENGTH,
     DivergenceError,
     GenDecl,
     HopfData,
@@ -595,13 +597,25 @@ def _plus(a, b):
 
 
 def _times(a, b):
-    """a * b; a scalar scales an element's coefficients."""
+    """a * b; a scalar scales an element's coefficients.  A product of two
+    elements that would pass the rewriting limits (more term pairs than
+    MAX_PENDING_TERMS, or a slot word longer than MAX_WORD_LENGTH) is
+    refused before it is formed."""
     if isinstance(a, HSeries) and not isinstance(b, HSeries):
         return b.scale(a)
+    if isinstance(a, NCElement) and isinstance(b, NCElement) and a.terms and b.terms:
+        if len(a.terms) * len(b.terms) > MAX_PENDING_TERMS:
+            raise _EvalError(f"product of {len(a.terms)} by {len(b.terms)} terms exceeds "
+                             f"the pending-term limit {MAX_PENDING_TERMS}")
+        if any(max(len(w[s]) for w in a.terms) + max(len(w[s]) for w in b.terms)
+               > MAX_WORD_LENGTH for s in range(a.context.slot_count)):
+            raise _EvalError(f"product exceeds the word length limit {MAX_WORD_LENGTH}")
     return a * b
 
 
 def _power(v, n):
+    if abs(n) > MAX_WORD_LENGTH:
+        raise _EvalError(f"exponent {n} exceeds the word length limit {MAX_WORD_LENGTH}")
     if isinstance(v, HSeries):
         if n >= 0:
             return v ** n

@@ -33,7 +33,7 @@ from .scalars import (
     H_ZERO,
     HSeries,
     Poly,
-    RationalFn,
+    POLY_ONE,
     as_gaussian,
     as_hseries,
     levi_civita,
@@ -266,7 +266,9 @@ def pair_word(model, phi, word, products=None):
     (exact).  products, when given, is a dict {word: mask product} of this
     model that the caller keeps for one run of checks; each word's product
     is then built once in it."""
-    phi = phi if isinstance(phi, HSeries) else HSeries.const(RationalFn(phi))
+    phi = as_hseries(phi)
+    if phi.den is not POLY_ONE:
+        raise ValueError("pairing arguments must be polynomial in the coordinates")
     k = len(word)
     full = (1 << k) - 1
     if products is None:
@@ -274,49 +276,38 @@ def pair_word(model, phi, word, products=None):
     entries = products.get(word)
     if entries is None:
         entries = products[word] = _mask_product(model, word)
-
-    def eval_poly(p):
-        total = {}
-        for mono, coeff in p.terms.items():
-            acc = {0: GR_ONE}
-            passthrough = []
-            for sym, e in mono:
-                if sym in model.coordinates:
-                    r, c = model.coordinates[sym]
-                    masks = entries.get((r, c), {})
-                    for _ in range(e):
-                        nacc = {}
-                        for m1, v1 in acc.items():
-                            for m2, v2 in masks.items():
-                                if m1 & m2:
-                                    continue
-                                nm = m1 | m2
-                                nv = nacc.get(nm, GR_ZERO) + v1 * v2
-                                if nv:
-                                    nacc[nm] = nv
-                                else:
-                                    nacc.pop(nm, None)
-                        acc = nacc
-                        if not acc:
-                            break
-                else:
-                    passthrough.append((sym, e))
-                if not acc:
-                    break
-            v = acc.get(full, GR_ZERO)
-            if v:
-                key = tuple(passthrough)
-                total[key] = total.get(key, GR_ZERO) + v * coeff
-        return Poly({k2: v for k2, v in total.items() if v})
-
-    out = {}
-    for hp, rf in phi.coeffs.items():
-        if not rf.is_poly():
-            raise ValueError("pairing arguments must be polynomial in the coordinates")
-        val = eval_poly(rf.num)
-        if val:
-            out[hp] = RationalFn(val)
-    return HSeries(out)
+    total = {}
+    for (hp, mono), coeff in phi.terms.items():
+        acc = {0: GR_ONE}
+        passthrough = []
+        for sym, e in mono:
+            if sym in model.coordinates:
+                r, c = model.coordinates[sym]
+                masks = entries.get((r, c), {})
+                for _ in range(e):
+                    nacc = {}
+                    for m1, v1 in acc.items():
+                        for m2, v2 in masks.items():
+                            if m1 & m2:
+                                continue
+                            nm = m1 | m2
+                            nv = nacc.get(nm, GR_ZERO) + v1 * v2
+                            if nv:
+                                nacc[nm] = nv
+                            else:
+                                nacc.pop(nm, None)
+                    acc = nacc
+                    if not acc:
+                        break
+            else:
+                passthrough.append((sym, e))
+            if not acc:
+                break
+        v = acc.get(full, GR_ZERO)
+        if v:
+            key = (hp, tuple(passthrough))
+            total[key] = total.get(key, GR_ZERO) + v * coeff
+    return HSeries.from_terms(total)
 
 
 def pair(phi, word, model=None, products=None):
@@ -327,31 +318,6 @@ def pair(phi, word, model=None, products=None):
         if label not in model.generators:
             raise ValueError(f"monomial contains non-model generator {label}")
     return pair_word(model, phi, tuple(word), products)
-
-
-def pair_tensor(model, phi, psi, tensor_terms):
-    """<phi (x) psi, sum c * (W1 (x) W2)> with W1, W2 generator words."""
-    total = H_ZERO
-    for c, w1, w2 in tensor_terms:
-        v1 = pair_word(model, phi, w1)
-        if not v1:
-            continue
-        v2 = pair_word(model, psi, w2)
-        if not v2:
-            continue
-        total = total + as_hseries(c) * v1 * v2
-    return total
-
-
-def classical_coproduct_terms(word):
-    """Delta_cl(x1...xk) expanded: all ordered subword splits (W_S, W_Sc)."""
-    k = len(word)
-    out = []
-    for mask in range(1 << k):
-        w1 = tuple(word[i] for i in range(k) if (mask >> i) & 1)
-        w2 = tuple(word[i] for i in range(k) if not (mask >> i) & 1)
-        out.append((GR_ONE, w1, w2))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .ncalg import (
 )
 from .quotient import zero_mod_quotient
 from .report import Check, FAIL, INFO, PASS, run_check
-from .scalars import H_ONE, H_ZERO, HSeries, as_hseries
+from .scalars import H_ONE, H_ZERO, HSeries
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +415,6 @@ def cocommutator(p, gen_key, higher_order=1):
         if not part.is_zero():
             info[k] = part
     return wedge, info
-
-
-def wedge_from_pairs(p, pairs):
-    """Build a Wedge from {(gen_key_a, gen_key_b): coefficient}."""
-    ctx = TensorContext((p, p))
-    el = NCElement.zero(ctx)
-    for (ka, kb), c in pairs.items():
-        a = p.gen_index(*ka)
-        b = p.gen_index(*kb)
-        c = as_hseries(c)
-        el = el + NCElement(ctx, {(((a, 1),), ((b, 1),)): c})
-        el = el - NCElement(ctx, {(((b, 1),), ((a, 1),)): c})
-    return Wedge(el)
 
 
 # ---------------------------------------------------------------------------

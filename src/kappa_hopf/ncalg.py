@@ -401,14 +401,6 @@ class NCElement:
                 t[w] = HSeries({0: v})
         return NCElement(self.context, t)
 
-    def max_h_power(self):
-        mx = None
-        for c in self.terms.values():
-            p = c.max_power()
-            if p is not None:
-                mx = p if mx is None else max(mx, p)
-        return mx
-
     def degree(self):
         if not self.terms:
             return -1
@@ -498,7 +490,7 @@ def _truncated(context, terms, order):
     """The element of these terms through h^order, higher powers dropped."""
     t = {}
     for w, c in terms.items():
-        if max(c.coeffs) > order:
+        if c.max_power() > order:
             c = c.truncate(order)
             if not c:
                 continue
@@ -518,7 +510,7 @@ def _low(el):
     through h^t is O(h^(t+1)) as a whole."""
     if not el.terms:
         return 0 if el.order is None else min(el.order + 1, 0)
-    return min(0, *(min(c.coeffs) for c in el.terms.values()))
+    return min(0, *(c.min_power() for c in el.terms.values()))
 
 
 def _product_order(order_x, low_x, order_y, low_y):

@@ -189,12 +189,13 @@ def _slot_rules(nslots):
     return rules
 
 
-def _r_parts(poly, shifts, top):
-    """The parts of poly (in _Rij@s symbols plus others) at each monomial in
-    the other symbols, as {packed R monomial: coefficient}; shifts maps each
-    _Rij@s symbol to the bit position of its field (see _slot_rules)."""
+def _r_parts(series, shifts, top):
+    """The parts of the numerator of series (in _Rij@s symbols plus others)
+    at each power of h and monomial in the other symbols, as {packed R
+    monomial: coefficient}; shifts maps each _Rij@s symbol to the bit
+    position of its field (see _slot_rules)."""
     parts = {}
-    for mono, c in poly.terms.items():
+    for (k, mono), c in series.terms.items():
         packed = degree = 0
         rest = []
         for sym, e in mono:
@@ -206,7 +207,7 @@ def _r_parts(poly, shifts, top):
                 degree += e
         if degree >= DEGREE_CAP:
             raise LimitError(f"R degree {degree} of a quotient residual is not below {DEGREE_CAP}")
-        parts.setdefault(tuple(rest), {})[packed - (degree << top)] = c
+        parts.setdefault((k, tuple(rest)), {})[packed - (degree << top)] = c
     return parts.values()
 
 
@@ -247,15 +248,17 @@ def _normal_form_is_zero(terms, rules, top):
     return True
 
 
-def _in_quotient_ideal(polys, slots_with_r):
-    """True iff every poly (in _Rij@s symbols of slots_with_r plus others)
-    lies in the per-slot O(3) ideals."""
+def _in_quotient_ideal(series, slots_with_r):
+    """True iff the numerator of every HSeries in series (in _Rij@s symbols
+    of slots_with_r plus others) lies in the per-slot O(3) ideals.  Its
+    denominator has no _Rij@s symbol, so the value lies in them iff the
+    numerator does."""
     top = FIELD * 9 * len(slots_with_r)
     shifts = {_rsym(s, i, j): FIELD * (9 * q + 3 * i + j - 4)
               for q, s in enumerate(slots_with_r) for i in (1, 2, 3) for j in (1, 2, 3)}
     rules = _slot_rules(len(slots_with_r))
     return all(_normal_form_is_zero(terms, rules, top)
-               for poly in polys for terms in _r_parts(poly, shifts, top))
+               for s in series for terms in _r_parts(s, shifts, top))
 
 
 def zero_mod_quotient(element, oracle=None):
@@ -265,8 +268,7 @@ def zero_mod_quotient(element, oracle=None):
     el = normal_order(element)
     slots_with_r = _quotient_slots(el.context)
     buckets = _bucket_by_rest(el, slots_with_r)
-    zero = el.is_zero() or (bool(slots_with_r) and _in_quotient_ideal(
-        (hc.num for series in buckets.values() for hc in series.coeffs.values()), slots_with_r))
+    zero = el.is_zero() or (bool(slots_with_r) and _in_quotient_ideal(buckets.values(), slots_with_r))
     if oracle is not None:
         oracle.observe(el, zero, buckets)
     return zero

@@ -1,22 +1,22 @@
 """Exact coefficient arithmetic.
 
-The whole engine runs on four nested coefficient domains:
-
-    GaussianRational  ->  Poly  ->  RationalFn  ->  HSeries
+Every coefficient of the engine is an ``HSeries``, built on three domains:
 
 * ``GaussianRational``: (a + b*i)/d with ints a, b and d, kept canonical
   (d > 0 and gcd(a, b, d) = 1), so that equal values have equal fields.
   ``int`` and ``Fraction`` values are accepted wherever one is expected.
 * ``Poly``: multivariate polynomial in commuting symbols (strings) with
   GaussianRational coefficients, stored sparsely as {monomial: coeff}.
-  The deformation symbol ``h`` is *never* a Poly symbol; powers of h are
-  tracked by HSeries.
+  The deformation symbol ``h`` is *never* a Poly symbol.
 * ``RationalFn``: quotient of two Polys, gcd-reduced, denominator
   normalized so its leading coefficient (in a fixed monomial order) is 1.
   A denominator of one is always the shared ``POLY_ONE``.
-* ``HSeries``: exact Laurent polynomial sum_k c_k h^k with RationalFn
-  coefficients.  A value known only through some power of h is an
-  ``NCElement`` with an ``order``; its coefficients stay exact.
+* ``HSeries``: exact Laurent polynomial sum_k c_k h^k, stored flat as one
+  sparse map {(k, monomial): GaussianRational} over one monic h-free
+  denominator Poly (Monagan & Pearce's distributed layout, ISSAC 2009), so
+  a product of constants is one GaussianRational product.  ``coeffs`` views
+  it per power as RationalFns.  A value known only through some power of h
+  is an ``NCElement`` with an ``order``; its coefficients stay exact.
 
 All values are immutable after construction.
 """
@@ -906,76 +906,171 @@ def as_rationalfn(x):
 # ---------------------------------------------------------------------------
 
 
-class HSeries:
-    """sum_k coeff[k] * h^k with RationalFn coefficients, exact: a value
-    known only through some order of h is an NCElement with an ``order``."""
+def _mul_flat(a, b, order=None):
+    """The product of two flat term dicts {(k, monomial): coefficient}
+    through h^order (None: all of it); pairs past h^order are not multiplied."""
+    t = {}
+    for (k1, m1), c1 in a.items():
+        for (k2, m2), c2 in b.items():
+            k = k1 + k2
+            if order is not None and k > order:
+                continue
+            key = (k, _mono_mul(m1, m2))
+            old = t.get(key)
+            if old is None:
+                t[key] = c1 * c2
+            else:
+                c = old + c1 * c2
+                if c:
+                    t[key] = c
+                else:
+                    del t[key]
+    return t
 
-    __slots__ = ("coeffs",)
+
+def _by_power(terms):
+    """{k: the Poly of the h^k terms}, powers in their first order in terms."""
+    parts = {}
+    for (k, m), c in terms.items():
+        parts.setdefault(k, {})[m] = c
+    return {k: _poly(t) for k, t in parts.items()}
+
+
+def _canonical(terms, den):
+    """The fields of the value terms/den (den h-free and nonzero): both
+    divided by the gcd of den with every power's numerator, den monic, and
+    the shared POLY_ONE when it is constant."""
+    if den is POLY_ONE:
+        return terms, den
+    if not terms:
+        return terms, POLY_ONE
+    if not den.is_const():
+        parts = _by_power(terms)
+        g = den
+        for p in parts.values():
+            g = poly_gcd(g, p)
+            if g.is_const():
+                break
+        if not g.is_const():
+            den = poly_exact_div(den, g)
+            terms = {(k, m): c for k, p in parts.items()
+                     for m, c in poly_exact_div(p, g).terms.items()}
+    if den.is_const():
+        inv, den = den.const_value().inverse(), POLY_ONE
+    else:
+        inv = den._lead()[1].inverse()
+        den = den.scale(inv)
+    if inv != GR_ONE:
+        terms = {key: c * inv for key, c in terms.items()}
+    return terms, den
+
+
+class HSeries:
+    """sum_k c_k h^k, an exact Laurent polynomial in h with rational-function
+    coefficients, stored flat: ``terms`` maps (k, monomial) to a nonzero
+    GaussianRational, over one monic, h-free denominator ``den`` that shares
+    no factor with all of the powers' numerators at once.  A polynomial
+    value has the shared ``POLY_ONE``.  Equal values have equal fields.  A
+    value known only through some order of h is an NCElement with an
+    ``order``."""
+
+    __slots__ = ("terms", "den")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = as_rationalfn(v)
-                if v:
-                    c[k] = v
-        object.__setattr__(self, "coeffs", c)
+        # coeffs: {k: c_k}, each c_k taken by as_rationalfn, brought over
+        # the lcm of their denominators
+        parts = [(k, as_rationalfn(v)) for k, v in coeffs.items()] if coeffs else []
+        den = POLY_ONE
+        for _, v in parts:
+            if v.den is not POLY_ONE:
+                den = den * poly_exact_div(v.den, poly_gcd(den, v.den))
+        terms = {}
+        for k, v in parts:
+            num = v.num if v.den is den else v.num * poly_exact_div(den, v.den)
+            terms.update(((k, m), c) for m, c in num.terms.items())
+        terms, den = _canonical(terms, den)
+        _set_hterms(self, terms)
+        _set_hden(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("HSeries is immutable")
 
     @staticmethod
     def const(c):
-        c = as_rationalfn(c)
-        return _hseries({0: c}) if c else H_ZERO
+        return as_hseries(as_rationalfn(c))
+
+    @staticmethod
+    def from_terms(terms):
+        """The polynomial series with these flat terms {(k, monomial):
+        GaussianRational}, zero ones dropped."""
+        return _hseries({key: c for key, c in terms.items() if c}, POLY_ONE)
 
     @staticmethod
     def h(power=1):
-        return HSeries({power: RFN_ONE})
+        return _hseries({(power, MONOMIAL_ONE): GR_ONE}, POLY_ONE)
 
     # -- structure ----------------------------------------------------
+    @property
+    def coeffs(self):
+        """The read-only view {k: c_k}, each power reduced on its own."""
+        den = self.den
+        return {k: _rfn(p, den) if den is POLY_ONE else RationalFn(p, den)
+                for k, p in _by_power(self.terms).items()}
+
     def min_power(self):
-        return min(self.coeffs) if self.coeffs else None
+        return min((k for k, _ in self.terms), default=None)
 
     def max_power(self):
-        return max(self.coeffs) if self.coeffs else None
+        return max((k for k, _ in self.terms), default=None)
 
     def coeff(self, k):
-        return self.coeffs.get(k, RFN_ZERO)
+        return RationalFn(_poly({m: c for (j, m), c in self.terms.items() if j == k}), self.den)
 
     def constant_term(self):
-        return self.coeffs.get(0, RFN_ZERO)
+        return self.coeff(0)
 
     def has_negative_powers(self):
-        return any(k < 0 for k in self.coeffs)
+        return any(k < 0 for k, _ in self.terms)
 
     def symbols(self):
-        out = set()
-        for v in self.coeffs.values():
-            out |= v.symbols()
+        out = self.den.symbols()
+        for _, m in self.terms:
+            out.update(s for s, _ in m)
         return out
 
     def truncate(self, order):
-        """The powers of h up to h^order."""
-        return _hseries({k: v for k, v in self.coeffs.items() if k <= order})
+        """The powers of h up to h^order; their numerators may share a
+        factor with den that a dropped power did not."""
+        return _hseries(*_canonical(
+            {key: c for key, c in self.terms.items() if key[0] <= order}, self.den))
 
     # -- arithmetic -------------------------------------------------
     def __add__(self, other):
         if other.__class__ is not HSeries:
             other = as_hseries(other)
-        c = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = c.get(k, RFN_ZERO) + v
-            if nv:
-                c[k] = nv
+        a, b, den = self.terms, other.terms, self.den
+        if den is not other.den and den != other.den:
+            g = poly_gcd(den, other.den)
+            a = _mul_flat(a, as_hseries(poly_exact_div(other.den, g)).terms)
+            b = _mul_flat(b, as_hseries(poly_exact_div(den, g)).terms)
+            den = poly_exact_div(den * other.den, g)
+        t = dict(a)
+        for key, c in b.items():
+            old = t.get(key)
+            if old is None:
+                t[key] = c
             else:
-                c.pop(k, None)
-        return _hseries(c)
+                c = old + c
+                if c:
+                    t[key] = c
+                else:
+                    del t[key]
+        return _hseries(*_canonical(t, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _hseries({k: -v for k, v in self.coeffs.items()})
+        return _hseries({key: -c for key, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-as_hseries(other))
@@ -991,20 +1086,10 @@ class HSeries:
     def mul_through(self, other, order):
         """self * other for an HSeries other through h^order (None: all of
         it); pairs past h^order are not multiplied."""
-        c = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                if order is not None and k > order:
-                    continue
-                v = v1 * v2
-                old = c.get(k)
-                nv = v if old is None else old + v
-                if nv:
-                    c[k] = nv
-                else:
-                    c.pop(k, None)
-        return _hseries(c)
+        t = _mul_flat(self.terms, other.terms, order)
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return _hseries(t, POLY_ONE)
+        return _hseries(*_canonical(t, self.den * other.den))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -1021,22 +1106,22 @@ class HSeries:
     def __truediv__(self, other):
         """self / other for an h-monomial other = c*h^k."""
         other = as_hseries(other)
-        if len(other.coeffs) != 1:
+        powers = {k for k, _ in other.terms}
+        if len(powers) != 1:
             raise ArithmeticError("HSeries division only by h-monomials; expand instead")
-        (k, v), = other.coeffs.items()
-        inv = RFN_ONE / v
-        return HSeries({p - k: c * inv for p, c in self.coeffs.items()})
+        (k,) = powers
+        shifted = _hseries({(p - k, m): c for (p, m), c in self.terms.items()}, self.den)
+        return shifted * (RFN_ONE / other.coeff(k))
 
     def scale(self, c):
         """self * c for a constant c (int, Fraction, GaussianRational) or a
         Poly or RationalFn c."""
         if isinstance(c, CONSTANT_TYPES):
-            c, mul = as_gaussian(c), RationalFn.scale
-        else:
-            c, mul = as_rationalfn(c), RationalFn.__mul__
-        if not c:
-            return H_ZERO
-        return _hseries({k: mul(v, c) for k, v in self.coeffs.items()})
+            c = as_gaussian(c)
+            if not c:
+                return H_ZERO
+            return _hseries({key: v * c for key, v in self.terms.items()}, self.den)
+        return self.mul_through(as_hseries(c), None)
 
     def subs(self, mapping):
         return HSeries({k: v.subs(mapping) for k, v in self.coeffs.items()})
@@ -1047,27 +1132,27 @@ class HSeries:
             other = as_hseries(other)
         except TypeError:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms and self.den == other.den
 
     def __hash__(self):
         # a series with no power of h but h^0 hashes as that coefficient
-        if not self.coeffs.keys() - {0}:
+        if all(k == 0 for k, _ in self.terms):
             return hash(self.constant_term())
-        return hash(frozenset(self.coeffs.items()))
+        return hash((frozenset(self.terms.items()), self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __repr__(self):
         return f"HSeries({self})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
-            vs = str(v)
+        coeffs = self.coeffs
+        for k in sorted(coeffs):
+            vs = str(coeffs[k])
             needs_par = ("+" in vs[1:]) or ("-" in vs[1:]) or "/" in vs
             if k == 0:
                 bits.append(f"({vs})" if needs_par else vs)
@@ -1082,27 +1167,30 @@ class HSeries:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-_set_coeffs = HSeries.coeffs.__set__
+_set_hterms = HSeries.terms.__set__
+_set_hden = HSeries.den.__set__
 
 
-def _hseries(coeffs):
-    """The HSeries with these coefficients, taken as they are: nonzero
-    RationalFns."""
+def _hseries(terms, den):
+    """The HSeries with these fields, taken as they are (what _canonical
+    gives)."""
     out = _new(HSeries)
-    _set_coeffs(out, coeffs)
+    _set_hterms(out, terms)
+    _set_hden(out, den)
     return out
 
 
 H_ZERO = HSeries()
-H_ONE = HSeries({0: RFN_ONE})
-H_I = HSeries({0: RationalFn(Poly.const(GR_I))})
+H_ONE = HSeries({0: 1})
+H_I = HSeries({0: GR_I})
 
 
 def as_hseries(x):
     if isinstance(x, HSeries):
         return x
-    if isinstance(x, (RationalFn, GaussianRational, Poly, int, Fraction)):
-        return HSeries.const(as_rationalfn(x))
+    if isinstance(x, (RationalFn, Poly) + CONSTANT_TYPES):
+        x = as_rationalfn(x)
+        return _hseries({(0, m): c for m, c in x.num.terms.items()}, x.den)
     raise TypeError(f"cannot coerce {x!r} to HSeries")
 
 
@@ -1121,28 +1209,25 @@ def inverse_mod(x):
     return pow(x, -1, MOD_P)
 
 
-def _poly_mod(poly, values):
-    total = 0
-    for m, c in poly.terms.items():
-        v = c._a + c._b * MOD_I
-        if c._d != 1:
-            v = v * inverse_mod(c._d)
-        for s, e in m:
-            v = v * (values[s] if e == 1 else pow(values[s], e, MOD_P)) % MOD_P
-        total += v
-    return total % MOD_P
+def _term_mod(m, c, values):
+    v = c._a + c._b * MOD_I
+    if c._d != 1:
+        v = v * inverse_mod(c._d)
+    for s, e in m:
+        v = v * (values[s] if e == 1 else pow(values[s], e, MOD_P)) % MOD_P
+    return v
 
 
 def eval_mod(x, values, h=1):
     """The image of the scalar x in F_p at the symbol residues `values` and
     at h = `h`: (a + b*i)/d maps to (a + b*MOD_I) * d^-1.  It is a ring map
     wherever no denominator is 0 mod p; one that is raises ZeroDivisionError."""
+    x = as_hseries(x)
     total = 0
-    for k, v in as_hseries(x).coeffs.items():
-        val = _poly_mod(v.num, values)
-        if v.den is not POLY_ONE:
-            val = val * inverse_mod(_poly_mod(v.den, values))
-        total += val * pow(h if k >= 0 else inverse_mod(h), abs(k), MOD_P)
+    for (k, m), c in x.terms.items():
+        total += _term_mod(m, c, values) * pow(h if k >= 0 else inverse_mod(h), abs(k), MOD_P)
+    if x.den is not POLY_ONE:
+        total *= inverse_mod(sum(_term_mod(m, c, values) for m, c in x.den.terms.items()))
     return total % MOD_P
 
 
@@ -1160,7 +1245,7 @@ def _power_sum(x, order, coeff, domain_error):
     h^0 term and no negative power (else SeriesDomainError(domain_error));
     the sum stops at the first power of x with no term through h^order."""
     x = as_hseries(x)
-    if x.constant_term() or (x.min_power() is not None and x.min_power() < 0):
+    if any(k <= 0 for k, _ in x.terms):
         raise SeriesDomainError(domain_error)
     x = x.truncate(order)
     power = H_ONE

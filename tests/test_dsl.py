@@ -263,6 +263,13 @@ HOPF_AB = """presentation ab {
     # errors outside a section name the declaration
     ("generators: A B G", "generators: A B A G", (1, 1), "duplicate generator A in ab"),
     ("antipode B = -B;", "", (1, 1), "ab: missing antipode for ['B']"),
+    # raw products and powers stay inside the rewriting limits
+    ("antipode A = -A;", "antipode A = A^200;", (12, 3),
+     "exponent 200 exceeds the word length limit 128"),
+    ("antipode A = -A;", "antipode A = h^-129*A;", (12, 3),
+     "exponent -129 exceeds the word length limit 128"),
+    ("antipode A = -A;", "antipode A = A^100*B^100;", (12, 3),
+     "product exceeds the word length limit 128"),
 ])
 def test_evaluator_diagnostics(old, new, at, message):
     # one malformed presentation per message; the diagnostic names the

@@ -12,10 +12,8 @@ from kappa_hopf.duality import (
     MatrixModel,
     PairingEngine,
     PoissonQuery,
-    classical_coproduct_terms,
     model_4d,
     pair,
-    pair_tensor,
     pair_word,
     poisson_family_verify,
     poisson_verify,
@@ -24,9 +22,34 @@ from kappa_hopf.duality import (
 )
 from kappa_hopf.hopf import cocommutator
 from kappa_hopf.models import load_model
-from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly, RationalFn, as_hseries
+from kappa_hopf.scalars import GR_I, GR_ONE, H_ZERO, GaussianRational, HSeries, Poly, RationalFn, as_hseries
 from kappa_hopf.suites import SuiteConfig, run_suite
 
+
+
+def pair_tensor(model, phi, psi, tensor_terms):
+    """<phi (x) psi, sum c * (W1 (x) W2)> with W1, W2 generator words."""
+    total = H_ZERO
+    for c, w1, w2 in tensor_terms:
+        v1 = pair_word(model, phi, w1)
+        if not v1:
+            continue
+        v2 = pair_word(model, psi, w2)
+        if not v2:
+            continue
+        total = total + as_hseries(c) * v1 * v2
+    return total
+
+
+def classical_coproduct_terms(word):
+    """Delta_cl(x1...xk) expanded: all ordered subword splits (W_S, W_Sc)."""
+    k = len(word)
+    out = []
+    for mask in range(1 << k):
+        w1 = tuple(word[i] for i in range(k) if (mask >> i) & 1)
+        w2 = tuple(word[i] for i in range(k) if not (mask >> i) & 1)
+        out.append((GR_ONE, w1, w2))
+    return out
 
 def build_engine():
     model = model_4d()

@@ -21,7 +21,6 @@ from kappa_hopf.hopf import (
     verify_bicross,
     verify_casimir,
     verify_comodule,
-    wedge_from_pairs,
 )
 from kappa_hopf.models import load_model, load_printed_variant, strip_quotient
 from kappa_hopf.ncalg import (
@@ -32,8 +31,21 @@ from kappa_hopf.ncalg import (
     commutator,
     normal_order,
 )
-from kappa_hopf.scalars import GaussianRational, GR_I, H_ONE, HSeries, Poly, RationalFn
+from kappa_hopf.scalars import GaussianRational, GR_I, H_ONE, HSeries, Poly, RationalFn, as_hseries
 
+
+
+def wedge_from_pairs(p, pairs):
+    """Build a Wedge from {(gen_key_a, gen_key_b): coefficient}."""
+    ctx = TensorContext((p, p))
+    el = NCElement.zero(ctx)
+    for (ka, kb), c in pairs.items():
+        a = p.gen_index(*ka)
+        b = p.gen_index(*kb)
+        c = as_hseries(c)
+        el = el + NCElement(ctx, {(((a, 1),), ((b, 1),)): c})
+        el = el - NCElement(ctx, {(((b, 1),), ((a, 1),)): c})
+    return hopf.Wedge(el)
 
 def hs(c, power=0):
     return HSeries({power: RationalFn(Poly.const(c))})

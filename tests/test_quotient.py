@@ -33,6 +33,7 @@ from kappa_hopf.scalars import (
     HSeries,
     Poly,
     RationalFn,
+    as_hseries,
     eval_mod,
 )
 
@@ -62,7 +63,7 @@ def _basis_poly(row):
 
 
 def _in_ideal(poly, slots=(0,)):
-    return quotient._in_quotient_ideal([poly], list(slots))
+    return quotient._in_quotient_ideal([as_hseries(poly)], list(slots))
 
 
 def _grevlex(exps):

@@ -230,3 +230,25 @@ def test_growing_user_rule_exits_2_within_bounded_memory(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("kappa-hopf: DivergenceError: word length limit 128 exceeded")
     assert proc.stderr.count("\n") == 1
+
+
+def test_oversized_power_in_a_model_exits_2_naming_its_line(tmp_path):
+    # (-a + v*tau)^40 would build 2^40 raw words: the loader refuses the
+    # product that passes the pending-term limit before forming it (exit 2,
+    # one line at the binding), in a child process with a 1 GB address space
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_group_2d.hopf"
+    lines = shipped.read_text().splitlines()
+    at = lines.index("  antipode a = -a + v*tau;")
+    lines[at] = "  antipode a = (-a + v*tau)^40;"
+    model = tmp_path / "power.hopf"
+    model.write_text("\n".join(lines) + "\n")
+    src = str(Path(kappa_hopf.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "kappa_hopf.cli", "verify", "projrep",
+                           "--order", "2", "--model", str(model)],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_address_space_1gb)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"kappa-hopf: DslError: {model}:{at + 1}:3: error: product of 65536 "
+                           "by 2 terms exceeds the pending-term limit 100000\n")

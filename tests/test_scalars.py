@@ -624,6 +624,123 @@ def test_hseries_division_truncation():
         HSeries.const(1) / HSeries({1: 1, 3: 1})
 
 
+# The per-power layout HSeries had before its terms were flattened: a dict
+# {k: RationalFn} with no zero coefficient, each power reduced on its own.
+# The flat series must give the same values, strings and per-power views.
+
+
+def _ref_add(a, b):
+    c = dict(a)
+    for k, v in b.items():
+        nv = c.get(k, scalars.RFN_ZERO) + v
+        if nv:
+            c[k] = nv
+        else:
+            c.pop(k, None)
+    return c
+
+
+def _ref_mul_through(a, b, order):
+    c = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1 + k2
+            if order is not None and k > order:
+                continue
+            v = v1 * v2
+            old = c.get(k)
+            nv = v if old is None else old + v
+            if nv:
+                c[k] = nv
+            else:
+                c.pop(k, None)
+    return c
+
+
+def _ref_truncate(a, order):
+    return {k: v for k, v in a.items() if k <= order}
+
+
+def _ref_str(a):
+    if not a:
+        return "0"
+    bits = []
+    for k in sorted(a):
+        vs = str(a[k])
+        needs_par = ("+" in vs[1:]) or ("-" in vs[1:]) or "/" in vs
+        if k == 0:
+            bits.append(f"({vs})" if needs_par else vs)
+        else:
+            hpow = "h" if k == 1 else f"h^{k}"
+            if vs == "1":
+                bits.append(hpow)
+            elif vs == "-1":
+                bits.append(f"-{hpow}")
+            else:
+                bits.append(f"({vs})*{hpow}" if needs_par else f"{vs}*{hpow}")
+    return " + ".join(bits).replace("+ -", "- ")
+
+
+def _ref_coeff(rng, kinds):
+    """A random nonzero RationalFn of one of kinds: a constant, a Poly in
+    p, m and v1, one over m^k (projrep's denominators) or one over a sum.
+    The sums are monic, but the product of the last two is not."""
+    kind = rng.choice(kinds)
+    if kind == "const":
+        return RationalFn(rand_gaussian(rng, 5) or GR_ONE)
+    num = _rand_poly(rng, rng.randint(1, 2)) or POLY_ONE
+    if kind == "poly":
+        return RationalFn(num)
+    if kind == "monomial":
+        return RationalFn(num, Poly.var("m", rng.randint(1, 3)))
+    p, v = Poly.var("p"), Poly.var("v1")
+    return RationalFn(num, rng.choice([v + 1, v + p.scale(2), p * p + p * v]))
+
+
+@pytest.mark.parametrize("kinds", [("const",), ("const", "poly"), ("const", "poly", "monomial"),
+                                   ("const", "poly", "monomial", "over_sum")])
+def test_flat_series_match_the_per_power_reference(kinds):
+    rng = random.Random(len(kinds))
+
+    def operand():
+        return {k: _ref_coeff(rng, kinds) for k in rng.sample(range(-2, 4), rng.randint(0, 3))}
+
+    def check(got, want):
+        assert sorted(got.coeffs) == sorted(want)
+        assert {k: (v.num.terms, v.den.terms) for k, v in got.coeffs.items()} \
+            == {k: (v.num.terms, v.den.terms) for k, v in want.items()}
+        assert str(got) == _ref_str(want)
+        built = HSeries(want)
+        assert got == built and built == got
+        assert hash(got) == hash(built)
+
+    for _ in range(60):
+        a, b = operand(), operand()
+        x, y = HSeries(a), HSeries(b)
+        check(x, a)
+        order = rng.choice([None, -1, 0, 1, 2, 3])
+        check(x.mul_through(y, order), _ref_mul_through(a, b, order))
+        check(x * y, _ref_mul_through(a, b, None))
+        check(x + y, _ref_add(a, b))
+        check(x - x, {})
+        n = rng.randint(-2, 3)
+        check(x.truncate(n), _ref_truncate(a, n))
+        c = rand_gaussian(rng, 5)
+        check(x.scale(c), {k: v.scale(c) for k, v in a.items()} if c else {})
+        r = _ref_coeff(rng, kinds)
+        check(x.scale(r), {k: v * r for k, v in a.items()})
+        # division by c*h^k is the product with (1/c)*h^-k
+        k = rng.randint(-2, 2)
+        check(x / HSeries({k: r}), _ref_mul_through(a, {-k: 1 / r}, None))
+    # a constant hashes as its GaussianRational, and an h^0 series as its
+    # coefficient
+    for _ in range(20):
+        g = rand_gaussian(rng)
+        assert hash(HSeries.const(g)) == hash(g) and HSeries.const(g) == g
+        r = _ref_coeff(rng, kinds)
+        assert hash(HSeries({0: r})) == hash(r) and HSeries({0: r}) == r
+
+
 def _log1p_oracle(x_coeffs, order):
     """Coefficients of ln(1 + x(t)) via the ODE (1+x) f' = x', solved term by
     term; independent of the implementation's direct power sum."""
