@@ -68,7 +68,6 @@ from .scalars import (
     H_ZERO,
     HSeries,
     Poly,
-    RationalFn,
     levi_civita,
 )
 
@@ -619,7 +618,7 @@ def _power(v, n):
     if isinstance(v, HSeries):
         if n >= 0:
             return v ** n
-        if len(v.coeffs) == 1:
+        if v and v.min_power() == v.max_power():
             return (H_ONE / v) ** (-n)
         raise _EvalError("negative power of a non-monomial scalar")
     if n >= 0:
@@ -715,7 +714,7 @@ class Evaluator:
             if node.name == "kappa":
                 return HSeries.h(-1)
             if node.name in self.params:
-                return HSeries.const(RationalFn(Poly.var(node.name)))
+                return HSeries.const(Poly.var(node.name))
             gen = self.generator(node.name, (), slot)
             if gen is None:
                 raise _EvalError(f"unknown symbol {node.name!r}")
@@ -1054,10 +1053,9 @@ def _orient(proto, lel, rel):
 
 
 def _invert_scalar(coeff, sign):
-    if len(coeff.coeffs) != 1:
+    if not coeff or coeff.min_power() != coeff.max_power():
         raise _EvalError("relation commutator prefactor must be an h-monomial scalar")
-    (v,) = coeff.coeffs.values()
-    if not v.is_const():
+    if not coeff.coeff(coeff.min_power()).is_const():
         raise _EvalError("relation commutator prefactor must be constant")
     return HSeries.const(sign) / coeff
 

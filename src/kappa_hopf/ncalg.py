@@ -25,14 +25,11 @@ from .scalars import (
     CONSTANT_TYPES,
     H_ONE,
     H_ZERO,
+    SCALAR_TYPES,
     HSeries,
-    Poly,
-    RationalFn,
     as_gaussian,
     as_hseries,
 )
-
-_SCALAR_TYPES = CONSTANT_TYPES + (Poly, RationalFn, HSeries)
 
 
 class PresentationError(ValueError):
@@ -332,7 +329,7 @@ class NCElement:
 
     # -- ring operations -------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             other = NCElement.scalar(self.context, other)
         self._require_same_context(other)
         t = dict(self.terms)
@@ -350,7 +347,7 @@ class NCElement:
         return _raw_element(self.context, {w: -c for w, c in self.terms.items()}, self.order)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             other = NCElement.scalar(self.context, other)
         return self + (-other)
 
@@ -376,7 +373,7 @@ class NCElement:
         return _raw_element(self.context, t, order)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         self._require_same_context(other)
         order = _product_order(self.order, _low(self), other.order, _low(other))
@@ -384,7 +381,7 @@ class NCElement:
                             _mul_terms(self.terms, other.terms.items(), order), order)
 
     def __rmul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         return NotImplemented
 

@@ -46,7 +46,6 @@ from .scalars import (
     H_ZERO,
     HSeries,
     Poly,
-    RationalFn,
     series_inverse_one_plus,
     series_log1p,
 )
@@ -243,33 +242,27 @@ def series_to_element(series, ctx, var_map, extra_word=None):
     powers in their slot, everything else stays in the coefficient.
     extra_word: optional per-slot word multiplied on the right."""
     n = ctx.slot_count
-    terms = {}
-    for hp, rf in series.coeffs.items():
-        if not rf.is_poly():
-            den_syms = rf.den.symbols()
-            if den_syms & set(var_map):
-                raise ValueError("generator symbols in a denominator")
-        num = rf.num
-        den = rf.den
-        for mono, coeff in num.terms.items():
-            word = [[] for _ in range(n)]
-            rest = []
-            for sym, e in mono:
-                if sym in var_map:
-                    slot, gi = var_map[sym]
-                    word[slot].append((gi, e))
-                else:
-                    rest.append((sym, e))
-            key = []
-            for s in range(n):
-                sw = tuple((gi, 1) for gi, e in word[s] for _ in range(e))
-                key.append(sw)
-            if extra_word is not None:
-                key = [a + b for a, b in zip(key, extra_word)]
-            key = tuple(key)
-            c = HSeries({hp: RationalFn(Poly({tuple(rest): coeff}), den)})
-            terms[key] = terms.get(key, H_ZERO) + c
-    return NCElement(ctx, terms)
+    if series.den.symbols() & set(var_map):
+        raise ValueError("generator symbols in a denominator")
+    # {word: the flat terms {(h power, rest of the monomial): coefficient}}
+    parts = {}
+    for (hp, mono), coeff in series.terms.items():
+        word = [[] for _ in range(n)]
+        rest = []
+        for sym, e in mono:
+            if sym in var_map:
+                slot, gi = var_map[sym]
+                word[slot].append((gi, e))
+            else:
+                rest.append((sym, e))
+        key = []
+        for s in range(n):
+            sw = tuple((gi, 1) for gi, e in word[s] for _ in range(e))
+            key.append(sw)
+        if extra_word is not None:
+            key = [a + b for a, b in zip(key, extra_word)]
+        parts.setdefault(tuple(key), {})[(hp, tuple(rest))] = coeff
+    return NCElement(ctx, {key: HSeries.from_terms(t) / series.den for key, t in parts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +271,20 @@ def series_to_element(series, ctx, var_map, extra_word=None):
 
 
 def _sym(name):
-    return RationalFn(Poly.var(name))
+    return HSeries.const(Poly.var(name))
 
 
 def tau_exponent_series(arg_square, order):
     """-(i/h) * ln(1 + h*arg_square/2) through h^order, with arg_square a
     scalar such as m*v^2 or p^2/m."""
-    x = HSeries({1: arg_square.scale(Fraction(1, 2))})
+    x = arg_square * HSeries({1: Fraction(1, 2)})
     lg = series_log1p(x, order + 1)
-    return (lg * HSeries({-1: RationalFn(Poly.const(-GR_I))})).truncate(order)
+    return (lg * HSeries({-1: -GR_I})).truncate(order)
 
 
 def a_exponent_series(arg, arg_square, order):
     """-i*arg / (1 + h*arg_square/2) through h^order."""
-    inv = series_inverse_one_plus(HSeries({1: arg_square.scale(Fraction(1, 2))}), order)
+    inv = series_inverse_one_plus(arg_square * HSeries({1: Fraction(1, 2)}), order)
     return (inv.scale(arg) * HSeries.const(-GR_I)).truncate(order)
 
 
@@ -330,8 +323,8 @@ def classical_phi0(group2d):
     """phi_0 = -m(v^2/2 (x) tau + v (x) a), Eq. 25, laid out as build_omega."""
     m = Poly.var("m")
     v = Poly.var("v1")
-    series_tau = HSeries.const(RationalFn((m * v * v).scale(Fraction(-1, 2))))
-    series_a = HSeries.const(RationalFn((m * v).scale(-1)))
+    series_tau = HSeries.const((m * v * v).scale(Fraction(-1, 2)))
+    series_a = HSeries.const((m * v).scale(-1))
     return normal_order(_slot1_leg(group2d, series_tau, "tau")
                         + _slot1_leg(group2d, series_a, "a"))
 
@@ -339,11 +332,10 @@ def classical_phi0(group2d):
 def eq30_equals_eq31(group2d, order):
     """Whether Eq. 30's single exponent equals the BCH log of Eq. 31's two
     factors through h^order (the reordering argument the paper omits)."""
-    m = Poly.var("m")
-    v1 = Poly.var("v1")
+    m = _sym("m")
+    v1 = _sym("v1")
     texp = tau_exponent_series(m * v1 * v1, order)
-    aexp = HSeries({k: (rf * RationalFn(Poly.const(2), v1))
-                    for k, rf in texp.coeffs.items()})
+    aexp = texp.scale(2) / v1
     el30 = normal_order(_slot1_leg(group2d, texp, "tau")
                         + _slot1_leg(group2d, aexp, "a")).truncate(order)
     return el30 == build_omega(group2d, order).log(order)
@@ -395,8 +387,7 @@ def phi1_residual(group2d, phi1_candidate):
     lhs = left - right + d_left - d_right
     p0_0, p0_1, d0, d1 = _three_slot_images(classical_phi0(group2d))
     comm = commutator(p0_1, d1) - commutator(p0_0, d0)
-    rhs = normal_order(comm).scale(
-        HSeries({-1: RationalFn(Poly.const(GR_I)).scale(Fraction(1, 2))}))
+    rhs = normal_order(comm).scale(HSeries({-1: GR_I * Fraction(1, 2)}))
     res = normal_order(lhs - rhs)
     return res.h_coefficient(0)
 
@@ -407,7 +398,7 @@ def phi1_particular(group2d):
     v_gi = group2d.gen_index("v")
     m = Poly.var("m")
     pref = NCElement(phi0.context, {
-        (((v_gi, 1), (v_gi, 1)), ()): HSeries.const(RationalFn(m.scale(Fraction(-1, 4)))),
+        (((v_gi, 1), (v_gi, 1)), ()): HSeries.const(m.scale(Fraction(-1, 4))),
     })
     return normal_order(pref * phi0)
 
@@ -512,7 +503,7 @@ def rep_apply(group2d, n, order):
         binom = 1
         for t in range(k):
             binom = binom * (n - t) // (t + 1)
-        coeff = RationalFn((p ** (n - k)) * ((m ** k).scale((-1) ** k)).scale(binom))
+        coeff = (p ** (n - k)) * ((m ** k).scale((-1) ** k)).scale(binom)
         word = (((v_gi, 1),) * k,)
         tail = tail + NCElement(ctx, {word: HSeries.const(coeff)})
     return pre, normal_order(tail).truncate(order)
@@ -557,10 +548,7 @@ def rep_compose_check(group2d, degrees, order, omega="paper"):
         expr = p
         for vs in vsyms:
             expr = expr - m * _sym(vs)
-        acc = HSeries.const(RationalFn(Poly.const(1)))
-        for _ in range(n):
-            acc = acc * HSeries.const(expr)
-        elem = series_to_element(acc, ctx2, {"v1": (0, v_gi), "v2": (1, v_gi)})
+        elem = series_to_element(expr ** n, ctx2, {"v1": (0, v_gi), "v2": (1, v_gi)})
         return normal_order(elem).truncate(order)
 
     tail_diffs = [normal_order(tail(("v1", "v2"), n) - tail(("v2", "v1"), n))

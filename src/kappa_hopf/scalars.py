@@ -8,15 +8,17 @@ Every coefficient of the engine is an ``HSeries``, built on three domains:
 * ``Poly``: multivariate polynomial in commuting symbols (strings) with
   GaussianRational coefficients, stored sparsely as {monomial: coeff}.
   The deformation symbol ``h`` is *never* a Poly symbol.
-* ``RationalFn``: quotient of two Polys, gcd-reduced, denominator
-  normalized so its leading coefficient (in a fixed monomial order) is 1.
-  A denominator of one is always the shared ``POLY_ONE``.
 * ``HSeries``: exact Laurent polynomial sum_k c_k h^k, stored flat as one
   sparse map {(k, monomial): GaussianRational} over one monic h-free
   denominator Poly (Monagan & Pearce's distributed layout, ISSAC 2009), so
-  a product of constants is one GaussianRational product.  ``coeffs`` views
-  it per power as RationalFns.  A value known only through some power of h
-  is an ``NCElement`` with an ``order``; its coefficients stay exact.
+  a product of constants is one GaussianRational product.  It is the only
+  type that computes with fractions; ``_canonical`` reduces them.  A value
+  known only through some power of h is an ``NCElement`` with an
+  ``order``; its coefficients stay exact.
+
+``RationalFn`` is the read-only value of one power: ``HSeries.coeffs`` and
+``coeff(k)`` give num/den reduced on its own, and ``HSeries({k: ...})``
+takes it back.  It compares, hashes and prints, and does no arithmetic.
 
 All values are immutable after construction.
 """
@@ -73,8 +75,8 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------
-    # an operand as_gaussian cannot take (a Poly, RationalFn or HSeries)
-    # gives NotImplemented, so Python asks the operand's reflected operator
+    # an operand as_gaussian cannot take (a Poly or HSeries) gives
+    # NotImplemented, so Python asks the operand's reflected operator
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
             try:
@@ -132,16 +134,7 @@ class GaussianRational:
         return other * self.inverse()
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("GaussianRational powers must be non-negative ints")
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GR_ONE)
 
     # -- comparisons / hashing --------------------------------------
     def __eq__(self, other):
@@ -192,6 +185,21 @@ def _gaussian(a, b, d):
     _set_b(out, b)
     _set_d(out, d)
     return out
+
+
+def _power(base, n, one):
+    """base ** n for an int n >= 0 by square-and-multiply; one is the
+    value of base ** 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"{type(base).__name__} powers must be non-negative ints")
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 def _frac_str(q):
@@ -316,8 +324,8 @@ class Poly:
         return d
 
     # -- arithmetic -------------------------------------------------
-    # a RationalFn or HSeries operand gives NotImplemented, so Python asks
-    # its reflected operator
+    # an HSeries operand gives NotImplemented, so Python asks its reflected
+    # operator
     def __add__(self, other):
         if other.__class__ is not Poly:
             try:
@@ -380,24 +388,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    # a quotient of Polys is a RationalFn
-    def __truediv__(self, other):
-        return RationalFn(self) / other
-
-    def __rtruediv__(self, other):
-        return as_rationalfn(other) / RationalFn(self)
-
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("Poly powers must be non-negative ints")
-        out = POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, POLY_ONE)
 
     def scale(self, c):
         if c.__class__ is not GaussianRational:
@@ -406,22 +398,7 @@ class Poly:
             return POLY_ZERO
         return _poly({m: v * c for m, v in self.terms.items()})
 
-    # -- calculus / substitution ------------------------------------
-    def derivative(self, sym):
-        t = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(sym, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[sym]
-            else:
-                d[sym] = e - 1
-            mm = tuple(sorted(d.items()))
-            t[mm] = t.get(mm, GR_ZERO) + c * e
-        return _poly({m: c for m, c in t.items() if c})
-
+    # -- substitution -----------------------------------------------
     def subs(self, mapping):
         """Substitute symbols; values may be Poly, GaussianRational, Fraction, int."""
         out = POLY_ZERO
@@ -719,11 +696,10 @@ def _monic(p):
 
 
 class RationalFn:
-    """Quotient of Polys, canonicalized (gcd-reduced, monic denominator).
-
-    A denominator that reduces to one is always the shared ``POLY_ONE``, so
-    ``den is POLY_ONE`` tells a polynomial value; every other denominator
-    is a non-constant Poly."""
+    """The value num/den of one power of an HSeries, read-only: reduced by
+    ``_canonical`` (gcd-reduced, monic denominator, the shared ``POLY_ONE``
+    for a polynomial value, so ``den is POLY_ONE`` tells one).  It has no
+    arithmetic; compute with ``HSeries.const(...)`` values."""
 
     __slots__ = ("num", "den")
 
@@ -731,130 +707,33 @@ class RationalFn:
         num, den = as_poly(num), as_poly(den)
         if not den:
             raise ZeroDivisionError("RationalFn with zero denominator")
-        if num and not den.is_const():
-            g = poly_gcd(num, den)
-            if not g.is_const():
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-        if not num:
-            den = POLY_ONE
-        elif den.is_const():
-            if den is not POLY_ONE:
-                num = num.scale(den.const_value().inverse())
-                den = POLY_ONE
-        else:
-            _, lc = den._lead()
-            if lc != GR_ONE:
-                inv = lc.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
+        if den is not POLY_ONE:
+            terms, den = _canonical({(0, m): c for m, c in num.terms.items()}, den)
+            num = _poly({m: c for (_, m), c in terms.items()})
         _set_num(self, num)
         _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFn is immutable")
 
-    # -- arithmetic -------------------------------------------------
-    # an HSeries operand gives NotImplemented, so Python asks its reflected
-    # operator
-    def __add__(self, other):
-        if other.__class__ is not RationalFn:
-            try:
-                other = as_rationalfn(other)
-            except TypeError:
-                return NotImplemented
-        if self.den is POLY_ONE and other.den is POLY_ONE:
-            return _rfn(self.num + other.num, POLY_ONE)
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _rfn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if other.__class__ is not RationalFn:
-            if isinstance(other, CONSTANT_TYPES):
-                return self.scale(other)
-            try:
-                other = as_rationalfn(other)
-            except TypeError:
-                return NotImplemented
-        if self.den is POLY_ONE and other.den is POLY_ONE:
-            return _rfn(self.num * other.num, POLY_ONE)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_rationalfn(other)
-        if not other.num:
-            raise ZeroDivisionError("RationalFn division by zero")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return as_rationalfn(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (RFN_ONE / self) ** (-n)
-        return RationalFn(self.num ** n, self.den ** n)
-
-    def scale(self, c):
-        """self * c for an int, Fraction or GaussianRational c: the same
-        canonical value as the product, from one pass over the numerator."""
-        if c.__class__ is not GaussianRational:
-            c = as_gaussian(c)
-        if not c:
-            return RFN_ZERO
-        return _rfn(self.num.scale(c), self.den)
-
-    # -- structure ----------------------------------------------------
     def is_poly(self):
         return self.den is POLY_ONE
-
-    def as_poly(self):
-        if not self.is_poly():
-            raise ValueError(f"not polynomial: {self}")
-        return self.num
 
     def is_const(self):
         return self.is_poly() and self.num.is_const()
 
     def const_value(self):
-        return self.as_poly().const_value()
+        if not self.is_poly():
+            raise ValueError(f"not polynomial: {self}")
+        return self.num.const_value()
 
-    def symbols(self):
-        return self.num.symbols() | self.den.symbols()
-
-    def derivative(self, sym):
-        return RationalFn(
-            self.num.derivative(sym) * self.den - self.num * self.den.derivative(sym),
-            self.den * self.den,
-        )
-
-    def subs(self, mapping):
-        num = self.num.subs(mapping)
-        den = self.den.subs(mapping)
-        return RationalFn(num, den)
-
-    # -- comparisons: cross-multiplication ---------------------------
+    # -- comparisons: canonical fields --------------------------------
     def __eq__(self, other):
-        try:
-            other = as_rationalfn(other)
-        except TypeError:
+        if isinstance(other, (Poly,) + CONSTANT_TYPES):
+            other = RationalFn(other)
+        elif other.__class__ is not RationalFn:
             return NotImplemented
-        if self.den is POLY_ONE and other.den is POLY_ONE:
-            return self.num.terms == other.num.terms
-        return self.num * other.den == other.num * self.den
+        return self.num.terms == other.num.terms and self.den == other.den
 
     def __hash__(self):
         # a polynomial value hashes as its numerator, so a constant as its
@@ -877,28 +756,6 @@ class RationalFn:
 
 _set_num = RationalFn.num.__set__
 _set_den = RationalFn.den.__set__
-
-
-def _rfn(num, den):
-    """The RationalFn num/den, for a pair that is already canonical."""
-    out = _new(RationalFn)
-    _set_num(out, num)
-    _set_den(out, den)
-    return out
-
-
-RFN_ZERO = RationalFn(POLY_ZERO)
-RFN_ONE = RationalFn(POLY_ONE)
-
-
-def as_rationalfn(x):
-    if isinstance(x, RationalFn):
-        return x
-    if isinstance(x, CONSTANT_TYPES):
-        return _rfn(Poly.const(x), POLY_ONE)
-    if isinstance(x, Poly):
-        return RationalFn(x)
-    raise TypeError(f"cannot coerce {x!r} to RationalFn")
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +796,8 @@ def _by_power(terms):
 def _canonical(terms, den):
     """The fields of the value terms/den (den h-free and nonzero): both
     divided by the gcd of den with every power's numerator, den monic, and
-    the shared POLY_ONE when it is constant."""
+    the shared POLY_ONE when it is constant.  The only code that reduces a
+    fraction."""
     if den is POLY_ONE:
         return terms, den
     if not terms:
@@ -951,7 +809,13 @@ def _canonical(terms, den):
             g = poly_gcd(g, p)
             if g.is_const():
                 break
-        if not g.is_const():
+        if len(g.terms) == 1 and not g.is_const():
+            # a monomial gcd, as every projrep one is: poly_gcd made it
+            # monic, so each monomial just loses its exponents
+            ((gm, _),) = g.terms.items()
+            den = _poly({_mono_div(m, gm): c for m, c in den.terms.items()})
+            terms = {(k, _mono_div(m, gm)): c for (k, m), c in terms.items()}
+        elif not g.is_const():
             den = poly_exact_div(den, g)
             terms = {(k, m): c for k, p in parts.items()
                      for m, c in poly_exact_div(p, g).terms.items()}
@@ -977,16 +841,18 @@ class HSeries:
     __slots__ = ("terms", "den")
 
     def __init__(self, coeffs=None):
-        # coeffs: {k: c_k}, each c_k taken by as_rationalfn, brought over
-        # the lcm of their denominators
-        parts = [(k, as_rationalfn(v)) for k, v in coeffs.items()] if coeffs else []
+        # coeffs: {k: c_k}, each c_k a RationalFn, a Poly or a constant,
+        # brought over the lcm of their denominators
+        parts = [(k, v.num, v.den) if isinstance(v, RationalFn) else (k, as_poly(v), POLY_ONE)
+                 for k, v in coeffs.items()] if coeffs else []
         den = POLY_ONE
-        for _, v in parts:
-            if v.den is not POLY_ONE:
-                den = den * poly_exact_div(v.den, poly_gcd(den, v.den))
+        for _, _, d in parts:
+            if d is not POLY_ONE:
+                den = den * poly_exact_div(d, poly_gcd(den, d))
         terms = {}
-        for k, v in parts:
-            num = v.num if v.den is den else v.num * poly_exact_div(den, v.den)
+        for k, num, d in parts:
+            if d is not den:
+                num = num * poly_exact_div(den, d)
             terms.update(((k, m), c) for m, c in num.terms.items())
         terms, den = _canonical(terms, den)
         _set_hterms(self, terms)
@@ -997,7 +863,7 @@ class HSeries:
 
     @staticmethod
     def const(c):
-        return as_hseries(as_rationalfn(c))
+        return as_hseries(c)
 
     @staticmethod
     def from_terms(terms):
@@ -1013,9 +879,7 @@ class HSeries:
     @property
     def coeffs(self):
         """The read-only view {k: c_k}, each power reduced on its own."""
-        den = self.den
-        return {k: _rfn(p, den) if den is POLY_ONE else RationalFn(p, den)
-                for k, p in _by_power(self.terms).items()}
+        return {k: RationalFn(p, self.den) for k, p in _by_power(self.terms).items()}
 
     def min_power(self):
         return min((k for k, _ in self.terms), default=None)
@@ -1092,30 +956,26 @@ class HSeries:
         return _hseries(*_canonical(t, self.den * other.den))
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("HSeries powers must be non-negative ints")
-        out = H_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, H_ONE)
 
     def __truediv__(self, other):
-        """self / other for an h-monomial other = c*h^k."""
+        """self / other for an h-monomial other = (num/den)*h^k: the terms
+        shifted by h^-k and times den, over self.den * num."""
         other = as_hseries(other)
-        powers = {k for k, _ in other.terms}
-        if len(powers) != 1:
+        if not other:
+            raise ZeroDivisionError("HSeries division by zero")
+        k = other.min_power()
+        if k != other.max_power():
             raise ArithmeticError("HSeries division only by h-monomials; expand instead")
-        (k,) = powers
-        shifted = _hseries({(p - k, m): c for (p, m), c in self.terms.items()}, self.den)
-        return shifted * (RFN_ONE / other.coeff(k))
+        terms = {(p - k, m): c for (p, m), c in self.terms.items()}
+        if other.den is not POLY_ONE:
+            terms = _mul_flat(terms, {(0, m): c for m, c in other.den.terms.items()})
+        num = _poly({m: c for (_, m), c in other.terms.items()})
+        return _hseries(*_canonical(terms, self.den * num))
 
     def scale(self, c):
-        """self * c for a constant c (int, Fraction, GaussianRational) or a
-        Poly or RationalFn c."""
+        """self * c for a constant c (int, Fraction, GaussianRational) or
+        any other scalar."""
         if isinstance(c, CONSTANT_TYPES):
             c = as_gaussian(c)
             if not c:
@@ -1124,7 +984,11 @@ class HSeries:
         return self.mul_through(as_hseries(c), None)
 
     def subs(self, mapping):
-        return HSeries({k: v.subs(mapping) for k, v in self.coeffs.items()})
+        """Substitute symbols (as Poly.subs does) in every power's
+        numerator and in den."""
+        terms = {(k, m): c for k, p in _by_power(self.terms).items()
+                 for m, c in p.subs(mapping).terms.items()}
+        return _hseries(terms, POLY_ONE) / self.den.subs(mapping)
 
     # -- comparisons ------------------------------------------------
     def __eq__(self, other):
@@ -1188,10 +1052,17 @@ H_I = HSeries({0: GR_I})
 def as_hseries(x):
     if isinstance(x, HSeries):
         return x
-    if isinstance(x, (RationalFn, Poly) + CONSTANT_TYPES):
-        x = as_rationalfn(x)
-        return _hseries({(0, m): c for m, c in x.num.terms.items()}, x.den)
-    raise TypeError(f"cannot coerce {x!r} to HSeries")
+    if isinstance(x, RationalFn):
+        num, den = x.num, x.den
+    elif isinstance(x, (Poly,) + CONSTANT_TYPES):
+        num, den = as_poly(x), POLY_ONE
+    else:
+        raise TypeError(f"cannot coerce {x!r} to HSeries")
+    return _hseries({(0, m): c for m, c in num.terms.items()}, den)
+
+
+# the types NCElement arithmetic takes as a scalar
+SCALAR_TYPES = CONSTANT_TYPES + (Poly, RationalFn, HSeries)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ the package __init__ only re-exports, so it is exempt.  Dead locals: a plain
 nested in it; tuple, loop and `_`-prefixed targets are exempt.  Dead
 definitions: every function, method or class defined in a module must be
 named (called, read as an attribute or imported) somewhere in src/, tests/
-or demos/; dunder names are exempt.  One clock: report.py, which times every
-check, is the only module that imports time or calls a clock.  No unset
-knobs: every defaulted parameter of a module-level function or method must be
-passed, by keyword or by position, by some call in src/, tests/, demos/ or
-perfbench/."""
+or demos/; dunder names are exempt.  One fraction type: in src/, only
+scalars.py and the re-exporting __init__ name RationalFn.  One clock:
+report.py, which times every check, is the only module that imports time or
+calls a clock.  No unset knobs: every defaulted parameter of a module-level
+function or method must be passed, by keyword or by position, by some call
+in src/, tests/, demos/ or perfbench/."""
 
 import ast
 from pathlib import Path
@@ -159,6 +160,14 @@ def project_sources():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(module, project_sources):
     assert dead_definitions(module.read_text(), project_sources) == []
+
+
+def test_only_scalars_names_rationalfn():
+    # RationalFn is the read-only per-power view of an HSeries; every other
+    # engine module computes with HSeries values
+    naming = [p.name for p in sorted(SRC.glob("*.py"))
+              if "RationalFn" in _referenced_names(p.read_text())]
+    assert naming == ["__init__.py", "scalars.py"]
 
 
 # calls that read a clock: the time module's clocks and datetime's now/today

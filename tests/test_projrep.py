@@ -288,8 +288,8 @@ def _hand_built_3slot_exponents(g2, order):
     (Delta (x) I) substitutes v1 + v2 inside the coefficient series."""
     ctx3 = TensorContext((g2,) * 3)
     v_gi, tau_gi, a_gi = g2.gen_index("v"), g2.gen_index("tau"), g2.gen_index("a")
-    m = RationalFn(Poly.var("m"))
-    v1, v2 = RationalFn(Poly.var("v1")), RationalFn(Poly.var("v2"))
+    m = HSeries.const(Poly.var("m"))
+    v1, v2 = HSeries.const(Poly.var("v1")), HSeries.const(Poly.var("v2"))
     vmap = {"v1": (0, v_gi), "v2": (1, v_gi)}
 
     def texp_of(vexpr):
