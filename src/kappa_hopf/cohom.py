@@ -50,7 +50,6 @@ class PreparedSystem:
 
     def __init__(self, rows, ncols):
         work = _sparse_rows(rows)
-        self.nrows = len(work)
         self.ncols = ncols
         self.ops = []       # ("swap", i, j) | ("scale", i, inv) | ("axpy", i, f_ref, j)
         self.pivots = []    # (row, col)
@@ -413,7 +412,7 @@ def co_jacobi_check(lie, sigma):
             diff[pr] = diff.get(pr, GR_ZERO) - v
         diff = {pr: v for pr, v in diff.items() if v}
         status = PASS if not diff else FAIL
-        res = "0" if not diff else _render_wedge(lie, diff)
+        res = render_wedge(lie.labels, diff)
         return Check(f"co_jacobi[{lie.labels[i]},{lie.labels[j]}]", "Eq. 8 consistency",
                      status, residual=res)
 
@@ -421,11 +420,10 @@ def co_jacobi_check(lie, sigma):
             for i in range(lie.dim) for j in range(i + 1, lie.dim)]
 
 
-def _render_wedge(lie, w):
-    bits = []
-    for (a, b) in sorted(w):
-        bits.append(f"({w[(a,b)]})*{lie.labels[a]}^{lie.labels[b]}")
-    return " + ".join(bits) if bits else "0"
+def render_wedge(labels, w):
+    """The wedge sum w ({(a, b): coefficient}) as text, the generators
+    named by labels: (c)*a^b terms in key order; '0' when w is empty."""
+    return " + ".join(f"({c})*{labels[a]}^{labels[b]}" for (a, b), c in sorted(w.items())) or "0"
 
 
 # ---------------------------------------------------------------------------

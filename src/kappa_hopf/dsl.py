@@ -14,7 +14,6 @@ Declarations::
       quotient orthogonal R;          # R R^T = R^T R = I, a Groebner normal form
     }
     element C1 in galilei_algebra_kappa = P[k]*P[k];
-    map NAME : SRC -> DST { L[i] |-> ...; }
     bicross NAME { total: ...; ufactor: ...; tfactor: ...;
                    uembed g |-> expr; tembed g |-> expr;
                    action u, t = expr; action_codomain: t;
@@ -30,8 +29,8 @@ only on the right are summed (ranges inferred from the generator table,
 defaulting to 1..3).
 
 A right side is evaluated straight into the tensor context of the table it
-fills (one slot for an antipode or a map image, two for a coproduct or a
-coaction): tensor factors fill the slots in order, a scalar factor taking
+fills (one slot for an antipode, a log or an embedding, two for a coproduct
+or a coaction): tensor factors fill the slots in order, a scalar factor taking
 one slot, and a generator is looked up in the presentation of its own slot.
 A scalar right side fills no slot and stands for itself times 1.
 
@@ -61,6 +60,7 @@ from .ncalg import (
     QuotientSpec,
     TensorContext,
     normal_order,
+    word_label,
 )
 from .scalars import (
     GR_I,
@@ -221,7 +221,7 @@ class Parser:
         tok = tok or self.peek()
         d = Diagnostic("error", message, tok.line, tok.col, self.path)
         self.diagnostics.append(d)
-        raise _ParseAbort(d)
+        raise _ParseAbort
 
     def expect(self, kind, what=None):
         t = self.peek()
@@ -335,8 +335,6 @@ class Parser:
                     decls.append(self.parse_presentation_decl())
                 elif t.text == "element":
                     decls.append(self.parse_element_decl())
-                elif t.text == "map":
-                    decls.append(self.parse_map_decl())
                 elif t.text == "bicross":
                     decls.append(self.parse_bicross_decl())
                 elif t.text == "comodule":
@@ -357,7 +355,7 @@ class Parser:
             elif t.kind == "}":
                 depth = max(0, depth - 1)
             elif depth == 0 and t.kind == "IDENT" and t.text in (
-                    "presentation", "element", "map", "bicross", "comodule"):
+                    "presentation", "element", "bicross", "comodule"):
                 return
             self.next()
 
@@ -423,7 +421,7 @@ class Parser:
                 kind = self.expect("IDENT", "quotient kind").text
                 payload = (kind, self.expect("IDENT", "generator family").text)
                 self.expect(";")
-            elif kw in ("coproduct", "counit", "antipode", "log", "star"):
+            elif kw in ("coproduct", "counit", "antipode", "log"):
                 self.next()
                 payload = self.parse_binding(kw, "=")
             else:
@@ -443,21 +441,6 @@ class Parser:
         rhs = self.parse_expr()
         self.expect(";")
         return ("element", name, pres, rhs, tok)
-
-    def parse_map_decl(self):
-        tok = self.next()
-        name = self.expect("IDENT", "map name").text
-        self.expect(":")
-        src = self.expect("IDENT").text
-        self.expect("ARROW")
-        dst = self.expect("IDENT").text
-        self.expect("{")
-        rules = []
-        while self.peek().kind != "}":
-            # no token: a rule's load error names the map declaration
-            rules.append((*self.parse_binding(None, "MAPSTO"), None))
-        self.expect("}")
-        return ("map", name, src, dst, rules, tok)
 
     def parse_bicross_decl(self):
         """Every field keeps its keyword token, so a load error in it names
@@ -514,8 +497,7 @@ class Parser:
 
 
 class _ParseAbort(Exception):
-    def __init__(self, diagnostic):
-        self.diagnostic = diagnostic
+    """Ends the declaration being parsed; Parser.error has recorded why."""
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +774,7 @@ class ModelModule:
     """Everything defined by one or more .hopf sources."""
 
     presentations: dict = field(default_factory=dict)
-    elements: dict = field(default_factory=dict)      # name -> (pres_name, NCElement)
-    maps: dict = field(default_factory=dict)          # name -> (src, dst, {gi: NCElement})
+    elements: dict = field(default_factory=dict)      # name -> NCElement
     bicross: dict = field(default_factory=dict)       # name -> dict (resolved)
     comodules: dict = field(default_factory=dict)     # name -> dict (resolved)
 
@@ -832,17 +813,7 @@ def parse_source(text, path="<string>", env=None, declarations=None):
                 p = env_pres.get(pres_name)
                 if p is None:
                     raise _EvalError(f"element {name}: unknown presentation {pres_name}")
-                module.elements[name] = (pres_name, Evaluator((p,)).element(rhs, {}))
-            elif kind == "map":
-                src, dst, rules = decl[2:5]
-                ps = env_pres.get(src)
-                pd = env_pres.get(dst)
-                if ps is None or pd is None:
-                    raise _EvalError(f"map {name}: unknown presentation {src} or {dst}")
-                images = _table(ps, rules, Evaluator((pd,)))
-                if _uncovered(ps, images):
-                    raise _EvalError(f"map does not cover generators {_uncovered(ps, images)}")
-                module.maps[name] = (src, dst, images)
+                module.elements[name] = Evaluator((p,)).element(rhs, {})
             elif kind == "bicross":
                 module.bicross[name] = _load_bicross(name, decl[2], env_pres)
             elif kind == "comodule":
@@ -924,7 +895,7 @@ def _load_presentation(decl):
     ev_delta = Evaluator((proto, proto))
     raw_rules = {}
     rule_toks = {}
-    tables = {"coproduct": {}, "counit": {}, "antipode": {}, "log": {}, "star": {}}
+    tables = {"coproduct": {}, "counit": {}, "antipode": {}, "log": {}}
     quotient = None
 
     for kind, payload, tok in sections:
@@ -952,7 +923,7 @@ def _load_presentation(decl):
                         if key not in proto.by_key:
                             raise _EvalError(f"{name}: quotient family {fam} needs {fam}[{i},{j}]")
                         idxmap[(i, j)] = proto.by_key[key]
-                quotient = QuotientSpec("orthogonal", fam, idxmap)
+                quotient = QuotientSpec(fam, idxmap)
 
     proto.rules.update(raw_rules)
     proto._validate()
@@ -970,7 +941,6 @@ def _load_presentation(decl):
 
     proto.grouplike_logs.update(tables["log"])
     proto.quotient = quotient
-    proto.star.update(tables["star"])
     proto._validate()
     _normalize_rule_corrections(proto, rule_toks)
     return proto
@@ -1135,7 +1105,7 @@ def _load_comodule(name, fields, env_pres):
     action = _table(space, fields["action"], Evaluator((group, space)))
     if _uncovered(space, action):
         raise _EvalError(f"comodule {name}: action does not cover {_uncovered(space, action)}")
-    return {"name": name, "group": group, "space": space, "action": action}
+    return {"group": group, "space": space, "action": action}
 
 
 # ---------------------------------------------------------------------------
@@ -1185,14 +1155,6 @@ def _gaussian_to_dsl(g):
     return f"({frac(g.re)} + {frac(g.im)}*I)".replace("+ -", "- ")
 
 
-def _word_to_dsl(p, word):
-    if not word:
-        return "1"
-    return "*".join(
-        p.gens[gi].label() if pw == 1 else f"{p.gens[gi].label()}^{pw}"
-        for gi, pw in word)
-
-
 def element_to_dsl(el):
     """Multi-slot element -> DSL expression text."""
     if not el.terms:
@@ -1200,7 +1162,7 @@ def element_to_dsl(el):
     bits = []
     for w in sorted(el.terms):
         c = el.terms[w]
-        body = " (x) ".join(_word_to_dsl(p, sw) for p, sw in zip(el.context.slots, w))
+        body = " (x) ".join(word_label(p, sw) for p, sw in zip(el.context.slots, w))
         cs = _scalar_to_dsl(c)
         if cs == "1":
             bits.append(body)
@@ -1222,8 +1184,7 @@ def print_presentation(p):
     for (hi, lo) in sorted(p.rules):
         corr = p.rules[(hi, lo)]
         el = NCElement(ctx, {(w,): c for c, w in corr})
-        lh = f"{p.gens[hi].label()}*{p.gens[lo].label()}"
-        rh = f"{p.gens[lo].label()}*{p.gens[hi].label()}"
+        lh, rh = word_label(p, ((hi, 1), (lo, 1))), word_label(p, ((lo, 1), (hi, 1)))
         lines.append(f"  relation {lh} - {rh} = {element_to_dsl(el)};")
     if p.quotient is not None:
         lines.append(f"  quotient orthogonal {p.quotient.family};")

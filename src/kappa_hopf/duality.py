@@ -24,6 +24,7 @@ taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .report import Check, FAIL, PASS, run_check
 from .scalars import (
@@ -181,16 +182,11 @@ EQ13_TABLE = [
 ]
 
 
-_MODEL4D = None
-
-
+@cache
 def model_4d():
-    global _MODEL4D
-    if _MODEL4D is None:
-        m = galilei_matrix_model()
-        _selftest_model(m)
-        _MODEL4D = m
-    return _MODEL4D
+    m = galilei_matrix_model()
+    _selftest_model(m)
+    return m
 
 
 def _selftest_model(m):

@@ -29,6 +29,7 @@ from .ncalg import (
     normal_order,
     rewrite_once,
     table_images,
+    word_label,
 )
 from .quotient import zero_mod_quotient
 from .report import Check, FAIL, INFO, PASS, run_check
@@ -253,7 +254,7 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
     def respect_rules(family, structure_map):
         for (hi, lo), _ in sorted(p.rules.items()):
             for hpow, lpow in _rule_variants(p, hi, lo):
-                add(f"{family}[{_plab(p, hi, hpow)}*{_plab(p, lo, lpow)}]", "relations",
+                add(f"{family}[{word_label(p, ((hi, hpow), (lo, lpow)))}]", "relations",
                     lambda: structure_map(_rule_difference(p, hi, lo, hpow, lpow), 0))
 
     respect_rules("delta_respects", apply_coproduct)
@@ -294,11 +295,6 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
     return checks, [run_check(lambda: _residual_check(
         check_id, f"{bare.name} {kind}", res.moved(p, bare, oracle), mode, order, bare_expect))
         for check_id, kind, res in built]
-
-
-def _plab(p, gi, power):
-    lab = p.gens[gi].label()
-    return lab if power == 1 else f"{lab}^{power}"
 
 
 def _gen(p, gi):
@@ -487,7 +483,7 @@ def classical_limit(p, name=None):
     quotient = None
     if p.quotient is not None:
         from .ncalg import QuotientSpec
-        quotient = QuotientSpec(p.quotient.kind, p.quotient.family,
+        quotient = QuotientSpec(p.quotient.family,
                                 {ij: index_map[gi] for ij, gi in p.quotient.gen_indices.items()})
 
     return Presentation(target.name, gens, params=p.params, rules=rules,
@@ -558,7 +554,7 @@ def verify_bicross(b, order=4, mode="formal", oracle=None):
     for side, factor, embed in (("u", b.u_factor, b.u_embed), ("t", b.t_factor, b.t_embed)):
         for (hi, lo), _ in sorted(factor.rules.items()):
             for hpow, lpow in _rule_variants(factor, hi, lo):
-                lab = f"{_plab(factor, hi, hpow)}*{_plab(factor, lo, lpow)}"
+                lab = word_label(factor, ((hi, hpow), (lo, lpow)))
                 checks.append(_identity_check(
                     f"{b.name}:factor_relation[{side}:{lab}]", "Eqs. 5-6 / 15",
                     lambda: apply_algebra_map(_rule_difference(factor, hi, lo, hpow, lpow),
@@ -610,9 +606,8 @@ def verify_comodule(spacetime, group, action, order=4, mode="formal", oracle=Non
     ctx2 = TensorContext((group, spacetime))
 
     for (hi, lo), _ in sorted(spacetime.rules.items()):
-        lab = f"{spacetime.gens[hi].label()}*{spacetime.gens[lo].label()}"
         checks.append(_identity_check(
-            f"comodule:covariance[{lab}]", "Eqs. 17-18",
+            f"comodule:covariance[{word_label(spacetime, ((hi, 1), (lo, 1)))}]", "Eqs. 17-18",
             lambda: apply_algebra_map(_rule_difference(spacetime, hi, lo, 1, 1), action, ctx2),
             mode, order, oracle=oracle))
 

@@ -160,7 +160,7 @@ def load_model(name, overrides=None):
         raise ModelError(f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
     module = _load_file(name + ".hopf", _override_texts(overrides))
     if name == "casimirs":
-        return {el_name: el for el_name, (_, el) in module.elements.items()}
+        return dict(module.elements)
     for table in (module.presentations, module.bicross, module.comodules):
         if name in table:
             return table[name]
@@ -176,8 +176,7 @@ def load_printed_variant():
 
 
 def _normal_order_elements(module):
-    module.elements = {name: (pres, normal_order(el))
-                       for name, (pres, el) in module.elements.items()}
+    module.elements = {name: normal_order(el) for name, el in module.elements.items()}
 
 
 def load_casimirs_in(p):
@@ -186,7 +185,7 @@ def load_casimirs_in(p):
     normal-ordered in p once per p."""
     module = _parse(_read_model_text("casimirs.hopf"), "casimirs.hopf",
                     {"galilei_algebra_kappa": p}, _normal_order_elements)
-    return {name: el for name, (_, el) in module.elements.items()}
+    return dict(module.elements)
 
 
 def strip_quotient(p):
@@ -228,29 +227,3 @@ SELFTESTS = {
     "casimirs.hopf": _selftest_casimirs,
     "galilei_group_kappa.hopf": _selftest_group,
 }
-
-
-def reduce_group_to_2d(group_4d, target_2d):
-    """Dimensional reduction of the 4D group model: drop rotations and the
-    indices 2,3, map v[1] -> v, a[1] -> a.  Returns the reduced rule table
-    keyed like the 2D model's for cross-model comparison."""
-    keep = {
-        group_4d.gen_index("v", (1,)): target_2d.gen_index("v"),
-        group_4d.gen_index("a", (1,)): target_2d.gen_index("a"),
-        group_4d.gen_index("tau"): target_2d.gen_index("tau"),
-    }
-    rules = {}
-    for (hi, lo), corr in group_4d.rules.items():
-        if hi not in keep or lo not in keep:
-            continue
-        ncorr = []
-        for c, w in corr:
-            if any(gi not in keep for gi, _ in w):
-                # dropped components (v2, v3, ...) are set to zero
-                continue
-            ncorr.append((c, tuple((keep[gi], pw) for gi, pw in w)))
-        key = (keep[hi], keep[lo])
-        if key[0] < key[1]:
-            continue
-        rules[key] = tuple(ncorr)
-    return rules

@@ -92,21 +92,18 @@ class HopfData:
 class QuotientSpec:
     """Extra polynomial relations imposed on a commuting generator family.
 
-    Currently one kind: a 3x3 orthogonality quotient R R^T = R^T R = I on a
-    doubly indexed commuting family.  Equality modulo the quotient is decided
-    exactly by a Groebner-basis normal form (see ``quotient.zero_mod_quotient``).
+    The only quotient is `quotient orthogonal R;`: the 3x3 orthogonality
+    relations R R^T = R^T R = I, i.e. sum_k R[i,k]*R[j,k] = delta(i,j) =
+    sum_k R[k,i]*R[k,j], on a doubly indexed commuting family R.  Equality
+    modulo the quotient is decided exactly by a Groebner-basis normal form
+    (see ``quotient.zero_mod_quotient``).
     """
 
-    __slots__ = ("kind", "family", "gen_indices", "relations_text")
+    __slots__ = ("family", "gen_indices")
 
-    def __init__(self, kind, family, gen_indices):
-        self.kind = kind  # "orthogonal"
+    def __init__(self, family, gen_indices):
         self.family = family  # generator name, e.g. "R"
         self.gen_indices = gen_indices  # dict (i,j) -> gen_idx
-        self.relations_text = [
-            f"sum_k {family}[i,k]*{family}[j,k] = delta(i,j)",
-            f"sum_k {family}[k,i]*{family}[k,j] = delta(i,j)",
-        ]
 
 
 class Presentation:
@@ -127,7 +124,6 @@ class Presentation:
         self.hopf = hopf
         self.grouplike_logs = {}   # gen_idx -> 1-slot NCElement, filled by the loader
         self.quotient = quotient
-        self.star = {}
         self._validate()
 
     # -- construction helpers ---------------------------------------
@@ -253,7 +249,7 @@ def _hopf_eq(a, b):
 def _quotient_eq(a, b):
     if a is None or b is None:
         return a is b
-    return a.kind == b.kind and a.family == b.family
+    return a.family == b.family
 
 
 class TensorContext:
@@ -313,7 +309,7 @@ class NCElement:
 
     @staticmethod
     def scalar(context, c):
-        return NCElement(context, {((),) * context.slot_count: as_hseries(c)})
+        return NCElement(context, {((),) * context.slot_count: c})
 
     # -- helpers --------------------------------------------------------
     def _require_same_context(self, other):
@@ -453,11 +449,7 @@ class NCElement:
         bits = []
         for w in sorted(self.terms, key=_word_sort_key):
             c = self.terms[w]
-            words = []
-            for s, sw in enumerate(w):
-                p = self.context.slots[s]
-                words.append("*".join(_letter_str(p, l) for l in sw) or "1")
-            body = " (x) ".join(words) if len(words) > 1 else words[0]
+            body = " (x) ".join(word_label(p, sw) for p, sw in zip(self.context.slots, w))
             cs = str(c)
             if cs == "1":
                 bits.append(body)
@@ -545,10 +537,11 @@ def _word_sort_key(w):
     return (sum(abs(p) for s in w for _, p in s), w)
 
 
-def _letter_str(p, letter):
-    gi, power = letter
-    lab = p.gens[gi].label()
-    return lab if power == 1 else f"{lab}^{power}"
+def word_label(p, sw):
+    """The slot word sw of p as text: its letters joined by '*', a power
+    other than 1 written as ^power; '1' for the empty word."""
+    return "*".join(p.gens[gi].label() + ("" if power == 1 else f"^{power}")
+                    for gi, power in sw) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +971,6 @@ def clone_presentation(p, name=None, rules=None, quotient="keep"):
         )
     q.grouplike_logs.update(
         {gi: NCElement(ctx1, el.terms) for gi, el in p.grouplike_logs.items()})
-    q.star.update(p.star)
     q._validate()
     return q
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .cohom import PreparedSystem, lie_h2
+from .cohom import PreparedSystem, lie_h2, render_wedge
 from .duality import galilei_2d_matrix_model, pair_word
 from .hopf import apply_coproduct
 from .ncalg import (
@@ -420,10 +420,9 @@ def triviality_probe(group2d, lie2d, omega2=None, order=1):
         if not cls:
             return Check("triviality_probe", "Eq. 23", PASS,
                          detail="trivial at classical order (zero H2 class)")
-        lab = lie2d.labels
-        rendered = " + ".join(f"({v})*{lab[i]}^{lab[j]}" for (i, j), v in sorted(cls.items()))
         return Check("triviality_probe", "Eq. 23", PASS,
-                     detail=f"nontrivial at classical order: class {rendered} "
+                     detail=f"nontrivial at classical order: class "
+                            f"{render_wedge(lie2d.labels, cls)} "
                             f"(mass class; dim H2 = {lie_h2(lie2d).dimension}); quantum "
                             "nontriviality is not claimed by this probe")
 

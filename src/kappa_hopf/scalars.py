@@ -161,11 +161,11 @@ class GaussianRational:
     def __str__(self):
         re, im = self.re, self.im
         if not im:
-            return _frac_str(re)
+            return str(re)
         if not re:
             return _imag_str(im)
         sign = "+" if im > 0 else "-"
-        return f"({_frac_str(re)}{sign}{_imag_str(abs(im))})"
+        return f"({re}{sign}{_imag_str(abs(im))})"
 
 
 _set_a = GaussianRational._a.__set__
@@ -200,10 +200,6 @@ def _power(base, n, one):
         if n:
             base = base * base
     return one if out is None else out
-
-
-def _frac_str(q):
-    return str(q)
 
 
 def _imag_str(q):
@@ -558,20 +554,22 @@ def poly_gcd(a, b):
     if a.is_const() or b.is_const():
         return POLY_ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
-        return _common_monomial(a, b)
+        return _poly({_common_monomial([*a.terms, *b.terms]): GR_ONE})
     syms = sorted(a.symbols() | b.symbols())
     return _monic(_gcd_rec(a, b, syms))
 
 
-def _common_monomial(a, b):
-    """The monic gcd when a or b is a single term: each symbol to its least
-    exponent over all terms of both (a symbol missing from a term has 0)."""
-    monos = list(a.terms) + list(b.terms)
+def _common_monomial(monos):
+    """The gcd of the monomials monos: each symbol to its least exponent
+    over all of them (a symbol missing from one has 0).  With a single-term
+    Poly among them, it is the monic gcd of the Polys they come from."""
     low = dict(monos[0])
     for m in monos[1:]:
+        if not low:
+            break
         d = dict(m)
         low = {s: min(e, d[s]) for s, e in low.items() if s in d}
-    return _poly({tuple(sorted(low.items())): GR_ONE})
+    return tuple(sorted(low.items()))
 
 
 def _gcd_rec(a, b, syms):
@@ -803,15 +801,19 @@ def _canonical(terms, den):
     if not terms:
         return terms, POLY_ONE
     if not den.is_const():
-        parts = _by_power(terms)
-        g = den
-        for p in parts.values():
-            g = poly_gcd(g, p)
-            if g.is_const():
-                break
+        if len(den.terms) == 1:
+            # a single-term den, as every projrep one is: the gcd is the
+            # common monomial of den and every flat monomial, in one pass
+            g = _poly({_common_monomial([*den.terms, *(m for _, m in terms)]): GR_ONE})
+        else:
+            parts = _by_power(terms)
+            g = den
+            for p in parts.values():
+                g = poly_gcd(g, p)
+                if g.is_const():
+                    break
         if len(g.terms) == 1 and not g.is_const():
-            # a monomial gcd, as every projrep one is: poly_gcd made it
-            # monic, so each monomial just loses its exponents
+            # a monic monomial gcd: each monomial just loses its exponents
             ((gm, _),) = g.terms.items()
             den = _poly({_mono_div(m, gm): c for m, c in den.terms.items()})
             terms = {(k, _mono_div(m, gm)): c for (k, m), c in terms.items()}

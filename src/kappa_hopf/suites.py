@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import hopf
-from .cohom import CoboundarySolver, LieData, co_jacobi_check, coboundary_of
+from .cohom import CoboundarySolver, LieData, co_jacobi_check, coboundary_of, render_wedge
 from .duality import (
     EQ13_TABLE,
     PairingEngine,
@@ -38,6 +38,7 @@ from .ncalg import (
     confluence_residual,
     confluence_triples,
     normal_order,
+    word_label,
 )
 from .projrep import (
     ExpFactor,
@@ -144,10 +145,9 @@ def _confluence_check(p, label, anchor, expect="zero"):
                           detail=f"{len(triples)} overlap triples resolved")
                     for lab, anc, _ in readings]
         t, r = broken[0]
-        word = "*".join(p.gens[g].label() + ("" if pw == 1 else f"^{pw}") for g, pw in t)
         return [Check(f"confluence[{lab}]", anc, FAIL if exp == "zero" else INFO,
                       residual=f"{len(broken)} of {len(triples)} triples break; "
-                               f"first at {word}: {r.render()}")
+                               f"first at {word_label(p, t)}: {r.render()}")
                 for lab, anc, exp in readings]
 
     checks = run_check(build)
@@ -202,7 +202,7 @@ def suite_algebra(cfg, oracle):
                               expect="report"))
     for (hi, lo) in sorted(printed.rules):
         if printed.gens[hi].name == "L" and printed.gens[lo].name == "L":
-            lab = f"{printed.gens[hi].label()}*{printed.gens[lo].label()}"
+            lab = word_label(printed, ((hi, 1), (lo, 1)))
             rep.add(hopf.delta_respects_check(
                 printed, hi, lo, f"printed_variant:delta_respects[{lab}]",
                 "Eq. 1 as printed vs Eqs. 2, 5", "formal", cfg.order, "report",
@@ -252,6 +252,7 @@ def suite_cocommutator(cfg, oracle):
     kappa = cfg.models["galilei_algebra_kappa"]
     classical = cfg.models["galilei_algebra_classical"]
     expected = _eq9_expected(classical)
+    lie = LieData.from_presentation(classical)
     wedges = {}
 
     def sigma_check(gi, g):
@@ -264,25 +265,17 @@ def suite_cocommutator(cfg, oracle):
             detail = "higher-order antisymmetric parts: " + "; ".join(
                 f"h^{k}: {v.render()}" for k, v in sorted(info.items()))
         return Check(f"sigma[{g.label()}]", "Eq. 9", PASS if ok else FAIL,
-                     residual="0" if ok else f"got {_fmt_wedge(classical, got)}, "
-                                             f"expected {_fmt_wedge(classical, want)}",
+                     residual="0" if ok else f"got {render_wedge(lie.labels, got)}, "
+                                             f"expected {render_wedge(lie.labels, want)}",
                      detail=detail or "matches Eq. 9 exactly")
 
     for gi, g in enumerate(classical.gens):
         rep.add(run_check(lambda: sigma_check(gi, g)))
-    lie = LieData.from_presentation(classical)
     # the h^1 wedges of the Eq. 9 checks are the co-Jacobi table; only a
     # generator whose check raised is computed again, at order 1
     sigma = _sigma_table(kappa, classical, known=wedges)
     rep.extend(co_jacobi_check(lie, sigma))
     return rep
-
-
-def _fmt_wedge(p, comps):
-    if not comps:
-        return "0"
-    return " + ".join(f"({c})*{p.gens[a].label()}^{p.gens[b].label()}"
-                      for (a, b), c in sorted(comps.items()))
 
 
 def suite_rmatrix(cfg, oracle):

@@ -270,6 +270,11 @@ HOPF_AB = """presentation ab {
      "exponent -129 exceeds the word length limit 128"),
     ("antipode A = -A;", "antipode A = A^100*B^100;", (12, 3),
      "product exceeds the word length limit 128"),
+    # no map declaration and no star section: each is refused where it stands
+    ("antipode G = G^-1;\n}", "antipode G = G^-1;\n}\nmap f : ab -> ab { A |-> A; }", (16, 1),
+     "unknown declaration kind 'map'"),
+    ("antipode G = G^-1;", "antipode G = G^-1;\n  star A = A;", (15, 3),
+     "unknown section 'star'"),
 ])
 def test_evaluator_diagnostics(old, new, at, message):
     # one malformed presentation per message; the diagnostic names the

@@ -11,7 +11,10 @@ scalars.py and the re-exporting __init__ name RationalFn.  One clock:
 report.py, which times every check, is the only module that imports time or
 calls a clock.  No unset knobs: every defaulted parameter of a module-level
 function or method must be passed, by keyword or by position, by some call
-in src/, tests/, demos/ or perfbench/."""
+in src/, tests/, demos/ or perfbench/.  No write-only attributes: every
+attribute or dataclass field assigned in src/ must be read somewhere in
+src/, tests/, demos/ or perfbench/; storing into it by subscript or calling
+its update, clear or setdefault is no read."""
 
 import ast
 from pathlib import Path
@@ -327,3 +330,100 @@ def caller_sources(project_sources):
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unset_knobs(module, caller_sources):
     assert unset_knobs(module.read_text(), caller_sources) == []
+
+
+# calls that only change the container they are made on
+MUTATORS = {"update", "clear", "setdefault"}
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def attribute_writes(source):
+    """(line, name) of every attribute assigned in source (`x.name = ...`,
+    augmented or annotated) and of every field of a dataclass."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.lineno, t.attr) for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)]
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found += [(s.lineno, s.target.id) for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return found
+
+
+def attribute_reads(source):
+    """Names of the attributes source reads: `x.name` loaded, or named by
+    getattr or hasattr.  Storing into `x.name[k]` and calling `x.name.update`,
+    `.clear` or `.setdefault` only write to x.name, so they are no reads."""
+    tree = ast.parse(source)
+    writes_into = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            writes_into.add(id(node.value))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            writes_into.add(id(node.func.value))
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in writes_into):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def write_only_attributes(source, sources):
+    """(line, name) of every attribute or dataclass field that source assigns
+    and none of sources reads; pass source among them."""
+    read = set().union(*map(attribute_reads, sources))
+    return sorted((line, name) for line, name in attribute_writes(source) if name not in read)
+
+
+def test_lint_flags_a_write_only_attribute():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    kept: int\n"
+        "    unread: int = 0\n"
+        "class C:\n"
+        "    def __init__(self, d):\n"
+        "        self.table = {}\n"
+        "        self.log = []\n"
+        "        self.count = d.kept\n"
+        "        self.table['k'] = 1\n"
+        "        self.log.clear()\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+    )
+    assert write_only_attributes(source, [source]) == [
+        (5, "unread"), (8, "table"), (9, "log"), (10, "count"), (14, "count")]
+
+
+def test_lint_spares_read_attributes():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    kept: int\n"
+        "class C:\n"
+        "    def __init__(self, d):\n"
+        "        self.table = {}\n"
+        "        self.flag = d.kept\n"
+        "        self.table.update(x=1)\n"
+    )
+    users = ["print(c.table['x'])\n", "getattr(c, 'flag', None)\n"]
+    assert write_only_attributes(source, [source, *users]) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_write_only_attributes(module, caller_sources):
+    assert write_only_attributes(module.read_text(), caller_sources) == []

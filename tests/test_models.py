@@ -24,7 +24,6 @@ from kappa_hopf.models import (
     load_casimirs_in,
     load_model,
     load_printed_variant,
-    reduce_group_to_2d,
     strip_quotient,
 )
 from kappa_hopf.ncalg import NCElement, commutator, normal_order
@@ -89,6 +88,32 @@ def test_casimirs_match_eq2():
     # C2 carries the 1/4kappa^2 prefactor on (P.M)^2 and the (P x L)^2 tail
     assert max(c.max_power() for c in cas["C2"].terms.values()) == 2
     assert cas["C2"].degree() == 6
+
+
+def reduce_group_to_2d(group_4d, target_2d):
+    """Dimensional reduction of the 4D group model: drop rotations and the
+    indices 2,3, map v[1] -> v, a[1] -> a.  Returns the reduced rule table
+    keyed like the 2D model's for cross-model comparison."""
+    keep = {
+        group_4d.gen_index("v", (1,)): target_2d.gen_index("v"),
+        group_4d.gen_index("a", (1,)): target_2d.gen_index("a"),
+        group_4d.gen_index("tau"): target_2d.gen_index("tau"),
+    }
+    rules = {}
+    for (hi, lo), corr in group_4d.rules.items():
+        if hi not in keep or lo not in keep:
+            continue
+        ncorr = []
+        for c, w in corr:
+            if any(gi not in keep for gi, _ in w):
+                # dropped components (v2, v3, ...) are set to zero
+                continue
+            ncorr.append((c, tuple((keep[gi], pw) for gi, pw in w)))
+        key = (keep[hi], keep[lo])
+        if key[0] < key[1]:
+            continue
+        rules[key] = tuple(ncorr)
+    return rules
 
 
 def test_2d_model_is_the_dimensional_reduction():

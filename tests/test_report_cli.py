@@ -139,6 +139,20 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "no_such_presentation" in err and err.count("\n") == 1
 
 
+def test_star_section_exits_2_naming_its_line(tmp_path, capsys):
+    # the language has no star section; a model with one is refused, not
+    # loaded with the section ignored
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_group_2d.hopf"
+    lines = shipped.read_text().splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("  counit "))
+    lines.insert(at, "  star v = v;")
+    model = tmp_path / "star.hopf"
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "projrep", "--order", "1", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"kappa-hopf: DslError: {model}:{at + 1}:3: error: unknown section 'star'\n"
+
+
 def test_cycling_rules_exit_2_naming_the_relation(tmp_path, capsys):
     # P*L -> L*P + P0*L and P0*L -> L*P0 + P*L rewrite each other's
     # corrections forever; the load stops at its correction budget, and the

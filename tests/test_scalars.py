@@ -3,6 +3,7 @@
 import operator
 import random
 from fractions import Fraction as F
+from functools import partial
 from math import gcd
 
 import pytest
@@ -271,8 +272,10 @@ def test_monomial_fast_paths_agree_with_prs(monkeypatch):
         with pytest.raises(ArithmeticError):
             poly_exact_div(a, Poly.var(sym, low + 1))
     fast = [str(RationalFn(a, mono)) for a, mono in cases]
-    monkeypatch.setattr(scalars, "_common_monomial", _prs_gcd)
-    monkeypatch.setattr(scalars, "_monomial_div", scalars._long_div)
+    # the reference reduction takes no monomial path: the gcd by the PRS,
+    # every division by long division
+    monkeypatch.setattr(scalars, "_canonical", partial(
+        _general_canonical, gcd=_prs_gcd, div=scalars._long_div))
     assert fast == [str(RationalFn(a, mono)) for a, mono in cases]
 
 
@@ -297,15 +300,15 @@ def _general_poly_mul(self, other):
     return Poly(t)
 
 
-def _general_canonical(terms, den):
+def _general_canonical(terms, den, gcd=poly_gcd, div=poly_exact_div):
     if not terms:
         return terms, POLY_ONE
     parts = scalars._by_power(terms)
     g = den
     for p in parts.values():
-        g = poly_gcd(g, p)
-    den = poly_exact_div(den, g)
-    terms = {(k, m): c for k, p in parts.items() for m, c in poly_exact_div(p, g).terms.items()}
+        g = gcd(g, p)
+    den = div(den, g)
+    terms = {(k, m): c for k, p in parts.items() for m, c in div(p, g).terms.items()}
     inv = den._lead()[1].inverse()
     den = POLY_ONE if den.is_const() else den.scale(inv)
     return {key: c * inv for key, c in terms.items()}, den
@@ -780,13 +783,15 @@ def test_flat_series_match_the_per_power_reference(kinds):
 
 def test_monomial_common_factor_is_divided_in_one_pass(monkeypatch):
     # every projrep denominator is a power of m: the common factor m of the
-    # denominator and each power's numerator is divided out by monomial
-    # division over the flat terms, with no poly_exact_div per power
+    # denominator and each power's numerator is found as the common monomial
+    # of the flat terms and divided out by monomial division over them, with
+    # no poly_gcd and no poly_exact_div per power
     m, p, v = Poly.var("m"), Poly.var("p"), Poly.var("v1")
     x = HSeries({0: RationalFn(p, m * m), 1: RationalFn(v, m * m), 2: RationalFn(p * v, m * m)})
     calls = []
-    real = scalars.poly_exact_div
-    monkeypatch.setattr(scalars, "poly_exact_div", lambda a, b: calls.append(b) or real(a, b))
+    real_gcd, real_div = scalars.poly_gcd, scalars.poly_exact_div
+    monkeypatch.setattr(scalars, "poly_gcd", lambda a, b: calls.append(b) or real_gcd(a, b))
+    monkeypatch.setattr(scalars, "poly_exact_div", lambda a, b: calls.append(b) or real_div(a, b))
     got = x * m
     assert calls == []
     assert got.den == m
