@@ -158,24 +158,18 @@ class Num:
 @dataclass
 class Sym:
     name: str
-    line: int = 0
-    col: int = 0
 
 
 @dataclass
 class GenRef:
     name: str
     idx: tuple  # ints or variable-name strings
-    line: int = 0
-    col: int = 0
 
 
 @dataclass
 class Call:
     fn: str
     args: tuple
-    line: int = 0
-    col: int = 0
 
 
 @dataclass
@@ -229,6 +223,13 @@ class Parser:
             self.error(f"expected {what or kind}, got {t.text!r}")
         return self.next()
 
+    def expect_int(self, what=None):
+        t = self.expect("INT", what)
+        try:
+            return int(t.text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.error(f"integer literal of {len(t.text)} digits is too long", t)
+
     def accept(self, kind):
         if self.peek().kind == kind:
             return self.next()
@@ -280,15 +281,13 @@ class Parser:
             sign = 1
             if self.accept("-"):
                 sign = -1
-            t = self.expect("INT", "integer exponent")
-            node = Pow(node, sign * int(t.text))
+            node = Pow(node, sign * self.expect_int("integer exponent"))
         return node
 
     def parse_atom(self):
         t = self.peek()
         if t.kind == "INT":
-            self.next()
-            return Num(int(t.text))
+            return Num(self.expect_int())
         if t.kind == "(":
             self.next()
             node = self.parse_expr()
@@ -302,22 +301,21 @@ class Parser:
                 while self.accept(","):
                     args.append(self.parse_index_arg())
                 self.expect(")")
-                return Call(t.text, tuple(args), t.line, t.col)
+                return Call(t.text, tuple(args))
             if self.peek().kind == "[":
                 self.next()
                 idx = [self.parse_index_arg()]
                 while self.accept(","):
                     idx.append(self.parse_index_arg())
                 self.expect("]")
-                return GenRef(t.text, tuple(idx), t.line, t.col)
-            return Sym(t.text, t.line, t.col)
+                return GenRef(t.text, tuple(idx))
+            return Sym(t.text)
         self.error(f"unexpected token {t.text!r} in expression")
 
     def parse_index_arg(self):
         t = self.peek()
         if t.kind == "INT":
-            self.next()
-            return int(t.text)
+            return self.expect_int()
         if t.kind == "IDENT":
             self.next()
             return t.text
@@ -398,11 +396,11 @@ class Parser:
                     idx = ()
                     if self.peek().kind == "[":
                         self.next()
-                        ix = [self.expect("INT").text]
+                        ix = [self.expect_int()]
                         while self.accept(","):
-                            ix.append(self.expect("INT").text)
+                            ix.append(self.expect_int())
                         self.expect("]")
-                        idx = tuple(int(s) for s in ix)
+                        idx = tuple(ix)
                     grouplike = False
                     if self.peek().kind == "IDENT" and self.peek().text == "grouplike":
                         self.next()

@@ -127,29 +127,21 @@ class ModeResiduals:
     formal: NCElement | None = None
     series: NCElement | None = None
     modes_agree: bool | None = None
-    _zero: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def mode_zero(self, mode, oracle=None):
-        """Exact verdict on the `mode` residual modulo any quotient, decided
-        at most once; an oracle cross-checks it when it is decided."""
-        if mode not in self._zero:
-            self._zero[mode] = zero_mod_quotient(getattr(self, mode), oracle=oracle)
-        return self._zero[mode]
-
     def residual_zero(self, oracle=None):
-        """Exact verdict on every mode, each decided once; an oracle cross-checks new ones."""
-        return all([self.mode_zero(m, oracle) for m in ("formal", "series")
-                    if getattr(self, m) is not None])
+        """Exact verdict on every mode modulo any quotient; an oracle
+        cross-checks each mode's verdict."""
+        return all([zero_mod_quotient(e, oracle=oracle) for e in (self.formal, self.series)
+                    if e is not None])
 
-    def moved(self, old, new, oracle):
-        """These residuals with presentation new in place of old in their contexts,
-        rendered as these are and decided afresh, cross-checked by the oracle."""
-        out = ModeResiduals(*(e and e.in_context(TensorContext([new if s is old else s
-                                                                for s in e.context.slots]))
-                              for e in (self.formal, self.series)), self.modes_agree)
+    def moved(self, old, new):
+        """These residuals with presentation new in place of old in their
+        contexts, rendered as these are."""
+        out = ModeResiduals(*(e and e.place_in_slots(
+            TensorContext([new if s is old else s for s in e.context.slots]),
+            range(e.context.slot_count)) for e in (self.formal, self.series)), self.modes_agree)
         out._text = self.render()
-        out.residual_zero(oracle)
         return out
 
     def render(self):
@@ -160,11 +152,8 @@ class ModeResiduals:
         return self._text
 
 
-def evaluate_raw(raw, mode, order, oracle=None):
-    """Normalize a raw element along the requested evaluation path(s).
-
-    With an oracle (quotient.PrefilterOracle), every residual's exact
-    verdict is decided here and cross-checked by random substitution in F_p."""
+def evaluate_raw(raw, mode, order):
+    """Normalize a raw element along the requested evaluation path(s)."""
     res = ModeResiduals()
     if mode in ("formal", "both"):
         res.formal = normal_order(raw)
@@ -172,15 +161,15 @@ def evaluate_raw(raw, mode, order, oracle=None):
         res.series = normal_order(h_expand_raw(raw, order))
     if mode == "both":
         res.modes_agree = normal_order(h_expand_raw(res.formal, order)) == res.series
-    if oracle is not None:
-        res.residual_zero(oracle)
     return res
 
 
-def _residual_check(check_id, anchor, res, mode, order, expect, detail=""):
+def _residual_check(check_id, anchor, res, mode, order, expect, detail="", oracle=None):
     """The check of the evaluated residuals res: they must vanish; with
-    expect="report" a nonzero residual is a finding, not a failure."""
-    ok = res.residual_zero()
+    expect="report" a nonzero residual is a finding, not a failure.  Each
+    residual is decided here, once; an oracle (quotient.PrefilterOracle)
+    cross-checks the verdict by random substitution in F_p."""
+    ok = res.residual_zero(oracle)
     agree = res.modes_agree
     # mode disagreement is always an engine-level failure
     status = FAIL if agree is False or (not ok and expect == "zero") else PASS if ok else INFO
@@ -195,8 +184,8 @@ def _identity_check(check_id, anchor, raw_builder, mode="formal", order=4,
                     expect="zero", detail="", oracle=None):
     """One identity check: the residual raw_builder() must vanish."""
     return run_check(lambda: _residual_check(
-        check_id, anchor, evaluate_raw(raw_builder(), mode, order, oracle),
-        mode, order, expect, detail))
+        check_id, anchor, evaluate_raw(raw_builder(), mode, order),
+        mode, order, expect, detail, oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +235,9 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
 
     def add(check_id, kind, raw):
         def build():
-            built.append((check_id, kind, evaluate_raw(raw(), mode, order, oracle)))
-            return _residual_check(check_id, f"{p.name} {kind}", built[-1][2], mode, order, expect)
+            built.append((check_id, kind, evaluate_raw(raw(), mode, order)))
+            return _residual_check(check_id, f"{p.name} {kind}", built[-1][2], mode, order,
+                                   expect, oracle=oracle)
 
         checks.append(run_check(build))
 
@@ -293,8 +283,8 @@ def verify_bialgebra(p, order=4, mode="formal", expect="zero", oracle=None):
     if bare is None:
         return checks
     return checks, [run_check(lambda: _residual_check(
-        check_id, f"{bare.name} {kind}", res.moved(p, bare, oracle), mode, order, bare_expect))
-        for check_id, kind, res in built]
+        check_id, f"{bare.name} {kind}", res.moved(p, bare), mode, order, bare_expect,
+        oracle=oracle)) for check_id, kind, res in built]
 
 
 def _gen(p, gi):
@@ -314,7 +304,7 @@ def _quotient_coproduct_check(p, order, mode, oracle=None):
             el = el + NCElement(ctx, {(((min(a, b), 1), (max(a, b), 1)),): H_ONE})
         if i == j:
             el = el - NCElement.one(ctx)
-        if not evaluate_raw(apply_coproduct(el, 0), mode, order, oracle).residual_zero():
+        if not evaluate_raw(apply_coproduct(el, 0), mode, order).residual_zero(oracle):
             bad.append((i, j, transposed))
     status = PASS if not bad else FAIL
     return Check("delta_respects[orthogonality]", f"{p.name} implied R relations",

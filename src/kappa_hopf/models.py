@@ -13,10 +13,15 @@ was loaded over: a text is parsed once per process, and an edited override
 file is parsed again.  The first load of a file runs that file's cheap
 structural self-test.  Presentations are immutable after construction, so
 every caller shares the cached ones.
+
+The printed Eq.-1 variant (load_printed_variant) and the quotient-free clone
+of a presentation (strip_quotient) are derived in code, once each, not
+written out again.  Override files are read as UTF-8.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .dsl import DslError, ModelModule, parse_declarations, parse_source
@@ -27,6 +32,7 @@ from .ncalg import (
     h_expand_raw,
     normal_order,
 )
+from .scalars import GR_I
 
 # every shipped file, with every name it declares; an override whose
 # declarations match any of these replaces that file
@@ -70,14 +76,9 @@ def _read_model_text(filename):
     return resources.files("kappa_hopf").joinpath("models").joinpath(filename).read_text()
 
 
-def read_variant_text(filename):
-    return resources.files("kappa_hopf").joinpath("models/variants").joinpath(filename).read_text()
-
-
 # (path, text, (name, id) of each presentation loaded over, hook) ->
 # (those presentations, ModelModule).  An entry holds its presentations, so
-# the ids in its key are not reused by other objects while it lives; so do
-# strip_quotient's entries, ("strip_quotient", id(p)) -> (p, clone).
+# the ids in its key are not reused by other objects while it lives.
 _PARSED = {}
 
 
@@ -100,6 +101,15 @@ def _parse(text, path, env=None, hook=None, declarations=None):
     return hit[1]
 
 
+def _read_override(path):
+    """The text of an override file; one that is not UTF-8 is a model error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ModelError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _override_texts(overrides):
     """{catalog file: (path, text)} of the files that overrides ({declared
     name: path}) replace.  Every file is read, so an edited one is seen."""
@@ -109,8 +119,7 @@ def _override_texts(overrides):
                 if name in decls or name == f.rsplit(".", 1)[0]]
         if not hits:
             raise ModelError(f"unknown model override name: {name!r}")
-        with open(path) as fh:
-            texts[hits[0]] = (str(path), fh.read())
+        texts[hits[0]] = (str(path), _read_override(path))
     return texts
 
 
@@ -135,8 +144,7 @@ def resolve_overrides(paths):
     overrides = {}
     declarations = {}
     for path in paths:
-        with open(path) as fh:
-            text = fh.read()
+        text = _read_override(path)
         decls, diags = parse_declarations(text, str(path))
         if diags:
             raise DslError(diags)
@@ -167,12 +175,20 @@ def load_model(name, overrides=None):
     raise ModelError(f"model {name!r} missing from shipped files")
 
 
+@cache
 def load_printed_variant():
-    """The Eq.-1 presentation with the [L,L] bracket exactly as printed
-    (no factor i); used to surface the paper's internal inconsistency."""
-    module = _parse(read_variant_text("galilei_algebra_kappa_printed.hopf"),
-                    "variants/galilei_algebra_kappa_printed.hopf")
-    return module.presentations["galilei_algebra_kappa_printed"]
+    """The Eq.-1 presentation with the [L_i,L_j] bracket exactly as the paper
+    prints it, without the factor i: the shipped galilei_algebra_kappa (never
+    an override) with each L*L rule correction times -i.  Confluence still
+    holds (Jacobi is insensitive to the overall normalization of this
+    bracket), but the coproduct is then not an algebra map, C2 of Eq. 2 is
+    not central, and the tilde boosts of Eq. 3 no longer commute; the algebra
+    and casimirs suites surface those residuals as findings."""
+    kappa = load_model("galilei_algebra_kappa")
+    rules = {key: tuple((c.scale(-GR_I), w) for c, w in corr)
+             if all(kappa.gens[gi].name == "L" for gi in key) else corr
+             for key, corr in kappa.rules.items()}
+    return clone_presentation(kappa, name="galilei_algebra_kappa_printed", rules=rules)
 
 
 def _normal_order_elements(module):
@@ -188,15 +204,12 @@ def load_casimirs_in(p):
     return dict(module.elements)
 
 
+@cache
 def strip_quotient(p):
     """Same presentation without the implied R-orthogonality quotient, cloned
-    once per p and kept in the parse cache beside p: a clone per call would
-    leave its reference cycles with its Hopf data to the cyclic collector."""
-    key = ("strip_quotient", id(p))
-    if key not in _PARSED:
-        _PARSED[key] = (p, clone_presentation(p, name=p.name + "_no_orthogonality",
-                                              quotient=None))
-    return _PARSED[key][1]
+    once per p (an equal p shares the clone): a clone per call would leave its
+    reference cycles with its Hopf data to the cyclic collector."""
+    return clone_presentation(p, name=p.name + "_no_orthogonality", quotient=None)
 
 
 def _selftest_kappa(module):

@@ -409,15 +409,6 @@ class NCElement:
         slots[a], slots[b] = slots[b], slots[a]
         return _raw_element(TensorContext(tuple(slots)), t, self.order)
 
-    def in_context(self, context):
-        """Reinterpret in a wider/equal context (words padded with empty slots)."""
-        n = context.slot_count
-        m = self.context.slot_count
-        if n < m:
-            raise PresentationError("cannot shrink context")
-        pad = ((),) * (n - m)
-        return _raw_element(context, {w + pad: c for w, c in self.terms.items()}, self.order)
-
     def place_in_slots(self, context, slot_map):
         """Move slot s of self to slot_map[s] of the target context."""
         n = context.slot_count

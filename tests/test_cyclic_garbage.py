@@ -4,10 +4,10 @@ import gc
 
 import pytest
 
-from kappa_hopf.suites import SuiteConfig, run_suite
+from kappa_hopf.suites import SUITE_NAMES, SuiteConfig, run_suite
 
 
-@pytest.mark.parametrize("suite", ["projrep", "duality", "group"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suite_run_leaves_no_cyclic_garbage(suite):
     """With the cyclic collector off, one run leaves no object that only the
     collector could free: a reference cycle (such as a recursive closure's

@@ -385,7 +385,7 @@ def _random_pbw_element(p, rng):
 def _counit_value(x):
     """epsilon(x) for a 1-slot element, as a scalar HSeries."""
     ctx2 = TensorContext(x.context.slots * 2)
-    return apply_counit(x.in_context(ctx2), 0).scalar_part()
+    return apply_counit(x.place_in_slots(ctx2, [0]), 0).scalar_part()
 
 
 def test_letterwise_extension_properties():

@@ -14,7 +14,8 @@ function or method must be passed, by keyword or by position, by some call
 in src/, tests/, demos/ or perfbench/.  No write-only attributes: every
 attribute or dataclass field assigned in src/ must be read somewhere in
 src/, tests/, demos/ or perfbench/; storing into it by subscript or calling
-its update, clear or setdefault is no read."""
+its update, clear or setdefault is no read.  No stale package data: every
+package-data glob in pyproject.toml matches at least one file."""
 
 import ast
 from pathlib import Path
@@ -427,3 +428,14 @@ def test_lint_spares_read_attributes():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_write_only_attributes(module, caller_sources):
     assert write_only_attributes(module.read_text(), caller_sources) == []
+
+
+def test_every_package_data_glob_matches_a_file():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    setuptools = tomllib.loads((ROOT / "pyproject.toml").read_text())["tool"]["setuptools"]
+    where = ROOT.joinpath(*setuptools["packages"]["find"]["where"])
+    unmatched = [(package, pattern)
+                 for package, patterns in setuptools["package-data"].items()
+                 for pattern in patterns
+                 if not any(where.joinpath(*package.split(".")).glob(pattern))]
+    assert unmatched == []

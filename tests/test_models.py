@@ -13,7 +13,7 @@ import pytest
 import kappa_hopf
 from kappa_hopf import models
 from kappa_hopf.cli import main
-from kappa_hopf.dsl import tokenize
+from kappa_hopf.dsl import parse_presentation, tokenize
 from kappa_hopf.hopf import classical_limit
 from kappa_hopf.models import (
     CATALOG_NAMES,
@@ -131,6 +131,17 @@ def test_printed_variant_differs_only_in_LL():
             diff.append(key)
     names = {(kappa.gens[a].name, kappa.gens[b].name) for a, b in diff}
     assert names == {("L", "L")}
+    # derived from the shipped presentation, it equals that file with the
+    # bracket written as Eq. 1 prints it, rule for rule and in order
+    text = _read_model_text("galilei_algebra_kappa.hopf")
+    bracket = "= (I/4)*h^2*eps(i,j,k)*P[k]*(P[m]*M[m]);"
+    assert text.count(bracket) == 1
+    parsed = parse_presentation(
+        text.replace(bracket, "= (1/4)*h^2*eps(i,j,k)*P[k]*(P[m]*M[m]);")
+            .replace("presentation galilei_algebra_kappa {",
+                     "presentation galilei_algebra_kappa_printed {"))
+    assert printed is load_printed_variant()
+    assert printed == parsed and list(printed.rules) == list(parsed.rules)
 
 
 def test_casimirs_in_a_presentation_are_normal_ordered_once(monkeypatch):
@@ -340,4 +351,4 @@ def test_a_model_load_parses_its_closure_only():
 def test_a_repeated_suite_parses_nothing():
     run = "kappa_hopf.run_suite(kappa_hopf.SuiteConfig(suite='casimirs', order=1))\n"
     first, second = _parses(run + "print_calls()\n" + run + "print_calls()\n")
-    assert len(first) == 4 and second == []
+    assert len(first) == 3 and second == []

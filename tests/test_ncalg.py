@@ -863,8 +863,8 @@ def test_commutator_table_is_bound_to_its_context():
     with pytest.raises(PresentationError, match="bracket table"):
         commutator(kappa.gen_element("L", (1,)), kappa.gen_element("P0"), table=table)
     with pytest.raises(PresentationError, match="bracket table"):
-        commutator(v.in_context(TensorContext((g2, g2))),
-                   a.in_context(TensorContext((g2, g2))), table=table)
+        commutator(v.place_in_slots(TensorContext((g2, g2)), [0]),
+                   a.place_in_slots(TensorContext((g2, g2)), [0]), table=table)
 
 
 def test_commutator_forms_one_product_per_nonzero_bracket(monkeypatch):

@@ -642,7 +642,8 @@ def test_bch_table_is_not_read_for_another_context():
     assert bch_combine_exponents(v, a, 2, table=table) == bch_combine_exponents(v, a, 2)
     assert table.pairs and table.context == one
     with pytest.raises(PresentationError, match="bracket table"):
-        bch_combine_exponents(v.in_context(two), a.in_context(two), 2, table=table)
+        bch_combine_exponents(v.place_in_slots(two, [0]), a.place_in_slots(two, [0]), 2,
+                              table=table)
 
 
 PROJREP_SCRIPT = """

@@ -246,7 +246,8 @@ def test_bucket_monomials_equal_the_chained_products():
                     p = ctx.slots[slot]
                     gen = p.gens[rng.randrange(len(p.gens))]
                     term = term * p.gen_element(gen.name, gen.index, slot=slot,
-                                                slots=ctx.slot_count).in_context(ctx)
+                                                slots=ctx.slot_count).place_in_slots(
+                                                    ctx, range(ctx.slot_count))
                 coeff = RationalFn(alpha.scale(rng.randint(0, 2))
                                    + Poly.const(GaussianRational(rng.randint(-3, 3), 1)))
                 el = el + term.scale(HSeries({rng.randint(0, 2): coeff}))
@@ -415,8 +416,8 @@ def test_evaluate_raw_decides_each_mode_residual_once(monkeypatch):
     for name in ("normal_order", "_bucket_by_rest"):
         monkeypatch.setattr(quotient, name, _recording(calls, name, getattr(quotient, name)))
     oracle = PrefilterOracle(5)
-    res = evaluate_raw(raw, "both", 2, oracle)
-    assert res.residual_zero()
+    res = evaluate_raw(raw, "both", 2)
+    assert res.residual_zero(oracle)
     assert oracle.checked == oracle.agreements == 2
     assert sorted(calls) == ["_bucket_by_rest"] * 2 + ["normal_order"] * 2
     used = len(reduced)

@@ -153,6 +153,15 @@ def test_star_section_exits_2_naming_its_line(tmp_path, capsys):
     assert err == f"kappa-hopf: DslError: {model}:{at + 1}:3: error: unknown section 'star'\n"
 
 
+def test_model_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    model = tmp_path / "latin.hopf"
+    model.write_bytes(b"presentation x {\xff\xfe generators: A; }\n")
+    assert main(["verify", "projrep", "--order", "1", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"kappa-hopf: ModelError: {model}: not UTF-8 text "
+                   "(invalid start byte at byte 16)\n")
+
+
 def test_cycling_rules_exit_2_naming_the_relation(tmp_path, capsys):
     # P*L -> L*P + P0*L and P0*L -> L*P0 + P*L rewrite each other's
     # corrections forever; the load stops at its correction budget, and the
