@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from . import ncalg
 from .ncalg import (
     MAX_PENDING_TERMS,
     MAX_WORD_LENGTH,
@@ -59,7 +60,6 @@ from .ncalg import (
     PresentationError,
     QuotientSpec,
     TensorContext,
-    normal_order,
     word_label,
 )
 from .scalars import (
@@ -1045,7 +1045,7 @@ def _normalize_rule_corrections(p, rule_toks):
         for c, w in corr:
             terms[(w,)] = terms.get((w,), H_ZERO) + c
         try:
-            el = normal_order(NCElement(ctx, terms), budget=CORRECTION_BUDGET)
+            el = ncalg.normal_order(NCElement(ctx, terms), budget=CORRECTION_BUDGET)
         except DivergenceError as e:
             raise _EvalError(str(e), rule_toks[digram]) from None
         new_rules[digram] = tuple((c, w[0]) for w, c in sorted(el.terms.items()))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from . import ncalg, quotient
 from .ncalg import (
     NCElement,
     Presentation,
@@ -25,13 +26,10 @@ from .ncalg import (
     LimitError,
     TensorContext,
     extend_letterwise,
-    h_expand_raw,
-    normal_order,
     rewrite_once,
     table_images,
     word_label,
 )
-from .quotient import zero_mod_quotient
 from .report import Check, FAIL, INFO, PASS, run_check
 from .scalars import H_ONE, H_ZERO, HSeries
 
@@ -114,7 +112,7 @@ def apply_algebra_map(e, images, target_ctx):
 
 def coproduct(e):
     """Normal-ordered coproduct of a 1-slot element."""
-    return normal_order(apply_coproduct(e, 0))
+    return ncalg.normal_order(apply_coproduct(e, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ class ModeResiduals:
     def residual_zero(self, oracle=None):
         """Exact verdict on every mode modulo any quotient; an oracle
         cross-checks each mode's verdict."""
-        return all([zero_mod_quotient(e, oracle=oracle) for e in (self.formal, self.series)
+        return all([quotient.zero_mod_quotient(e, oracle=oracle) for e in (self.formal, self.series)
                     if e is not None])
 
     def moved(self, old, new):
@@ -156,11 +154,11 @@ def evaluate_raw(raw, mode, order):
     """Normalize a raw element along the requested evaluation path(s)."""
     res = ModeResiduals()
     if mode in ("formal", "both"):
-        res.formal = normal_order(raw)
+        res.formal = ncalg.normal_order(raw)
     if mode in ("series", "both"):
-        res.series = normal_order(h_expand_raw(raw, order))
+        res.series = ncalg.normal_order(ncalg.h_expand_raw(raw, order))
     if mode == "both":
-        res.modes_agree = normal_order(h_expand_raw(res.formal, order)) == res.series
+        res.modes_agree = ncalg.normal_order(ncalg.h_expand_raw(res.formal, order)) == res.series
     return res
 
 
@@ -341,7 +339,7 @@ class Wedge:
 
     def __init__(self, element):
         swapped = element.swap_slots(0, 1)
-        if not normal_order(element + swapped).is_zero():
+        if not ncalg.normal_order(element + swapped).is_zero():
             raise ValueError("Wedge element is not antisymmetric under slot swap")
         self.element = element
         half = Fraction(1, 2)
@@ -392,8 +390,8 @@ def cocommutator(p, gen_key, higher_order=1):
     el = _gen(p, gi)
     d_raw = apply_coproduct(el, 0)
     order = max(1, higher_order)
-    d = normal_order(h_expand_raw(d_raw, order))
-    anti = normal_order(d - d.swap_slots(0, 1))
+    d = ncalg.normal_order(ncalg.h_expand_raw(d_raw, order))
+    anti = ncalg.normal_order(d - d.swap_slots(0, 1))
     wedge = Wedge(anti.h_coefficient(1))
     info = {}
     for k in range(2, order + 1):
@@ -470,14 +468,14 @@ def classical_limit(p, name=None):
             antipode[index_map[gi]] = classical_element(p.hopf.antipode[gi], target, index_map)
         hopf = HD(delta, counit, antipode)
 
-    quotient = None
+    spec = None
     if p.quotient is not None:
         from .ncalg import QuotientSpec
-        quotient = QuotientSpec(p.quotient.family,
-                                {ij: index_map[gi] for ij, gi in p.quotient.gen_indices.items()})
+        spec = QuotientSpec(p.quotient.family,
+                            {ij: index_map[gi] for ij, gi in p.quotient.gen_indices.items()})
 
     return Presentation(target.name, gens, params=p.params, rules=rules,
-                        hopf=hopf, quotient=quotient)
+                        hopf=hopf, quotient=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +507,7 @@ class BicrossData:
 
 def _embed_elem(e, embed, total):
     ctx = TensorContext((total,))
-    return normal_order(apply_algebra_map(e, embed, ctx))
+    return ncalg.normal_order(apply_algebra_map(e, embed, ctx))
 
 
 def _embed_elem2(e, u_embed, t_embed, total, factors):

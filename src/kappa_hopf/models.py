@@ -24,13 +24,12 @@ from __future__ import annotations
 from functools import cache
 from importlib import resources
 
-from .dsl import DslError, ModelModule, parse_declarations, parse_source
+from . import dsl, ncalg
+from .dsl import DslError, ModelModule, parse_declarations
 from .ncalg import (
     clone_presentation,
     commutator,
     h_expand,
-    h_expand_raw,
-    normal_order,
 )
 from .scalars import GR_I
 
@@ -91,8 +90,8 @@ def _parse(text, path, env=None, hook=None, declarations=None):
     key = (path, text, tuple((name, id(p)) for name, p in env.items()), hook)
     hit = _PARSED.get(key)
     if hit is None:
-        module, diags = parse_source(text, path, env=ModelModule(presentations=env),
-                                     declarations=declarations)
+        module, diags = dsl.parse_source(text, path, env=ModelModule(presentations=env),
+                                         declarations=declarations)
         if module is None:
             raise DslError(diags)
         if hook is not None:
@@ -192,7 +191,7 @@ def load_printed_variant():
 
 
 def _normal_order_elements(module):
-    module.elements = {name: normal_order(el) for name, el in module.elements.items()}
+    module.elements = {name: ncalg.normal_order(el) for name, el in module.elements.items()}
 
 
 def load_casimirs_in(p):
@@ -219,7 +218,7 @@ def _selftest_kappa(module):
     for i in (1, 2, 3):
         li = kappa.gen_element("L", (i,))
         formal = commutator(li, ee)
-        via_series = normal_order(h_expand_raw(li * ee - ee * li, 3))
+        via_series = ncalg.normal_order(ncalg.h_expand_raw(li * ee - ee * li, 3))
         if h_expand(formal, 3) != via_series:
             raise ModelError(f"L[{i}]-EE rule fails its series re-derivation")
 

@@ -29,16 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from . import duality, hopf, ncalg
 from .cohom import PreparedSystem, lie_h2, render_wedge
-from .duality import galilei_2d_matrix_model, pair_word
-from .hopf import apply_coproduct
+from .duality import galilei_2d_matrix_model
 from .ncalg import (
     BracketTable,
     NCElement,
     PresentationError,
     TensorContext,
     commutator,
-    normal_order,
 )
 from .report import Check, PASS, run_check
 from .scalars import (
@@ -139,7 +138,7 @@ def bch_combine_exponents(a, b, order, *, table=None):
             brackets[word[:k]] = val
         if not val.is_zero():
             out = out + val.scale(Fraction(coeff))
-    return normal_order(out).truncate(order)
+    return ncalg.normal_order(out).truncate(order)
 
 
 def bch_combine_list(exponents, order):
@@ -176,7 +175,7 @@ class ExpFactor:
     h_floor: int = 1
 
     def __post_init__(self):
-        self.exponent = normal_order(self.exponent)
+        self.exponent = ncalg.normal_order(self.exponent)
         floors = [_presentation_ad_h_floor(p) for p in self.exponent.context.slots]
         self.h_floor = min(floors) if floors else 1
         if self.h_floor < 1:
@@ -214,7 +213,7 @@ def conjugate(e_factor, x, order):
         raise OrderCapError(f"conjugation order {order} exceeds the cap")
     a = e_factor.exponent.truncate(order)
     table = BracketTable(a.context)
-    term = normal_order(x).truncate(order)
+    term = ncalg.normal_order(x).truncate(order)
     out = term
     fact = 1
     d = 0
@@ -227,7 +226,7 @@ def conjugate(e_factor, x, order):
         if term.is_zero():
             break
         out = out + term.scale(Fraction(1, fact))
-    return normal_order(out).truncate(order)
+    return ncalg.normal_order(out).truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +324,8 @@ def classical_phi0(group2d):
     v = Poly.var("v1")
     series_tau = HSeries.const((m * v * v).scale(Fraction(-1, 2)))
     series_a = HSeries.const((m * v).scale(-1))
-    return normal_order(_slot1_leg(group2d, series_tau, "tau")
-                        + _slot1_leg(group2d, series_a, "a"))
+    return ncalg.normal_order(_slot1_leg(group2d, series_tau, "tau")
+                              + _slot1_leg(group2d, series_a, "a"))
 
 
 def eq30_equals_eq31(group2d, order):
@@ -336,8 +335,8 @@ def eq30_equals_eq31(group2d, order):
     v1 = _sym("v1")
     texp = tau_exponent_series(m * v1 * v1, order)
     aexp = texp.scale(2) / v1
-    el30 = normal_order(_slot1_leg(group2d, texp, "tau")
-                        + _slot1_leg(group2d, aexp, "a")).truncate(order)
+    el30 = ncalg.normal_order(_slot1_leg(group2d, texp, "tau")
+                              + _slot1_leg(group2d, aexp, "a")).truncate(order)
     return el30 == build_omega(group2d, order).log(order)
 
 
@@ -352,7 +351,7 @@ def _three_slot_images(el):
     last two by the model's coproduct."""
     ctx3 = TensorContext(el.context.slots + el.context.slots[:1])
     return (el.place_in_slots(ctx3, {0: 0, 1: 1}), el.place_in_slots(ctx3, {0: 1, 1: 2}),
-            apply_coproduct(el, 0), apply_coproduct(el, 1))
+            hopf.apply_coproduct(el, 0), hopf.apply_coproduct(el, 1))
 
 
 def cocycle_residual(omega, order):
@@ -387,8 +386,8 @@ def phi1_residual(group2d, phi1_candidate):
     lhs = left - right + d_left - d_right
     p0_0, p0_1, d0, d1 = _three_slot_images(classical_phi0(group2d))
     comm = commutator(p0_1, d1) - commutator(p0_0, d0)
-    rhs = normal_order(comm).scale(HSeries({-1: GR_I * Fraction(1, 2)}))
-    res = normal_order(lhs - rhs)
+    rhs = ncalg.normal_order(comm).scale(HSeries({-1: GR_I * Fraction(1, 2)}))
+    res = ncalg.normal_order(lhs - rhs)
     return res.h_coefficient(0)
 
 
@@ -400,7 +399,7 @@ def phi1_particular(group2d):
     pref = NCElement(phi0.context, {
         (((v_gi, 1), (v_gi, 1)), ()): HSeries.const(m.scale(Fraction(-1, 4))),
     })
-    return normal_order(pref * phi0)
+    return ncalg.normal_order(pref * phi0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +444,10 @@ def _classical_class(group2d, lie2d, omega2, order):
     def pair2(x_lab, y_lab):
         total = H_ZERO
         for w, c in phi0.terms.items():
-            p1 = pair_word(model, coord_poly(w[0]), (x_lab,))
+            p1 = duality.pair_word(model, coord_poly(w[0]), (x_lab,))
             if not p1:
                 continue
-            p2 = pair_word(model, coord_poly(w[1]), (y_lab,))
+            p2 = duality.pair_word(model, coord_poly(w[1]), (y_lab,))
             if not p2:
                 continue
             total = total + c * p1 * p2
@@ -505,7 +504,7 @@ def rep_apply(group2d, n, order):
         coeff = (p ** (n - k)) * ((m ** k).scale((-1) ** k)).scale(binom)
         word = (((v_gi, 1),) * k,)
         tail = tail + NCElement(ctx, {word: HSeries.const(coeff)})
-    return pre, normal_order(tail).truncate(order)
+    return pre, ncalg.normal_order(tail).truncate(order)
 
 
 def rep_compose_check(group2d, degrees, order, omega="paper"):
@@ -536,7 +535,7 @@ def rep_compose_check(group2d, degrees, order, omega="paper"):
     # RHS: omega in slots (0,1), then the coproducts of the prefactors
     rhs_exps = [f.exponent for f in build_omega(group2d, order).factors] \
         if omega == "paper" else []
-    rhs_exps += [apply_coproduct(x, 0) for x in prefactors]
+    rhs_exps += [hopf.apply_coproduct(x, 0) for x in prefactors]
 
     seq = [(-x) for x in reversed(lhs_exps)] + rhs_exps
     log_residual = bch_combine_list(seq, order)
@@ -548,8 +547,8 @@ def rep_compose_check(group2d, degrees, order, omega="paper"):
         for vs in vsyms:
             expr = expr - m * _sym(vs)
         elem = series_to_element(expr ** n, ctx2, {"v1": (0, v_gi), "v2": (1, v_gi)})
-        return normal_order(elem).truncate(order)
+        return ncalg.normal_order(elem).truncate(order)
 
-    tail_diffs = [normal_order(tail(("v1", "v2"), n) - tail(("v2", "v1"), n))
+    tail_diffs = [ncalg.normal_order(tail(("v1", "v2"), n) - tail(("v2", "v1"), n))
                   for n in degrees]
     return log_residual, tail_diffs

@@ -32,7 +32,8 @@ import random
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
-from .ncalg import LimitError, normal_order
+from . import ncalg
+from .ncalg import LimitError
 from .scalars import GR_ONE, MOD_P, GaussianRational, Poly, eval_mod, inverse_mod
 
 # the reduced Groebner basis of <R R^T - I, R^T R - I> for grevlex with
@@ -265,7 +266,7 @@ def zero_mod_quotient(element, oracle=None):
     """Exact zero test of a normal-orderable element modulo any per-slot
     orthogonality quotients.  Without quotients this is plain exactness.
     An oracle (PrefilterOracle) cross-checks the verdict on the same buckets."""
-    el = normal_order(element)
+    el = ncalg.normal_order(element)
     slots_with_r = _quotient_slots(el.context)
     buckets = _bucket_by_rest(el, slots_with_r)
     zero = el.is_zero() or (bool(slots_with_r) and _in_quotient_ideal(buckets.values(), slots_with_r))
@@ -306,7 +307,7 @@ def prefilter_zero(element, rng, retries=4, buckets=None):
     about degree/p), which PrefilterOracle counts against the exact one."""
     slots_with_r = _quotient_slots(element.context)
     if buckets is None:
-        element = normal_order(element)
+        element = ncalg.normal_order(element)
         buckets = _bucket_by_rest(element, slots_with_r)
     if not buckets:
         return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from . import hopf
+from . import hopf, models, ncalg, projrep
 from .cohom import CoboundarySolver, LieData, co_jacobi_check, coboundary_of, render_wedge
 from .duality import (
     EQ13_TABLE,
@@ -32,12 +32,10 @@ from .hopf import (
     verify_casimir,
     verify_comodule,
 )
-from .models import load_casimirs_in, load_model, load_printed_variant, strip_quotient
+from .models import load_casimirs_in, load_printed_variant, strip_quotient
 from .ncalg import (
     NCElement,
-    confluence_residual,
     confluence_triples,
-    normal_order,
     word_label,
 )
 from .projrep import (
@@ -50,7 +48,6 @@ from .projrep import (
     omega_log_phi,
     phi1_particular,
     phi1_residual,
-    rep_compose_check,
     triviality_probe,
 )
 from .quotient import PrefilterOracle
@@ -120,7 +117,7 @@ class SuiteConfig:
         if self.mode not in ("formal", "series", "both"):
             raise ConfigError("mode must be formal, series or both")
         suites = SUITE_NAMES if self.suite == "all" else (self.suite,)
-        self.models = {name: load_model(name, self.overrides)
+        self.models = {name: models.load_model(name, self.overrides)
                        for suite in suites for name in SUITE_MODELS[suite]}
 
     def echo(self):
@@ -138,7 +135,7 @@ def _confluence_check(p, label, anchor, expect="zero"):
     the overlap residuals, which no quotient enters, are reduced once."""
     def build():
         triples = confluence_triples(p)
-        broken = [(t, r) for t in triples if not (r := confluence_residual(p, t)).is_zero()]
+        broken = [(t, r) for t in triples if not (r := ncalg.confluence_residual(p, t)).is_zero()]
         readings = zip(*(x if isinstance(x, tuple) else (x,) for x in (label, anchor, expect)))
         if not broken:
             return [Check(f"confluence[{lab}]", anc, PASS,
@@ -473,7 +470,7 @@ def _printed_coaction_check(tilde):
             {w: (c * HSeries.const(GR_I) if len(w[0]) == 1 and len(w[1]) == 1
                  and uf.gens[w[0][0][0]].name == "Mt" else c)
              for w, c in beta.terms.items()})
-        d = normal_order(hopf.coacted_coproduct_residual(tilde, gi, printed_beta))
+        d = ncalg.normal_order(hopf.coacted_coproduct_residual(tilde, gi, printed_beta))
         if not d.is_zero():
             diffs.append((g.label(), d))
     if diffs:
@@ -543,7 +540,7 @@ def suite_projrep(cfg, oracle):
                      detail="residual equals the Hausdorff source of Eq. 27")
 
     def omega_identity():
-        logres, _ = rep_compose_check(g2, (), 0, omega="identity")
+        logres, _ = projrep.rep_compose_check(g2, (), 0, omega="identity")
         ok = not logres.h_coefficient(0).is_zero()
         return Check("mutation[omega_identity]", "Eq. 19 without omega",
                      PASS if ok else FAIL,
@@ -560,7 +557,7 @@ def suite_projrep(cfg, oracle):
 
     def rep_compose():
         degrees = range(cfg.rep_degree + 1)
-        logres, taildiffs = rep_compose_check(g2, degrees, order)
+        logres, taildiffs = projrep.rep_compose_check(g2, degrees, order)
         checks = []
         for n, taildiff in zip(degrees, taildiffs):
             ok = logres.is_zero() and taildiff.is_zero()

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from kappa_hopf import hopf, suites
+from kappa_hopf import hopf, ncalg, suites
 from kappa_hopf.dsl import parse_presentation
 from kappa_hopf.hopf import (
     apply_antipode,
@@ -165,7 +165,7 @@ def _entries(checks, prefix=""):
 
 def test_group_suite_builds_each_residual_once_for_both_presentations(monkeypatch):
     calls = {"evaluate_raw": 0, "confluence_residual": 0}
-    for module, name in ((hopf, "evaluate_raw"), (suites, "confluence_residual")):
+    for module, name in ((hopf, "evaluate_raw"), (ncalg, "confluence_residual")):
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)

@@ -6,10 +6,11 @@ the package __init__ only re-exports, so it is exempt.  Dead locals: a plain
 nested in it; tuple, loop and `_`-prefixed targets are exempt.  Dead
 definitions: every function, method or class defined in a module must be
 named (called, read as an attribute or imported) somewhere in src/, tests/
-or demos/; dunder names are exempt.  One fraction type: in src/, only
-scalars.py and the re-exporting __init__ name RationalFn.  One clock:
-report.py, which times every check, is the only module that imports time or
-calls a clock.  No unset knobs: every defaulted parameter of a module-level
+or demos/; dunder names are exempt.  One fraction type: of the engine
+modules, only scalars.py names RationalFn.  No shadowed modules: no local
+of a function rebinds a sibling module that its module imports with
+`from . import`.  One clock: report.py, which times every check, is the
+only module that imports time or calls a clock.  No unset knobs: every defaulted parameter of a module-level
 function or method must be passed, by keyword or by position, by some call
 in src/, tests/, demos/ or perfbench/.  No write-only attributes: every
 attribute or dataclass field assigned in src/ must be read somewhere in
@@ -168,10 +169,58 @@ def test_no_dead_definitions(module, project_sources):
 
 def test_only_scalars_names_rationalfn():
     # RationalFn is the read-only per-power view of an HSeries; every other
-    # engine module computes with HSeries values
-    naming = [p.name for p in sorted(SRC.glob("*.py"))
-              if "RationalFn" in _referenced_names(p.read_text())]
-    assert naming == ["__init__.py", "scalars.py"]
+    # engine module computes with HSeries values.  The package __init__ only
+    # names it in its export table, as a string, so it is not scanned.
+    naming = [p.name for p in MODULES if "RationalFn" in _referenced_names(p.read_text())]
+    assert naming == ["scalars.py"]
+
+
+def shadowed_modules(source):
+    """(line, name) of every local of a function (an assignment, loop or
+    `with` target, or a parameter) that rebinds a sibling module imported
+    with `from . import name`.  Such a module is how the engine reaches a
+    layer function (`ncalg.normal_order`), so that each is bound in one place."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for a in node.names}
+    hits = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                        and node.id in modules):
+                    hits.add((node.lineno, node.id))
+                elif isinstance(node, ast.arg) and node.arg in modules:
+                    hits.add((node.lineno, node.arg))
+    return sorted(hits)
+
+
+def test_lint_flags_a_shadowed_module():
+    source = (
+        "from . import ncalg, quotient\n"
+        "def f(ncalg):\n"
+        "    quotient = None\n"
+        "    hopf = None\n"
+        "    return ncalg, quotient, hopf\n"
+    )
+    assert shadowed_modules(source) == [(2, "ncalg"), (3, "quotient")]
+
+
+def test_lint_spares_fields_and_other_names():
+    source = (
+        "from . import models\n"
+        "class C:\n"
+        "    models: dict\n"
+        "    def f(self, model):\n"
+        "        return models.load(model), self.models\n"
+    )
+    assert shadowed_modules(source) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_shadowed_modules(module):
+    assert shadowed_modules(module.read_text()) == []
 
 
 # calls that read a clock: the time module's clocks and datetime's now/today

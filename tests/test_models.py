@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import kappa_hopf
-from kappa_hopf import models
+from kappa_hopf import ncalg
 from kappa_hopf.cli import main
 from kappa_hopf.dsl import parse_presentation, tokenize
 from kappa_hopf.hopf import classical_limit
@@ -153,7 +153,7 @@ def test_casimirs_in_a_presentation_are_normal_ordered_once(monkeypatch):
         calls.append(el)
         return normal_order(el, *args, **kwargs)
 
-    monkeypatch.setattr(models, "normal_order", spy)
+    monkeypatch.setattr(ncalg, "normal_order", spy)
     second = load_casimirs_in(printed)
     assert calls == []
     assert second == first

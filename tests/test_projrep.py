@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import kappa_hopf
-from kappa_hopf import ncalg, projrep, suites
+from kappa_hopf import ncalg, projrep
 from kappa_hopf.cohom import LieData
 from kappa_hopf.hopf import apply_coproduct
 from kappa_hopf.models import load_model
@@ -510,7 +510,7 @@ def test_rep_compose_builds_the_log_once(monkeypatch):
             calls.append(inside[-1])
         return bch_combine_list(*args, **kwargs)
 
-    monkeypatch.setattr(suites, "rep_compose_check", counted_rep_compose_check)
+    monkeypatch.setattr(projrep, "rep_compose_check", counted_rep_compose_check)
     monkeypatch.setattr(projrep, "bch_combine_list", counted_bch_combine_list)
     report = run_suite(SuiteConfig(suite="projrep", rep_order=1, seed=42))
     composed = [c for c in report.checks if c.check_id.startswith("rep_compose[")]
