@@ -20,10 +20,13 @@ from itertools import product
 
 from . import ncalg, quotient
 from .ncalg import (
+    GenDecl,
+    HopfData,
     NCElement,
     Presentation,
     PresentationError,
     LimitError,
+    QuotientSpec,
     TensorContext,
     extend_letterwise,
     rewrite_once,
@@ -406,76 +409,53 @@ def cocommutator(p, gen_key, higher_order=1):
 # ---------------------------------------------------------------------------
 
 
+def _at_h0(c, where):
+    """c at h = 0, as an HSeries; a pole there is a LimitError naming where."""
+    if c.has_negative_powers():
+        raise LimitError(f"pole at h=0 in {where}: {c}")
+    return HSeries({0: c.coeff(0)})
+
+
 def classical_element(e, target, index_map):
     """h -> 0, grouplike letters -> 1; words re-indexed into target."""
-    n = e.context.slot_count
-    ctx = TensorContext((target,) * n)
     t = {}
     for w, c in e.terms.items():
-        if c.has_negative_powers():
-            raise LimitError(f"pole at h=0 in coefficient {c}")
-        c0 = c.coeff(0)
-        if not c0:
-            continue
-        nw = []
-        for sw in w:
-            nsw = []
-            for gi, p in sw:
-                if gi in index_map:
-                    nsw.append((index_map[gi], p))
-                # grouplike letters drop (E -> 1)
-            nw.append(tuple(nsw))
-        key = tuple(nw)
-        cur = t.get(key)
-        add = HSeries({0: c0})
-        t[key] = add if cur is None else cur + add
-    return NCElement(ctx, t)
+        c0 = _at_h0(c, "a coefficient")
+        if c0:
+            # grouplike letters drop (E -> 1)
+            key = tuple(tuple((index_map[gi], pw) for gi, pw in sw if gi in index_map) for sw in w)
+            t[key] = t[key] + c0 if key in t else c0
+    return NCElement(TensorContext((target,) * e.context.slot_count), t)
 
 
 def classical_limit(p, name=None):
-    """Presentation at h = 0 (grouplike generators become 1)."""
-    from .ncalg import GenDecl, HopfData as HD
-
+    """Presentation at h = 0 (grouplike generators become 1).  Its rules and
+    quotient come first; its Hopf data is then built over it, so a derived
+    coproduct or antipode multiplies and normal-orders like a parsed one."""
     keep = [gi for gi, g in enumerate(p.gens) if not g.grouplike]
     index_map = {gi: i for i, gi in enumerate(keep)}
-    gens = [GenDecl(p.gens[gi].name, p.gens[gi].index) for gi in keep]
-    target = Presentation(name or f"{p.name}_classical", gens, params=p.params)
 
     rules = {}
     for (hi, lo), corr in p.rules.items():
-        if hi not in index_map or lo not in index_map:
-            continue
-        ncorr = []
-        for c, wt in corr:
-            if c.has_negative_powers():
-                raise LimitError(f"pole at h=0 in rule {p.gens[hi].label()}*{p.gens[lo].label()}")
-            c0 = c.coeff(0)
-            if not c0:
-                continue
-            nw = tuple((index_map[gi], pw) for gi, pw in wt if gi in index_map)
-            ncorr.append((HSeries({0: c0}), nw))
-        rules[(index_map[hi], index_map[lo])] = tuple(ncorr)
-
-    hopf = None
-    if p.hopf is not None:
-        delta, counit, antipode = {}, {}, {}
-        for gi in keep:
-            delta[index_map[gi]] = classical_element(p.hopf.delta[gi], target, index_map)
-            eps = p.hopf.counit[gi]
-            if eps.has_negative_powers():
-                raise LimitError("pole at h=0 in counit")
-            counit[index_map[gi]] = HSeries({0: eps.coeff(0)})
-            antipode[index_map[gi]] = classical_element(p.hopf.antipode[gi], target, index_map)
-        hopf = HD(delta, counit, antipode)
+        if hi in index_map and lo in index_map:
+            where = f"rule {p.gens[hi].label()}*{p.gens[lo].label()}"
+            ncorr = ((_at_h0(c, where), tuple((index_map[gi], pw) for gi, pw in wt if gi in index_map))
+                     for c, wt in corr)
+            rules[index_map[hi], index_map[lo]] = tuple((c0, nw) for c0, nw in ncorr if c0)
 
     spec = None
     if p.quotient is not None:
-        from .ncalg import QuotientSpec
         spec = QuotientSpec(p.quotient.family,
                             {ij: index_map[gi] for ij, gi in p.quotient.gen_indices.items()})
-
-    return Presentation(target.name, gens, params=p.params, rules=rules,
-                        hopf=hopf, quotient=spec)
+    q = Presentation(name or f"{p.name}_classical",
+                     [GenDecl(p.gens[gi].name, p.gens[gi].index) for gi in keep],
+                     params=p.params, rules=rules, quotient=spec)
+    if p.hopf is not None:
+        q.hopf = HopfData(
+            {index_map[gi]: classical_element(p.hopf.delta[gi], q, index_map) for gi in keep},
+            {index_map[gi]: _at_h0(p.hopf.counit[gi], "counit") for gi in keep},
+            {index_map[gi]: classical_element(p.hopf.antipode[gi], q, index_map) for gi in keep})
+    return q
 
 
 # ---------------------------------------------------------------------------

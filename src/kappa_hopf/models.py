@@ -14,9 +14,12 @@ file is parsed again.  The first load of a file runs that file's cheap
 structural self-test.  Presentations are immutable after construction, so
 every caller shares the cached ones.
 
-The printed Eq.-1 variant (load_printed_variant) and the quotient-free clone
-of a presentation (strip_quotient) are derived in code, once each, not
-written out again.  Override files are read as UTF-8.
+The classical Galilei algebra (the kappa -> infinity limit of the shipped
+kappa algebra, a catalog name without a file: DERIVED), the printed Eq.-1
+variant (load_printed_variant) and the quotient-free clone of a presentation
+(strip_quotient) are derived in code, once each, not written out again.  An
+override file that declares a derived name replaces the derivation.  Override
+files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .scalars import GR_I
 # declarations match any of these replaces that file
 FILE_DECLARATIONS = {
     "galilei_algebra_kappa.hopf": ("galilei_algebra_kappa",),
-    "galilei_algebra_classical.hopf": ("galilei_algebra_classical",),
     "galilei_algebra_2d_classical.hopf": ("galilei_algebra_2d_classical",),
     "casimirs.hopf": ("C1", "C2"),
     "tilde_bicross.hopf": ("e3_tilde", "t_translations", "tilde_bicross"),
@@ -51,7 +53,6 @@ FILE_DECLARATIONS = {
 # loaded over the presentations of these
 FILE_DEPENDENCIES = {
     "galilei_algebra_kappa.hopf": (),
-    "galilei_algebra_classical.hopf": (),
     "galilei_algebra_2d_classical.hopf": (),
     "casimirs.hopf": ("galilei_algebra_kappa.hopf",),
     "tilde_bicross.hopf": ("galilei_algebra_kappa.hopf",),
@@ -61,7 +62,22 @@ FILE_DEPENDENCIES = {
     "galilei_group_2d.hopf": (),
 }
 
-CATALOG_NAMES = tuple(f.rsplit(".", 1)[0] for f in FILE_DECLARATIONS)
+
+@cache
+def _classical_galilei():
+    """The kappa -> infinity limit of the shipped galilei_algebra_kappa (never
+    an override).  hopf is imported on the first call, so that a load of the
+    kappa algebra alone does not compile it."""
+    from .hopf import classical_limit
+
+    return classical_limit(load_model("galilei_algebra_kappa"), name="galilei_algebra_classical")
+
+
+# the catalog names derived in code, with their derivations; an override file
+# that declares one of these names stands alone, with no dependencies
+DERIVED = {"galilei_algebra_classical": _classical_galilei}
+
+CATALOG_NAMES = tuple(f.rsplit(".", 1)[0] for f in FILE_DECLARATIONS) + tuple(DERIVED)
 
 # the declaration kinds whose names select the file an override replaces
 OVERRIDE_KINDS = ("presentation", "element", "bicross", "comodule")
@@ -111,11 +127,13 @@ def _read_override(path):
 
 def _override_texts(overrides):
     """{catalog file: (path, text)} of the files that overrides ({declared
-    name: path}) replace.  Every file is read, so an edited one is seen."""
+    name: path}) replace, a derived name keyed as the file it would have
+    (name + ".hopf").  Every file is read, so an edited one is seen."""
     texts = {}
     for name, path in (overrides or {}).items():
-        hits = [f for f, decls in FILE_DECLARATIONS.items()
-                if name in decls or name == f.rsplit(".", 1)[0]]
+        hits = [name + ".hopf"] if name in DERIVED else [
+            f for f, decls in FILE_DECLARATIONS.items()
+            if name in decls or name == f.rsplit(".", 1)[0]]
         if not hits:
             raise ModelError(f"unknown model override name: {name!r}")
         texts[hits[0]] = (str(path), _read_override(path))
@@ -127,7 +145,7 @@ def _load_file(filename, texts, declarations=None):
     texts (see _override_texts) holds for it, loaded over its dependencies.
     declarations: {(path, text): parsed declarations} of override texts."""
     env = {}
-    for dep in FILE_DEPENDENCIES[filename]:
+    for dep in FILE_DEPENDENCIES.get(filename, ()):
         env.update(_load_file(dep, texts, declarations).presentations)
     path, text = texts.get(filename) or (filename, _read_model_text(filename))
     return _parse(text, path, env, SELFTESTS.get(filename),
@@ -162,10 +180,14 @@ def resolve_overrides(paths):
 def load_model(name, overrides=None):
     """Catalog lookup; returns a Presentation, a Casimir dict, a BicrossData
     or a comodule bundle depending on the name.  Only the model's own file
-    and its dependencies are loaded."""
+    and its dependencies are loaded; a derived name without an override is
+    derived instead."""
     if name not in CATALOG_NAMES:
         raise ModelError(f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    module = _load_file(name + ".hopf", _override_texts(overrides))
+    texts = _override_texts(overrides)
+    if name in DERIVED and name + ".hopf" not in texts:
+        return DERIVED[name]()
+    module = _load_file(name + ".hopf", texts)
     if name == "casimirs":
         return dict(module.elements)
     for table in (module.presentations, module.bicross, module.comodules):

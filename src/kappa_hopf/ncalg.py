@@ -110,7 +110,7 @@ class Presentation:
     """Finitely presented algebra with PBW order, oriented rewrite rules and
     optional Hopf data.  Immutable after construction."""
 
-    def __init__(self, name, gens, params=(), rules=None, hopf=None, quotient=None):
+    def __init__(self, name, gens, params=(), rules=None, quotient=None):
         self.name = name
         self.gens = tuple(gens)
         self.params = tuple(params)
@@ -121,7 +121,9 @@ class Presentation:
             self.by_key[g.key()] = i
         # rules: dict (hi_idx, lo_idx) -> tuple of (HSeries coeff, slot_word)
         self.rules = dict(rules or {})
-        self.hopf = hopf
+        # Hopf data is attached once the presentation exists, since its
+        # elements' contexts reference it
+        self.hopf = None
         self.grouplike_logs = {}   # gen_idx -> 1-slot NCElement, filled by the loader
         self.quotient = quotient
         self._validate()

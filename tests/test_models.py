@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,11 @@ import pytest
 import kappa_hopf
 from kappa_hopf import ncalg
 from kappa_hopf.cli import main
-from kappa_hopf.dsl import parse_presentation, tokenize
+from kappa_hopf.dsl import parse_presentation, print_presentation, tokenize
 from kappa_hopf.hopf import classical_limit
 from kappa_hopf.models import (
     CATALOG_NAMES,
+    DERIVED,
     FILE_DECLARATIONS,
     FILE_DEPENDENCIES,
     ModelError,
@@ -27,7 +29,7 @@ from kappa_hopf.models import (
     strip_quotient,
 )
 from kappa_hopf.ncalg import NCElement, commutator, normal_order
-from kappa_hopf.scalars import GaussianRational, HSeries, Poly, RationalFn
+from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly, RationalFn
 
 
 def test_catalog_complete_and_loadable():
@@ -72,10 +74,45 @@ def test_galilei_group_2d_has_exactly_eq24():
     assert len(g2.rules) == 3
 
 
+def levi_civita(i, j, k):
+    return (i - j) * (j - k) * (k - i) // 2
+
+
+def galilei_bracket(x, y):
+    """[x, y] of the classical Galilei Lie algebra, written out by hand for
+    generators (name, index) as {generator: coefficient}: M rotates M, L and
+    P as vectors, [L_i, P0] = i P_i, and every other pair commutes."""
+    (a, i), (b, j) = x, y
+    if a == "M" and b != "P0":
+        return {(b, (k,)): GR_I * levi_civita(i[0], j[0], k)
+                for k in (1, 2, 3) if levi_civita(i[0], j[0], k)}
+    if (a, b) == ("L", "P0"):
+        return {("P", i): GR_I}
+    if (b == "M" and a != "P0") or (a, b) == ("P0", "L"):
+        return {z: -c for z, c in galilei_bracket(y, x).items()}
+    return {}
+
+
 def test_classical_model_is_the_classical_limit():
-    kappa = load_model("galilei_algebra_kappa")
-    classical = load_model("galilei_algebra_classical")
-    assert classical_limit(kappa, name="galilei_algebra_classical") == classical
+    # the kappa -> infinity limit of Eq. 1, derived from the shipped kappa
+    # algebra, against the classical Galilei Hopf algebra stated by hand:
+    # galilei_bracket, and every generator primitive with counit 0 and
+    # antipode -x
+    cl = load_model("galilei_algebra_classical")
+    keys = [(name, (i,)) for name in "MLP" for i in (1, 2, 3)] + [("P0", ())]
+    assert [g.key() for g in cl.gens] == keys
+    zero = NCElement.zero(cl.gen_element("P0").context)
+    for x in keys:
+        gx, gi = cl.gen_element(*x), cl.gen_index(*x)
+        for y in keys:
+            want = sum((cl.gen_element(*z).scale(c) for z, c in galilei_bracket(x, y).items()),
+                       zero)
+            assert commutator(gx, cl.gen_element(*y)) == want, (x, y)
+        assert cl.hopf.delta[gi] == (cl.gen_element(*x, slot=0, slots=2)
+                                     + cl.gen_element(*x, slot=1, slots=2))
+        assert not cl.hopf.counit[gi]
+        assert cl.hopf.antipode[gi] == -gx
+    assert cl.quotient is None and not cl.grouplike_logs
 
 
 def test_casimirs_match_eq2():
@@ -195,6 +232,43 @@ presentation galilei_group_2d {
         load_model("galilei_group_2d", {"no_such_model": str(good)})
 
 
+def _classical_with_double_boost_bracket(tmp_path):
+    """The classical algebra's canonical text with [L_i, P0] = 2i P_i."""
+    text = print_presentation(load_model("galilei_algebra_classical"))
+    for i in (1, 2, 3):
+        rule = f"relation P0*L[{i}] - L[{i}]*P0 = -I*P[{i}];"
+        assert text.count(rule) == 1
+        text = text.replace(rule, rule.replace("-I*", "-2*I*"))
+    path = tmp_path / "classical.hopf"
+    path.write_text(text)
+    return path, text
+
+
+def test_classical_override_replaces_the_derivation(tmp_path):
+    path, text = _classical_with_double_boost_bracket(tmp_path)
+    loaded = load_model("galilei_algebra_classical", {"galilei_algebra_classical": str(path)})
+    assert loaded == parse_presentation(text)
+    assert loaded != load_model("galilei_algebra_classical")
+    # the cocommutator suite reads the wrong bracket
+    assert main(["verify", "cocommutator", "--order", "2", "--model", str(path)]) == 1
+
+
+def test_kappa_override_leaves_the_classical_derivation(tmp_path):
+    # a kappa algebra whose limit has [L_i, P0] = 2i P_i (its L-EE rule
+    # moved with it, so that its self-test passes)
+    text = _read_model_text("galilei_algebra_kappa.hopf")
+    for old, new in (("= I*P[i];", "= 2*I*P[i];"), ("= (I*h/2)*P[i]*EE;", "= (I*h)*P[i]*EE;")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "kappa.hopf"
+    path.write_text(text)
+    overrides = {"galilei_algebra_kappa": str(path)}
+    derived = load_model("galilei_algebra_classical")
+    assert load_model("galilei_algebra_classical", overrides) is derived
+    assert classical_limit(load_model("galilei_algebra_kappa", overrides),
+                           name="galilei_algebra_classical") != derived
+
+
 def test_edited_override_is_reloaded(tmp_path):
     # the catalog cache follows the override's content, not its path
     path = tmp_path / "casimirs.hopf"
@@ -254,6 +328,16 @@ def test_lint_flags_a_removed_dependency(shipped_texts):
 def test_lint_flags_a_cycle():
     table = dict(FILE_DEPENDENCIES, **{"galilei_algebra_kappa.hopf": ("casimirs.hopf",)})
     assert dependency_cycles(table) == ["casimirs.hopf", "galilei_algebra_kappa.hopf"]
+
+
+def test_every_shipped_file_has_declarations():
+    # no orphan data file, no table entry without its file, and no derived
+    # name that is also a file
+    shipped = resources.files("kappa_hopf").joinpath("models")
+    files = {f.name for f in shipped.iterdir() if f.name.endswith(".hopf")}
+    assert files == FILE_DECLARATIONS.keys()
+    assert len(set(CATALOG_NAMES)) == len(CATALOG_NAMES)
+    assert not set(DERIVED) & {name for names in FILE_DECLARATIONS.values() for name in names}
 
 
 def test_dependency_table_covers_every_use(shipped_texts):
@@ -345,6 +429,15 @@ def test_a_model_load_parses_its_closure_only():
                    "kappa_hopf.load_model('spacetime')\nprint_calls()\n") == [
         ["galilei_algebra_kappa.hopf"],
         ["galilei_group_kappa.hopf", "spacetime.hopf"],
+    ]
+
+
+def test_the_classical_algebra_parses_the_kappa_file_only():
+    assert _parses("first = kappa_hopf.load_model('galilei_algebra_classical')\nprint_calls()\n"
+                   "again = kappa_hopf.load_model('galilei_algebra_classical')\n"
+                   "print(json.dumps([again is first]))\n") == [
+        ["galilei_algebra_kappa.hopf"],
+        [True],
     ]
 
 
