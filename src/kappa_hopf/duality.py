@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .report import Check, FAIL, PASS, run_check
 from .scalars import (
@@ -335,10 +336,14 @@ class PairingEngine:
         u(a*w) = D(a) u(w),   t(a*w) = D(a) t(w) + K(a) u(w).
 
     A PBW word without its first letter is a PBW word, so `sweep` walks the
-    suffix tree depth first and reaches each word from its suffix.  Because
-    the model is affine, <f, X> = <f 1, X> with 1 the unit coordinate, so a
-    candidate term of one coordinate (or none) is padded with the unit and
-    read from the same plain block."""
+    suffix tree depth first and reaches each word from its suffix.  Both
+    steps are linear, so every word ending in a word whose blocks are all
+    zero has all-zero blocks too: the walk ends the branch there.  Words are
+    therefore counted in closed form, C(g + b, b) PBW words of degree <= b
+    over g generators, not by visits.  Because the model is affine,
+    <f, X> = <f 1, X> with 1 the unit coordinate, so a candidate term of one
+    coordinate (or none) is padded with the unit and read from the same
+    plain block."""
 
     def __init__(self, model, gen_order, sigma_table):
         self.model = model
@@ -360,11 +365,13 @@ class PairingEngine:
 
     def sweep(self, max_degree, cols, visit, sigma_cols):
         """Call visit(word, plain, sigma) for every PBW word of degree <=
-        max_degree, depth first; plain and sigma are lists of sparse columns
-        {row -> value}, one per entry of cols.  Sigma is carried only in the
-        columns that are in sigma_cols and left empty in the others; a
-        column's t(a*w) reads only its own u(w) and t(w), so the carried
-        ones are exact.  One partial state is held per level."""
+        max_degree that has a nonzero entry in a plain or sigma column,
+        depth first; plain and sigma are lists of sparse columns {row ->
+        value}, one per entry of cols.  A word left out pairs to zero in
+        every column, and so does every word that ends in it.  Sigma is carried
+        only in the columns that are in sigma_cols and left empty in the
+        others; a column's t(a*w) reads only its own u(w) and t(w), so the
+        carried ones are exact.  One partial state is held per level."""
         carry = [c in sigma_cols for c in cols]
         self._walk(max_degree, visit, carry, (), len(self.gen_order) - 1,
                    [{c: GR_ONE} for c in cols], [{} for _ in cols])
@@ -378,10 +385,11 @@ class PairingEngine:
             return
         for i, label in enumerate(self.gen_order[:first + 1]):
             D, K = self.D[label], self.K[label]
-            self._walk(max_degree, visit, carry, (label,) + word, i,
-                       [_matvec(D, ucol) for ucol in u],
-                       [_vec_add(_matvec(D, tcol), _matvec(K, ucol)) if keep else tcol
-                        for ucol, tcol, keep in zip(u, t, carry)])
+            cu = [_matvec(D, ucol) for ucol in u]
+            ct = [_vec_add(_matvec(D, tcol), _matvec(K, ucol)) if keep else tcol
+                  for ucol, tcol, keep in zip(u, t, carry)]
+            if any(cu) or any(ct):
+                self._walk(max_degree, visit, carry, (label,) + word, i, cu, ct)
 
 
 def _columns(m):
@@ -523,8 +531,8 @@ def _poisson_family_checks(engine, queries):
     """Both sides are linear in the pairing values, so a word is decided by
     the residual sum c v - (-i s) per (query, power of h), scattered from
     the nonzero block entries only.  The HSeries sides are built (by
-    _sides) only for a query whose residual is nonzero, and on every word
-    for a query with a symbolic coefficient."""
+    _sides) only for a query whose residual is nonzero, and on every
+    visited word for a query with a symbolic coefficient."""
     compiled = [_compile_query(engine.model, q) for q in queries]
     bounds = [q.degree_bound for q in queries]
     cols = sorted({col for cand_cols, (_, sigma_col) in compiled
@@ -544,12 +552,10 @@ def _poisson_family_checks(engine, queries):
                 plain_index[at[col]].setdefault(row, []).append(((qi, k), c))
         # the residual subtracts the right side -i s h, so s enters as +i s
         sigma_index[at[sigma_col]].setdefault(sigma_row, []).append(((qi, 1), GR_I))
-    per_degree = [0] * (max(bounds) + 1)
     failures = [[] for _ in queries]
 
     def visit(word, u, t):
         deg = len(word)
-        per_degree[deg] += 1
         res = {}
         for index, block in ((plain_index, u), (sigma_index, t)):
             for rows, vec in zip(index, block):
@@ -572,7 +578,7 @@ def _poisson_family_checks(engine, queries):
     rank = {label: i for i, label in enumerate(engine.gen_order)}
     checks = []
     for q, fails in zip(queries, failures):
-        count = sum(per_degree[:q.degree_bound + 1])
+        count = comb(len(engine.gen_order) + q.degree_bound, q.degree_bound)
         if fails:
             # name the least failing word in PBW order, not in walk order
             w, lhs, rhs = min(fails, key=lambda f: (len(f[0]), [rank[x] for x in f[0]]))

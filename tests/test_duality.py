@@ -3,6 +3,8 @@ rules, Poisson brackets, quantization."""
 
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -345,8 +347,9 @@ def test_quantization_mutation_first_failure_of_degree_two():
 
 def _per_word_oracle(engine, queries):
     """The per-word comparison the residual scatter replaced: both sides of
-    every query built as HSeries on every word, as (status, residual,
-    detail) per query."""
+    every query built as HSeries on every visited word, as (status,
+    residual, detail) per query.  The PBW words are counted here, by
+    listing them, not by the visits."""
     model, n = engine.model, engine.model.dim
     minus_i, h = HSeries.const(-GR_I), HSeries.h(1)
     compiled = []
@@ -361,7 +364,6 @@ def _per_word_oracle(engine, queries):
         compiled.append((q, cand, fr * n + gr, fc * n + gc))
     cols = sorted({c for _, cand, _, sc in compiled for c in [sc] + [c for _, _, c in cand]})
     failures = {q.check_id: [] for q in queries}
-    counts = {q.check_id: 0 for q in queries}
 
     def visit(word, u, t):
         plain, sig = dict(zip(cols, u)), dict(zip(cols, t))
@@ -374,7 +376,6 @@ def _per_word_oracle(engine, queries):
                 if v:
                     lhs = lhs + coeff.scale(v)
             rhs = minus_i.scale(sig[scol].get(srow, GaussianRational(0))) * h
-            counts[q.check_id] += 1
             if lhs != rhs:
                 failures[q.check_id].append((word, lhs, rhs))
 
@@ -382,7 +383,9 @@ def _per_word_oracle(engine, queries):
     rank = {label: i for i, label in enumerate(engine.gen_order)}
     out = []
     for q in queries:
-        fails, count = failures[q.check_id], counts[q.check_id]
+        fails = failures[q.check_id]
+        count = sum(1 for d in range(q.degree_bound + 1)
+                    for _ in combinations_with_replacement(engine.gen_order, d))
         if not fails:
             out.append(("pass", "0", f"{count} monomials checked"))
             continue
@@ -434,7 +437,6 @@ def test_residual_scatter_agrees_with_per_word_oracle(monkeypatch):
 
 def test_monomial_counts_are_pbw_words_up_to_the_bound():
     # PBW words of degree <= b in the 10 classical generators: C(10 + b, b)
-    from math import comb
     _, _, engine = build_engine()
     assert len(engine.gen_order) == 10
     queries = [PoissonQuery("R[1,2]", "R[2,3]", [], b, f"rr@{b}") for b in range(2, 7)]
@@ -486,3 +488,67 @@ def test_sweep_carries_sigma_only_in_queried_columns(monkeypatch):
     assert "(12 of 1001 monomials disagree)" in full[1]["quantize[a[1],v[2]]"]
     assert carried and all(n_sigma <= n for n, n_sigma in carried)
     assert any(n_sigma < n for n, n_sigma in carried)
+
+
+def _visit_every_word(self, max_degree, cols, visit, sigma_cols):
+    """A sweep that visits every PBW word of degree <= max_degree, all-zero
+    blocks included."""
+    carry = [c in sigma_cols for c in cols]
+
+    def walk(word, first, u, t):
+        visit(word, u, t)
+        if len(word) == max_degree:
+            return
+        for i, label in enumerate(self.gen_order[:first + 1]):
+            D, K = self.D[label], self.K[label]
+            walk((label,) + word, i, [duality._matvec(D, ucol) for ucol in u],
+                 [duality._vec_add(duality._matvec(D, tcol), duality._matvec(K, ucol))
+                  if keep else tcol for ucol, tcol, keep in zip(u, t, carry)])
+
+    walk((), len(self.gen_order) - 1, [{c: GR_ONE} for c in cols], [{} for _ in cols])
+
+
+def test_sweep_ends_a_branch_at_an_all_zero_block_exactly(monkeypatch):
+    """The duality suite's checks, and the residual texts of failing
+    quantization mutants, are the same when the sweep visits every word; the
+    pruned sweep visits exactly the words with a nonzero block, about a
+    tenth of them."""
+    sweeps = []
+
+    def recording(sweep):
+        def run(self, max_degree, cols, visit, sigma_cols):
+            seen = []
+            sweeps.append(seen)
+            return sweep(self, max_degree, cols,
+                         lambda w, u, t: seen.append((w, any(u) or any(t))) or visit(w, u, t),
+                         sigma_cols)
+        return run
+
+    def outcomes(sweep):
+        sweeps.clear()
+        monkeypatch.setattr(PairingEngine, "sweep", recording(sweep))
+        rep = run_suite(SuiteConfig(suite="duality", order=3, seed=42))
+        suite_sweeps = list(sweeps)
+        return ([(c.check_id, c.status, c.residual, c.detail) for c in rep.checks],
+                _doubled_rule_failures(("a", (1,)), ("v", (2,))),
+                _doubled_rule_failures(("tau",), ("a", (1,)))), suite_sweeps
+
+    pruned, pruned_sweeps = outcomes(PairingEngine.sweep)
+    full, full_sweeps = outcomes(_visit_every_word)
+    assert pruned == full
+    assert "(12 of 1001 monomials disagree)" in full[1]["quantize[a[1],v[2]]"]
+    assert "(8 of 286 monomials disagree)" in full[2]["quantize[tau,a[1]]"]
+    assert [[w for w, _ in seen] for seen in pruned_sweeps] == \
+        [[w for w, nonzero in seen if nonzero] for seen in full_sweeps]
+    # the appendix sweep to degree 6 and the quantization sweep to degree 4
+    assert sum(map(len, full_sweeps)) == comb(16, 6) + comb(14, 4) == 9009
+    assert sum(map(len, pruned_sweeps)) <= 1100
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+def test_appendix_counts_are_pbw_words_at_the_degree_bound(degree):
+    rep = run_suite(SuiteConfig(suite="duality", order=1, degree=degree, seed=42))
+    details = [c.detail for c in rep.checks if c.check_id.startswith("appendix_bracket[")]
+    want = {6: 8008, 8: 43758}[degree]
+    assert want == comb(10 + degree, degree)
+    assert details == [f"{want} monomials checked"] * 27
