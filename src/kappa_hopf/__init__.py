@@ -20,7 +20,7 @@ import importlib
 
 # exported name -> defining module, grouped by module
 _EXPORTS = {
-    "scalars": ("GaussianRational", "HSeries", "Poly", "Rational", "RationalFn",
+    "scalars": ("GaussianRational", "HSeries", "Poly", "RationalFn",
                 "SeriesDomainError", "series_exp", "series_log1p"),
     "ncalg": ("DivergenceError", "GenDecl", "HopfData", "LimitError", "NCElement",
               "Presentation", "PresentationError", "TensorContext", "clone_presentation",

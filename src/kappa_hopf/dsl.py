@@ -598,7 +598,7 @@ def _power(v, n):
     if isinstance(v, HSeries):
         if n >= 0:
             return v ** n
-        if v and v.min_power() == v.max_power():
+        if len(v.terms) == 1:
             return (H_ONE / v) ** (-n)
         raise _EvalError("negative power of a non-monomial scalar")
     if n >= 0:

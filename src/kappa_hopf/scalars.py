@@ -9,10 +9,12 @@ Every coefficient of the engine is an ``HSeries``, built on three domains:
   GaussianRational coefficients, stored sparsely as {monomial: coeff}.
   The deformation symbol ``h`` is *never* a Poly symbol.
 * ``HSeries``: exact Laurent polynomial sum_k c_k h^k, stored flat as one
-  sparse map {(k, monomial): GaussianRational} over one monic h-free
+  sparse map {(k, monomial): GaussianRational} over one monic monomial
   denominator Poly (Monagan & Pearce's distributed layout, ISSAC 2009), so
   a product of constants is one GaussianRational product.  It is the only
-  type that computes with fractions; ``_canonical`` reduces them.  A value
+  type that computes with fractions; ``_canonical`` reduces them.  The
+  paper's fractions divide by m, v and p^2/(2 m kappa) only, so a division
+  that would need a multi-term denominator raises ArithmeticError.  A value
   known only through some power of h is an ``NCElement`` with an
   ``order``; its coefficients stay exact.
 
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
-
-Rational = Fraction
 
 
 def _as_fraction(x):
@@ -311,14 +311,6 @@ class Poly:
             return -1
         return max(_mono_degree(m) for m in self.terms)
 
-    def degree_in(self, sym):
-        d = 0
-        for m in self.terms:
-            for s, e in m:
-                if s == sym and e > d:
-                    d = e
-        return d
-
     # -- arithmetic -------------------------------------------------
     # an HSeries operand gives NotImplemented, so Python asks its reflected
     # operator
@@ -477,75 +469,14 @@ def as_poly(x):
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS, recursing on the symbol set)
+# gcd and exact division by a monomial (every denominator is one)
 # ---------------------------------------------------------------------------
 
 
-def _poly_to_univariate(p, sym):
-    """View p as dense coefficient list in sym: [c0, c1, ...] with Poly coeffs."""
-    deg = p.degree_in(sym)
-    coeffs = [POLY_ZERO] * (deg + 1)
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(sym, 0)
-        rest = tuple(sorted(d.items()))
-        coeffs[e] = coeffs[e] + _poly({rest: c})
-    return coeffs
-
-
-def _univariate_to_poly(coeffs, sym):
-    out = POLY_ZERO
-    for e, c in enumerate(coeffs):
-        if c:
-            out = out + c * Poly.var(sym, e)
-    return out
-
-
-def _uni_degree(coeffs):
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i]:
-            return i
-    return -1
-
-
-def _uni_prem(a, b, sym_order):
-    """Pseudo-remainder of dense Poly-coefficient lists a by b."""
-    a = list(a)
-    da, db = _uni_degree(a), _uni_degree(b)
-    lb = b[db]
-    while da >= db >= 0:
-        la = a[da]
-        # a := lb*a - la*x^(da-db)*b
-        a = [lb * x for x in a]
-        shift = da - db
-        for i in range(db + 1):
-            a[i + shift] = a[i + shift] - la * b[i]
-        nda = _uni_degree(a)
-        if nda == da:  # defensive; lead must drop
-            raise ArithmeticError("pseudo-remainder failed to reduce degree")
-        da = nda
-    return a[: da + 1] if da >= 0 else []
-
-def _content(p, symbols):
-    """gcd of the coefficients of p viewed in symbols[0]."""
-    coeffs = _poly_to_univariate(p, symbols[0])
-    cs = [c for c in coeffs if c]
-    g = cs[0]
-    for c in cs[1:]:
-        g = poly_gcd(g, c)
-        if g.is_const():
-            break
-    return g
-
-
 def poly_gcd(a, b):
-    """gcd of two Polys, monic-normalized in the fixed monomial order.
-
-    If either argument is a single term the gcd is their common monomial,
-    with no PRS (every non-unit denominator of the projective calculus is a
-    monomial).  Other denominators occurring in this engine are small
-    (1 + h-corrections), so a primitive PRS is plenty.
-    """
+    """gcd of two Polys, monic-normalized in the fixed monomial order: the
+    common monomial when either is a single term.  Every denominator is a
+    monomial, so two multi-term Polys raise ArithmeticError."""
     a, b = as_poly(a), as_poly(b)
     if not a:
         return _monic(b)
@@ -555,8 +486,7 @@ def poly_gcd(a, b):
         return POLY_ONE
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _poly({_common_monomial([*a.terms, *b.terms]): GR_ONE})
-    syms = sorted(a.symbols() | b.symbols())
-    return _monic(_gcd_rec(a, b, syms))
+    raise ArithmeticError(f"gcd of two multi-term Polys: {a}, {b}")
 
 
 def _common_monomial(monos):
@@ -572,49 +502,9 @@ def _common_monomial(monos):
     return tuple(sorted(low.items()))
 
 
-def _gcd_rec(a, b, syms):
-    if not a:
-        return b
-    if not b:
-        return a
-    if a.is_const() or b.is_const():
-        return POLY_ONE
-    sym = syms[0]
-    da, db = a.degree_in(sym), b.degree_in(sym)
-    if da == 0 and db == 0:
-        return _gcd_rec(a, b, syms[1:])
-    ca, cb = _content(a, syms), _content(b, syms)
-    cont = _gcd_rec(ca, cb, syms[1:]) if not (ca.is_const() and cb.is_const()) else POLY_ONE
-    pa = poly_exact_div(a, ca)
-    pb = poly_exact_div(b, cb)
-    ua = _poly_to_univariate(pa, sym)
-    ub = _poly_to_univariate(pb, sym)
-    if _uni_degree(ua) < _uni_degree(ub):
-        ua, ub = ub, ua
-    while True:
-        dub = _uni_degree(ub)
-        if dub < 0:
-            g = _univariate_to_poly(ua, sym)
-            break
-        if dub == 0:
-            g = POLY_ONE
-            break
-        r = _uni_prem(ua, ub, syms)
-        ua, ub = ub, r
-        if ub:
-            # primitive part to tame growth
-            p = _univariate_to_poly(ub, sym)
-            c = _content(p, [sym] + syms)
-            p = poly_exact_div(p, c)
-            ub = _poly_to_univariate(p, sym)
-    gp = g
-    c = _content(gp, [sym] + syms) if not gp.is_const() else POLY_ONE
-    gp = poly_exact_div(gp, c)
-    return cont * gp
-
-
 def poly_exact_div(a, b):
-    """Exact division a / b; raises if not divisible."""
+    """Exact division a / b by a constant or single-term b; raises
+    ArithmeticError if b does not divide a or has more than one term."""
     a, b = as_poly(a), as_poly(b)
     if not b:
         raise ZeroDivisionError("Poly division by zero")
@@ -623,35 +513,7 @@ def poly_exact_div(a, b):
         return a.scale(inv)
     if len(b.terms) == 1:
         return _monomial_div(a, b)
-    return _long_div(a, b)
-
-
-def _long_div(a, b):
-    """a / b by repeated division of leading terms in graded lex order.
-
-    The order must be a term order, for an exact division to end with no
-    remainder; the order of _lead is not one (it puts y before x but x^2
-    before x*y)."""
-    syms = sorted(a.symbols() | b.symbols())
-
-    def grlex(m):
-        d = dict(m)
-        e = tuple(d.get(s, 0) for s in syms)
-        return sum(e), e
-
-    rem = a
-    quot = POLY_ZERO
-    bl_m = max(b.terms, key=grlex)
-    bl_c_inv = b.terms[bl_m].inverse()
-    while rem:
-        rl_m = max(rem.terms, key=grlex)
-        qm = _mono_div(rl_m, bl_m)
-        if qm is None:
-            raise ArithmeticError(f"inexact Poly division: {a} / {b}")
-        qterm = _poly({qm: rem.terms[rl_m] * bl_c_inv})
-        quot = quot + qterm
-        rem = rem - qterm * b
-    return quot
+    raise ArithmeticError(f"Poly division by a multi-term divisor: {a} / {b}")
 
 
 def _monomial_div(a, b):
@@ -695,9 +557,10 @@ def _monic(p):
 
 class RationalFn:
     """The value num/den of one power of an HSeries, read-only: reduced by
-    ``_canonical`` (gcd-reduced, monic denominator, the shared ``POLY_ONE``
-    for a polynomial value, so ``den is POLY_ONE`` tells one).  It has no
-    arithmetic; compute with ``HSeries.const(...)`` values."""
+    ``_canonical`` (the common monomial divided out, one monic monomial
+    denominator, the shared ``POLY_ONE`` for a polynomial value, so ``den is
+    POLY_ONE`` tells one).  A multi-term den raises ArithmeticError.  It has
+    no arithmetic; compute with ``HSeries.const(...)`` values."""
 
     __slots__ = ("num", "den")
 
@@ -792,50 +655,33 @@ def _by_power(terms):
 
 
 def _canonical(terms, den):
-    """The fields of the value terms/den (den h-free and nonzero): both
-    divided by the gcd of den with every power's numerator, den monic, and
-    the shared POLY_ONE when it is constant.  The only code that reduces a
-    fraction."""
+    """The fields of the value terms/den (den a single nonzero term):
+    both divided by the common monomial of den and every flat monomial, in
+    one pass, den monic, and the shared POLY_ONE when it is constant.  The
+    only code that reduces a fraction; a multi-term den raises
+    ArithmeticError."""
     if den is POLY_ONE:
         return terms, den
     if not terms:
         return terms, POLY_ONE
-    if not den.is_const():
-        if len(den.terms) == 1:
-            # a single-term den, as every projrep one is: the gcd is the
-            # common monomial of den and every flat monomial, in one pass
-            g = _poly({_common_monomial([*den.terms, *(m for _, m in terms)]): GR_ONE})
-        else:
-            parts = _by_power(terms)
-            g = den
-            for p in parts.values():
-                g = poly_gcd(g, p)
-                if g.is_const():
-                    break
-        if len(g.terms) == 1 and not g.is_const():
-            # a monic monomial gcd: each monomial just loses its exponents
-            ((gm, _),) = g.terms.items()
-            den = _poly({_mono_div(m, gm): c for m, c in den.terms.items()})
-            terms = {(k, _mono_div(m, gm)): c for (k, m), c in terms.items()}
-        elif not g.is_const():
-            den = poly_exact_div(den, g)
-            terms = {(k, m): c for k, p in parts.items()
-                     for m, c in poly_exact_div(p, g).terms.items()}
-    if den.is_const():
-        inv, den = den.const_value().inverse(), POLY_ONE
-    else:
-        inv = den._lead()[1].inverse()
-        den = den.scale(inv)
+    if len(den.terms) != 1:
+        raise ArithmeticError(f"denominator {den} is not a monomial")
+    ((dm, dc),) = den.terms.items()
+    g = _common_monomial([dm, *(m for _, m in terms)])
+    if g:
+        dm = _mono_div(dm, g)
+        terms = {(k, _mono_div(m, g)): c for (k, m), c in terms.items()}
+    inv = dc.inverse()
     if inv != GR_ONE:
         terms = {key: c * inv for key, c in terms.items()}
-    return terms, den
+    return terms, _poly({dm: GR_ONE}) if dm else POLY_ONE
 
 
 class HSeries:
     """sum_k c_k h^k, an exact Laurent polynomial in h with rational-function
     coefficients, stored flat: ``terms`` maps (k, monomial) to a nonzero
-    GaussianRational, over one monic, h-free denominator ``den`` that shares
-    no factor with all of the powers' numerators at once.  A polynomial
+    GaussianRational, over one monic monomial denominator ``den`` that shares
+    no symbol with all of the flat monomials at once.  A polynomial
     value has the shared ``POLY_ONE``.  Equal values have equal fields.  A
     value known only through some order of h is an NCElement with an
     ``order``."""
@@ -962,7 +808,8 @@ class HSeries:
 
     def __truediv__(self, other):
         """self / other for an h-monomial other = (num/den)*h^k: the terms
-        shifted by h^-k and times den, over self.den * num."""
+        shifted by h^-k and times den, over self.den * num, so num must be
+        a single term."""
         other = as_hseries(other)
         if not other:
             raise ZeroDivisionError("HSeries division by zero")
@@ -987,7 +834,7 @@ class HSeries:
 
     def subs(self, mapping):
         """Substitute symbols (as Poly.subs does) in every power's
-        numerator and in den."""
+        numerator and in den; den must stay a single term."""
         terms = {(k, m): c for k, p in _by_power(self.terms).items()
                  for m, c in p.subs(mapping).terms.items()}
         return _hseries(terms, POLY_ONE) / self.den.subs(mapping)

@@ -215,6 +215,8 @@ def test_relation_scalars_are_inverted_exactly():
         == {(1, 0): ((HSeries.h(2).scale(GaussianRational(0, F(1, 2))), ((0, 1),)),)}
     assert rules_or_messages("B*A - A*B = (1+h)^-1*A") \
         == ["negative power of a non-monomial scalar"]
+    assert rules_or_messages("B*A - A*B = (1+m)^-1*A") \
+        == ["negative power of a non-monomial scalar"]
     assert rules_or_messages("(1+h)*B*A - (1+h)*A*B = A") \
         == ["relation commutator prefactor must be an h-monomial scalar"]
     assert rules_or_messages("m*B*A - m*A*B = A") \

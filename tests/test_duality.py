@@ -406,7 +406,7 @@ def test_residual_scatter_agrees_with_per_word_oracle(monkeypatch):
         "h0_and_h2": [PoissonQuery("tau", "a[1]", [(HSeries({0: 1, 2: 3}), ("a[1]",)),
                                                    (h, ("a[1]",))], 3, "q")],
         "symbolic": [PoissonQuery("tau", "a[2]",
-                                  [(HSeries({1: RationalFn(m, m + 1)}), ("a[2]",))], 3, "q")],
+                                  [(HSeries({1: RationalFn(m + 1, m)}), ("a[2]",))], 3, "q")],
         "empty": [PoissonQuery("tau", "a[1]", [], 3, "nonzero"),
                   PoissonQuery("R[1,2]", "R[2,3]", [], 3, "zero")],
         "mixed": [PoissonQuery("tau", "a[1]", [(h, ("a[1]",))], 3, "pass"),

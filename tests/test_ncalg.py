@@ -464,7 +464,7 @@ def _oracle_coeff(rng):
         num = Poly.const(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)))
         if rng.random() < 0.3:
             num = num + alpha.scale(rng.randint(1, 2))
-        den = rng.choice([Poly.const(1), Poly.const(rng.randint(2, 3)), alpha + Poly.const(1)])
+        den = rng.choice([Poly.const(1), Poly.const(rng.randint(2, 3)), alpha])
         coeffs[rng.randint(-1, 3)] = RationalFn(num, den)
     return HSeries(coeffs)
 
@@ -799,7 +799,7 @@ def _commutator_operand(p, ctx, rng, kind):
         for k in powers:
             num = Poly.const(GaussianRational(rng.randint(-3, 3), rng.randint(1, 3)))
             num = num + alpha.scale(rng.randint(0, 2))
-            den = rng.choice([Poly.const(1), Poly.const(2), alpha + Poly.const(1)])
+            den = rng.choice([Poly.const(1), Poly.const(2), alpha])
             out[k] = RationalFn(num, den)
         return HSeries(out)
 

@@ -153,6 +153,24 @@ def test_star_section_exits_2_naming_its_line(tmp_path, capsys):
     assert err == f"kappa-hopf: DslError: {model}:{at + 1}:3: error: unknown section 'star'\n"
 
 
+def test_negative_power_of_a_sum_exits_2_naming_its_line(tmp_path, capsys):
+    # every denominator is a monomial: (1+m)^-1 is refused where it is
+    # written, even where the sum it divides would cancel it
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_group_2d.hopf"
+    lines = shipped.read_text().splitlines()
+    lines.insert(lines.index("  generators: v a tau;"), "  params: m;")
+    at = lines.index("  relation v*a - a*v = -(I*h/2)*v*v;                           # Eq. 24")
+    lines[at] = "  relation v*a - a*v = -(I*h/2)*(1+m)^-1*(1+m)*v*v;"
+    model = tmp_path / "sum_power.hopf"
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "projrep", "--order", "2", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"kappa-hopf: DslError: {model}:{at + 1}:3: error: "
+                            "negative power of a non-monomial scalar\n")
+    assert at + 1 == 10
+
+
 def test_model_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     model = tmp_path / "latin.hopf"
     model.write_bytes(b"presentation x {\xff\xfe generators: A; }\n")
