@@ -542,15 +542,18 @@ def word_label(p, sw):
 # ---------------------------------------------------------------------------
 
 
-def _find_redex(word, pres_list):
-    """First reducible position (slot, pos): the same grouplike generator
-    twice, or a digram out of PBW order.  None if word is normal-ordered."""
-    for s, sw in enumerate(word):
+def _find_redex(word, pres_list, s=0, i=0):
+    """First reducible position (slot, pos) from letter i of slot s on: the
+    same grouplike generator twice, or a digram out of PBW order.  None if
+    the word is normal-ordered from there."""
+    for s in range(s, len(word)):
+        sw = word[s]
         p = pres_list[s]
-        for i in range(len(sw) - 1):
-            (g1, p1), (g2, p2) = sw[i], sw[i + 1]
+        for i in range(i, len(sw) - 1):
+            g1, g2 = sw[i][0], sw[i + 1][0]
             if g1 > g2 or (g1 == g2 and p.gens[g1].grouplike):
                 return (s, i)
+        i = 0
     return None
 
 
@@ -597,11 +600,23 @@ def normal_order(e, budget=None):
     is already waiting is added to it.  Normal form is linear, so each
     waiting word is rewritten once, for the sum of its terms.
 
+    A swap whose rule has no correction (rules[(hi, lo)] == ()) does not
+    wait: while a word's first redex is such a digram, its right-hand
+    letter moves one place left, and the search for the next redex resumes
+    a letter before the swap, since the letters before that are in order.
+    A letter thus passes its whole run of greater letters it commutes with
+    in one go.  These are the swaps leftmost rewriting makes one at a time,
+    so the normal form is the same for any rules, confluent or not.  The
+    moving word stops at a word already waiting and is added to it, so like
+    terms still merge.
+
     The limits count what rewriting each term on its own, from a stack,
-    would count.  `paths` is the number of terms a waiting word stands for;
-    the step budget and the pending-term limit count paths, so a rule whose
-    corrections copy their own digram trips the pending-term limit instead
-    of growing one coefficient without bound.  `depth` is the most
+    would count.  `paths` is the number of terms a waiting word stands for.
+    `budget` bounds the rewrite steps: each merge or swap, a swap of a run
+    too, counts once for every path its word stands for, and the step that
+    crosses the budget names its digram.  The pending-term limit counts
+    paths as well, so a rule whose corrections copy their own digram trips
+    it instead of growing one coefficient without bound.  `depth` is the most
     correction steps on one rewrite path to the word.  A stack keeps the
     lead word of each such step below its correction, so a term of depth d
     waits with at least d others, and the pending-term limit applies to the
@@ -612,42 +627,47 @@ def normal_order(e, budget=None):
     budget = REWRITE_BUDGET if budget is None else budget
     pres_list = e.context.slots
     order = e.order
-    deepest = 0
+    deepest = steps = 0
     result = {}
     pending = {}
+    # the input's terms that start with a swap without correction make it
+    # here and arrive first, one path each, searched from letter 0; p is the
+    # presentation of the word last rewritten, None when no rewrite made the
+    # words arriving
+    new = []
     for w, c in e.terms.items():
         loc = _find_redex(w, pres_list)
         if loc is None:
             result[w] = c
-        else:
+            continue
+        s, i = loc
+        sw = w[s]
+        if pres_list[s].rules.get((sw[i][0], sw[i + 1][0])) != ():
             pending[w] = [c, 1, 0, loc]
+            continue
+        steps += 1
+        if steps > budget:
+            _diverged(pres_list[s], sw, i, "rewrite budget exceeded")
+        new.append((w[:s] + (sw[:i] + (sw[i + 1], sw[i]) + sw[i + 2:],) + w[s + 1:], c, 0))
     queue = deque(pending)
     waiting = len(pending)
-    steps = 0
-    while queue:
-        word = queue.popleft()
-        coeff, paths, depth, (s, i) = pending.pop(word)
-        waiting -= paths
-        if not coeff:
-            continue
-        sw = word[s]
-        p = pres_list[s]
-        steps += paths
-        if steps > budget:
-            _diverged(p, sw, i, "rewrite budget exceeded")
-        lead, corrections = rewrite_digram(p, sw, i)
-        new = [(lead, coeff, depth)]
-        for nsw, c in corrections:
-            if len(nsw) > MAX_WORD_LENGTH:
-                _diverged(p, sw, i, f"word length limit {MAX_WORD_LENGTH} exceeded")
-            c = coeff.mul_through(c, order)
-            if c:
-                new.append((nsw, c, depth + 1))
-        for nsw, c, d in new:
-            w = word[:s] + (nsw,) + word[s + 1:]
-            entry = pending.get(w)
-            if entry is None:
-                loc = _find_redex(w, pres_list)
+    paths = 1
+    s = i = 0
+    p = None
+    while True:
+        for w, c, d in new:
+            # slot s is normal through letter i - 1, and so are earlier slots
+            t, j = s, i - 1 if i else 0
+            while True:
+                entry = pending.get(w)
+                if entry is not None:
+                    entry[0] += c
+                    entry[1] += paths
+                    if d > entry[2]:
+                        entry[2] = d
+                    waiting += paths
+                    break
+                loc = _find_redex(w, pres_list, t, j)
                 if loc is None:
                     old = result.get(w)
                     nc = c if old is None else old + c
@@ -657,19 +677,48 @@ def normal_order(e, budget=None):
                         del result[w]
                     if d > deepest:
                         deepest = d
-                    continue
-                pending[w] = [c, paths, d, loc]
-                queue.append(w)
-            else:
-                entry[0] += c
-                entry[1] += paths
-                if d > entry[2]:
-                    entry[2] = d
-            waiting += paths
-        if waiting > MAX_PENDING_TERMS or depth >= MAX_PENDING_TERMS:
+                    break
+                t, j = loc
+                tw = w[t]
+                if pres_list[t].rules.get((tw[j][0], tw[j + 1][0])) != ():
+                    pending[w] = [c, paths, d, loc]
+                    queue.append(w)
+                    waiting += paths
+                    break
+                # a swap with no correction is made here, not queued
+                steps += paths
+                if steps > budget:
+                    _diverged(pres_list[t], tw, j, "rewrite budget exceeded")
+                w = w[:t] + (tw[:j] + (tw[j + 1], tw[j]) + tw[j + 2:],) + w[t + 1:]
+                if j:
+                    j -= 1
+        if p is not None and (waiting > MAX_PENDING_TERMS or depth >= MAX_PENDING_TERMS):
             _diverged(p, sw, i, f"pending-term limit {MAX_PENDING_TERMS} exceeded")
-    if order is not None and deepest and _rule_floor(e.context):
-        return _truncated(e.context, result, order + deepest * _rule_floor(e.context))
+        if not queue:
+            break
+        word = queue.popleft()
+        coeff, paths, depth, (s, i) = pending.pop(word)
+        waiting -= paths
+        if not coeff:
+            new, p = (), None
+            continue
+        sw = word[s]
+        p = pres_list[s]
+        steps += paths
+        if steps > budget:
+            _diverged(p, sw, i, "rewrite budget exceeded")
+        lead, corrections = rewrite_digram(p, sw, i)
+        head, tail = word[:s], word[s + 1:]
+        new = [(head + (lead,) + tail, coeff, depth)]
+        for nsw, c in corrections:
+            if len(nsw) > MAX_WORD_LENGTH:
+                _diverged(p, sw, i, f"word length limit {MAX_WORD_LENGTH} exceeded")
+            c = coeff.mul_through(c, order)
+            if c:
+                new.append((head + (nsw,) + tail, c, depth + 1))
+    floor = _rule_floor(e.context) if order is not None and deepest else 0
+    if floor:
+        return _truncated(e.context, result, order + deepest * floor)
     return _raw_element(e.context, result, order)
 
 
@@ -901,10 +950,16 @@ def h_expand_raw(e, order):
     h^order without normal ordering; the result is grouplike-free, known
     through h^order at most, and agrees with e under the exponential
     interpretation.  Every other letter's image is its own unit word, which
-    extend_letterwise appends without a product."""
+    extend_letterwise appends without a product; so an element with no
+    grouplike letter is only truncated, and the same terms, in the same
+    order, are returned without the letter-by-letter product."""
     if order < 0:
         raise ValueError("h_expand order must be >= 0")
     ctx = e.context
+    slots = ctx.slots
+    if not any(slots[s].gens[gi].grouplike
+               for w in e.terms for s, sw in enumerate(w) for gi, _ in sw):
+        return e.truncate(order)
 
     def series_in(s):
         p = ctx.slots[s]

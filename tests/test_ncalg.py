@@ -1,6 +1,7 @@
 """Normal ordering, commutators, substitution, series expansion, confluence."""
 
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from kappa_hopf.ncalg import (
 )
 from kappa_hopf.quotient import prefilter_zero
 from kappa_hopf.scalars import GaussianRational, GR_I, H_ONE, HSeries, Poly, RationalFn
+from kappa_hopf.suites import SuiteConfig, run_suite
 
 
 def ih(num=1, den=1, power=1):
@@ -707,6 +709,194 @@ def test_normal_order_matches_the_term_by_term_loop(layout):
         assert (got.terms, got.order) == (ref.terms, e.order)
         compared += len(ref.terms)
     assert compared > 200
+
+
+def _one_swap_normal_order(e, budget=ncalg.REWRITE_BUDGET):
+    """normal_order as it was before a run of swaps without corrections was
+    made in one go: every rewrite, a swap with no correction too, is one
+    rewrite_digram step, waits its turn in the queue, and its words are
+    searched from letter 0.  Returns the element and the steps counted; the
+    step budget is kept, the other limits are not."""
+    pres_list = e.context.slots
+    result, pending = {}, {}
+    for w, c in e.terms.items():
+        loc = ncalg._find_redex(w, pres_list)
+        if loc is None:
+            result[w] = c
+        else:
+            pending[w] = [c, 1, 0, loc]
+    queue = deque(pending)
+    steps = deepest = 0
+    while queue:
+        word = queue.popleft()
+        coeff, paths, depth, (s, i) = pending.pop(word)
+        if not coeff:
+            continue
+        p, sw = pres_list[s], word[s]
+        steps += paths
+        if steps > budget:
+            ncalg._diverged(p, sw, i, "rewrite budget exceeded")
+        lead, corrections = ncalg.rewrite_digram(p, sw, i)
+        new = [(lead, coeff, depth)]
+        new += [(nsw, coeff.mul_through(c, e.order), depth + 1) for nsw, c in corrections]
+        for nsw, c, d in new:
+            if not c:
+                continue
+            w = word[:s] + (nsw,) + word[s + 1:]
+            entry = pending.get(w)
+            if entry is not None:
+                entry[0] += c
+                entry[1] += paths
+                entry[2] = max(entry[2], d)
+                continue
+            loc = ncalg._find_redex(w, pres_list)
+            if loc is not None:
+                pending[w] = [c, paths, d, loc]
+                queue.append(w)
+                continue
+            nc = c if w not in result else result[w] + c
+            if nc:
+                result[w] = nc
+            else:
+                del result[w]
+            deepest = max(deepest, d)
+    floor = min(0, *(p.rule_h_floor() or 0 for p in set(pres_list)))
+    out = NCElement(e.context, result)
+    if e.order is not None:
+        out = out.truncate(e.order + deepest * floor)
+    return out, steps
+
+
+def _random_rule_table(rng):
+    """Generators x0 < x1 < E < x2 < x3 (E grouplike) and one rule per
+    digram: no correction half the time, else one or two corrections
+    c*(a letter or the empty word), with _oracle_coeff's coefficients, h^-1
+    among them.  Corrections are shorter than their digram, so every word
+    has a normal form, but the rules need not be confluent."""
+    gens = [GenDecl("x0"), GenDecl("x1"), GenDecl("E", grouplike=True),
+            GenDecl("x2"), GenDecl("x3")]
+    rules = {}
+    for hi in range(len(gens)):
+        for lo in range(hi):
+            if rng.random() < 0.5:
+                rules[(hi, lo)] = ()
+                continue
+            corr = []
+            for _ in range(rng.randint(1, 2)):
+                if hi == 2:  # a grouplike correction carries E once
+                    w = ((2, 1),)
+                else:
+                    w = rng.choice([(), ((rng.randrange(len(gens)), 1),)])
+                corr.append((_oracle_coeff(rng), w))
+            rules[(hi, lo)] = tuple(corr)
+    return Presentation("random rules", gens, rules=rules)
+
+
+@pytest.mark.parametrize("layout", ["kappa algebra", "kappa, two slots",
+                                    "kappa, three slots", "random rules"])
+def test_run_of_swaps_matches_the_one_swap_loop(layout, monkeypatch):
+    """normal_order, which moves a letter past a run of letters it commutes
+    with in one go, has the terms and the order of the loop that swaps one
+    pair per rewrite step, on seeded products with EE^±k letters, on tensor
+    words, and under random rule tables that need not be confluent.  It
+    counts the same rewrite steps against the budget, with fewer than two
+    thirds as many rewrite_digram calls."""
+    calls = _count_rewrites(monkeypatch, 100_000)
+    rng = random.Random(f"run move {layout}")
+    compared = made = swaps = 0
+    for _ in range(40):
+        if layout == "random rules":
+            ctx = TensorContext((_random_rule_table(rng),) * rng.randint(1, 2))
+        else:
+            slots = {"kappa algebra": 1, "kappa, two slots": 2, "kappa, three slots": 3}[layout]
+            ctx = TensorContext((load_model("galilei_algebra_kappa"),) * slots)
+        e = _generator_product(ctx, rng)
+        before = len(calls)
+        got = normal_order(e)
+        made += len(calls) - before
+        ref, steps = _one_swap_normal_order(e)
+        assert (got.terms, got.order) == (ref.terms, ref.order)
+        compared += len(ref.terms)
+        swaps += steps
+        if len(e.terms) == 1 and steps:  # no cancellation across input terms
+            assert normal_order(e, budget=steps) == got
+            with pytest.raises(DivergenceError, match="rewrite budget exceeded"):
+                normal_order(e, budget=steps - 1)
+    assert compared > 200
+    assert 3 * made < 2 * swaps
+
+
+def test_a_run_of_swaps_counts_each_swap_against_the_budget():
+    """P0*P[3]*P[2]*P[1] needs six swaps, none with a correction: the sixth
+    crosses a budget of 5 at the digram the one-swap loop names."""
+    kappa = load_model("galilei_algebra_kappa")
+    e = (kappa.gen_element("P0") * kappa.gen_element("P", (3,))
+         * kappa.gen_element("P", (2,)) * kappa.gen_element("P", (1,)))
+    want = (kappa.gen_element("P", (1,)) * kappa.gen_element("P", (2,))
+            * kappa.gen_element("P", (3,)) * kappa.gen_element("P0"))
+    assert normal_order(e, budget=6) == want
+    assert _one_swap_normal_order(e, budget=6) == (want, 6)
+    message = "rewrite budget exceeded at digram P[2]*P[1] in galilei_algebra_kappa"
+    for run in (normal_order, _one_swap_normal_order):
+        with pytest.raises(DivergenceError) as exc:
+            run(e, budget=5)
+        assert str(exc.value) == message
+
+
+def test_casimir_checks_rewrite_with_few_rewrite_digram_steps(monkeypatch):
+    """Work count: most of the casimirs suite's swaps carry no correction,
+    and they make no rewrite_digram call.  The one-swap loop made over
+    30,000 calls here; the count repeats exactly, so no timing is needed."""
+    calls = []
+    rewrite = ncalg.rewrite_digram
+
+    def spy(p, sw, i):
+        calls.append(i)
+        return rewrite(p, sw, i)
+
+    monkeypatch.setattr(ncalg, "rewrite_digram", spy)
+    report = run_suite(SuiteConfig(suite="casimirs", order=3, seed=42))
+    assert report.passed and report.checks
+    assert len(calls) <= 9_000
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_grouplike_free_h_expand_raw_is_the_truncated_element(slots, monkeypatch):
+    """With no grouplike letter, h_expand_raw returns what the letter-by-letter
+    product with unit-word images gives: the same terms, in the same order,
+    and the same order, for exact, truncated and empty elements; and it
+    forms no product to get there."""
+    kappa = load_model("galilei_algebra_kappa")
+    ctx = TensorContext((kappa,) * slots)
+    no_e = [gi for gi, g in enumerate(kappa.gens) if not g.grouplike]
+    rng = random.Random(f"grouplike-free {slots}")
+
+    def unit_word(s):
+        def image(gi, pw):
+            word = [()] * slots
+            word[s] = ((gi, pw),)
+            return NCElement(ctx, {tuple(word): H_ONE})
+        return image
+
+    maps = [unit_word(s) for s in range(slots)]
+    cases = [NCElement.zero(ctx), NCElement.zero(ctx).truncate(1)]
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            terms[tuple(tuple((rng.choice(no_e), 1) for _ in range(rng.randint(0, 3)))
+                        for _ in range(slots))] = _oracle_coeff(rng)
+        cases.append(_oracle_precision(NCElement(ctx, terms), rng))
+    wants = [[extend_letterwise(e, ctx, maps, order=order) for order in range(4)]
+             for e in cases]
+    monkeypatch.setattr(ncalg, "extend_letterwise", None)
+    for e, want in zip(cases, wants):
+        for order in range(4):
+            got = h_expand_raw(e, order)
+            assert got.context == ctx
+            assert (list(got.terms.items()), got.order) \
+                == (list(want[order].terms.items()), want[order].order)
+    assert any(len(e.terms) > 1 and e.order is None for e in cases)
+    assert any(len(e.terms) > 1 and e.order is not None for e in cases)
 
 
 def _count_rewrites(monkeypatch, most):
