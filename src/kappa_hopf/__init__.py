@@ -25,7 +25,7 @@ _EXPORTS = {
     "ncalg": ("DivergenceError", "GenDecl", "HopfData", "LimitError", "NCElement",
               "Presentation", "PresentationError", "TensorContext", "clone_presentation",
               "commutator", "confluence_residual", "confluence_triples", "h_expand",
-              "normal_order", "substitute"),
+              "normal_order"),
     "quotient": ("equal_mod_quotient", "zero_mod_quotient"),
     "hopf": ("BicrossData", "Wedge", "apply_antipode", "apply_coproduct", "apply_counit",
              "classical_limit", "cocommutator", "coproduct", "verify_bialgebra",
@@ -33,9 +33,9 @@ _EXPORTS = {
     "cohom": ("H2Result", "LieData", "LinearCertificate", "co_jacobi_check",
               "coboundary_of", "lie_h2", "solve_coboundary"),
     "duality": ("MatrixModel", "PairingEngine", "PoissonQuery", "model_4d", "pair",
-                "poisson_family_verify", "poisson_verify", "quantization_crosscheck"),
+                "poisson_family_verify", "quantization_crosscheck"),
     "projrep": ("ExpFactor", "ExpProduct", "bch_combine", "build_omega",
-                "cocycle_residual", "conjugate", "phi1_particular", "phi1_residual",
+                "cocycle_residual", "phi1_particular", "phi1_residual",
                 "rep_apply", "rep_compose_check", "triviality_probe"),
     "dsl": ("Diagnostic", "DslError", "parse_presentation", "parse_source",
             "print_presentation"),

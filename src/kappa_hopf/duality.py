@@ -593,15 +593,6 @@ def _poisson_family_checks(engine, queries):
     return checks
 
 
-def poisson_verify(engine, f_label, g_label, candidate, degree_bound,
-                   check_id="poisson"):
-    """Check <candidate, X> = -i <f (x) g, sigma(X)> for every PBW monomial X
-    with deg X <= degree_bound.  Exact; returns a single Check anchored at
-    Eq. 12."""
-    q = PoissonQuery(f_label, g_label, candidate, degree_bound, check_id)
-    return poisson_family_verify(engine, [q])[0]
-
-
 # PBW degrees past a candidate's degree that quantization_crosscheck
 # checks, and the largest degree bound it uses
 QUANTIZE_DEGREE_MARGIN = 2

@@ -416,45 +416,58 @@ def _at_h0(c, where):
     return HSeries({0: c.coeff(0)})
 
 
-def classical_element(e, target, index_map):
-    """h -> 0, grouplike letters -> 1; words re-indexed into target."""
-    t = {}
-    for w, c in e.terms.items():
-        c0 = _at_h0(c, "a coefficient")
-        if c0:
-            # grouplike letters drop (E -> 1)
-            key = tuple(tuple((index_map[gi], pw) for gi, pw in sw if gi in index_map) for sw in w)
-            t[key] = t[key] + c0 if key in t else c0
-    return NCElement(TensorContext((target,) * e.context.slot_count), t)
-
-
-def classical_limit(p, name=None):
-    """Presentation at h = 0 (grouplike generators become 1).  Its rules and
-    quotient come first; its Hopf data is then built over it, so a derived
-    coproduct or antipode multiplies and normal-orders like a parsed one."""
-    keep = [gi for gi, g in enumerate(p.gens) if not g.grouplike]
+def classical_limit(p, name=None, gens=None):
+    """Presentation at h = 0 (grouplike generators become 1).  gens, a
+    {label: new name} map, keeps only the generators it names, renamed, in
+    p's order; a letter of any other dropped generator left at h = 0 in a
+    kept rule, coproduct or antipode is a PresentationError naming it.  Its
+    rules and quotient come first; its Hopf data is then built over it, so a
+    derived coproduct or antipode multiplies and normal-orders like a parsed
+    one."""
+    keep = [gi for gi, g in enumerate(p.gens)
+            if not g.grouplike and (gens is None or g.label() in gens)]
     index_map = {gi: i for i, gi in enumerate(keep)}
+
+    def word_at_h0(word, where):
+        """word re-indexed into the limit; grouplike letters drop (E -> 1)."""
+        for gi, _ in word:
+            if gi not in index_map and not p.gens[gi].grouplike:
+                raise PresentationError(
+                    f"{where} of {p.name} keeps the dropped generator {p.gens[gi].label()}")
+        return tuple((index_map[gi], pw) for gi, pw in word if gi in index_map)
+
+    def element_at_h0(e, target, where):
+        t = {}
+        for w, c in e.terms.items():
+            c0 = _at_h0(c, "a coefficient")
+            if c0:
+                key = tuple(word_at_h0(sw, where) for sw in w)
+                t[key] = t[key] + c0 if key in t else c0
+        return NCElement(TensorContext((target,) * e.context.slot_count), t)
 
     rules = {}
     for (hi, lo), corr in p.rules.items():
         if hi in index_map and lo in index_map:
             where = f"rule {p.gens[hi].label()}*{p.gens[lo].label()}"
-            ncorr = ((_at_h0(c, where), tuple((index_map[gi], pw) for gi, pw in wt if gi in index_map))
-                     for c, wt in corr)
-            rules[index_map[hi], index_map[lo]] = tuple((c0, nw) for c0, nw in ncorr if c0)
+            at_h0 = ((_at_h0(c, where), wt) for c, wt in corr)
+            rules[index_map[hi], index_map[lo]] = tuple(
+                (c0, word_at_h0(wt, where)) for c0, wt in at_h0 if c0)
 
     spec = None
     if p.quotient is not None:
         spec = QuotientSpec(p.quotient.family,
                             {ij: index_map[gi] for ij, gi in p.quotient.gen_indices.items()})
     q = Presentation(name or f"{p.name}_classical",
-                     [GenDecl(p.gens[gi].name, p.gens[gi].index) for gi in keep],
+                     [GenDecl(gens[p.gens[gi].label()]) if gens is not None else
+                      GenDecl(p.gens[gi].name, p.gens[gi].index) for gi in keep],
                      params=p.params, rules=rules, quotient=spec)
     if p.hopf is not None:
         q.hopf = HopfData(
-            {index_map[gi]: classical_element(p.hopf.delta[gi], q, index_map) for gi in keep},
+            {index_map[gi]: element_at_h0(p.hopf.delta[gi], q, f"coproduct {p.gens[gi].label()}")
+             for gi in keep},
             {index_map[gi]: _at_h0(p.hopf.counit[gi], "counit") for gi in keep},
-            {index_map[gi]: classical_element(p.hopf.antipode[gi], q, index_map) for gi in keep})
+            {index_map[gi]: element_at_h0(p.hopf.antipode[gi], q, f"antipode {p.gens[gi].label()}")
+             for gi in keep})
     return q
 
 

@@ -14,12 +14,13 @@ file is parsed again.  The first load of a file runs that file's cheap
 structural self-test.  Presentations are immutable after construction, so
 every caller shares the cached ones.
 
-The classical Galilei algebra (the kappa -> infinity limit of the shipped
-kappa algebra, a catalog name without a file: DERIVED), the printed Eq.-1
-variant (load_printed_variant) and the quotient-free clone of a presentation
-(strip_quotient) are derived in code, once each, not written out again.  An
-override file that declares a derived name replaces the derivation.  Override
-files are read as UTF-8.
+Two catalog names have no file (DERIVED): the classical Galilei algebra, the
+kappa -> infinity limit of the shipped kappa algebra, and the 1+1 classical
+Galilei algebra, the sub-Hopf algebra of that limit on L[1], P[1] and P0.
+They, the printed Eq.-1 variant (load_printed_variant) and the quotient-free
+clone of a presentation (strip_quotient) are derived in code, once each, not
+written out again.  An override file that declares a derived name replaces
+the derivation.  Override files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .scalars import GR_I
 # declarations match any of these replaces that file
 FILE_DECLARATIONS = {
     "galilei_algebra_kappa.hopf": ("galilei_algebra_kappa",),
-    "galilei_algebra_2d_classical.hopf": ("galilei_algebra_2d_classical",),
     "casimirs.hopf": ("C1", "C2"),
     "tilde_bicross.hopf": ("e3_tilde", "t_translations", "tilde_bicross"),
     "galilei_group_kappa.hopf": ("galilei_group_kappa",),
@@ -53,7 +53,6 @@ FILE_DECLARATIONS = {
 # loaded over the presentations of these
 FILE_DEPENDENCIES = {
     "galilei_algebra_kappa.hopf": (),
-    "galilei_algebra_2d_classical.hopf": (),
     "casimirs.hopf": ("galilei_algebra_kappa.hopf",),
     "tilde_bicross.hopf": ("galilei_algebra_kappa.hopf",),
     "galilei_group_kappa.hopf": (),
@@ -73,9 +72,21 @@ def _classical_galilei():
     return classical_limit(load_model("galilei_algebra_kappa"), name="galilei_algebra_classical")
 
 
+@cache
+def _classical_galilei_2d():
+    """The 1+1 classical Galilei algebra: the sub-Hopf algebra of the kappa ->
+    infinity limit of the shipped galilei_algebra_kappa (never an override)
+    on boost L[1], momentum P[1] and energy P0, renamed L, P and P0."""
+    from .hopf import classical_limit
+
+    return classical_limit(load_model("galilei_algebra_kappa"), name="galilei_algebra_2d_classical",
+                           gens={"L[1]": "L", "P[1]": "P", "P0": "P0"})
+
+
 # the catalog names derived in code, with their derivations; an override file
 # that declares one of these names stands alone, with no dependencies
-DERIVED = {"galilei_algebra_classical": _classical_galilei}
+DERIVED = {"galilei_algebra_classical": _classical_galilei,
+           "galilei_algebra_2d_classical": _classical_galilei_2d}
 
 CATALOG_NAMES = tuple(f.rsplit(".", 1)[0] for f in FILE_DECLARATIONS) + tuple(DERIVED)
 

@@ -927,18 +927,6 @@ def table_images(table, source, target, what, slot_map=None):
     return image
 
 
-def substitute(e, mapping, target):
-    """Homomorphic image of e under gen -> NCElement (1-slot, in target).
-
-    mapping keys are generator indices of the source presentation; every
-    generator occurring in e must be mapped.  Negative powers of a grouplike
-    generator need a single unit-coefficient grouplike word as its image."""
-    ctx = TensorContext((target,) * e.context.slot_count)
-    maps = [table_images(mapping, src, ctx, "image", {0: s})
-            for s, src in enumerate(e.context.slots)]
-    return normal_order(extend_letterwise(e, ctx, maps))
-
-
 def h_expand(e, order):
     """Normal-ordered series expansion: every grouplike letter E^k replaced
     by its exponential series through h^order."""

@@ -1,8 +1,8 @@
 """Projective-representation calculus for the 2D quantum Galilei group:
 normal-ordered exponential products with h-graded Baker-Campbell-Hausdorff
-combination and conjugation push-through; builds the multiplier omega and
-verifies the cocycle equation, the first-order solution, triviality probes,
-and the representation composition law.
+combination; builds the multiplier omega and verifies the cocycle equation,
+the first-order solution, triviality probes, and the representation
+composition law.
 
 The tensor legs of the cocycle equation (Eq. 20) and of the composition law
 (Eq. 19) are taken from the model's declared coproduct (hopf.apply_coproduct),
@@ -50,8 +50,6 @@ from .scalars import (
 )
 
 MAX_BCH_ORDER = 6
-# nested brackets an ad series may take before `conjugate` gives up
-MAX_AD_DEPTH = MAX_BCH_ORDER + 2
 # largest degree n of psi = p^n and largest order rep_compose_check takes
 MAX_REP_DEGREE = 4
 MAX_REP_ORDER = 4
@@ -204,29 +202,6 @@ def bch_combine(a, b, order):
     if a.exponent.context != b.exponent.context:
         raise PresentationError("bch_combine needs factors in one context")
     return ExpFactor(bch_combine_exponents(a.exponent, b.exponent, order))
-
-
-def conjugate(e_factor, x, order):
-    """e^A x e^-A = sum_d ad_A^d(x) / d!, finite by the h-grading; more
-    than MAX_AD_DEPTH nested brackets raise OrderCapError."""
-    if order > MAX_BCH_ORDER:
-        raise OrderCapError(f"conjugation order {order} exceeds the cap")
-    a = e_factor.exponent.truncate(order)
-    table = BracketTable(a.context)
-    term = ncalg.normal_order(x).truncate(order)
-    out = term
-    fact = 1
-    d = 0
-    while not term.is_zero():
-        d += 1
-        if d > MAX_AD_DEPTH:
-            raise OrderCapError("ad series failed to terminate within the cap")
-        term = commutator(a, term, table=table)
-        fact *= d
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, fact))
-    return ncalg.normal_order(out).truncate(order)
 
 
 # ---------------------------------------------------------------------------

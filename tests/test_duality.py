@@ -18,7 +18,6 @@ from kappa_hopf.duality import (
     pair,
     pair_word,
     poisson_family_verify,
-    poisson_verify,
     quantization_crosscheck,
     sigma_matrix_terms,
 )
@@ -254,16 +253,16 @@ def test_poisson_tau_a_hand_trace():
     # and the full orderly check through degree 3
     h = HSeries.h(1)
     for i in (1, 2, 3):
-        chk = poisson_verify(engine, "tau", f"a[{i}]",
-                             [(h, (f"a[{i}]",))], 3,
-                             check_id=f"tau_a[{i}]")
+        q = PoissonQuery("tau", f"a[{i}]", [(h, (f"a[{i}]",))], 3, check_id=f"tau_a[{i}]")
+        chk = poisson_family_verify(engine, [q])[0]
         assert chk.status == "pass"
 
 
 def test_poisson_constant_candidate():
     # a coordinate-free candidate term pairs as <1, X> = eps(X)
     _, _, engine = build_engine()
-    chk = poisson_verify(engine, "tau", "a[1]", [(HSeries.h(1), ())], 3)
+    q = PoissonQuery("tau", "a[1]", [(HSeries.h(1), ())], 3, check_id="poisson")
+    chk = poisson_family_verify(engine, [q])[0]
     assert chk.status == "fail"
     assert chk.residual == ("at X=1: <cand,X>=h vs -i<f(x)g,sigma(X)>=0 "
                             "(9 of 286 monomials disagree)")
@@ -271,16 +270,17 @@ def test_poisson_constant_candidate():
 
 def test_poisson_rr_zero_bracket():
     _, _, engine = build_engine()
-    chk = poisson_verify(engine, "R[1,2]", "R[2,3]", [], 2, check_id="rr")
+    q = PoissonQuery("R[1,2]", "R[2,3]", [], 2, check_id="rr")
+    chk = poisson_family_verify(engine, [q])[0]
     assert chk.status == "pass"
 
 
 def test_poisson_degree_bound_refused():
     _, _, engine = build_engine()
     h = HSeries.h(1)
+    q = PoissonQuery("R[1,1]", "a[1]", [(h, ("v[1]", "R[1,1]"))], 2, check_id="too_small")
     with pytest.raises(ValueError):
-        poisson_verify(engine, "R[1,1]", "a[1]",
-                       [(h, ("v[1]", "R[1,1]"))], 2, check_id="too_small")
+        poisson_family_verify(engine, [q])
 
 
 def test_appendix_bracket_and_stability():

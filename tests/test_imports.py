@@ -16,7 +16,11 @@ in src/, tests/, demos/ or perfbench/.  No write-only attributes: every
 attribute or dataclass field assigned in src/ must be read somewhere in
 src/, tests/, demos/ or perfbench/; storing into it by subscript or calling
 its update, clear or setdefault is no read.  No stale package data: every
-package-data glob in pyproject.toml matches at least one file."""
+package-data glob in pyproject.toml matches at least one file.
+
+The cross-file lints (dead definitions, unset knobs, write-only attributes)
+build their index of all sources once, in a module-scoped fixture, and look
+each module up in it."""
 
 import ast
 from pathlib import Path
@@ -106,22 +110,24 @@ def test_no_dead_locals(module):
     assert dead_locals(module.read_text()) == []
 
 
-def _referenced_names(source):
+def referenced_names(sources):
+    """Every name that sources read, name as an attribute or import."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
     return names
 
 
-def dead_definitions(source, sources):
-    """Functions, methods and classes defined in source whose name appears in
-    none of sources; pass source among them so that its own uses count."""
-    named = set().union(*map(_referenced_names, sources))
+def dead_definitions(source, named):
+    """Functions, methods and classes defined in source whose name is not in
+    named, the referenced_names of sources that include source itself, so
+    that its own uses count."""
     dead = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -141,7 +147,7 @@ def test_lint_flags_a_dead_definition():
         "    def __len__(self):\n"
         "        return 0\n"
     )
-    assert dead_definitions(source, [source]) == [(3, "C"), (4, "m")]
+    assert dead_definitions(source, referenced_names([source])) == [(3, "C"), (4, "m")]
 
 
 def test_lint_spares_named_definitions():
@@ -153,7 +159,7 @@ def test_lint_spares_named_definitions():
         "        return 2\n"
     )
     users = ["from pkg.mod import f\n", "import pkg.C\n", "x.m()\n"]
-    assert dead_definitions(source, [source, *users]) == []
+    assert dead_definitions(source, referenced_names([source, *users])) == []
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +168,21 @@ def project_sources():
             for p in sorted((ROOT / d).rglob("*.py"))]
 
 
+@pytest.fixture(scope="module")
+def project_names(project_sources):
+    return referenced_names(project_sources)
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
-def test_no_dead_definitions(module, project_sources):
-    assert dead_definitions(module.read_text(), project_sources) == []
+def test_no_dead_definitions(module, project_names):
+    assert dead_definitions(module.read_text(), project_names) == []
 
 
 def test_only_scalars_names_rationalfn():
     # RationalFn is the read-only per-power view of an HSeries; every other
     # engine module computes with HSeries values.  The package __init__ only
     # names it in its export table, as a string, so it is not scanned.
-    naming = [p.name for p in MODULES if "RationalFn" in _referenced_names(p.read_text())]
+    naming = [p.name for p in MODULES if "RationalFn" in referenced_names([p.read_text()])]
     assert naming == ["scalars.py"]
 
 
@@ -297,7 +308,7 @@ def defaulted_parameters(source):
     return found
 
 
-def _passed_arguments(sources):
+def passed_arguments(sources):
     """{callee name: [keywords passed, most positional arguments passed]} over
     every call in sources; a starred argument passes every position and a
     ** argument every keyword."""
@@ -315,12 +326,12 @@ def _passed_arguments(sources):
     return passed
 
 
-def unset_knobs(source, sources):
+def unset_knobs(source, passed):
     """(line, function, parameter) of every defaulted parameter in source that
-    no call in sources passes; calls match by name, and a call of a class
-    counts toward its __init__.  Parameters named path (a diagnostics label)
-    are exempt, and the defaults of nested functions are not looked at."""
-    passed = _passed_arguments(sources)
+    no call in passed (the passed_arguments of sources that include source)
+    passes; calls match by name, and a call of a class counts toward its
+    __init__.  Parameters named path (a diagnostics label) are exempt, and
+    the defaults of nested functions are not looked at."""
     classes = {}
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -349,7 +360,7 @@ def test_lint_flags_an_unset_knob():
         "        pass\n"
     )
     users = ["f(1)\n", "C()\n", "obj.m()\n"]
-    assert unset_knobs(source, [source, *users]) == [
+    assert unset_knobs(source, passed_arguments([source, *users])) == [
         (1, "f", "b"), (1, "f", "c"), (4, "__init__", "x"), (6, "m", "y")]
 
 
@@ -369,7 +380,7 @@ def test_lint_spares_passed_and_exempt_knobs():
         "        pass\n"
     )
     users = ["f(1, 2, c=3)\n", "C(5)\n", "obj.m(**options)\n", "C.s(1)\n"]
-    assert unset_knobs(source, [source, *users]) == []
+    assert unset_knobs(source, passed_arguments([source, *users])) == []
 
 
 @pytest.fixture(scope="module")
@@ -377,9 +388,14 @@ def caller_sources(project_sources):
     return project_sources + [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
 
 
+@pytest.fixture(scope="module")
+def caller_arguments(caller_sources):
+    return passed_arguments(caller_sources)
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
-def test_no_unset_knobs(module, caller_sources):
-    assert unset_knobs(module.read_text(), caller_sources) == []
+def test_no_unset_knobs(module, caller_arguments):
+    assert unset_knobs(module.read_text(), caller_arguments) == []
 
 
 # calls that only change the container they are made on
@@ -407,33 +423,35 @@ def attribute_writes(source):
     return found
 
 
-def attribute_reads(source):
-    """Names of the attributes source reads: `x.name` loaded, or named by
+def attribute_reads(sources):
+    """Names of the attributes sources read: `x.name` loaded, or named by
     getattr or hasattr.  Storing into `x.name[k]` and calling `x.name.update`,
     `.clear` or `.setdefault` only write to x.name, so they are no reads."""
-    tree = ast.parse(source)
-    writes_into = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
-            writes_into.add(id(node.value))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATORS):
-            writes_into.add(id(node.func.value))
     reads = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and id(node) not in writes_into):
-            reads.add(node.attr)
-        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr")
-                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
-            reads.add(node.args[1].value)
+    for source in sources:
+        tree = ast.parse(source)
+        writes_into = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                writes_into.add(id(node.value))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS):
+                writes_into.add(id(node.func.value))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in writes_into):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
     return reads
 
 
-def write_only_attributes(source, sources):
+def write_only_attributes(source, read):
     """(line, name) of every attribute or dataclass field that source assigns
-    and none of sources reads; pass source among them."""
-    read = set().union(*map(attribute_reads, sources))
+    and that is not in read, the attribute_reads of sources that include
+    source itself."""
     return sorted((line, name) for line, name in attribute_writes(source) if name not in read)
 
 
@@ -454,7 +472,7 @@ def test_lint_flags_a_write_only_attribute():
         "    def bump(self):\n"
         "        self.count += 1\n"
     )
-    assert write_only_attributes(source, [source]) == [
+    assert write_only_attributes(source, attribute_reads([source])) == [
         (5, "unread"), (8, "table"), (9, "log"), (10, "count"), (14, "count")]
 
 
@@ -471,12 +489,17 @@ def test_lint_spares_read_attributes():
         "        self.table.update(x=1)\n"
     )
     users = ["print(c.table['x'])\n", "getattr(c, 'flag', None)\n"]
-    assert write_only_attributes(source, [source, *users]) == []
+    assert write_only_attributes(source, attribute_reads([source, *users])) == []
+
+
+@pytest.fixture(scope="module")
+def caller_attribute_reads(caller_sources):
+    return attribute_reads(caller_sources)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
-def test_no_write_only_attributes(module, caller_sources):
-    assert write_only_attributes(module.read_text(), caller_sources) == []
+def test_no_write_only_attributes(module, caller_attribute_reads):
+    assert write_only_attributes(module.read_text(), caller_attribute_reads) == []
 
 
 def test_every_package_data_glob_matches_a_file():

@@ -15,7 +15,7 @@ import kappa_hopf
 from kappa_hopf import ncalg
 from kappa_hopf.cli import main
 from kappa_hopf.dsl import parse_presentation, print_presentation, tokenize
-from kappa_hopf.hopf import classical_limit
+from kappa_hopf.hopf import apply_algebra_map, classical_limit
 from kappa_hopf.models import (
     CATALOG_NAMES,
     DERIVED,
@@ -28,7 +28,7 @@ from kappa_hopf.models import (
     load_printed_variant,
     strip_quotient,
 )
-from kappa_hopf.ncalg import NCElement, commutator, normal_order
+from kappa_hopf.ncalg import NCElement, PresentationError, TensorContext, commutator, normal_order
 from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly, RationalFn
 
 
@@ -94,25 +94,36 @@ def galilei_bracket(x, y):
 
 
 def test_classical_model_is_the_classical_limit():
-    # the kappa -> infinity limit of Eq. 1, derived from the shipped kappa
-    # algebra, against the classical Galilei Hopf algebra stated by hand:
+    # the kappa -> infinity limit of Eq. 1 and its 1+1 sub-Hopf algebra on
+    # L[1], P[1], P0 (renamed L, P, P0), both derived from the shipped kappa
+    # algebra, against the classical Galilei Hopf algebras stated by hand:
     # galilei_bracket, and every generator primitive with counit 0 and
     # antipode -x
-    cl = load_model("galilei_algebra_classical")
-    keys = [(name, (i,)) for name in "MLP" for i in (1, 2, 3)] + [("P0", ())]
-    assert [g.key() for g in cl.gens] == keys
-    zero = NCElement.zero(cl.gen_element("P0").context)
-    for x in keys:
-        gx, gi = cl.gen_element(*x), cl.gen_index(*x)
-        for y in keys:
-            want = sum((cl.gen_element(*z).scale(c) for z, c in galilei_bracket(x, y).items()),
-                       zero)
-            assert commutator(gx, cl.gen_element(*y)) == want, (x, y)
-        assert cl.hopf.delta[gi] == (cl.gen_element(*x, slot=0, slots=2)
-                                     + cl.gen_element(*x, slot=1, slots=2))
-        assert not cl.hopf.counit[gi]
-        assert cl.hopf.antipode[gi] == -gx
-    assert cl.quotient is None and not cl.grouplike_logs
+    for name, keys in (
+            ("galilei_algebra_classical",
+             [(n, (i,)) for n in "MLP" for i in (1, 2, 3)] + [("P0", ())]),
+            ("galilei_algebra_2d_classical", [("L", ()), ("P", ()), ("P0", ())])):
+        cl = load_model(name)
+        assert [g.key() for g in cl.gens] == keys
+        zero = NCElement.zero(cl.gen_element("P0").context)
+        for x in keys:
+            gx, gi = cl.gen_element(*x), cl.gen_index(*x)
+            for y in keys:
+                want = sum((cl.gen_element(*z).scale(c)
+                            for z, c in galilei_bracket(x, y).items()), zero)
+                assert commutator(gx, cl.gen_element(*y)) == want, (name, x, y)
+            assert cl.hopf.delta[gi] == (cl.gen_element(*x, slot=0, slots=2)
+                                         + cl.gen_element(*x, slot=1, slots=2))
+            assert not cl.hopf.counit[gi]
+            assert cl.hopf.antipode[gi] == -gx
+        assert cl.quotient is None and not cl.grouplike_logs
+
+
+def test_a_limit_that_drops_a_needed_generator_is_refused():
+    kappa = load_model("galilei_algebra_kappa")
+    # [L[1], P0] = i P[1] leaves the selection L[1], P0
+    with pytest.raises(PresentationError, match=r"rule P0\*L\[1\] .* dropped generator P\[1\]$"):
+        classical_limit(kappa, gens={"L[1]": "L", "P0": "P0"})
 
 
 def test_casimirs_match_eq2():
@@ -128,9 +139,11 @@ def test_casimirs_match_eq2():
 
 
 def reduce_group_to_2d(group_4d, target_2d):
-    """Dimensional reduction of the 4D group model: drop rotations and the
-    indices 2,3, map v[1] -> v, a[1] -> a.  Returns the reduced rule table
-    keyed like the 2D model's for cross-model comparison."""
+    """Syntactic restriction of the 4D group's rule table: keep the rules
+    among v[1], a[1] and tau, drop every correction term with another
+    letter, and rename v[1] -> v, a[1] -> a.  Returns the restricted table
+    keyed like the 2D model's for cross-model comparison.  This is not an
+    algebra map (see test_the_2d_group_is_not_a_quotient_of_the_4d_group)."""
     keep = {
         group_4d.gen_index("v", (1,)): target_2d.gen_index("v"),
         group_4d.gen_index("a", (1,)): target_2d.gen_index("a"),
@@ -157,6 +170,38 @@ def test_2d_model_is_the_dimensional_reduction():
     g4 = load_model("galilei_group_kappa")
     g2 = load_model("galilei_group_2d")
     assert reduce_group_to_2d(g4, g2) == g2.rules
+
+
+def test_the_2d_group_is_not_a_quotient_of_the_4d_group():
+    # R[i,j] -> delta(i,j), v[2], v[3], a[2], a[3] -> 0 and v[1], a[1], tau
+    # -> v, a, tau does not respect Eq. 11: 6 of its 120 relations map to
+    # nonzero elements of Eq. 24, so Eq. 24 is shipped as its own file
+    g4 = load_model("galilei_group_kappa")
+    g2 = load_model("galilei_group_2d")
+    ctx = TensorContext((g2,))
+    images = {}
+    for gi, g in enumerate(g4.gens):
+        if g.name == "R":
+            images[gi] = NCElement.scalar(ctx, HSeries.const(int(g.index[0] == g.index[1])))
+        elif g.index in ((), (1,)):
+            images[gi] = g2.gen_element(g.name)
+        else:
+            images[gi] = NCElement.zero(ctx)
+    ctx4 = TensorContext((g4,))
+    mapped = {}
+    for (hi, lo), corr in g4.rules.items():
+        # hi*lo - lo*hi - corr, built term by term so that nothing rewrites it
+        relation = NCElement(ctx4, {(((hi, 1), (lo, 1)),): 1})
+        for c, w in ((1, ((lo, 1), (hi, 1))), *corr):
+            relation = relation - NCElement(ctx4, {(w,): c})
+        image = normal_order(apply_algebra_map(relation, images, ctx))
+        if not image.is_zero():
+            mapped[g4.gens[hi].label(), g4.gens[lo].label()] = image
+    assert len(g4.rules) == 120 and len(mapped) == 6
+    v = g2.gen_element("v")
+    ih = HSeries({1: RationalFn(Poly.const(GR_I))})
+    assert mapped["a[2]", "v[2]"] == (v * v).scale(ih.scale(F(1, 2)))
+    assert mapped["a[2]", "R[1,2]"] == v.scale(-ih)
 
 
 def test_printed_variant_differs_only_in_LL():
@@ -432,9 +477,10 @@ def test_a_model_load_parses_its_closure_only():
     ]
 
 
-def test_the_classical_algebra_parses_the_kappa_file_only():
-    assert _parses("first = kappa_hopf.load_model('galilei_algebra_classical')\nprint_calls()\n"
-                   "again = kappa_hopf.load_model('galilei_algebra_classical')\n"
+@pytest.mark.parametrize("name", DERIVED)
+def test_the_classical_algebra_parses_the_kappa_file_only(name):
+    assert _parses(f"first = kappa_hopf.load_model({name!r})\nprint_calls()\n"
+                   f"again = kappa_hopf.load_model({name!r})\n"
                    "print(json.dumps([again is first]))\n") == [
         ["galilei_algebra_kappa.hopf"],
         [True],

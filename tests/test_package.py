@@ -22,7 +22,7 @@ EXPORTS = {
     "ncalg": ["DivergenceError", "GenDecl", "HopfData", "LimitError", "NCElement",
               "Presentation", "PresentationError", "TensorContext", "clone_presentation",
               "commutator", "confluence_residual", "confluence_triples", "h_expand",
-              "normal_order", "substitute"],
+              "normal_order"],
     "quotient": ["equal_mod_quotient", "zero_mod_quotient"],
     "hopf": ["BicrossData", "Wedge", "apply_antipode", "apply_coproduct", "apply_counit",
              "classical_limit", "cocommutator", "coproduct", "verify_bialgebra",
@@ -30,9 +30,9 @@ EXPORTS = {
     "cohom": ["H2Result", "LieData", "LinearCertificate", "co_jacobi_check",
               "coboundary_of", "lie_h2", "solve_coboundary"],
     "duality": ["MatrixModel", "PairingEngine", "PoissonQuery", "model_4d", "pair",
-                "poisson_family_verify", "poisson_verify", "quantization_crosscheck"],
+                "poisson_family_verify", "quantization_crosscheck"],
     "projrep": ["ExpFactor", "ExpProduct", "bch_combine", "build_omega",
-                "cocycle_residual", "conjugate", "phi1_particular", "phi1_residual",
+                "cocycle_residual", "phi1_particular", "phi1_residual",
                 "rep_apply", "rep_compose_check", "triviality_probe"],
     "dsl": ["Diagnostic", "DslError", "parse_presentation", "parse_source",
             "print_presentation"],
@@ -77,7 +77,7 @@ def test_first_load_imports_only_its_own_path():
 
 def test_all_lists_the_public_api():
     assert kappa_hopf.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(kappa_hopf.__all__) == 74
+    assert len(kappa_hopf.__all__) == 71
     assert kappa_hopf.__version__ == "0.1.0"
 
 

@@ -35,7 +35,6 @@ from kappa_hopf.projrep import (
     build_omega,
     classical_phi0,
     cocycle_residual,
-    conjugate,
     omega_log_phi,
     phi1_particular,
     phi1_residual,
@@ -210,41 +209,6 @@ def test_bch_order_cap():
     v = g2.gen_element("v")
     with pytest.raises(OrderCapError):
         bch_combine_exponents(v, v, 7)
-
-
-def test_conjugate_geometric_series_oracle():
-    # e^{beta a} v e^{-beta a} = sum_k (i beta/2kappa)^k v^{k+1}
-    g2 = load_model("galilei_group_2d")
-    v = g2.gen_element("v")
-    a = g2.gen_element("a")
-    beta = F(2, 3)
-    for order in (1, 2, 3, 4):
-        got = conjugate(ExpFactor(a.scale(beta)), v, order)
-        want = NCElement.zero(v.context)
-        vk = v
-        coeff = HSeries.const(1)
-        step = HSeries({1: RationalFn(Poly.const(GaussianRational(0, beta / 2)))})
-        for k in range(order + 1):
-            want = want + vk.scale(coeff)
-            vk = normal_order(vk * v)
-            coeff = coeff * step
-        assert got == normal_order(want).truncate(order), order
-
-
-def test_conjugate_scaling_oracle():
-    # e^{alpha tau} a e^{-alpha tau} = e^{i alpha/kappa} a (series through order)
-    g2 = load_model("galilei_group_2d")
-    tau = g2.gen_element("tau")
-    a = g2.gen_element("a")
-    alpha = F(5, 7)
-    for order in (1, 3):
-        got = conjugate(ExpFactor(tau.scale(alpha)), a, order)
-        scale = series_exp(HSeries({1: RationalFn(Poly.const(GaussianRational(0, alpha)))}),
-                           order)
-        assert got == a.scale(scale).truncate(order)
-    # conjugation by a zero exponent is the identity map
-    zero = NCElement.zero(a.context)
-    assert conjugate(ExpFactor(zero), a, 3) == a.truncate(3)
 
 
 def test_build_omega_and_phi_expansions():
@@ -609,26 +573,6 @@ def test_one_bracket_table_per_combination(monkeypatch):
     assert len(pairs) == len({frozenset(p) for p in pairs}) > 50
     # most term pairs found their bracket in the table
     assert sum(term_pairs) > 2 * len(pairs)
-    del tables[:]
-    assert made[0]() is None
-
-
-def test_conjugate_shares_one_table_and_drops_it(monkeypatch):
-    g2 = load_model("galilei_group_2d")
-    a = ExpFactor(g2.gen_element("tau").scale(HSeries.const(3)))
-    x = g2.gen_element("v") * g2.gen_element("a")
-    want = conjugate(a, x, 3)
-    made = _spy_tables(monkeypatch)
-    tables = []
-
-    def counted(x, y, **kwargs):
-        tables.append(kwargs["table"])
-        return commutator(x, y, **kwargs)
-
-    monkeypatch.setattr(projrep, "commutator", counted)
-    assert conjugate(a, x, 3) == want
-    assert len(made) == 1 and len(tables) > 1
-    assert all(t is tables[0] for t in tables)
     del tables[:]
     assert made[0]() is None
 
