@@ -26,7 +26,7 @@ variables, eps(i,j,k), delta(i,j), products, sums, integer powers, and the
 infix tensor separator (x).  Index variables free on a declaration's left
 side are instantiated over the declared index range; variables appearing
 only on the right are summed (ranges inferred from the generator table,
-defaulting to 1..3).
+defaulting to 1..3).  A right side is analysed once, then evaluated per instance.
 
 A right side is evaluated straight into the tensor context of the table it
 fills (one slot for an antipode, a log or an embedding, two for a coproduct
@@ -521,12 +521,21 @@ def _index_ranges(presentations):
     return {key: sorted(vals) for key, vals in ranges.items()}
 
 
-def _assignments(ranges, base):
-    """base extended by every combination of ranges ({variable: values}),
-    the variables taken in sorted order."""
-    names = sorted(ranges)
-    for combo in product(*(ranges[v] for v in names)):
-        yield {**base, **dict(zip(names, combo))}
+def _assignments(ranges, uses):
+    """Every assignment of the index variables of uses (see _var_uses), as
+    dicts over the variables in sorted order.  A variable takes the values
+    its generator positions share under ranges (see _index_ranges), 1..3
+    where only eps or delta takes it."""
+    out = {}
+    for a, name, k in uses:
+        if name is None:
+            out.setdefault(a, [1, 2, 3])
+        else:
+            rng = ranges.get((name, k), [])
+            cur = out.get(a)
+            out[a] = sorted(set(rng) & set(cur)) if cur is not None else rng
+    names = sorted(out)
+    return [dict(zip(names, combo)) for combo in product(*(out[v] for v in names))]
 
 
 def _var_uses(node):
@@ -654,20 +663,6 @@ class Evaluator:
             return wl or wr
         return 0
 
-    def collect_vars(self, uses):
-        """{index variable: the values it ranges over} of uses (see
-        _var_uses): those its generator positions share, 1..3 where only eps
-        or delta takes it."""
-        out = {}
-        for a, name, k in uses:
-            if name is None:
-                out.setdefault(a, [1, 2, 3])
-            else:
-                rng = self.ranges.get((name, k), [])
-                cur = out.get(a)
-                out[a] = sorted(set(rng) & set(cur)) if cur is not None else rng
-        return out
-
     def generator(self, name, idx, slot):
         """The generator (name, idx) of slot's presentation, or None."""
         p = self.slots[slot]
@@ -733,33 +728,38 @@ class Evaluator:
             return _times(lv, rv)
         return _times(lv, _power(rv, -1))
 
-    def element(self, node, assign):
+    def elements(self, node, assigns):
         """node as an NCElement of the table's context, a scalar filling no
-        slot; Einstein convention: after expanding node into product terms,
-        each term is summed over its own repeated variables not in assign."""
-        terms = _expand_terms(node, 1)
-        found = self.width(node)
-        if found not in (0, len(self.slots)):
-            raise _EvalError(f"expected {len(self.slots)} tensor slots, found {found}")
-        total = None
-        for sign, term in terms:
-            uses = list(_var_uses(term))
-            vars_ = self.collect_vars(uses)
-            summed = sorted(v for v in vars_ if v not in assign)
-            counts = Counter(a for a, _, _ in uses)
-            for v in summed:
-                if counts[v] < 2:
-                    raise _EvalError(
-                        f"unbalanced index {v!r}: appears once and is not bound "
-                        "on the left side")
-            for full in _assignments({v: vars_[v] for v in summed}, assign):
-                val = self.eval(term, full, 0)
-                if sign < 0:
-                    val = -val
-                total = val if total is None else _plus(total, val)
-        if total is None or isinstance(total, HSeries):
-            return NCElement.scalar(self.context, total or H_ZERO)
-        return total
+        slot, at each of assigns (assignments of the same variables), one at
+        a time.  Einstein convention: after expanding node into product
+        terms, each term is summed over its own repeated variables that
+        assigns leave free.  node is analysed once, and a term when the first
+        assignment reaches it, so an error is raised where evaluating the
+        instances one by one meets it first."""
+        terms, sums = None, []  # sums[k]: the assignments term k is summed over
+        for assign in assigns:
+            if terms is None:
+                terms = _expand_terms(node, 1)
+                found = self.width(node)
+                if found not in (0, len(self.slots)):
+                    raise _EvalError(f"expected {len(self.slots)} tensor slots, found {found}")
+            total = None
+            for k, (sign, term) in enumerate(terms):
+                if k == len(sums):  # the first assignment reaches term k
+                    free = [u for u in _var_uses(term) if u[0] not in assign]
+                    once = sorted(v for v, n in Counter(a for a, _, _ in free).items() if n < 2)
+                    if once:
+                        raise _EvalError(f"unbalanced index {once[0]!r}: appears once and is "
+                                         "not bound on the left side")
+                    sums.append(_assignments(self.ranges, free))
+                for s in sums[k]:
+                    val = self.eval(term, {**assign, **s}, 0)
+                    if sign < 0:
+                        val = -val
+                    total = val if total is None else _plus(total, val)
+            if total is None or isinstance(total, HSeries):
+                total = NCElement.scalar(self.context, total or H_ZERO)
+            yield total
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +811,7 @@ def parse_source(text, path="<string>", env=None, declarations=None):
                 p = env_pres.get(pres_name)
                 if p is None:
                     raise _EvalError(f"element {name}: unknown presentation {pres_name}")
-                module.elements[name] = Evaluator((p,)).element(rhs, {})
+                module.elements[name] = next(Evaluator((p,)).elements(rhs, [{}]))
             elif kind == "bicross":
                 module.bicross[name] = _load_bicross(name, decl[2], env_pres)
             elif kind == "comodule":
@@ -853,15 +853,15 @@ def _located(tok):
         raise _EvalError(str(e), getattr(e, "tok", None) or tok) from None
 
 
-def _table(source, bindings, ev):
+def _table(source, bindings, elements):
     """{generator index of source: value} of bindings ((ref, rhs, tok)
-    triples), each rhs evaluated by ev for every instance of its ref; a load
-    error names the tok of its binding."""
+    triples), elements(rhs, assignments) giving rhs at the instances of its
+    ref (Evaluator.elements); a load error names the tok of its binding."""
     table = {}
     for ref, rhs, tok in bindings:
         with _located(tok):
-            for gi, assign in _instantiate_ref(source, ref):
-                table[gi] = ev.element(rhs, assign)
+            instances = _instantiate_ref(source, ref)
+            table.update(zip(instances, elements(rhs, instances.values())))
     return table
 
 
@@ -890,10 +890,18 @@ def _load_presentation(decl):
     proto = Presentation(name, gens, params=params)
 
     ev = Evaluator((proto,))
-    ev_delta = Evaluator((proto, proto))
+
+    def counit(rhs, assigns):
+        # checked once the ref has instances, before rhs is analysed
+        if assigns and ev.width(rhs):
+            raise _EvalError(f"{name}: counit value must be scalar")
+        return (el.scalar_part() for el in ev.elements(rhs, assigns))
+
+    evaluate = {"coproduct": Evaluator((proto, proto)).elements, "counit": counit,
+                "antipode": ev.elements, "log": ev.elements}
+    tables = {kind: {} for kind in evaluate}
     raw_rules = {}
     rule_toks = {}
-    tables = {"coproduct": {}, "counit": {}, "antipode": {}, "log": {}}
     quotient = None
 
     for kind, payload, tok in sections:
@@ -901,15 +909,7 @@ def _load_presentation(decl):
             if kind == "relation":
                 _load_relation(proto, ev, payload, raw_rules, rule_toks, tok)
             elif kind in tables:
-                ref, rhs = payload
-                for gi, assign in _instantiate_ref(proto, ref):
-                    if kind == "counit":
-                        if ev.width(rhs):
-                            raise _EvalError(f"{name}: counit value must be scalar")
-                        tables[kind][gi] = ev.element(rhs, assign).scalar_part()
-                    else:
-                        table_ev = ev_delta if kind == "coproduct" else ev
-                        tables[kind][gi] = table_ev.element(rhs, assign)
+                tables[kind].update(_table(proto, [(*payload, tok)], evaluate[kind]))
             elif kind == "quotient":
                 qkind, fam = payload
                 if qkind != "orthogonal":
@@ -945,32 +945,29 @@ def _load_presentation(decl):
 
 
 def _instantiate_ref(p, ref):
-    """A generator reference of p with index variables -> list of
-    (gen_idx, assignment)."""
+    """The instances of a generator reference of p with index variables:
+    {generator index: assignment}."""
     if isinstance(ref, Sym):
-        key = (ref.name, ())
-        if key not in p.by_key:
+        if (ref.name, ()) not in p.by_key:
             raise _EvalError(f"unknown generator {ref.name}")
-        return [(p.by_key[key], {})]
+        return {p.by_key[ref.name, ()]: {}}
     if not isinstance(ref, GenRef):
         raise _EvalError("expected a generator reference")
-    p_ranges = _index_ranges((p,))
-    ranges = {a: p_ranges.get((ref.name, k), [])
-              for k, a in enumerate(ref.idx) if isinstance(a, str)}
-    out = []
-    for assign in _assignments(ranges, {}):
+    out = {}
+    for assign in _assignments(_index_ranges((p,)), _var_uses(ref)):
         idx = tuple(assign[a] if isinstance(a, str) else a for a in ref.idx)
-        key = (ref.name, idx)
-        if key not in p.by_key:
+        if (ref.name, idx) not in p.by_key:
             raise _EvalError(f"unknown generator {ref.name}{list(idx)} (index out of range)")
-        out.append((p.by_key[key], assign))
+        out[p.by_key[ref.name, idx]] = assign
     return out
 
 
 def _load_relation(proto, ev, sides, raw_rules, rule_toks, tok):
+    """The rules of a relation; each instance is oriented before the next."""
     lhs, rhs = sides
-    for assign in _assignments(ev.collect_vars(_var_uses(lhs)), {}):
-        rule = _orient(proto, ev.element(lhs, assign), ev.element(rhs, assign))
+    assigns = _assignments(ev.ranges, _var_uses(lhs))
+    for lel, rel in zip(ev.elements(lhs, assigns), ev.elements(rhs, assigns)):
+        rule = _orient(proto, lel, rel)
         if rule is None:
             continue
         digram, corr = rule
@@ -1067,21 +1064,23 @@ def _load_bicross(name, fields, env_pres):
     total, uf, tf = (env_pres[choice(key, env_pres, "unresolved presentation reference")]
                      for key in ("total", "ufactor", "tfactor"))
     ev_total = Evaluator((total,))
-    u_embed = _table(uf, fields["uembed"], ev_total)
-    t_embed = _table(tf, fields["tembed"], ev_total)
+    u_embed = _table(uf, fields["uembed"], ev_total.elements)
+    t_embed = _table(tf, fields["tembed"], ev_total.elements)
 
     codomain = choice("action_codomain", ("u", "t"), "action_codomain must be u or t")
     ev_cod = Evaluator((uf if codomain == "u" else tf,))
     action = {}
     for r1, r2, rhs, tok in fields["action"]:
         with _located(tok):
-            for gi, a1 in _instantiate_ref(uf, r1):
-                for gj, a2 in _instantiate_ref(tf, r2):
-                    if all(a1.get(k, v) == v for k, v in a2.items()):
-                        action[(gi, gj)] = ev_cod.element(rhs, {**a1, **a2})
+            us = _instantiate_ref(uf, r1)
+            ts = _instantiate_ref(tf, r2) if us else {}
+            pairs = {(gi, gj): {**a1, **a2} for gi, a1 in us.items() for gj, a2 in ts.items()
+                     if all(a1.get(k, v) == v for k, v in a2.items())}
+            action.update(zip(pairs, ev_cod.elements(rhs, pairs.values())))
 
     coacted = choice("coacted", ("u", "t"), "coacted must be u or t")
-    coaction = _table(uf if coacted == "u" else tf, fields["coaction"], Evaluator((uf, tf)))
+    coaction = _table(uf if coacted == "u" else tf, fields["coaction"],
+                      Evaluator((uf, tf)).elements)
     missing = choice("missing", ("one_otimes_x", "x_otimes_one"),
                      "missing must be one_otimes_x or x_otimes_one")
 
@@ -1100,7 +1099,7 @@ def _load_comodule(name, fields, env_pres):
             raise _EvalError(f"comodule {name}: unresolved presentation reference", tok)
         pres.append(env_pres[ref])
     group, space = pres
-    action = _table(space, fields["action"], Evaluator((group, space)))
+    action = _table(space, fields["action"], Evaluator((group, space)).elements)
     if _uncovered(space, action):
         raise _EvalError(f"comodule {name}: action does not cover {_uncovered(space, action)}")
     return {"group": group, "space": space, "action": action}

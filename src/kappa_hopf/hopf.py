@@ -420,7 +420,8 @@ def classical_limit(p, name=None, gens=None):
     """Presentation at h = 0 (grouplike generators become 1).  gens, a
     {label: new name} map, keeps only the generators it names, renamed, in
     p's order; a letter of any other dropped generator left at h = 0 in a
-    kept rule, coproduct or antipode is a PresentationError naming it.  Its
+    kept rule, coproduct or antipode is a PresentationError naming it, and
+    so is a dropped generator of p's quotient family.  Its
     rules and quotient come first; its Hopf data is then built over it, so a
     derived coproduct or antipode multiplies and normal-orders like a parsed
     one."""
@@ -455,6 +456,10 @@ def classical_limit(p, name=None, gens=None):
 
     spec = None
     if p.quotient is not None:
+        for gi in p.quotient.gen_indices.values():
+            if gi not in index_map:
+                raise PresentationError(f"quotient {p.quotient.family} of {p.name} needs the "
+                                        f"dropped generator {p.gens[gi].label()}")
         spec = QuotientSpec(p.quotient.family,
                             {ij: index_map[gi] for ij, gi in p.quotient.gen_indices.items()})
     q = Presentation(name or f"{p.name}_classical",

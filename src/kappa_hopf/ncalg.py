@@ -135,22 +135,6 @@ class Presentation:
             raise PresentationError(f"unknown generator {name}{list(index)} in {self.name}")
         return self.by_key[key]
 
-    def element(self, *termspec):
-        """Build a 1-slot element from (coeff, [(name, index, power), ...]) specs."""
-        ctx = TensorContext((self,))
-        terms = {}
-        for coeff, letters in termspec:
-            word = []
-            for name, index, power in letters:
-                gi = self.gen_index(name, index)
-                if self.gens[gi].grouplike:
-                    word.append((gi, power))
-                else:
-                    word.extend((gi, 1) for _ in range(power))
-            key = (tuple(word),)
-            terms[key] = terms.get(key, H_ZERO) + as_hseries(coeff)
-        return NCElement(ctx, terms)
-
     def one(self, slots=1):
         ctx = TensorContext((self,) * slots)
         return NCElement(ctx, {((),) * slots: H_ONE})

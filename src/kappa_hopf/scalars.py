@@ -306,11 +306,6 @@ class Poly:
                 out.add(s)
         return out
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
-
     # -- arithmetic -------------------------------------------------
     # an HSeries operand gives NotImplemented, so Python asks its reflected
     # operator

@@ -1,11 +1,13 @@
 """Parser, validation diagnostics, round-trips, determinism."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
+from kappa_hopf import dsl
 from kappa_hopf.dsl import (
     ModelModule,
     DslError,
@@ -282,6 +284,18 @@ HOPF_AB = """presentation ab {
                  "integer literal of 4301 digits is too long", id="long-coefficient"),
     pytest.param("antipode G = G^-1;", "antipode G = G^-" + "7" * 4301 + ";", (14, 19),
                  "integer literal of 4301 digits is too long", id="long-exponent"),
+    # which error wins when a declaration has two: the ref is instantiated
+    # before its value is checked, a term is analysed only after the terms
+    # before it are evaluated, and each instance is oriented before the next
+    # one is evaluated (Q[3] does not exist)
+    pytest.param("counit A = 0;", "counit Z = A (x) 1;", (9, 3), "unknown generator Z",
+                 id="ref-before-value"),
+    pytest.param("antipode A = -A;", "antipode A = nosuch + A[k];", (12, 3),
+                 "unknown symbol 'nosuch'", id="term-by-term"),
+    pytest.param("grouplike;\n  relation B*A - A*B = 0;",
+                 "grouplike P[1] P[2] P[3] Q[1] Q[2];\n  relation A*P[i] + P[i]*A = Q[i];",
+                 (3, 3), "relation left side must be a commutator difference X*Y - Y*X",
+                 id="instance-by-instance"),
 ])
 def test_evaluator_diagnostics(old, new, at, message):
     # one malformed presentation per message; the diagnostic names the
@@ -369,10 +383,34 @@ presentation loop {
     assert (diags[0].line, diags[0].col) == (4, 3)  # the relation
 
 
+def test_each_right_side_is_expanded_once_per_declaration(monkeypatch):
+    """Work count: loading the shipped files expands each syntax node into
+    its product terms once, however many index instances its declaration
+    has: a two-index relation such as [L_i, P_j] = i eps_ijk P_k has nine
+    instances and is expanded once, not nine times."""
+    expanded = []
+    expand = dsl._expand_terms
+
+    def spy(node, sign):
+        expanded.append(node)  # held, so no id is reused while loading
+        return expand(node, sign)
+
+    monkeypatch.setattr(dsl, "_expand_terms", spy)
+    env = ModelModule()
+    for name in FILE_DECLARATIONS:
+        module, diags = parse_source(_shipped(name), name, env=env)
+        assert diags == []
+        env.presentations.update(module.presentations)
+    assert len(expanded) > 500
+    assert len({id(node) for node in expanded}) == len(expanded)
+
+
 def test_token_mutants_of_shipped_models_give_a_module_or_diagnostics():
     # seeded token-level mutants (delete, duplicate, swap) of every shipped
     # file, through parse_source only; a mutant whose rules never terminate
-    # stops at the correction budget and comes back as a diagnostic
+    # stops at the correction budget and comes back as a diagnostic.  The
+    # digest pins each outcome: "accepted", or every diagnostic's message,
+    # line and column, so a loader that checks in another order shows here
     shipped = resources.files("kappa_hopf").joinpath("models")
     env = ModelModule()
     sources = []
@@ -382,7 +420,7 @@ def test_token_mutants_of_shipped_models_give_a_module_or_diagnostics():
         env.presentations.update(module.presentations)
         sources.append((name, [t.text for t in tokenize(text)[0][:-1]]))
     rng = random.Random(1995)
-    outcomes = set()
+    outcomes = []
     for i in range(600):
         name, toks = rng.choice(sources)
         toks = list(toks)
@@ -400,5 +438,7 @@ def test_token_mutants_of_shipped_models_give_a_module_or_diagnostics():
             pytest.fail(f"mutant {i} ({op} at token {a} of {name}) raised {e!r}")
         assert (module is None) == bool(diags)
         assert all(d.line >= 1 for d in diags), f"mutant {i}: {diags}"
-        outcomes.add(module is None)
-    assert outcomes == {True, False}
+        outcomes.append("accepted" if module else [(d.message, d.line, d.col) for d in diags])
+    assert "accepted" in outcomes and outcomes.count("accepted") < len(outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "7fa629ca29faf9ec4a2120c473c15d5455768539d7f7598521f0e0331e7cdce3", digest

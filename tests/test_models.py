@@ -126,6 +126,14 @@ def test_a_limit_that_drops_a_needed_generator_is_refused():
         classical_limit(kappa, gens={"L[1]": "L", "P0": "P0"})
 
 
+def test_a_limit_that_drops_a_quotient_generator_is_refused():
+    # the orthogonality quotient of the group needs all nine R[i,j]
+    group = load_model("galilei_group_kappa")
+    with pytest.raises(PresentationError, match=r"^quotient R of galilei_group_kappa needs "
+                                                r"the dropped generator R\[1,1\]$"):
+        classical_limit(group, gens={"v[1]": "v", "tau": "tau"})
+
+
 def test_casimirs_match_eq2():
     kappa = load_model("galilei_algebra_kappa")
     cas = load_model("casimirs")
