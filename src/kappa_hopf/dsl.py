@@ -948,11 +948,13 @@ def _instantiate_ref(p, ref):
     """The instances of a generator reference of p with index variables:
     {generator index: assignment}."""
     if isinstance(ref, Sym):
-        if (ref.name, ()) not in p.by_key:
-            raise _EvalError(f"unknown generator {ref.name}")
-        return {p.by_key[ref.name, ()]: {}}
+        ref = GenRef(ref.name, ())
     if not isinstance(ref, GenRef):
         raise _EvalError("expected a generator reference")
+    # a family p lacks would give its index variables no values, and so the
+    # binding no instance
+    if not any(g.name == ref.name and len(g.index) == len(ref.idx) for g in p.gens):
+        raise _EvalError(f"unknown generator {ref.name}")
     out = {}
     for assign in _assignments(_index_ranges((p,)), _var_uses(ref)):
         idx = tuple(assign[a] if isinstance(a, str) else a for a in ref.idx)

@@ -320,6 +320,10 @@ def _quotient_coproduct_check(p, order, mode, oracle=None):
 
 def verify_casimir(c, p, order=4, mode="formal", expect="zero", name="C",
                    oracle=None):
+    """One check per generator g: C*g - g*C must vanish.  C is normal-ordered
+    once, not in every residual; under non-confluent rules a residual may
+    print another representative of the same element."""
+    c = ncalg.normal_order(c)
     checks = []
     for gi, g in enumerate(p.gens):
         def raw(gi=gi):

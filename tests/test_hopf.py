@@ -22,7 +22,7 @@ from kappa_hopf.hopf import (
     verify_casimir,
     verify_comodule,
 )
-from kappa_hopf.models import load_model, load_printed_variant, strip_quotient
+from kappa_hopf.models import load_casimirs_in, load_model, load_printed_variant, strip_quotient
 from kappa_hopf.ncalg import (
     NCElement,
     PresentationError,
@@ -237,6 +237,40 @@ def test_verify_casimir_examples():
     checks = verify_casimir(mutated, kappa, order=2, mode="formal", name="C1+P0")
     failed = {c.check_id: c for c in checks if c.status == "fail"}
     assert any("L[1]" in k for k in failed)
+
+
+def _casimir_checks_of_raw(c, p, order, mode, expect, name):
+    """verify_casimir's checks with each residual C*g - g*C formed from c as
+    given, so that every residual normal-orders c again."""
+    checks = []
+    for g in p.gens:
+        el = p.gen_element(g.name, g.index)
+        checks.append(hopf._identity_check(f"casimir[{name},{g.label()}]", "Eq. 2",
+                                           lambda el=el: c * el - el * c, mode, order, expect))
+    return [check.as_json_dict() for check in checks]
+
+
+def test_casimir_checks_from_the_normal_form_equal_those_from_the_loaded_casimir():
+    kappa = load_model("galilei_algebra_kappa")
+    cas = load_model("casimirs")
+    # C2 is loaded raw: unsorted words that normal-order to fewer terms
+    assert (len(cas["C2"].terms), len(normal_order(cas["C2"]).terms)) == (39, 34)
+    for name in ("C1", "C2"):
+        got = verify_casimir(cas[name], kappa, order=3, mode="both", name=name)
+        assert [check.as_json_dict() for check in got] \
+            == _casimir_checks_of_raw(cas[name], kappa, 3, "both", "zero", name)
+    # the printed variant, where C2 is not central: its raw C2 is the shipped
+    # one's, read in the printed rules
+    printed = load_printed_variant()
+    raw = cas["C2"].place_in_slots(TensorContext((printed,)), range(1))
+    loaded = load_casimirs_in(printed)["C2"]
+    assert normal_order(raw) == loaded
+    want = _casimir_checks_of_raw(raw, printed, 3, "formal", "report", "C2_printed")
+    assert {c["status"] for c in want} == {"pass", "info"}
+    for c2 in (raw, loaded):
+        got = verify_casimir(c2, printed, order=3, mode="formal", expect="report",
+                             name="C2_printed")
+        assert [check.as_json_dict() for check in got] == want
 
 
 def test_printed_variant_c2_residual_matches_hand_formula():

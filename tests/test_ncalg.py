@@ -839,6 +839,16 @@ def test_casimir_checks_rewrite_with_few_rewrite_digram_steps(monkeypatch):
     assert len(calls) <= 9_000
 
 
+def test_casimir_checks_normal_order_each_casimir_once(monkeypatch):
+    """Work count: verify_casimir forms every residual C*g - g*C from C's
+    normal form, so the loaded C2's 39 unsorted terms are sorted once per
+    call, not once in each of its residuals (over 7,600 calls here)."""
+    calls = _count_rewrites(monkeypatch, 100_000)
+    report = run_suite(SuiteConfig(suite="casimirs", order=3, seed=42))
+    assert report.passed and report.checks
+    assert len(calls) <= 3_000
+
+
 @pytest.mark.parametrize("slots", [1, 2, 3])
 def test_grouplike_free_h_expand_raw_is_the_truncated_element(slots, monkeypatch):
     """With no grouplike letter, h_expand_raw returns what the letter-by-letter
