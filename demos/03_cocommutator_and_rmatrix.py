@@ -8,18 +8,17 @@ linear system: 450 equations, 45 unknowns, rank(A) = 44 < rank(A|b) = 45.
 """
 
 from kappa_hopf import LieData, cocommutator, solve_coboundary
+from kappa_hopf.cohom import render_wedge
 from kappa_hopf.models import load_model
 
 kappa = load_model("galilei_algebra_kappa")
 classical = load_model("galilei_algebra_classical")
 
-sigma = {}
-for gi, g in enumerate(classical.gens):
-    wedge, _ = cocommutator(kappa, (g.name, g.index))
-    sigma[gi] = {k: v.coeff(0).const_value() for k, v in wedge.pairs.items()}
-    print(f"sigma({g.label()}) = {wedge.render(kappa)}")
-
+sigma, _ = cocommutator(kappa, classical)
 lie = LieData.from_presentation(classical)
+for gi, g in enumerate(classical.gens):
+    print(f"sigma({g.label()}) = {render_wedge(lie.labels, sigma[gi])}")
+
 cert = solve_coboundary(lie, sigma)
 print(f"\ncoboundary system: {cert.n_equations} equations, "
       f"{cert.n_unknowns} unknowns")

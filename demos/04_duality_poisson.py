@@ -20,10 +20,7 @@ print("<v[2], M[3] L[1]> =", pair(Poly.var("v[2]"), ("M[3]", "L[1]")))
 
 kappa = load_model("galilei_algebra_kappa")
 classical = load_model("galilei_algebra_classical")
-sigma = {}
-for gi, g in enumerate(classical.gens):
-    w, _ = cocommutator(kappa, (g.name, g.index))
-    sigma[gi] = {k: v.coeff(0).const_value() for k, v in w.pairs.items()}
+sigma, _ = cocommutator(kappa, classical)
 engine = PairingEngine(model, [g.label() for g in classical.gens],
                        sigma_matrix_terms(classical, sigma))
 

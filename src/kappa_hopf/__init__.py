@@ -27,7 +27,7 @@ _EXPORTS = {
               "commutator", "confluence_residual", "confluence_triples", "h_expand",
               "normal_order"),
     "quotient": ("equal_mod_quotient", "zero_mod_quotient"),
-    "hopf": ("BicrossData", "Wedge", "apply_antipode", "apply_coproduct", "apply_counit",
+    "hopf": ("BicrossData", "apply_antipode", "apply_coproduct", "apply_counit",
              "classical_limit", "cocommutator", "coproduct", "verify_bialgebra",
              "verify_bicross", "verify_casimir", "verify_comodule"),
     "cohom": ("H2Result", "LieData", "LinearCertificate", "co_jacobi_check",

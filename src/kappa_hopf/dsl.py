@@ -527,11 +527,11 @@ def _assignments(ranges, uses):
     its generator positions share under ranges (see _index_ranges), 1..3
     where only eps or delta takes it."""
     out = {}
-    for a, name, k in uses:
-        if name is None:
+    for a, ref, k in uses:
+        if ref is None:
             out.setdefault(a, [1, 2, 3])
         else:
-            rng = ranges.get((name, k), [])
+            rng = ranges.get((ref.name, k), [])
             cur = out.get(a)
             out[a] = sorted(set(rng) & set(cur)) if cur is not None else rng
     names = sorted(out)
@@ -539,12 +539,13 @@ def _assignments(ranges, uses):
 
 
 def _var_uses(node):
-    """(variable, generator family, index position) for each index variable
-    in node, in reading order; family and position are None in eps or delta."""
+    """(variable, generator reference, index position) for each index
+    variable in node, in reading order; reference and position are None in
+    eps or delta."""
     if isinstance(node, GenRef):
         for k, a in enumerate(node.idx):
             if isinstance(a, str):
-                yield a, node.name, k
+                yield a, node, k
     elif isinstance(node, Call):
         for a in node.args:
             if isinstance(a, str):
@@ -706,11 +707,10 @@ class Evaluator:
                 if len(vals) != 3:
                     raise _EvalError("eps takes three indices")
                 return HSeries.const(Fraction(levi_civita(*vals)))
-            if node.fn == "delta":
-                if len(vals) != 2:
-                    raise _EvalError("delta takes two indices")
-                return HSeries.const(Fraction(1 if vals[0] == vals[1] else 0))
-            raise _EvalError(f"unknown function {node.fn!r}")
+            # the parser builds a Call for eps and delta only
+            if len(vals) != 2:
+                raise _EvalError("delta takes two indices")
+            return HSeries.const(Fraction(1 if vals[0] == vals[1] else 0))
         if isinstance(node, Neg):
             return -self.eval(node.arg, assign, slot)
         if isinstance(node, Pow):
@@ -944,6 +944,14 @@ def _load_presentation(decl):
     return proto
 
 
+def _require_family(gens, ref):
+    """Refuse a generator reference whose family (name and index count)
+    gens lack: its index variables would take no values, and so its binding
+    or relation would have no instance and be dropped."""
+    if not any(g.name == ref.name and len(g.index) == len(ref.idx) for g in gens):
+        raise _EvalError(f"unknown generator {ref.name}")
+
+
 def _instantiate_ref(p, ref):
     """The instances of a generator reference of p with index variables:
     {generator index: assignment}."""
@@ -951,10 +959,7 @@ def _instantiate_ref(p, ref):
         ref = GenRef(ref.name, ())
     if not isinstance(ref, GenRef):
         raise _EvalError("expected a generator reference")
-    # a family p lacks would give its index variables no values, and so the
-    # binding no instance
-    if not any(g.name == ref.name and len(g.index) == len(ref.idx) for g in p.gens):
-        raise _EvalError(f"unknown generator {ref.name}")
+    _require_family(p.gens, ref)
     out = {}
     for assign in _assignments(_index_ranges((p,)), _var_uses(ref)):
         idx = tuple(assign[a] if isinstance(a, str) else a for a in ref.idx)
@@ -967,7 +972,11 @@ def _instantiate_ref(p, ref):
 def _load_relation(proto, ev, sides, raw_rules, rule_toks, tok):
     """The rules of a relation; each instance is oriented before the next."""
     lhs, rhs = sides
-    assigns = _assignments(ev.ranges, _var_uses(lhs))
+    uses = list(_var_uses(lhs))
+    for _, ref, _ in uses:
+        if ref is not None:
+            _require_family(proto.gens, ref)
+    assigns = _assignments(ev.ranges, uses)
     for lel, rel in zip(ev.elements(lhs, assigns), ev.elements(rhs, assigns)):
         rule = _orient(proto, lel, rel)
         if rule is None:

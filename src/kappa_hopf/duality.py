@@ -431,8 +431,9 @@ def _vec_add(a, b):
 
 
 def sigma_matrix_terms(classical, sigma_components):
-    """{label: [(coeff, A_label, B_label), ...]} from wedge components
-    {gen_idx: {(a,b): coeff}} (both tensor orders expanded)."""
+    """{label: [(coeff, A_label, B_label), ...]} from the sigma table of
+    hopf.cocommutator, keyed by classical's indices (both tensor orders
+    expanded)."""
     out = {}
     for gi, comps in sigma_components.items():
         terms = []

@@ -34,7 +34,7 @@ from .ncalg import (
     word_label,
 )
 from .report import Check, FAIL, INFO, PASS, run_check
-from .scalars import H_ONE, H_ZERO, HSeries
+from .scalars import GR_ZERO, H_ONE, HSeries
 
 
 # ---------------------------------------------------------------------------
@@ -340,72 +340,57 @@ def verify_casimir(c, p, order=4, mode="formal", expect="zero", name="C",
 # ---------------------------------------------------------------------------
 
 
-class Wedge:
-    """Antisymmetric 2-slot element sum c_ab a^b (a wedge b), a < b in PBW
-    order, with exact scalar coefficients."""
+def cocommutator(kappa, classical, higher_order=1):
+    """sigma (Eq. 9), the classical shadow of kappa: for every generator g of
+    classical, the h^1 part of (Delta - tau.Delta)(g) in kappa, expanded
+    through h^higher_order (at least 1).
 
-    def __init__(self, element):
-        swapped = element.swap_slots(0, 1)
-        if not ncalg.normal_order(element + swapped).is_zero():
-            raise ValueError("Wedge element is not antisymmetric under slot swap")
-        self.element = element
-        half = Fraction(1, 2)
-        self.pairs = {}
-        for w, coeff in element.terms.items():
-            if len(w) != 2 or any(len(sw) != 1 for sw in w):
-                raise ValueError("Wedge supports generator wedge generator only")
-            (a, _), (b, _) = w[0][0], w[1][0]
-            # a (x) b and -b (x) a each contribute half of the a^b coefficient
-            if a < b:
-                self.pairs[(a, b)] = self.pairs.get((a, b), H_ZERO) + coeff.scale(half)
-            elif a > b:
-                self.pairs[(b, a)] = self.pairs.get((b, a), H_ZERO) - coeff.scale(half)
-        self.pairs = {k: v for k, v in self.pairs.items() if v}
+    Returns (sigma, info), both keyed by classical's generator indices.
+    sigma[gi] is {(a, b): GaussianRational}, the wedge sum of c_ab a^b: each
+    letter is mapped by its label into classical, and each pair is ordered
+    a < b in classical's PBW order, its coefficient negated where the order
+    flips.  info[gi] is {k: NCElement}, the nonzero antisymmetric parts at
+    h^k for 2 <= k <= higher_order (informational).
 
-    def is_zero(self):
-        return not self.pairs
-
-    def render(self, p):
-        if not self.pairs:
-            return "0"
-        bits = []
-        for (a, b) in sorted(self.pairs):
-            c = self.pairs[(a, b)]
-            cs = str(c)
-            body = f"{p.gens[a].label()}^{p.gens[b].label()}"
-            if cs == "1":
-                bits.append(body)
-            elif cs == "-1":
-                bits.append(f"-{body}")
-            else:
-                needs_par = any(ch in cs for ch in "+- ")
-                bits.append(f"({cs})*{body}" if needs_par else f"{cs}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    def __eq__(self, other):
-        if not isinstance(other, Wedge):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-
-def cocommutator(p, gen_key, higher_order=1):
-    """sigma(g): h^1 part of (Delta - tau.Delta)(g); the classical Wedge.
-
-    Returns (wedge, info) where info carries any higher-order antisymmetric
-    parts (informational only)."""
-    gi = p.gen_index(*gen_key) if isinstance(gen_key, tuple) else p.gen_index(gen_key)
-    el = _gen(p, gi)
-    d_raw = apply_coproduct(el, 0)
+    A term that is not generator (x) generator, a coefficient that is not a
+    constant, or a letter that classical lacks raises PresentationError
+    naming sigma(g); so does a generator of classical that kappa lacks."""
+    by_label = {g.label(): i for i, g in enumerate(classical.gens)}
     order = max(1, higher_order)
-    d = ncalg.normal_order(ncalg.h_expand_raw(d_raw, order))
-    anti = ncalg.normal_order(d - d.swap_slots(0, 1))
-    wedge = Wedge(anti.h_coefficient(1))
-    info = {}
-    for k in range(2, order + 1):
-        part = anti.h_coefficient(k)
-        if not part.is_zero():
-            info[k] = part
-    return wedge, info
+    half = Fraction(1, 2)
+    sigma, info = {}, {}
+    for gi, g in enumerate(classical.gens):
+        d_raw = apply_coproduct(_gen(kappa, kappa.gen_index(g.name, g.index)), 0)
+        d = ncalg.normal_order(ncalg.h_expand_raw(d_raw, order))
+        anti = ncalg.normal_order(d - d.swap_slots(0, 1))
+        where = f"sigma({g.label()}) of {kappa.name}"
+        pairs = {}
+        for w, c in anti.h_coefficient(1).terms.items():
+            if any(len(sw) != 1 or sw[0][1] != 1 for sw in w):
+                raise PresentationError(f"{where}: term {word_label(kappa, w[0])} (x) "
+                                        f"{word_label(kappa, w[1])} is not generator (x) generator")
+            v = c.coeff(0)
+            if not v.is_const():
+                raise PresentationError(f"{where}: coefficient {v} is not a constant")
+            labels = [kappa.gens[sw[0][0]].label() for sw in w]
+            for lab in labels:
+                if lab not in by_label:
+                    raise PresentationError(f"{where}: {lab} is not a generator of "
+                                            f"{classical.name}")
+            a, b = (by_label[lab] for lab in labels)
+            # a (x) b and -b (x) a each contribute half of the a^b coefficient
+            v = v.const_value() * half
+            if a < b:
+                pairs[(a, b)] = pairs.get((a, b), GR_ZERO) + v
+            elif a > b:
+                pairs[(b, a)] = pairs.get((b, a), GR_ZERO) - v
+        sigma[gi] = {k: v for k, v in pairs.items() if v}
+        info[gi] = {}
+        for k in range(2, order + 1):
+            part = anti.h_coefficient(k)
+            if not part.is_zero():
+                info[gi][k] = part
+    return sigma, info
 
 
 # ---------------------------------------------------------------------------

@@ -151,21 +151,7 @@ def _confluence_check(p, label, anchor, expect="zero"):
     return tuple(checks) if isinstance(label, tuple) else checks[0]
 
 
-def _sigma(kappa, g, higher_order=1):
-    """(sigma(g) as {(a, b): constant}, higher-order parts) from kappa."""
-    w, info = cocommutator(kappa, (g.name, g.index), higher_order=higher_order)
-    return {k: v.coeff(0).const_value() for k, v in w.pairs.items()}, info
-
-
-def _sigma_table(kappa, classical, known=None):
-    """sigma of every classical generator; those in known are not
-    computed again."""
-    known = known or {}
-    return {gi: known[gi] if gi in known else _sigma(kappa, g)[0]
-            for gi, g in enumerate(classical.gens)}
-
-
-# the Eq. 9 table, frozen: sigma values as {(label_a, label_b): coefficient}
+# the Eq. 9 table, frozen, in the format of hopf.cocommutator's sigma
 def _eq9_expected(classical):
     def gi(name, idx=()):
         return classical.gen_index(name, idx)
@@ -250,27 +236,28 @@ def suite_cocommutator(cfg, oracle):
     classical = cfg.models["galilei_algebra_classical"]
     expected = _eq9_expected(classical)
     lie = LieData.from_presentation(classical)
-    wedges = {}
+    sigma = {}
 
-    def sigma_check(gi, g):
-        got, info = _sigma(kappa, g, higher_order=2)
-        wedges[gi] = got
-        want = expected[gi]
-        ok = got == want
-        detail = ""
-        if info:
-            detail = "higher-order antisymmetric parts: " + "; ".join(
-                f"h^{k}: {v.render()}" for k, v in sorted(info.items()))
-        return Check(f"sigma[{g.label()}]", "Eq. 9", PASS if ok else FAIL,
-                     residual="0" if ok else f"got {render_wedge(lie.labels, got)}, "
-                                             f"expected {render_wedge(lie.labels, want)}",
-                     detail=detail or "matches Eq. 9 exactly")
+    def sigma_checks():
+        got, info = cocommutator(kappa, classical, higher_order=2)
+        sigma.update(got)
+        checks = []
+        for gi, g in enumerate(classical.gens):
+            want = expected[gi]
+            ok = got[gi] == want
+            detail = ""
+            if info[gi]:
+                detail = "higher-order antisymmetric parts: " + "; ".join(
+                    f"h^{k}: {v.render()}" for k, v in sorted(info[gi].items()))
+            checks.append(Check(
+                f"sigma[{g.label()}]", "Eq. 9", PASS if ok else FAIL,
+                residual="0" if ok else f"got {render_wedge(lie.labels, got[gi])}, "
+                                        f"expected {render_wedge(lie.labels, want)}",
+                detail=detail or "matches Eq. 9 exactly"))
+        return checks
 
-    for gi, g in enumerate(classical.gens):
-        rep.add(run_check(lambda: sigma_check(gi, g)))
-    # the h^1 wedges of the Eq. 9 checks are the co-Jacobi table; only a
-    # generator whose check raised is computed again, at order 1
-    sigma = _sigma_table(kappa, classical, known=wedges)
+    rep.extend(run_check(sigma_checks))
+    # the h^1 table of the Eq. 9 checks is the co-Jacobi table
     rep.extend(co_jacobi_check(lie, sigma))
     return rep
 
@@ -280,7 +267,7 @@ def suite_rmatrix(cfg, oracle):
     kappa = cfg.models["galilei_algebra_kappa"]
     classical = cfg.models["galilei_algebra_classical"]
     lie = LieData.from_presentation(classical)
-    sigma = _sigma_table(kappa, classical)
+    sigma, _ = cocommutator(kappa, classical)
 
     solver = CoboundarySolver(lie)
 
@@ -344,7 +331,7 @@ def suite_duality(cfg, oracle):
     rep.add(run_check(eq13))
     rep.extend(_a2_checks(pairing))
 
-    sigma = _sigma_table(kappa, classical)
+    sigma, _ = cocommutator(kappa, classical)
     engine = PairingEngine(model, [g.label() for g in classical.gens],
                            sigma_matrix_terms(classical, sigma))
 

@@ -29,14 +29,9 @@ def galilei_lie():
     return LieData.from_presentation(load_model("galilei_algebra_classical"))
 
 
-def eq9_sigma(lie=None):
-    kappa = load_model("galilei_algebra_kappa")
-    classical = load_model("galilei_algebra_classical")
-    sigma = {}
-    for gi, g in enumerate(classical.gens):
-        w, _ = cocommutator(kappa, (g.name, g.index))
-        sigma[gi] = {k: v.coeff(0).const_value() for k, v in w.pairs.items()}
-    return sigma
+def eq9_sigma():
+    return cocommutator(load_model("galilei_algebra_kappa"),
+                        load_model("galilei_algebra_classical"))[0]
 
 
 def test_liedata_rejects_broken_jacobi():
@@ -443,14 +438,24 @@ def test_liedata_is_immutable():
 
 
 def test_cocommutator_suite_reuses_the_eq9_wedges(monkeypatch):
-    # the h^1 wedge of an order-2 expansion is the order-1 one, so the
-    # co-Jacobi table is the one the sigma[...] checks computed
+    # the h^1 table of an order-2 expansion is the order-1 one, so the
+    # co-Jacobi checks read the table the sigma[...] checks computed: one
+    # cocommutator call per suite run, at higher_order 2 for cocommutator
     kappa = load_model("galilei_algebra_kappa")
     classical = load_model("galilei_algebra_classical")
-    for g in classical.gens:
-        assert suites._sigma(kappa, g, higher_order=2)[0] == suites._sigma(kappa, g)[0]
-    evaluated = _count_calls(monkeypatch, suites, "cocommutator")
-    report = run_suite(SuiteConfig(suite="cocommutator", order=1, seed=42))
-    assert len(evaluated) == len(classical.gens) == 10
-    assert report.passed
-    assert sum(c.check_id.startswith("co_jacobi[") for c in report.checks) == 45
+    assert cocommutator(kappa, classical, higher_order=2)[0] == cocommutator(kappa, classical)[0]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("higher_order", 1))
+        return cocommutator(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "cocommutator", spy)
+    for suite, higher_order in (("cocommutator", 2), ("rmatrix", 1), ("duality", 1)):
+        del calls[:]
+        report = run_suite(SuiteConfig(suite=suite, order=1, seed=42))
+        assert calls == [higher_order], suite
+        assert report.passed
+        if suite == "cocommutator":
+            assert sum(c.check_id.startswith("sigma[") for c in report.checks) == 10
+            assert sum(c.check_id.startswith("co_jacobi[") for c in report.checks) == 45

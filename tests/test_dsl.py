@@ -307,6 +307,9 @@ HOPF_AB = """presentation ab {
                  "unknown generator Q", id="missing-family-antipode"),
     pytest.param("antipode A = -A;", "antipode A = -A;\n  antipode A[k] = A;", (13, 3),
                  "unknown generator A", id="family-of-another-arity"),
+    # and so is a relation over such a family
+    pytest.param("relation G*B - B*G = 0;", "relation G*B - B*G = 0;\n  relation Z[i]*A - A*Z[i] = 0;",
+                 (6, 3), "unknown generator Z", id="missing-family-relation"),
 ])
 def test_evaluator_diagnostics(old, new, at, message):
     # one malformed presentation per message; the diagnostic names the

@@ -56,10 +56,7 @@ def build_engine():
     model = model_4d()
     kappa = load_model("galilei_algebra_kappa")
     classical = load_model("galilei_algebra_classical")
-    sigma = {}
-    for gi, g in enumerate(classical.gens):
-        w, _ = cocommutator(kappa, (g.name, g.index))
-        sigma[gi] = {k: v.coeff(0).const_value() for k, v in w.pairs.items()}
+    sigma, _ = cocommutator(kappa, classical)
     return model, classical, PairingEngine(
         model, [g.label() for g in classical.gens],
         sigma_matrix_terms(classical, sigma))

@@ -31,21 +31,19 @@ from kappa_hopf.ncalg import (
     commutator,
     normal_order,
 )
-from kappa_hopf.scalars import GaussianRational, GR_I, H_ONE, HSeries, Poly, RationalFn, as_hseries
+from kappa_hopf.scalars import GaussianRational, GR_I, H_ONE, HSeries, Poly, RationalFn
 
 
 
 def wedge_from_pairs(p, pairs):
-    """Build a Wedge from {(gen_key_a, gen_key_b): coefficient}."""
-    ctx = TensorContext((p, p))
-    el = NCElement.zero(ctx)
+    """A sigma table entry {(a, b): coefficient} over p's generator indices,
+    a < b, from {(gen_key_a, gen_key_b): coefficient}."""
+    out = {}
     for (ka, kb), c in pairs.items():
-        a = p.gen_index(*ka)
-        b = p.gen_index(*kb)
-        c = as_hseries(c)
-        el = el + NCElement(ctx, {(((a, 1),), ((b, 1),)): c})
-        el = el - NCElement(ctx, {(((b, 1),), ((a, 1),)): c})
-    return hopf.Wedge(el)
+        a, b = p.gen_index(*ka), p.gen_index(*kb)
+        out[(a, b) if a < b else (b, a)] = GaussianRational(c if a < b else -c)
+    return out
+
 
 def hs(c, power=0):
     return HSeries({power: RationalFn(Poly.const(c))})
@@ -315,25 +313,50 @@ def _pxl(p, i):
 
 def test_cocommutator_matches_eq9():
     kappa = load_model("galilei_algebra_kappa")
-    w, info = cocommutator(kappa, ("P", (1,)))
-    want = wedge_from_pairs(kappa, {(("P", (1,)), ("P0", ())): F(-1)})
-    assert w == want
-    w, _ = cocommutator(kappa, ("M", (2,)))
-    assert w.is_zero()
-    w, _ = cocommutator(kappa, ("L", (1,)))
-    want = wedge_from_pairs(kappa, {
+    classical = load_model("galilei_algebra_classical")
+    sigma, info = cocommutator(kappa, classical)
+    assert sorted(sigma) == sorted(info) == list(range(len(classical.gens)))
+    assert not any(info.values())
+    gi = classical.gen_index
+    assert sigma[gi("P", (1,))] == wedge_from_pairs(classical, {(("P", (1,)), ("P0", ())): F(-1)})
+    assert sigma[gi("M", (2,))] == {}
+    assert sigma[gi("L", (1,))] == wedge_from_pairs(classical, {
         (("L", (1,)), ("P0", ())): F(-1),
         (("M", (2,)), ("P", (3,))): F(-1),
         (("M", (3,)), ("P", (2,))): F(1),
     })
-    assert w == want
+
+
+def _label_wedges(classical, sigma):
+    """sigma as {label: {(label_a, label_b): coefficient}}, each pair in both
+    orders (b, a carrying -c); the pairs of sigma itself must be a < b."""
+    labels = [g.label() for g in classical.gens]
+    out = {}
+    for gi, w in sigma.items():
+        both = {}
+        for (a, b), c in w.items():
+            assert a < b
+            both[labels[a], labels[b]] = c
+            both[labels[b], labels[a]] = -c
+        out[labels[gi]] = both
+    return out
 
 
 def test_wedge_negates_under_swap():
+    # the pairs follow the classical algebra's PBW order: with P0 ordered
+    # first, -P[1]^P0 reads P0^P[1], and every other entry is the same wedge
+    text = resources.files("kappa_hopf").joinpath("models", "galilei_algebra_kappa.hopf").read_text()
     kappa = load_model("galilei_algebra_kappa")
-    w, _ = cocommutator(kappa, ("L", (2,)))
-    el = w.element
-    assert normal_order(el + el.swap_slots(0, 1)).is_zero()
+    classical = load_model("galilei_algebra_classical")
+    reordered = parse_presentation(text.replace("grouplike;\n", "grouplike;\n  order: P0 EE "
+                                                "M[1] M[2] M[3] L[1] L[2] L[3] P[1] P[2] P[3];\n", 1))
+    cl_reordered = classical_limit(reordered)
+    assert cl_reordered.gens[0].label() == "P0"
+    sigma, _ = cocommutator(kappa, classical)
+    swapped, _ = cocommutator(reordered, cl_reordered)
+    p1, p0 = cl_reordered.gen_index("P", (1,)), cl_reordered.gen_index("P0")
+    assert swapped[p1] == {(p0, p1): GaussianRational(1)}
+    assert _label_wedges(cl_reordered, swapped) == _label_wedges(classical, sigma)
 
 
 def test_classical_limit_examples():

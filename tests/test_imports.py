@@ -19,8 +19,9 @@ its update, clear or setdefault is no read.  No stale package data: every
 package-data glob in pyproject.toml matches at least one file.
 
 The cross-file lints (dead definitions, unset knobs, write-only attributes)
-build their index of all sources once, in a module-scoped fixture, and look
-each module up in it."""
+look each module up in an index of all sources.  One module-scoped fixture
+parses every source once and builds the three indexes from those trees; it
+keeps the indexes only, so no tree is shared between tests."""
 
 import ast
 from pathlib import Path
@@ -110,11 +111,16 @@ def test_no_dead_locals(module):
     assert dead_locals(module.read_text()) == []
 
 
-def referenced_names(sources):
-    """Every name that sources read, name as an attribute or import."""
+def _trees(*sources):
+    return [ast.parse(source) for source in sources]
+
+
+def referenced_names(trees):
+    """Every name that the parsed sources read, name as an attribute or
+    import."""
     names = set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -147,7 +153,7 @@ def test_lint_flags_a_dead_definition():
         "    def __len__(self):\n"
         "        return 0\n"
     )
-    assert dead_definitions(source, referenced_names([source])) == [(3, "C"), (4, "m")]
+    assert dead_definitions(source, referenced_names(_trees(source))) == [(3, "C"), (4, "m")]
 
 
 def test_lint_spares_named_definitions():
@@ -159,30 +165,31 @@ def test_lint_spares_named_definitions():
         "        return 2\n"
     )
     users = ["from pkg.mod import f\n", "import pkg.C\n", "x.m()\n"]
-    assert dead_definitions(source, referenced_names([source, *users])) == []
+    assert dead_definitions(source, referenced_names(_trees(source, *users))) == []
 
 
 @pytest.fixture(scope="module")
-def project_sources():
-    return [p.read_text() for d in ("src", "tests", "demos")
-            for p in sorted((ROOT / d).rglob("*.py"))]
-
-
-@pytest.fixture(scope="module")
-def project_names(project_sources):
-    return referenced_names(project_sources)
+def indexes():
+    """The cross-file indexes, from one parse of each source: the names that
+    src/, tests/ and demos/ reference, and the arguments passed and the
+    attributes read there and in perfbench/.  The trees die with this call."""
+    project = [ast.parse(p.read_text()) for d in ("src", "tests", "demos")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    callers = project + [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    return {"names": referenced_names(project), "arguments": passed_arguments(callers),
+            "attribute_reads": attribute_reads(callers)}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
-def test_no_dead_definitions(module, project_names):
-    assert dead_definitions(module.read_text(), project_names) == []
+def test_no_dead_definitions(module, indexes):
+    assert dead_definitions(module.read_text(), indexes["names"]) == []
 
 
 def test_only_scalars_names_rationalfn():
     # RationalFn is the read-only per-power view of an HSeries; every other
     # engine module computes with HSeries values.  The package __init__ only
     # names it in its export table, as a string, so it is not scanned.
-    naming = [p.name for p in MODULES if "RationalFn" in referenced_names([p.read_text()])]
+    naming = [p.name for p in MODULES if "RationalFn" in referenced_names(_trees(p.read_text()))]
     assert naming == ["scalars.py"]
 
 
@@ -308,13 +315,13 @@ def defaulted_parameters(source):
     return found
 
 
-def passed_arguments(sources):
+def passed_arguments(trees):
     """{callee name: [keywords passed, most positional arguments passed]} over
-    every call in sources; a starred argument passes every position and a
-    ** argument every keyword."""
+    every call in the parsed sources; a starred argument passes every
+    position and a ** argument every keyword."""
     passed = {}
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
@@ -360,7 +367,7 @@ def test_lint_flags_an_unset_knob():
         "        pass\n"
     )
     users = ["f(1)\n", "C()\n", "obj.m()\n"]
-    assert unset_knobs(source, passed_arguments([source, *users])) == [
+    assert unset_knobs(source, passed_arguments(_trees(source, *users))) == [
         (1, "f", "b"), (1, "f", "c"), (4, "__init__", "x"), (6, "m", "y")]
 
 
@@ -380,22 +387,12 @@ def test_lint_spares_passed_and_exempt_knobs():
         "        pass\n"
     )
     users = ["f(1, 2, c=3)\n", "C(5)\n", "obj.m(**options)\n", "C.s(1)\n"]
-    assert unset_knobs(source, passed_arguments([source, *users])) == []
-
-
-@pytest.fixture(scope="module")
-def caller_sources(project_sources):
-    return project_sources + [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
-
-
-@pytest.fixture(scope="module")
-def caller_arguments(caller_sources):
-    return passed_arguments(caller_sources)
+    assert unset_knobs(source, passed_arguments(_trees(source, *users))) == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
-def test_no_unset_knobs(module, caller_arguments):
-    assert unset_knobs(module.read_text(), caller_arguments) == []
+def test_no_unset_knobs(module, indexes):
+    assert unset_knobs(module.read_text(), indexes["arguments"]) == []
 
 
 # calls that only change the container they are made on
@@ -423,13 +420,13 @@ def attribute_writes(source):
     return found
 
 
-def attribute_reads(sources):
-    """Names of the attributes sources read: `x.name` loaded, or named by
-    getattr or hasattr.  Storing into `x.name[k]` and calling `x.name.update`,
-    `.clear` or `.setdefault` only write to x.name, so they are no reads."""
+def attribute_reads(trees):
+    """Names of the attributes the parsed sources read: `x.name` loaded, or
+    named by getattr or hasattr.  Storing into `x.name[k]` and calling
+    `x.name.update`, `.clear` or `.setdefault` only write to x.name, so they
+    are no reads."""
     reads = set()
-    for source in sources:
-        tree = ast.parse(source)
+    for tree in trees:
         writes_into = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
@@ -472,7 +469,7 @@ def test_lint_flags_a_write_only_attribute():
         "    def bump(self):\n"
         "        self.count += 1\n"
     )
-    assert write_only_attributes(source, attribute_reads([source])) == [
+    assert write_only_attributes(source, attribute_reads(_trees(source))) == [
         (5, "unread"), (8, "table"), (9, "log"), (10, "count"), (14, "count")]
 
 
@@ -489,17 +486,12 @@ def test_lint_spares_read_attributes():
         "        self.table.update(x=1)\n"
     )
     users = ["print(c.table['x'])\n", "getattr(c, 'flag', None)\n"]
-    assert write_only_attributes(source, attribute_reads([source, *users])) == []
-
-
-@pytest.fixture(scope="module")
-def caller_attribute_reads(caller_sources):
-    return attribute_reads(caller_sources)
+    assert write_only_attributes(source, attribute_reads(_trees(source, *users))) == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
-def test_no_write_only_attributes(module, caller_attribute_reads):
-    assert write_only_attributes(module.read_text(), caller_attribute_reads) == []
+def test_no_write_only_attributes(module, indexes):
+    assert write_only_attributes(module.read_text(), indexes["attribute_reads"]) == []
 
 
 def test_every_package_data_glob_matches_a_file():

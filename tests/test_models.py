@@ -26,10 +26,12 @@ from kappa_hopf.models import (
     load_casimirs_in,
     load_model,
     load_printed_variant,
+    resolve_overrides,
     strip_quotient,
 )
 from kappa_hopf.ncalg import NCElement, PresentationError, TensorContext, commutator, normal_order
 from kappa_hopf.scalars import GR_I, GaussianRational, HSeries, Poly, RationalFn
+from kappa_hopf.suites import SuiteConfig, run_suite
 
 
 def test_catalog_complete_and_loadable():
@@ -320,6 +322,23 @@ def test_kappa_override_leaves_the_classical_derivation(tmp_path):
     assert load_model("galilei_algebra_classical", overrides) is derived
     assert classical_limit(load_model("galilei_algebra_kappa", overrides),
                            name="galilei_algebra_classical") != derived
+
+
+def test_a_reordered_kappa_algebra_passes_the_sigma_suites(tmp_path):
+    # the same kappa algebra with EE first in its PBW order: each of its
+    # generator indices is one more than in the derived classical algebra,
+    # which sigma is keyed by, letter by label
+    text = _read_model_text("galilei_algebra_kappa.hopf")
+    gens = "generators: M[1] M[2] M[3] L[1] L[2] L[3] P[1] P[2] P[3] P0 EE grouplike;\n"
+    assert text.count(gens) == 1
+    path = tmp_path / "kappa_ee_first.hopf"
+    path.write_text(text.replace(
+        gens, gens + "  order: EE M[1] M[2] M[3] L[1] L[2] L[3] P[1] P[2] P[3] P0;\n"))
+    overrides = resolve_overrides([str(path)])
+    assert load_model("galilei_algebra_kappa", overrides).gens[0].label() == "EE"
+    for suite in ("cocommutator", "rmatrix", "duality"):
+        report = run_suite(SuiteConfig(suite=suite, order=2, seed=42, overrides=overrides))
+        assert report.checks and all(c.status == "pass" for c in report.checks), suite
 
 
 def test_edited_override_is_reloaded(tmp_path):

@@ -24,7 +24,7 @@ EXPORTS = {
               "commutator", "confluence_residual", "confluence_triples", "h_expand",
               "normal_order"],
     "quotient": ["equal_mod_quotient", "zero_mod_quotient"],
-    "hopf": ["BicrossData", "Wedge", "apply_antipode", "apply_coproduct", "apply_counit",
+    "hopf": ["BicrossData", "apply_antipode", "apply_coproduct", "apply_counit",
              "classical_limit", "cocommutator", "coproduct", "verify_bialgebra",
              "verify_bicross", "verify_casimir", "verify_comodule"],
     "cohom": ["H2Result", "LieData", "LinearCertificate", "co_jacobi_check",
@@ -77,7 +77,7 @@ def test_first_load_imports_only_its_own_path():
 
 def test_all_lists_the_public_api():
     assert kappa_hopf.__all__ == [name for names in EXPORTS.values() for name in names]
-    assert len(kappa_hopf.__all__) == 71
+    assert len(kappa_hopf.__all__) == 70
     assert kappa_hopf.__version__ == "0.1.0"
 
 

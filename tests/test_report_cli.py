@@ -243,6 +243,23 @@ def test_growing_rule_in_a_word_bracket_exits_2_naming_the_digram(tmp_path, caps
                    "digram tau*v in galilei_group_2d\n")
 
 
+def test_a_sigma_that_is_no_lie_cocommutator_exits_2_naming_it(tmp_path, capsys):
+    # with h*P0*P0 (x) P0 in Delta(P0), sigma(P0) holds P0*P0 (x) P0, which
+    # is not generator (x) generator: the model is refused, not read as a
+    # wedge or a failed check
+    shipped = Path(kappa_hopf.__file__).parent / "models" / "galilei_algebra_kappa.hopf"
+    text = shipped.read_text()
+    rule = "coproduct P0 = P0 (x) 1 + 1 (x) P0;"
+    assert text.count(rule) == 1
+    model = tmp_path / "non_lie_sigma.hopf"
+    model.write_text(text.replace(rule, "coproduct P0 = P0 (x) 1 + 1 (x) P0 + h*P0*P0 (x) P0;"))
+    assert main(["verify", "cocommutator", "--order", "2", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("kappa-hopf: PresentationError: sigma(P0) of galilei_algebra_kappa: "
+                            "term P0*P0 (x) P0 is not generator (x) generator\n")
+
+
 @pytest.mark.parametrize("error", [DivergenceError, OrderCapError, SeriesDomainError])
 def test_cli_engine_error_exit_code(monkeypatch, capsys, error):
     # an engine limit hit by a model or a configuration is exit 2 with a
