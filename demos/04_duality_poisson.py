@@ -3,12 +3,14 @@ quantum group.
 
 The classical pairing <Phi, X> is computed in a faithful 5x5 matrix model
 of the Galilei group, fixed by the printed single-generator table.  The
-Poisson bracket {f,g} defined by <{f,g},X> = -i <f (x) g, sigma(X)> then
+pairing engine takes the classical algebra derived from the kappa algebra
+and refuses the model unless its matrices satisfy that algebra's brackets.
+The Poisson bracket {f,g} defined by <{f,g},X> = -i <f (x) g, sigma(X)> then
 reproduces every commutator of the quantum group, bracket by bracket.
 """
 
-from kappa_hopf import Poly, pair
-from kappa_hopf.duality import PairingEngine, model_4d, sigma_matrix_terms, quantization_crosscheck
+from kappa_hopf import LieData, Poly, pair
+from kappa_hopf.duality import PairingEngine, model_4d, quantization_crosscheck
 from kappa_hopf.hopf import cocommutator
 from kappa_hopf.models import load_model
 
@@ -20,9 +22,8 @@ print("<v[2], M[3] L[1]> =", pair(Poly.var("v[2]"), ("M[3]", "L[1]")))
 
 kappa = load_model("galilei_algebra_kappa")
 classical = load_model("galilei_algebra_classical")
-sigma, _ = cocommutator(kappa, classical)
-engine = PairingEngine(model, [g.label() for g in classical.gens],
-                       sigma_matrix_terms(classical, sigma))
+engine = PairingEngine(model, LieData.from_presentation(classical),
+                       cocommutator(kappa, classical)[0])
 
 group = load_model("galilei_group_kappa")
 checks = quantization_crosscheck(group, engine)

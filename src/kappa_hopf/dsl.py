@@ -733,9 +733,10 @@ class Evaluator:
         slot, at each of assigns (assignments of the same variables), one at
         a time.  Einstein convention: after expanding node into product
         terms, each term is summed over its own repeated variables that
-        assigns leave free.  node is analysed once, and a term when the first
-        assignment reaches it, so an error is raised where evaluating the
-        instances one by one meets it first."""
+        assigns leave free; a free variable of a generator family the slots
+        lack is refused, not summed over no values.  node is analysed once,
+        and a term when the first assignment reaches it, so an error is
+        raised where evaluating the instances one by one meets it first."""
         terms, sums = None, []  # sums[k]: the assignments term k is summed over
         for assign in assigns:
             if terms is None:
@@ -751,6 +752,9 @@ class Evaluator:
                     if once:
                         raise _EvalError(f"unbalanced index {once[0]!r}: appears once and is "
                                          "not bound on the left side")
+                    for _, ref, _ in free:
+                        if ref is not None:
+                            _require_family([g for p in self.slots for g in p.gens], ref)
                     sums.append(_assignments(self.ranges, free))
                 for s in sums[k]:
                     val = self.eval(term, {**assign, **s}, 0)
@@ -947,7 +951,8 @@ def _load_presentation(decl):
 def _require_family(gens, ref):
     """Refuse a generator reference whose family (name and index count)
     gens lack: its index variables would take no values, and so its binding
-    or relation would have no instance and be dropped."""
+    or relation would have no instance and be dropped, or its term would be
+    summed over nothing."""
     if not any(g.name == ref.name and len(g.index) == len(ref.idx) for g in gens):
         raise _EvalError(f"unknown generator {ref.name}")
 

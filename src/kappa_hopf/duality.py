@@ -5,15 +5,16 @@ quantize to the quantum group relations.
 The classical Galilei group element is the 5x5 block matrix
 [[R, v, a], [0, 1, tau], [0, 0, 1]] acting on (x1,x2,x3,t,1); coordinate
 functions read off matrix entries.  Generator matrices are fixed by
-requiring the single-generator pairing table exactly (a startup self-test
-asserts all of it):
+requiring the single-generator pairing table exactly (the duality suite's
+eq13_table check pairs all of it in every report):
 
     <tau, P0> = i,  <v^i, L_k> = -i d^i_k,  <a^i, P_k> = -i d^i_k,
     <R^i_j, M_k> = -i eps_ijk
 
 which forces M_k = -i*eps(.,.,k), L_k = -i*E[k,3], P_k = -i*E[k,4],
-P0 = +i*E[3,4] (0-indexed).  These matrices represent the classical algebra
-faithfully, and the monomial pairing
+P0 = +i*E[3,4] (0-indexed).  No bracket is typed here: PairingEngine
+checks that the matrices represent the classical algebra it is given
+(MatrixModel.check_represents), and the monomial pairing
 
     <Phi, X1...Xk> = coefficient of t1...tk in Phi((1 + t1 X1)...(1 + tk Xk))
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
+from .cohom import LieDataError
 from .report import Check, FAIL, PASS, run_check
 from .scalars import (
     GR_I,
@@ -34,7 +36,6 @@ from .scalars import (
     GR_ZERO,
     H_ZERO,
     HSeries,
-    Poly,
     POLY_ONE,
     as_gaussian,
     as_hseries,
@@ -100,20 +101,22 @@ class MatrixModel:
         self.coordinates = coordinates    # label -> (row, col)
         self.unit = (dim - 1, dim - 1)
 
-    def gen_matrix(self, label):
-        return self.generators[label]
-
-    def check_commutation(self, brackets):
-        """[X,Y] = sum c Z as matrices; returns offending triples."""
-        bad = []
-        for (x, y), comp in brackets.items():
-            gx, gy = self.generators[x], self.generators[y]
-            diff = _axpy(_smul(gx, gy), -GR_ONE, _smul(gy, gx))
-            for z, c in comp.items():
-                diff = _axpy(diff, -c, self.generators[z])
+    def check_represents(self, lie):
+        """Refuse a model that does not represent the Lie algebra lie (a
+        cohom.LieData): every label needs a matrix, and X_i X_j - X_j X_i =
+        sum_k c^k_ij X_k for every pair i < j.  Raises LieDataError naming
+        the first bracket that fails."""
+        for label in lie.labels:
+            if label not in self.generators:
+                raise LieDataError(f"the matrix model has no matrix for {label}")
+        xs = [self.generators[label] for label in lie.labels]
+        for i, j in lie.pairs:
+            diff = _axpy(_smul(xs[i], xs[j]), -GR_ONE, _smul(xs[j], xs[i]))
+            for k, c in lie.brackets.get((i, j), {}).items():
+                diff = _axpy(diff, -c, xs[k])
             if diff:
-                bad.append((x, y))
-        return bad
+                raise LieDataError(f"the matrix model breaks the bracket "
+                                   f"[{lie.labels[i]}, {lie.labels[j]}]")
 
 
 def _axpy(a, c, b):
@@ -130,7 +133,8 @@ def _axpy(a, c, b):
     return {r: row for r, row in out.items() if row}
 
 
-def galilei_matrix_model():
+@cache
+def model_4d():
     """The 5x5 model; generator labels match the algebra presentations."""
     gens = {}
     for k in (1, 2, 3):
@@ -183,41 +187,6 @@ EQ13_TABLE = [
 ]
 
 
-@cache
-def model_4d():
-    m = galilei_matrix_model()
-    _selftest_model(m)
-    return m
-
-
-def _selftest_model(m):
-    for coord, gen, want in EQ13_TABLE:
-        got = pair_word(m, Poly.var(coord), (gen,))
-        if got != HSeries.const(want):
-            raise AssertionError(f"matrix model breaks Eq. 13 at <{coord},{gen}>")
-    brackets = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i < j:
-                brackets[(f"M[{i}]", f"M[{j}]")] = {
-                    f"M[{k}]": GR_I * levi_civita(i, j, k)
-                    for k in (1, 2, 3) if levi_civita(i, j, k)}
-                brackets[(f"L[{i}]", f"L[{j}]")] = {}
-            brackets[(f"M[{i}]", f"L[{j}]")] = {
-                f"L[{k}]": GR_I * levi_civita(i, j, k)
-                for k in (1, 2, 3) if levi_civita(i, j, k)}
-            brackets[(f"M[{i}]", f"P[{j}]")] = {
-                f"P[{k}]": GR_I * levi_civita(i, j, k)
-                for k in (1, 2, 3) if levi_civita(i, j, k)}
-        brackets[(f"L[{i}]", "P0")] = {f"P[{i}]": GR_I}
-        brackets[(f"M[{i}]", "P0")] = {}
-        for j in (1, 2, 3):
-            brackets[(f"L[{i}]", f"P[{j}]")] = {}
-    bad = m.check_commutation(brackets)
-    if bad:
-        raise AssertionError(f"matrix model breaks classical brackets: {bad}")
-
-
 # ---------------------------------------------------------------------------
 # the pairing <Phi, X>
 # ---------------------------------------------------------------------------
@@ -229,7 +198,7 @@ def _mask_product(model, word):
     n = model.dim
     acc = {(r, r): {0: GR_ONE} for r in range(n)}
     for bit, label in enumerate(word):
-        x = model.gen_matrix(label)
+        x = model.generators[label]
         out = {}
         for (r, c), masks in acc.items():
             # times identity
@@ -330,8 +299,13 @@ class PairingEngine:
         sigma = <f (x) g, sigma(X)> (1-cocycle extension)
 
     both read at row r1*n + r2, column c1*n + c2 of n*n-dimensional blocks.
-    With D(a) = a (x) 1 + 1 (x) a and K(a) the sigma image of a, the blocks of
-    a word a*w are one letter step from those of w:
+    The classical algebra is given as lie, a cohom.LieData: its labels are
+    the PBW order of the words, and the constructor refuses a model whose
+    matrices do not satisfy its brackets (MatrixModel.check_represents).
+    sigma is hopf.cocommutator's table {generator index: {(a, b): c}},
+    keyed by lie's indices.  With D(a) = a (x) 1 + 1 (x) a and
+    K(a) = sum c (X_a (x) X_b - X_b (x) X_a) the sigma image of a, the
+    blocks of a word a*w are one letter step from those of w:
 
         u(a*w) = D(a) u(w),   t(a*w) = D(a) t(w) + K(a) u(w).
 
@@ -345,22 +319,23 @@ class PairingEngine:
     coordinate (or none) is padded with the unit and read from the same
     plain block."""
 
-    def __init__(self, model, gen_order, sigma_table):
+    def __init__(self, model, lie, sigma):
+        model.check_represents(lie)
         self.model = model
         self.n = model.dim
-        self.gen_order = list(gen_order)   # labels in PBW order
+        self.gen_order = lie.labels   # labels in PBW order
+        xs = [model.generators[label] for label in lie.labels]
         # D(a) and K(a) by column: the walk multiplies them by sparse vectors
         self.D = {}
         self.K = {}
         eye = {r: {r: GR_ONE} for r in range(self.n)}
-        for label in self.gen_order:
-            x = model.gen_matrix(label)
+        for gi, (label, x) in enumerate(zip(lie.labels, xs)):
             self.D[label] = _columns(_axpy(_skron(x, eye, self.n), GR_ONE,
                                            _skron(eye, x, self.n)))
             k = {}
-            for c, a_lab, b_lab in sigma_table.get(label, []):
-                k = _axpy(k, c, _skron(model.gen_matrix(a_lab), model.gen_matrix(b_lab),
-                                       self.n))
+            for (a, b), c in sigma.get(gi, {}).items():
+                k = _axpy(k, c, _skron(xs[a], xs[b], self.n))
+                k = _axpy(k, -c, _skron(xs[b], xs[a], self.n))
             self.K[label] = _columns(k)
 
     def sweep(self, max_degree, cols, visit, sigma_cols):
@@ -423,25 +398,6 @@ def _vec_add(a, b):
         else:
             a.pop(r, None)
     return a
-
-
-# ---------------------------------------------------------------------------
-# sigma table plumbing
-# ---------------------------------------------------------------------------
-
-
-def sigma_matrix_terms(classical, sigma_components):
-    """{label: [(coeff, A_label, B_label), ...]} from the sigma table of
-    hopf.cocommutator, keyed by classical's indices (both tensor orders
-    expanded)."""
-    out = {}
-    for gi, comps in sigma_components.items():
-        terms = []
-        for (a, b), c in comps.items():
-            terms.append((c, classical.gens[a].label(), classical.gens[b].label()))
-            terms.append((-c, classical.gens[b].label(), classical.gens[a].label()))
-        out[classical.gens[gi].label()] = terms
-    return out
 
 
 # ---------------------------------------------------------------------------

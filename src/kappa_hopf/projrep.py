@@ -404,10 +404,12 @@ def triviality_probe(group2d, lie2d, omega2=None, order=1):
 
 
 def _classical_class(group2d, lie2d, omega2, order):
-    """The h^0 multiplier cocycle modulo classical coboundaries."""
+    """The h^0 multiplier cocycle modulo classical coboundaries, paired in
+    the 2D matrix model once it is checked to represent lie2d."""
     om = omega2 or build_omega(group2d, order)
     phi0 = om.log(order).scale(HSeries.const(-GR_I)).h_coefficient(0)
     model = galilei_2d_matrix_model()
+    model.check_represents(lie2d)
     # infinitesimal antisymmetric part: w(X,Y) = <phi0, X (x) Y - Y (x) X>
 
     def coord_poly(word):

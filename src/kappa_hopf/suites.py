@@ -23,7 +23,6 @@ from .duality import (
     pair,
     poisson_family_verify,
     quantization_crosscheck,
-    sigma_matrix_terms,
 )
 from .hopf import (
     cocommutator,
@@ -331,9 +330,8 @@ def suite_duality(cfg, oracle):
     rep.add(run_check(eq13))
     rep.extend(_a2_checks(pairing))
 
-    sigma, _ = cocommutator(kappa, classical)
-    engine = PairingEngine(model, [g.label() for g in classical.gens],
-                           sigma_matrix_terms(classical, sigma))
+    engine = PairingEngine(model, LieData.from_presentation(classical),
+                           cocommutator(kappa, classical)[0])
 
     h = HSeries.h(1)
     queries = []

@@ -310,6 +310,11 @@ HOPF_AB = """presentation ab {
     # and so is a relation over such a family
     pytest.param("relation G*B - B*G = 0;", "relation G*B - B*G = 0;\n  relation Z[i]*A - A*Z[i] = 0;",
                  (6, 3), "unknown generator Z", id="missing-family-relation"),
+    # a summed index over such a family would sum its term over nothing
+    pytest.param("antipode A = -A;", "antipode A = -A + Z[k]*Z[k];", (12, 3),
+                 "unknown generator Z", id="missing-family-summed-antipode"),
+    pytest.param("relation G*B - B*G = 0;", "relation G*B - B*G = Z[k]*Z[k];", (5, 3),
+                 "unknown generator Z", id="missing-family-summed-relation"),
 ])
 def test_evaluator_diagnostics(old, new, at, message):
     # one malformed presentation per message; the diagnostic names the

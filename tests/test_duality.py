@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from kappa_hopf import duality
+from kappa_hopf.cohom import LieData, LieDataError
 from kappa_hopf.duality import (
     EQ13_TABLE,
     MatrixModel,
@@ -19,7 +20,6 @@ from kappa_hopf.duality import (
     pair_word,
     poisson_family_verify,
     quantization_crosscheck,
-    sigma_matrix_terms,
 )
 from kappa_hopf.hopf import cocommutator
 from kappa_hopf.models import load_model
@@ -56,10 +56,27 @@ def build_engine():
     model = model_4d()
     kappa = load_model("galilei_algebra_kappa")
     classical = load_model("galilei_algebra_classical")
-    sigma, _ = cocommutator(kappa, classical)
     return model, classical, PairingEngine(
-        model, [g.label() for g in classical.gens],
-        sigma_matrix_terms(classical, sigma))
+        model, LieData.from_presentation(classical), cocommutator(kappa, classical)[0])
+
+
+def test_the_engine_refuses_a_model_that_breaks_a_classical_bracket():
+    model = model_4d()
+    classical = load_model("galilei_algebra_classical")
+    lie = LieData.from_presentation(classical)
+    sigma, _ = cocommutator(load_model("galilei_algebra_kappa"), classical)
+    # the shipped models represent their classical algebras
+    model.check_represents(lie)
+    duality.galilei_2d_matrix_model().check_represents(
+        LieData.from_presentation(load_model("galilei_algebra_2d_classical")))
+    # twice P0 breaks [L[i], P0] = i P[i], first at the least pair
+    doubled = {r: {c: v + v for c, v in row.items()} for r, row in model.generators["P0"].items()}
+    broken = MatrixModel(model.dim, {**model.generators, "P0": doubled}, model.coordinates)
+    with pytest.raises(LieDataError, match=r"^the matrix model breaks the bracket \[L\[1\], P0\]$"):
+        PairingEngine(broken, lie, sigma)
+    missing = {label: m for label, m in model.generators.items() if label != "P0"}
+    with pytest.raises(LieDataError, match=r"^the matrix model has no matrix for P0$"):
+        MatrixModel(model.dim, missing, model.coordinates).check_represents(lie)
 
 
 def test_eq13_table_exact():
@@ -443,7 +460,6 @@ def test_monomial_counts_are_pbw_words_up_to_the_bound():
 
 
 def test_duality_suite_builds_each_mask_product_once(monkeypatch):
-    model_4d()  # its own Eq. 13 self-test pairs outside any suite run
     built = []
     build = duality._mask_product
 

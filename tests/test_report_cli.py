@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 import kappa_hopf
 from kappa_hopf import cli, report
 from kappa_hopf.cli import main
+from kappa_hopf.dsl import print_presentation
+from kappa_hopf.models import load_model
 from kappa_hopf.ncalg import DivergenceError
 from kappa_hopf.projrep import OrderCapError
 from kappa_hopf.report import (
@@ -258,6 +261,28 @@ def test_a_sigma_that_is_no_lie_cocommutator_exits_2_naming_it(tmp_path, capsys)
     assert captured.out == ""
     assert captured.err == ("kappa-hopf: PresentationError: sigma(P0) of galilei_algebra_kappa: "
                             "term P0*P0 (x) P0 is not generator (x) generator\n")
+
+
+@pytest.mark.parametrize("suite, name, pattern, bracket", [
+    # [L[i], P0] = 2i P[i] in all three relations, so that Jacobi holds
+    pytest.param("duality", "galilei_algebra_classical",
+                 r"(relation P0\*L\[\d\] - L\[\d\]\*P0 = )-I\*", "[L[1], P0]", id="duality-4d"),
+    pytest.param("projrep", "galilei_algebra_2d_classical",
+                 r"(relation P0\*L - L\*P0 = )-I\*", "[L, P0]", id="projrep-2d"),
+])
+def test_a_classical_bracket_the_matrix_model_breaks_exits_2_naming_it(
+        tmp_path, capsys, suite, name, pattern, bracket):
+    # the derived classical algebra with [L, P0] doubled is still a Lie
+    # algebra, but the matrix model of the pairing no longer represents it
+    text = print_presentation(load_model(name))
+    text, count = re.subn(pattern, r"\1-2*I*", text)
+    assert count == (3 if suite == "duality" else 1)
+    model = tmp_path / f"{name}.hopf"
+    model.write_text(text)
+    assert main(["verify", suite, "--order", "2", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kappa-hopf: LieDataError: the matrix model breaks the bracket {bracket}\n"
 
 
 @pytest.mark.parametrize("error", [DivergenceError, OrderCapError, SeriesDomainError])
